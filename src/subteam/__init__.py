@@ -7,7 +7,6 @@ from .encoder import (
     build_containers,
     default_cluster_count,
     encode,
-    gcn_layer_forward,
     hard_assign,
     init_params,
     load_checkpoint,
@@ -70,7 +69,6 @@ from .objectives import (
 )
 from .recommender import ReplacementResult, exhaustive_oracle, recommend
 from .trainer import (
-    SampleBatch,
     TrainConfig,
     gradient_check,
     gradient_check_report,

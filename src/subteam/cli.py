@@ -167,7 +167,6 @@ def cmd_evaluate(args) -> int:
         model=model,
         kernel_cfg=KernelConfig(decay=args.decay, termination=args.termination),
         training_time_ms=training_time_ms,
-        workers=args.workers,
         config_echo={"feature_subset": args.features},
     )
     completed = sum(agg.cases for agg in report.methods.values())
@@ -246,7 +245,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--ged-cap", type=int, default=12)
     p.add_argument("--budget", type=int, default=200_000)
     p.add_argument("--train-log", default=None, help="training log for amortized total time")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--out", default=None, help="report output path (default stdout)")
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--config", default=None)
@@ -264,8 +262,11 @@ def _apply_config(argv, parser, commands) -> None:
     config_path = getattr(ns, "config", None)
     if not config_path:
         return
-    with open(config_path, encoding="utf-8") as fh:
-        values = json.load(fh)
+    try:
+        with open(config_path, encoding="utf-8") as fh:
+            values = json.load(fh)
+    except ValueError as exc:
+        raise ValidationError(f"malformed config {config_path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ValidationError(f"config {config_path} must hold a JSON object")
     subparser = commands[command]

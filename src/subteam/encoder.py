@@ -1,8 +1,12 @@
 """Graph-convolution encoder with layer concatenation and a soft clustering head.
 
-All forward operations are pure functions of immutable inputs; parameter
-objects are never mutated in place. Cluster ids are 1-based throughout,
-matching the hard-assignment convention used by the recommender.
+:func:`forward` is the one encoder pass: :func:`encode`,
+:meth:`ClusterModel.build` and the trainer all call it, and the trainer's
+backpropagation (checked by :func:`subteam.trainer.gradient_check`) reads the
+intermediates it returns. All forward operations are pure functions of
+immutable inputs; parameter objects are never mutated in place. Cluster ids
+are 1-based throughout, matching the hard-assignment convention used by the
+recommender.
 """
 
 from __future__ import annotations
@@ -12,7 +16,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ValidationError
 from .graph import SocialNetwork, normalize_adjacency
@@ -95,30 +98,39 @@ def init_params(d: int, hidden, clusters: int, rng: np.random.Generator) -> Enco
     return EncoderParams(layer_weights=tuple(weights), cluster_weight=head)
 
 
-def gcn_layer_forward(norm_adj, h_prev, w: np.ndarray, apply_activation: bool = True):
-    """One convolution layer: act(norm_adj @ h_prev @ w), act = ReLU when flagged."""
-    if norm_adj.shape[1] != h_prev.shape[0] or h_prev.shape[1] != w.shape[0]:
+@dataclass(frozen=True, eq=False)
+class Forward:
+    """Every intermediate of one encoder pass; training backpropagates through them."""
+
+    aggregated: tuple  # per layer: norm_adj @ h_prev (sparse for the first layer)
+    activations: tuple[np.ndarray, ...]  # per layer: ReLU(aggregated @ w)
+    z: np.ndarray  # embeddings: the activations side by side
+    u: np.ndarray  # cluster-head pre-activation z @ w_c
+    c: np.ndarray  # soft assignments: row softmax of ReLU(u)
+
+
+def forward(norm_adj, features, params: EncoderParams) -> Forward:
+    """The encoder pass: ReLU(norm_adj @ h @ w) per layer, concatenation, soft head."""
+    if params.dims.d != features.shape[1]:
         raise ValidationError(
-            f"shape mismatch: adj {norm_adj.shape}, h {h_prev.shape}, w {w.shape}"
+            f"params expect d={params.dims.d}, features have d={features.shape[1]}"
         )
-    out = norm_adj @ h_prev @ w
-    if sp.issparse(out):
-        out = out.toarray()
-    out = np.asarray(out, dtype=np.float64)
-    return np.maximum(out, 0.0) if apply_activation else out
+    aggregated, activations = [], []
+    h = features
+    for w in params.layer_weights:
+        m = norm_adj @ h
+        h = np.maximum(np.asarray(m @ w), 0.0)
+        aggregated.append(m)
+        activations.append(h)
+    z = np.concatenate(activations, axis=1)
+    u = z @ params.cluster_weight
+    c = row_softmax(np.maximum(u, 0.0))
+    return Forward(tuple(aggregated), tuple(activations), z, u, c)
 
 
 def encode(net: SocialNetwork, params: EncoderParams) -> np.ndarray:
     """Node embeddings: column-concatenation of every layer's activations."""
-    if params.dims.d != net.d:
-        raise ValidationError(f"params expect d={params.dims.d}, network has d={net.d}")
-    norm_adj = normalize_adjacency(net)
-    h = net.features
-    blocks = []
-    for w in params.layer_weights:
-        h = gcn_layer_forward(norm_adj, h, w, apply_activation=True)
-        blocks.append(h)
-    return np.concatenate(blocks, axis=1)
+    return forward(normalize_adjacency(net), net.features, params).z
 
 
 def row_softmax(e: np.ndarray) -> np.ndarray:
@@ -162,12 +174,11 @@ class ClusterModel:
 
     @classmethod
     def build(cls, net: SocialNetwork, params: EncoderParams) -> "ClusterModel":
-        z = encode(net, params)
-        c_mat = soft_assign(z, params.cluster_weight)
-        h = hard_assign(c_mat)
+        fwd = forward(normalize_adjacency(net), net.features, params)
+        h = hard_assign(fwd.c)
         return cls(
-            embeddings=z,
-            soft=c_mat,
+            embeddings=fwd.z,
+            soft=fwd.c,
             hard=h,
             containers=build_containers(h, params.dims.clusters),
         )
@@ -196,21 +207,26 @@ def save_checkpoint(params: EncoderParams, path) -> None:
 
 
 def load_checkpoint(path) -> EncoderParams:
-    with open(path, encoding="utf-8") as fh:
-        doc = json.load(fh)
-    version = doc.get("format_version")
-    if version != CHECKPOINT_VERSION:
-        raise ValidationError(
-            f"unsupported checkpoint format version {version!r} "
-            f"(expected {CHECKPOINT_VERSION})"
+    """Read a checkpoint; malformed content raises ValidationError naming the file."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            doc = json.load(fh)
+        version = doc.get("format_version")
+        if version != CHECKPOINT_VERSION:
+            raise ValidationError(
+                f"unsupported checkpoint format version {version!r} "
+                f"(expected {CHECKPOINT_VERSION})"
+            )
+        params = EncoderParams(
+            layer_weights=tuple(np.asarray(w, dtype=np.float64) for w in doc["layer_weights"]),
+            cluster_weight=np.asarray(doc["cluster_weight"], dtype=np.float64),
         )
-    params = EncoderParams(
-        layer_weights=tuple(np.asarray(w, dtype=np.float64) for w in doc["layer_weights"]),
-        cluster_weight=np.asarray(doc["cluster_weight"], dtype=np.float64),
-    )
-    dims = doc.get("dims", {})
+        dims = doc.get("dims", {})
+        declared = (dims.get("d"), tuple(dims.get("hidden", ())), dims.get("clusters"))
+    except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
+        cause = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
+        raise ValidationError(f"malformed checkpoint {path}: {cause}") from exc
     expected = params.dims
-    declared = (dims.get("d"), tuple(dims.get("hidden", ())), dims.get("clusters"))
     if declared != (expected.d, expected.hidden, expected.clusters):
         raise ValidationError(
             f"checkpoint dims record {declared} does not match weight shapes "

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -286,7 +285,6 @@ def run_comparison(
     model: ClusterModel | None = None,
     kernel_cfg: KernelConfig | None = None,
     training_time_ms: float = 0.0,
-    workers: int = 1,
     config_echo: dict | None = None,
 ) -> EvalReport:
     """Evaluate every method on identical cases and aggregate per-method means.
@@ -358,11 +356,7 @@ def run_comparison(
             )
         return outcomes
 
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            per_case = list(pool.map(run_case, cases))
-    else:
-        per_case = [run_case(case) for case in cases]
+    per_case = [run_case(case) for case in cases]
 
     complete = {
         outcomes[0].case_id

@@ -60,20 +60,14 @@ class LabeledGraph:
 
 @dataclass(frozen=True)
 class KernelConfig:
-    """Walk-kernel knobs: decay, start/stop policy, oracle length, termination."""
+    """Walk-kernel knobs: random-walk decay and marginalized-walk termination."""
 
     decay: float = 0.1
-    start_stop: str = "uniform"
-    series_terms: int = 50
     termination: float = 0.1
 
     def __post_init__(self):
         if self.decay <= 0:
             raise ValidationError(f"decay must be positive, got {self.decay}")
-        if self.start_stop != "uniform":
-            raise ValidationError(f"unsupported start/stop policy {self.start_stop!r}")
-        if self.series_terms < 1:
-            raise ValidationError("series_terms must be >= 1")
         if not (0 < self.termination < 1):
             raise ValidationError(f"termination must be in (0,1), got {self.termination}")
 

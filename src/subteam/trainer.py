@@ -1,9 +1,11 @@
 """Self-supervised training loop: subteam sampling, manual backprop, checkpoints.
 
-The encoder is small enough that gradients are written out by hand; they are
-verified against central finite differences by :func:`gradient_check`. The
-whole loop is deterministic for a fixed seed: identical configuration and data
-reproduce bit-identical parameters.
+The encoder forward pass is :func:`subteam.encoder.forward`, and each loss
+term's value and gradient come from one function in :mod:`subteam.objectives`.
+This module adds the chain rule through the cluster head and the layers; the
+result is verified against central finite differences by :func:`gradient_check`.
+The whole loop is deterministic for a fixed seed: identical configuration and
+data reproduce bit-identical parameters.
 """
 
 from __future__ import annotations
@@ -13,18 +15,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, default_cluster_count, init_params, row_softmax
+from .encoder import EncoderParams, Forward, default_cluster_count, forward, init_params
 from .errors import NonFiniteLossError, ValidationError
 from .graph import SocialNetwork, Team, normalize_adjacency
+# skill_loss, structural_loss and clustering_loss are not called here, but stay
+# importable as subteam.trainer.* because perfbench/tracing.py wraps them there.
 from .objectives import (
-    COSINE_NORM_FLOOR,
     LossWeights,
     clustering_loss,
+    clustering_term,
     contrastive_loss,
+    contrastive_term,
+    feature_factor,
     skill_loss,
+    skill_term,
     structural_loss,
+    structural_term,
     total_loss,
-    _row_normalize,
 )
 
 
@@ -56,19 +63,6 @@ class TrainConfig:
         object.__setattr__(
             self, "subteam_fraction_range", tuple(float(f) for f in self.subteam_fraction_range)
         )
-
-
-@dataclass(frozen=True)
-class SampleBatch:
-    """Positive pairs for one epoch: (team index, sampled subteam members)."""
-
-    pairs: tuple[tuple[int, tuple[int, ...]], ...]
-
-    def resolve(self, teams) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-        return [(teams[i].members, sub) for i, sub in self.pairs]
-
-    def __len__(self) -> int:
-        return len(self.pairs)
 
 
 @dataclass(frozen=True)
@@ -114,116 +108,44 @@ def sample_subteam(team: Team, fraction_range, rng: np.random.Generator):
     return tuple(sorted(int(v) for v in chosen))
 
 
-def _sample_batch(teams, fraction_range, rng) -> SampleBatch:
+def _sample_batch(teams, fraction_range, rng) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
+    """(team members, sampled subteam) for every team large enough to split."""
     pairs = []
-    for idx, team in enumerate(teams):
+    for team in teams:
         sub = sample_subteam(team, fraction_range, rng)
         if sub is not None:
-            pairs.append((idx, sub))
-    return SampleBatch(pairs=tuple(pairs))
-
-
-@dataclass
-class _Cache:
-    ms: list  # per-layer aggregated inputs (norm_adj @ h_prev)
-    ps: list[np.ndarray]  # per-layer pre-activations
-    hs: list[np.ndarray]  # per-layer activations
-    z: np.ndarray
-    u: np.ndarray  # cluster-head pre-activation
-    c: np.ndarray  # soft assignments
+            pairs.append((team.members, sub))
+    return pairs
 
 
 class _LossModel:
-    """Forward/backward evaluation of the full objective on one fixed network."""
+    """The weighted objective on one fixed network, and its chain rule to the weights."""
 
     def __init__(self, net: SocialNetwork):
         self.norm_adj = normalize_adjacency(net)
         self.x = net.features
-        self.x_dense = net.features.toarray()
+        self.y1h = feature_factor(net.features)
         self.a_dense = net.adjacency.toarray()
-        self.n = net.n
 
-    def forward(self, params: EncoderParams) -> _Cache:
-        ms, ps, hs = [], [], []
-        h = self.x
-        for w in params.layer_weights:
-            m = self.norm_adj @ h
-            p = np.asarray(m @ w)
-            h = np.maximum(p, 0.0)
-            ms.append(m)
-            ps.append(p)
-            hs.append(h)
-        z = np.concatenate(hs, axis=1)
-        u = z @ params.cluster_weight
-        c = row_softmax(np.maximum(u, 0.0))
-        return _Cache(ms=ms, ps=ps, hs=hs, z=z, u=u, c=c)
-
-    def parts(self, cache: _Cache, pairs) -> dict[str, float]:
-        contra = contrastive_loss(pairs, cache.z) if pairs else 0.0
-        return {
-            "contra": contra,
-            "skill": skill_loss(self.x_dense, cache.c),
-            "structural": structural_loss(self.a_dense, cache.c),
-            "clustering": clustering_loss(cache.c),
-        }
-
-    def backward(self, params: EncoderParams, cache: _Cache, pairs, wvec):
-        """Gradient of wvec . (contra, skill, structural, clustering) wrt all weights."""
+    def terms(self, fwd: Forward, pairs, wvec):
+        """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
         w_contra, b1, b2, b3 = wvec
-        z, c = cache.z, cache.c
-        dz = np.zeros_like(z)
-        dc = np.zeros_like(c)
+        z, c = fwd.z, fwd.c
+        contra, dz = contrastive_term(pairs, z, w_contra) if pairs else (0.0, np.zeros_like(z))
+        skill, g_skill = skill_term(self.y1h, c, b1)
+        structural, g_structural = structural_term(self.a_dense, c, b2)
+        clustering, g_clustering = clustering_term(c, b3)
+        parts = dict(contra=contra, skill=skill, structural=structural, clustering=clustering)
+        return parts, dz, g_skill + g_structural + g_clustering
 
-        if w_contra and pairs:
-            s = len(pairs)
-            for team, sub in pairs:
-                rem = tuple(sorted(set(team) - set(sub)))
-                sub_ix = np.asarray(sub, dtype=np.intp)
-                rem_ix = np.asarray(rem, dtype=np.intp)
-                u_vec = z[sub_ix].mean(axis=0)
-                v_vec = z[rem_ix].mean(axis=0)
-                nu = np.linalg.norm(u_vec)
-                nv = np.linalg.norm(v_vec)
-                if nu < COSINE_NORM_FLOOR or nv < COSINE_NORM_FLOOR:
-                    continue
-                uh, vh = u_vec / nu, v_vec / nv
-                cos_uv = float(uh @ vh)
-                coef = -w_contra / s
-                dz[sub_ix] += coef * ((vh - cos_uv * uh) / nu) / len(sub)
-                dz[rem_ix] += coef * ((uh - cos_uv * vh) / nv) / len(rem)
-
-        if b1:
-            xh = _row_normalize(self.x_dense)
-            y1h = _row_normalize(xh @ xh.T)
-            cnorms = np.linalg.norm(c, axis=1, keepdims=True)
-            chat = c / cnorms
-            y2 = chat @ chat.T
-            y2n = np.linalg.norm(y2, axis=1, keepdims=True)
-            y2h = np.divide(y2, y2n, out=np.zeros_like(y2), where=y2n > 0)
-            dots = (y1h * y2h).sum(axis=1, keepdims=True)
-            g2 = np.divide(
-                -b1 * (y1h - dots * y2h), y2n, out=np.zeros_like(y2), where=y2n > 0
-            )
-            dchat = (g2 + g2.T) @ chat
-            proj = (dchat * chat).sum(axis=1, keepdims=True)
-            dc += (dchat - proj * chat) / cnorms
-
-        if b2:
-            residual = self.a_dense - c @ c.T
-            fro = np.linalg.norm(residual)
-            if fro > 0:
-                dc += b2 * (-2.0 / fro) * (residual @ c)
-
-        if b3:
-            logs = np.zeros_like(c)
-            np.log(c, out=logs, where=c > 0)
-            dc += np.where(c > 0, -b3 * (logs + 1.0) / self.n, 0.0)
-
+    def backward(self, params: EncoderParams, fwd: Forward, dz: np.ndarray, dc: np.ndarray):
+        """Gradients wrt every layer weight and the head, given dL/dz and dL/dC."""
+        c = fwd.c
         # head: softmax rows, then ReLU, then the linear map
         de = c * (dc - (dc * c).sum(axis=1, keepdims=True))
-        du = de * (cache.u > 0)
-        d_wc = z.T @ du
-        dz += du @ params.cluster_weight.T
+        du = de * (fwd.u > 0)
+        d_wc = fwd.z.T @ du
+        dz = dz + du @ params.cluster_weight.T
 
         widths = [w.shape[1] for w in params.layer_weights]
         offsets = np.cumsum([0, *widths])
@@ -233,20 +155,11 @@ class _LossModel:
             dh = dz[:, offsets[l] : offsets[l + 1]].copy()
             if carry is not None:
                 dh += carry
-            dp = dh * (cache.ps[l] > 0)
-            grads[l] = np.asarray(cache.ms[l].T @ dp)
+            dp = dh * (fwd.activations[l] > 0)
+            grads[l] = np.asarray(fwd.aggregated[l].T @ dp)
             if l > 0:
                 carry = self.norm_adj @ (dp @ params.layer_weights[l].T)
         return grads, d_wc
-
-
-def _scalarize(parts: dict[str, float], wvec) -> float:
-    return (
-        wvec[0] * parts["contra"]
-        + wvec[1] * parts["skill"]
-        + wvec[2] * parts["structural"]
-        + wvec[3] * parts["clustering"]
-    )
 
 
 def train(net: SocialNetwork, teams, cfg: TrainConfig):
@@ -272,12 +185,13 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     log: list[EpochStats] = []
     best_val = np.inf
     best_params = None
+    fwd = None
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
-        batch = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
-        pairs = batch.resolve(train_teams)
-        cache = model.forward(params)
-        parts = model.parts(cache, pairs)
+        pairs = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
+        if fwd is None:
+            fwd = forward(model.norm_adj, model.x, params)
+        parts, dz, dc = model.terms(fwd, pairs, wvec)
         report = total_loss(
             parts["contra"], parts["skill"], parts["structural"], parts["clustering"], weights
         )
@@ -286,7 +200,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
             if not np.isfinite(value):
                 raise NonFiniteLossError(f"{name} loss", epoch, value)
 
-        grads, d_wc = model.backward(params, cache, pairs, wvec)
+        grads, d_wc = model.backward(params, fwd, dz, dc)
         new_layers = tuple(
             w - cfg.learning_rate * g for w, g in zip(params.layer_weights, grads)
         )
@@ -295,12 +209,13 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
             if not np.all(np.isfinite(w)):
                 raise NonFiniteLossError("parameter update", epoch, float(np.max(np.abs(w))))
         params = EncoderParams(layer_weights=new_layers, cluster_weight=new_head)
+        # one pass on the updated parameters serves validation and the next epoch
+        fwd = forward(model.norm_adj, model.x, params)
 
-        val_batch = _sample_batch(val_teams, cfg.subteam_fraction_range, sampler)
+        val_pairs = _sample_batch(val_teams, cfg.subteam_fraction_range, sampler)
         val_contra = None
-        if len(val_batch):
-            val_cache = model.forward(params)
-            val_contra = contrastive_loss(val_batch.resolve(val_teams), val_cache.z)
+        if val_pairs:
+            val_contra = contrastive_loss(val_pairs, fwd.z)
             if val_contra < best_val:
                 best_val = val_contra
                 best_params = params
@@ -343,31 +258,6 @@ def read_total_wall_ms(path) -> float:
     return total
 
 
-def finite_difference_error(value_fn, grad, matrices, eps: float) -> float:
-    """Worst-case central-difference error of ``grad`` against ``value_fn``.
-
-    ``matrices`` is the list of parameter arrays perturbed in place (on
-    copies); ``grad`` is the list of analytic gradients with matching shapes.
-    Relative error is used except where both magnitudes are below 1e-6.
-    """
-    worst = 0.0
-    for mat_idx, mat in enumerate(matrices):
-        for flat in range(mat.size):
-            idx = np.unravel_index(flat, mat.shape)
-            orig = mat[idx]
-            mat[idx] = orig + eps
-            f_plus = value_fn()
-            mat[idx] = orig - eps
-            f_minus = value_fn()
-            mat[idx] = orig
-            numeric = (f_plus - f_minus) / (2 * eps)
-            analytic = grad[mat_idx][idx]
-            denom = max(abs(numeric), abs(analytic))
-            diff = abs(numeric - analytic)
-            worst = max(worst, diff if denom < 1e-6 else diff / denom)
-    return worst
-
-
 def gradient_check_report(
     net: SocialNetwork,
     teams,
@@ -382,9 +272,7 @@ def gradient_check_report(
     held fixed across all evaluations. Returns the worst error per term.
     """
     weights = weights or LossWeights()
-    rng = np.random.default_rng([seed, 2])
-    batch = _sample_batch(teams, (0.25, 0.75), rng)
-    pairs = batch.resolve(teams)
+    pairs = _sample_batch(teams, (0.25, 0.75), np.random.default_rng([seed, 2]))
     model = _LossModel(net)
     wvecs = {
         "contra": (1.0, 0.0, 0.0, 0.0),
@@ -398,13 +286,15 @@ def gradient_check_report(
     head = params.cluster_weight.copy()
     matrices = [*work, head]
 
-    def rebuild() -> EncoderParams:
-        return EncoderParams(layer_weights=tuple(work), cluster_weight=head)
+    def values() -> dict[str, float]:
+        perturbed = EncoderParams(layer_weights=tuple(work), cluster_weight=head)
+        return model.terms(forward(model.norm_adj, model.x, perturbed), pairs, wvecs["total"])[0]
 
-    cache = model.forward(rebuild())
+    fwd = forward(model.norm_adj, model.x, params)
     analytic = {}
     for name, wvec in wvecs.items():
-        grads, d_wc = model.backward(rebuild(), cache, pairs, wvec)
+        _, dz, dc = model.terms(fwd, pairs, wvec)
+        grads, d_wc = model.backward(params, fwd, dz, dc)
         analytic[name] = [*grads, d_wc]
 
     numeric = {name: [np.zeros_like(m) for m in matrices] for name in wvecs}
@@ -413,13 +303,14 @@ def gradient_check_report(
             idx = np.unravel_index(flat, mat.shape)
             orig = mat[idx]
             mat[idx] = orig + eps
-            parts_plus = model.parts(model.forward(rebuild()), pairs)
+            plus = values()
             mat[idx] = orig - eps
-            parts_minus = model.parts(model.forward(rebuild()), pairs)
+            minus = values()
             mat[idx] = orig
             for name, wvec in wvecs.items():
                 numeric[name][mat_idx][idx] = (
-                    _scalarize(parts_plus, wvec) - _scalarize(parts_minus, wvec)
+                    sum(w * v for w, v in zip(wvec, plus.values()))
+                    - sum(w * v for w, v in zip(wvec, minus.values()))
                 ) / (2 * eps)
 
     report = {}

@@ -187,6 +187,33 @@ class TestRecommend:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("defect", ["bad-json", "missing-key", "ragged-arrays"])
+    def test_malformed_checkpoint_exits_2(self, trained, tmp_path, capsys, defect):
+        doc = json.loads((trained / "checkpoint.json").read_text())
+        if defect == "missing-key":
+            del doc["layer_weights"]
+        elif defect == "ragged-arrays":
+            doc["cluster_weight"][0].append(0.0)
+        ck = tmp_path / "bad.json"
+        ck.write_text("{format_version: 1" if defect == "bad-json" else json.dumps(doc))
+        team = self.team_of(trained)
+        code = main(
+            [
+                "recommend",
+                "--data",
+                str(trained),
+                "--checkpoint",
+                str(ck),
+                "--team",
+                *map(str, team),
+                "--departing",
+                str(team[0]),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad.json" in err and "internal" not in err
+
     def test_team_spanning_all_nodes_exits_3(self, tmp_path, capsys):
         # every cluster member is a team member, so no candidate survives
         data = tmp_path / "tiny"
@@ -373,6 +400,14 @@ class TestConfigFile:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "mystery_knob" in capsys.readouterr().err
+
+    def test_bad_json_config_exits_2(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('{"epochs": 2,')
+        assert main(["train", "--data", str(data), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert "cfg.json" in err and "internal" not in err
 
 
 class TestInputImmutability:

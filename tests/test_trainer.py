@@ -8,7 +8,6 @@ from subteam.errors import NonFiniteLossError, ValidationError
 from subteam.graph import Team, generate_synthetic
 from subteam.trainer import (
     TrainConfig,
-    finite_difference_error,
     gradient_check,
     gradient_check_report,
     sample_subteam,
@@ -105,17 +104,6 @@ def small_instance():
 
 
 class TestGradientCheck:
-    def test_quadratic_sanity_stub(self):
-        # loss = ||W||^2 / 2 has gradient exactly W
-        rng = np.random.default_rng(0)
-        w = rng.normal(size=(4, 3))
-
-        def value():
-            return float((w * w).sum() / 2)
-
-        err = finite_difference_error(value, [w.copy()], [w], eps=1e-4)
-        assert err < 1e-8
-
     def test_full_loss_on_synthetic_instance(self, small_instance):
         net, teams = small_instance
         params = init_params(net.d, (6, 5), 3, np.random.default_rng(1))
