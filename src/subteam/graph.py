@@ -20,6 +20,12 @@ import scipy.sparse as sp
 
 from .errors import ParseError, ValidationError
 
+# load_network sets n and d from the largest ids it reads, and training holds
+# dense n x d arrays, so one stray huge id would exhaust memory; ids at or above
+# these caps are refused instead.
+MAX_NODES = 1_000_000
+MAX_FEATURES = 100_000
+
 
 def _canonical_csr(m) -> sp.csr_array:
     """Copy to float64 CSR with summed duplicates, no explicit zeros, sorted indices."""
@@ -144,11 +150,17 @@ def _data_lines(path):
             yield line_no, line
 
 
+def _check_id(path, line_no: int, kind: str, value: int, cap: int) -> None:
+    if not 0 <= value < cap:
+        raise ValidationError(f"{path}:{line_no}: {kind} id {value} out of range [0, {cap})")
+
+
 def load_network(edge_path, feature_path) -> SocialNetwork:
     """Load a network from an edge file and a feature file.
 
     The node count is one plus the largest node index seen in either file and
-    the feature dimension is one plus the largest feature index. If an edge is
+    the feature dimension is one plus the largest feature index; node ids must
+    lie below ``MAX_NODES`` and feature ids below ``MAX_FEATURES``. If an edge is
     declared in both directions (or repeatedly), the stored undirected weight
     is the maximum of the declared weights. Repeated feature triples
     accumulate.
@@ -164,8 +176,8 @@ def load_network(edge_path, feature_path) -> SocialNetwork:
             w = float(parts[2]) if len(parts) == 3 else 1.0
         except ValueError as exc:
             raise ParseError(edge_path, line_no, str(exc)) from exc
-        if i < 0 or j < 0:
-            raise ValidationError(f"{edge_path}:{line_no}: node index out of range: {min(i, j)}")
+        _check_id(edge_path, line_no, "node", i, MAX_NODES)
+        _check_id(edge_path, line_no, "node", j, MAX_NODES)
         if not math.isfinite(w) or w < 0:
             raise ValidationError(f"{edge_path}:{line_no}: bad edge weight {w!r}")
         key = (i, j) if i <= j else (j, i)
@@ -187,10 +199,8 @@ def load_network(edge_path, feature_path) -> SocialNetwork:
             val = float(parts[2])
         except ValueError as exc:
             raise ParseError(feature_path, line_no, str(exc)) from exc
-        if node < 0 or feat < 0:
-            raise ValidationError(
-                f"{feature_path}:{line_no}: node index out of range: {min(node, feat)}"
-            )
+        _check_id(feature_path, line_no, "node", node, MAX_NODES)
+        _check_id(feature_path, line_no, "feature", feat, MAX_FEATURES)
         if not math.isfinite(val) or val < 0:
             raise ValidationError(f"{feature_path}:{line_no}: bad feature value {val!r}")
         frows.append(node)

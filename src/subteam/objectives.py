@@ -5,8 +5,9 @@ gradient with respect to the soft assignments C (or the embeddings z for the
 contrastive term); the trainer backpropagates that gradient through the
 encoder, and :func:`subteam.trainer.gradient_check` verifies it against
 central finite differences. The ``*_loss`` functions return the value alone.
-All operations are pure and operate on dense arrays; sparse inputs are
-densified on entry (losses are evaluated at desk scale over the full network).
+All operations are pure. The skill and structural terms never build an n x n
+array: they use dense n x d features, n x k assignments, k x k and d x k Grams,
+and the adjacency as given, dense or sparse.
 """
 
 from __future__ import annotations
@@ -20,6 +21,8 @@ import scipy.sparse as sp
 from .errors import ValidationError
 
 COSINE_NORM_FLOOR = 1e-12
+# relative rounding floor of the structural identity ||A||^2 - 2<C, AC> + ||C^T C||^2
+_CANCELLATION = 1e-13
 
 
 @dataclass(frozen=True)
@@ -88,12 +91,6 @@ def pair_sim(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return _row_normalize(p) @ _row_normalize(q).T
 
 
-def _dense(x) -> np.ndarray:
-    if sp.issparse(x):
-        return x.toarray()
-    return np.asarray(x, dtype=np.float64)
-
-
 def contrastive_term(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Contrastive loss and the gradient of ``scale`` times it with respect to z.
 
@@ -142,31 +139,42 @@ def contrastive_loss(batch, z: np.ndarray) -> float:
     return contrastive_term(batch, z)[0]
 
 
-def feature_factor(x) -> np.ndarray:
-    """Row-normalized feature cosines rownorm(Xh Xh^T): the skill term's X side."""
-    xh = _row_normalize(_dense(x))
-    return _row_normalize(xh @ xh.T)
+def _inverse_row_norms(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
+    """1/||(m m^T)_i|| = 1/sqrt(m_i (m^T m) m_i^T) from the thin Gram, 0 for zero rows."""
+    sq = ((m @ gram) * m).sum(axis=1)
+    return np.divide(1.0, np.sqrt(sq), out=np.zeros_like(sq), where=sq > 0)
 
 
-def skill_term(y1h: np.ndarray, c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
+def feature_factor(x) -> tuple[np.ndarray, np.ndarray]:
+    """The skill term's feature side: dense Xh = rownorm(X) and d1_i = 1/||(Xh Xh^T)_i||."""
+    xh = _row_normalize(x.toarray() if sp.issparse(x) else np.asarray(x, dtype=np.float64))
+    return xh, _inverse_row_norms(xh, xh.T @ xh)
+
+
+def skill_term(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Skill loss and the gradient of ``scale`` times it with respect to C.
 
-    The loss is -sum_i <y1h_i, y2h_i> with y2h = rownorm(Ch Ch^T), which is the
-    negated trace of pair_sim(Y1, Y2). ``y1h`` comes from :func:`feature_factor`.
+    The loss is -sum_i <y1h_i, y2h_i> with y1h = rownorm(Xh Xh^T) and
+    y2h = rownorm(Ch Ch^T), the negated trace of pair_sim(Y1, Y2). Neither n x n
+    factor is built: the row dots are d1_i d2_i xh_i (Xh^T Ch) ch_i^T, and every
+    product is n x d or n x k. ``feature_side`` comes from :func:`feature_factor`.
     """
+    xh, d1 = feature_side
     c_mat = np.asarray(c_mat, dtype=np.float64)
-    if y1h.shape[0] != c_mat.shape[0]:
+    if xh.shape[0] != c_mat.shape[0]:
         raise ValidationError(
-            f"row mismatch: {y1h.shape[0]} feature rows vs assignments {c_mat.shape}"
+            f"row mismatch: {xh.shape[0]} feature rows vs assignments {c_mat.shape}"
         )
     cnorms = np.linalg.norm(c_mat, axis=1, keepdims=True)
     chat = np.divide(c_mat, cnorms, out=np.zeros_like(c_mat), where=cnorms > 0)
-    y2 = chat @ chat.T
-    y2n = np.linalg.norm(y2, axis=1, keepdims=True)
-    y2h = np.divide(y2, y2n, out=np.zeros_like(y2), where=y2n > 0)
-    dots = (y1h * y2h).sum(axis=1, keepdims=True)
-    g2 = np.divide(-scale * (y1h - dots * y2h), y2n, out=np.zeros_like(y2), where=y2n > 0)
-    dchat = (g2 + g2.T) @ chat
+    h_gram = chat.T @ chat
+    d2 = _inverse_row_norms(chat, h_gram)
+    y1c = xh @ (xh.T @ chat)  # Y1 Ch
+    dots = np.clip(d1 * d2 * (y1c * chat).sum(axis=1), -1.0, 1.0)  # cosines, up to rounding
+    # the gradient wrt Y2 is g = diag(a) Y1 + diag(b) Y2; wrt Ch it is (g + g^T) Ch
+    a = (-scale * d1 * d2)[:, None]
+    b = (scale * dots * d2 * d2)[:, None]
+    dchat = a * y1c + xh @ (xh.T @ (a * chat)) + b * (chat @ h_gram) + chat @ (chat.T @ (b * chat))
     proj = (dchat * chat).sum(axis=1, keepdims=True)
     grad = np.divide(dchat - proj * chat, cnorms, out=np.zeros_like(c_mat), where=cnorms > 0)
     return -float(dots.sum()), grad
@@ -177,21 +185,35 @@ def skill_loss(x, c_mat: np.ndarray) -> float:
     return skill_term(feature_factor(x), c_mat)[0]
 
 
-def structural_term(a, c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
-    """||A - C C^T||_F on the raw adjacency, and the gradient of ``scale`` times it wrt C."""
+def structural_term(
+    a, c_mat: np.ndarray, scale: float = 1.0, a_fro2: float | None = None
+) -> tuple[float, np.ndarray]:
+    """||A - C C^T||_F on the raw adjacency, and the gradient of ``scale`` times it wrt C.
+
+    Evaluated as ||A||^2 - 2<C, AC> + ||C^T C||^2 with A dense or sparse, so no
+    n x n array is built. ``a_fro2`` is ||A||_F^2 when the caller has it.
+    Where the three terms cancel to within rounding of their size, the value is
+    indistinguishable from 0 and is reported as exactly 0 with a zero gradient.
+    """
     c_mat = np.asarray(c_mat, dtype=np.float64)
+    a = a if sp.issparse(a) else np.asarray(a, dtype=np.float64)
     if a.shape[0] != a.shape[1] or a.shape[0] != c_mat.shape[0]:
         raise ValidationError(f"shape mismatch: adjacency {a.shape} vs assignments {c_mat.shape}")
-    residual = a - c_mat @ c_mat.T
-    fro = np.linalg.norm(residual)
-    if fro == 0:
+    if a_fro2 is None:
+        a_fro2 = float(a.multiply(a).sum() if sp.issparse(a) else np.vdot(a, a))
+    ac = np.asarray(a @ c_mat)
+    cc = c_mat.T @ c_mat
+    cc_fro2 = float(np.vdot(cc, cc))
+    fro2 = a_fro2 - 2.0 * float(np.vdot(c_mat, ac)) + cc_fro2
+    if fro2 <= _CANCELLATION * (a_fro2 + cc_fro2):
         return 0.0, np.zeros_like(c_mat)
-    return float(fro), scale * (-2.0 / fro) * (residual @ c_mat)
+    fro = math.sqrt(fro2)
+    return fro, scale * (-2.0 / fro) * (ac - c_mat @ cc)
 
 
 def structural_loss(a, c_mat: np.ndarray) -> float:
     """Frobenius norm of (adjacency - C C^T), on the raw unnormalized adjacency."""
-    return structural_term(_dense(a), c_mat)[0]
+    return structural_term(a, c_mat)[0]
 
 
 def clustering_term(c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
@@ -210,13 +232,7 @@ def clustering_loss(c_mat: np.ndarray) -> float:
     return clustering_term(c_mat)[0]
 
 
-def total_loss(
-    contra: float,
-    skill: float,
-    structural: float,
-    clustering: float,
-    weights: LossWeights,
-) -> LossReport:
+def total_loss(contra, skill, structural, clustering, weights: LossWeights) -> LossReport:
     """Weighted sum of the four terms."""
     total = (
         contra
@@ -224,10 +240,4 @@ def total_loss(
         + weights.structural * structural
         + weights.clustering * clustering
     )
-    return LossReport(
-        contra=float(contra),
-        skill=float(skill),
-        structural=float(structural),
-        clustering=float(clustering),
-        total=float(total),
-    )
+    return LossReport(*(float(v) for v in (contra, skill, structural, clustering, total)))

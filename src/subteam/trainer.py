@@ -11,7 +11,7 @@ data reproduce bit-identical parameters.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, astuple, dataclass
 
 import numpy as np
 
@@ -124,16 +124,17 @@ class _LossModel:
     def __init__(self, net: SocialNetwork):
         self.norm_adj = normalize_adjacency(net)
         self.x = net.features
-        self.y1h = feature_factor(net.features)
-        self.a_dense = net.adjacency.toarray()
+        self.feature_side = feature_factor(net.features)
+        self.adjacency = net.adjacency
+        self.adjacency_fro2 = float(np.vdot(net.adjacency.data, net.adjacency.data))
 
     def terms(self, fwd: Forward, pairs, wvec):
         """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
         w_contra, b1, b2, b3 = wvec
         z, c = fwd.z, fwd.c
         contra, dz = contrastive_term(pairs, z, w_contra) if pairs else (0.0, np.zeros_like(z))
-        skill, g_skill = skill_term(self.y1h, c, b1)
-        structural, g_structural = structural_term(self.a_dense, c, b2)
+        skill, g_skill = skill_term(self.feature_side, c, b1)
+        structural, g_structural = structural_term(self.adjacency, c, b2, self.adjacency_fro2)
         clustering, g_clustering = clustering_term(c, b3)
         parts = dict(contra=contra, skill=skill, structural=structural, clustering=clustering)
         return parts, dz, g_skill + g_structural + g_clustering
@@ -192,11 +193,8 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         if fwd is None:
             fwd = forward(model.norm_adj, model.x, params)
         parts, dz, dc = model.terms(fwd, pairs, wvec)
-        report = total_loss(
-            parts["contra"], parts["skill"], parts["structural"], parts["clustering"], weights
-        )
-        for name in ("contra", "skill", "structural", "clustering", "total"):
-            value = getattr(report, name)
+        report = total_loss(**parts, weights=weights)
+        for name, value in asdict(report).items():
             if not np.isfinite(value):
                 raise NonFiniteLossError(f"{name} loss", epoch, value)
 
@@ -220,18 +218,8 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
                 best_val = val_contra
                 best_params = params
 
-        log.append(
-            EpochStats(
-                epoch=epoch,
-                contra=report.contra,
-                skill=report.skill,
-                structural=report.structural,
-                clustering=report.clustering,
-                total=report.total,
-                val_contra=val_contra,
-                wall_ms=(time.perf_counter() - t0) * 1e3,
-            )
-        )
+        wall_ms = (time.perf_counter() - t0) * 1e3
+        log.append(EpochStats(epoch, *astuple(report), val_contra, wall_ms))
     return (best_params if best_params is not None else params), log
 
 

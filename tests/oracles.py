@@ -219,3 +219,34 @@ def random_labeled_graph(rng, n: int, d: int, edge_p: float = 0.6, label_scale: 
     """Random symmetric weighted graph with small non-negative labels."""
     upper = np.triu((rng.random((n, n)) < edge_p).astype(float) * rng.uniform(0.5, 1.5, (n, n)), 1)
     return LabeledGraph(adjacency=upper + upper.T, labels=rng.uniform(0, label_scale, (n, d)))
+
+
+def _rownorm(m: np.ndarray) -> np.ndarray:
+    norms = np.linalg.norm(m, axis=1, keepdims=True)
+    return np.divide(m, norms, out=np.zeros_like(m, dtype=float), where=norms > 0)
+
+
+def dense_skill_term(x: np.ndarray, c: np.ndarray, scale: float = 1.0):
+    """Skill value and gradient wrt C from the explicit n x n factors."""
+    xh = _rownorm(np.asarray(x, dtype=float))
+    y1h = _rownorm(xh @ xh.T)
+    cnorms = np.linalg.norm(c, axis=1, keepdims=True)
+    chat = np.divide(c, cnorms, out=np.zeros_like(c), where=cnorms > 0)
+    y2 = chat @ chat.T
+    y2n = np.linalg.norm(y2, axis=1, keepdims=True)
+    y2h = np.divide(y2, y2n, out=np.zeros_like(y2), where=y2n > 0)
+    dots = (y1h * y2h).sum(axis=1, keepdims=True)
+    g2 = np.divide(-scale * (y1h - dots * y2h), y2n, out=np.zeros_like(y2), where=y2n > 0)
+    dchat = (g2 + g2.T) @ chat
+    proj = (dchat * chat).sum(axis=1, keepdims=True)
+    grad = np.divide(dchat - proj * chat, cnorms, out=np.zeros_like(c), where=cnorms > 0)
+    return -float(dots.sum()), grad
+
+
+def dense_structural_term(a: np.ndarray, c: np.ndarray, scale: float = 1.0):
+    """||A - C C^T||_F and its gradient wrt C from the explicit residual."""
+    residual = np.asarray(a, dtype=float) - c @ c.T
+    fro = np.linalg.norm(residual)
+    if fro == 0:
+        return 0.0, np.zeros_like(c)
+    return float(fro), scale * (-2.0 / fro) * (residual @ c)

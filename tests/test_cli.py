@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+from subteam import graph
 from subteam.cli import main
 
 SYNTH = ["synth", "--n", "24", "--d", "8", "--clusters", "4", "--teams", "12", "--seed", "7"]
@@ -109,6 +110,17 @@ class TestTrain:
             return [line.rsplit("\t", 1)[0] for line in path.read_text().splitlines()]
 
         assert strip_wall(lg1) == strip_wall(lg2)
+
+    def test_stray_node_id_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(graph, "MAX_NODES", 1000)
+        data = run_synth(tmp_path)
+        edges = data / "edges.tsv"
+        line_no = len(edges.read_text().splitlines()) + 1
+        with open(edges, "a", encoding="utf-8") as fh:
+            fh.write("3\t5000\n")
+        assert main(TRAIN_FAST + ["--data", str(data)]) == 2
+        assert f"edges.tsv:{line_no}: node id 5000 out of range" in capsys.readouterr().err
+        assert not (data / "checkpoint.json").exists()
 
 
 @pytest.fixture(scope="module")

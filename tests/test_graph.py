@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_dense
+from subteam import graph
 from subteam.errors import ParseError, ValidationError
 from subteam.graph import (
     SocialNetwork,
@@ -98,6 +99,30 @@ class TestLoadNetwork:
         feats = write(tmp_path / "f.tsv", "-1\t0\t1\n")
         with pytest.raises(ValidationError, match="out of range"):
             load_network(edges, feats)
+
+    @pytest.mark.parametrize(
+        "edge_text, feat_text, where",
+        [
+            ("0\t1\n1\t50\n", "0\t0\t1\n", r"e\.tsv:2: node id 50 "),
+            ("# header\n0\t1\n", "0\t0\t1\n50\t1\t1\n", r"f\.tsv:2: node id 50 "),
+            ("0\t1\n", "0\t0\t1\n1\t9\t1\n", r"f\.tsv:2: feature id 9 "),
+        ],
+    )
+    def test_id_over_cap_rejected(self, tmp_path, monkeypatch, edge_text, feat_text, where):
+        monkeypatch.setattr(graph, "MAX_NODES", 50)
+        monkeypatch.setattr(graph, "MAX_FEATURES", 9)
+        edges = write(tmp_path / "e.tsv", edge_text)
+        feats = write(tmp_path / "f.tsv", feat_text)
+        with pytest.raises(ValidationError, match=where + "out of range"):
+            load_network(edges, feats)
+
+    def test_ids_just_under_cap_accepted(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_NODES", 50)
+        monkeypatch.setattr(graph, "MAX_FEATURES", 9)
+        edges = write(tmp_path / "e.tsv", "0\t49\n")
+        feats = write(tmp_path / "f.tsv", "49\t8\t1\n")
+        net = load_network(edges, feats)
+        assert (net.n, net.d) == (50, 9)
 
     def test_symmetry_invariant_holds(self, tmp_path):
         edges = write(tmp_path / "e.tsv", "0\t3\t2.5\n1\t2\n2\t1\t4\n")

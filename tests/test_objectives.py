@@ -2,12 +2,16 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+import scipy.sparse as sp
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    dense_skill_term,
+    dense_structural_term,
     naive_clustering_loss,
     naive_contrastive,
+    naive_cosine,
     naive_pair_sim,
     naive_skill_loss,
     naive_structural_loss,
@@ -16,13 +20,17 @@ from subteam.encoder import row_softmax
 from subteam.errors import ValidationError
 from subteam.graph import Team
 from subteam.objectives import (
+    COSINE_NORM_FLOOR,
     LossWeights,
     clustering_loss,
     contrastive_loss,
     cosine,
+    feature_factor,
     pair_sim,
     skill_loss,
+    skill_term,
     structural_loss,
+    structural_term,
     team_embedding,
     total_loss,
 )
@@ -71,7 +79,21 @@ class TestCosine:
     def test_scale_invariance(self, vals, alpha, beta):
         u = np.array(vals)
         v = np.roll(u, 1) + 1.0
+        # the floor is absolute, so scaling may carry a vector across it (pinned below)
+        norms = [np.linalg.norm(w) for w in (u, v, alpha * u, beta * v)]
+        assume(min(norms) >= COSINE_NORM_FLOOR)
         assert cosine(alpha * u, beta * v) == pytest.approx(cosine(u, v), abs=1e-12)
+
+    def test_norm_floor_is_absolute(self):
+        # recommend scores through cosine, and the naive oracle keeps the same floor
+        u = np.array([0.0, 1.37e-12])
+        v = np.array([1.0, 1.0])
+        assert np.linalg.norm(0.5 * u) < COSINE_NORM_FLOOR <= np.linalg.norm(u)
+        assert cosine(u, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert naive_cosine(u, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        for a, b in ((0.5 * u, v), (v, 0.5 * u)):
+            assert cosine(a, b) == 0.0
+            assert naive_cosine(a, b) == 0.0
 
 
 class TestContrastiveLoss:
@@ -188,6 +210,55 @@ class TestStructuralLoss:
         a = np.zeros((4, 4))
         c = row_softmax(rng.normal(size=(4, 2)))
         assert structural_loss(a, c) >= 0
+
+
+def assert_term_matches(got, want):
+    value, grad = got
+    want_value, want_grad = want
+    assert value == pytest.approx(want_value, rel=1e-10, abs=1e-12)
+    np.testing.assert_allclose(grad, want_grad, rtol=1e-10, atol=1e-10 * np.abs(want_grad).max())
+
+
+def random_instance(seed: int, n: int = 30, d: int = 7, k: int = 5):
+    """Non-negative features with some all-zero rows, a 0/1 adjacency and softmax C."""
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0, 2, size=(n, d)) * (rng.random((n, d)) < 0.4)
+    x[rng.choice(n, size=3, replace=False)] = 0.0
+    upper = np.triu((rng.random((n, n)) < 0.2).astype(float), 1)
+    c = row_softmax(2.0 * rng.normal(size=(n, k)))
+    return x, upper + upper.T, c
+
+
+@pytest.mark.parametrize("sparse", [False, True])
+class TestLowRankTermsMatchDenseOracle:
+    @pytest.mark.parametrize("seed", range(5))
+    def test_skill_term(self, sparse, seed):
+        x, _, c = random_instance(seed)
+        assert not x.any(axis=1).all()
+        side = feature_factor(sp.csr_array(x) if sparse else x)
+        assert_term_matches(skill_term(side, c, 0.7), dense_skill_term(x, c, 0.7))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_structural_term(self, sparse, seed):
+        _, a, c = random_instance(seed)
+        got = structural_term(sp.csr_array(a) if sparse else a, c, 3.0)
+        assert_term_matches(got, dense_structural_term(a, c, 3.0))
+
+    def test_skill_loss_and_structural_loss_use_the_terms(self, sparse):
+        x, a, c = random_instance(11)
+        wrap = sp.csr_array if sparse else np.asarray
+        assert skill_loss(wrap(x), c) == skill_term(feature_factor(x), c)[0]
+        assert structural_loss(wrap(a), c) == structural_term(a, c)[0]
+
+    @pytest.mark.parametrize("seed", range(12, 20))
+    def test_exact_fit_gives_zero_value_and_gradient(self, sparse, seed):
+        # the three terms of the identity cancel to a rounding residue of either sign
+        c = row_softmax(np.random.default_rng(seed).normal(size=(25, 4)))
+        a = c @ c.T
+        value, grad = structural_term(sp.csr_array(a) if sparse else a, c, 5.0)
+        assert value == 0.0
+        assert not grad.any()
+        assert dense_structural_term(a, c, 5.0)[0] == 0.0
 
 
 class TestClusteringLoss:

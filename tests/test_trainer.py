@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -175,3 +177,20 @@ class TestTrain:
         net, _ = small_instance
         with pytest.raises(ValidationError):
             train(net, [], TrainConfig(epochs=1))
+
+
+def test_training_epoch_allocates_no_n_by_n_array():
+    # narrow layers and few clusters keep the n-by-(d, k, hidden) arrays small,
+    # so a single dense n x n float64 array would stand out against the bound
+    n = 1200
+    net, teams = generate_synthetic(
+        n=n, d=16, k_planted=12, p_in=0.1, p_out=0.002, teams=100, seed=0
+    )
+    cfg = TrainConfig(epochs=1, hidden=(8, 8), clusters=8, seed=0)
+    tracemalloc.start()
+    try:
+        train(net, teams, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < n * n * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
