@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import json
 import time
+from collections import Counter
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,15 +133,24 @@ class CaseOutcome:
 
 @dataclass
 class MethodAggregate:
+    """Per-method tallies over the cases every method completed.
+
+    Each of those cases either has a metric (``*_cases``) or counts once
+    under the reason the metric was skipped (``*_skipped``).
+    """
+
     cases: int = 0
     refusals: int = 0
     no_candidates: int = 0
     mean_ged: float | None = None
     ged_cases: int = 0
+    ged_skipped: Counter = field(default_factory=Counter)
     mean_d1: float | None = None
     d1_cases: int = 0
+    d1_skipped: Counter = field(default_factory=Counter)
     mean_d2: float | None = None
     d2_cases: int = 0
+    d2_skipped: Counter = field(default_factory=Counter)
     mean_inference_ms: float = 0.0
     mean_total_ms: float = 0.0
 
@@ -161,10 +171,13 @@ class EvalReport:
                     "no_candidates": agg.no_candidates,
                     "mean_ged": agg.mean_ged,
                     "ged_cases": agg.ged_cases,
+                    "ged_skipped": dict(sorted(agg.ged_skipped.items())),
                     "mean_d1": agg.mean_d1,
                     "d1_cases": agg.d1_cases,
+                    "d1_skipped": dict(sorted(agg.d1_skipped.items())),
                     "mean_d2": agg.mean_d2,
                     "d2_cases": agg.d2_cases,
+                    "d2_skipped": dict(sorted(agg.d2_skipped.items())),
                     "mean_inference_ms": agg.mean_inference_ms,
                     "mean_total_ms": agg.mean_total_ms,
                 }
@@ -384,12 +397,18 @@ def run_comparison(
             if o.metrics.ged is not None:
                 agg.ged_cases += 1
                 sums[o.method]["ged"] += o.metrics.ged
+            else:
+                agg.ged_skipped[o.metrics.ged_skipped] += 1
             if o.metrics.d1 is not None:
                 agg.d1_cases += 1
                 sums[o.method]["d1"] += o.metrics.d1
+            else:
+                agg.d1_skipped[o.metrics.d1_skipped] += 1
             if o.metrics.d2 is not None:
                 agg.d2_cases += 1
                 sums[o.method]["d2"] += o.metrics.d2
+            else:
+                agg.d2_skipped[o.metrics.d2_skipped] += 1
     for name, agg in aggregates.items():
         if agg.cases:
             agg.mean_inference_ms = sums[name]["inf"] / agg.cases

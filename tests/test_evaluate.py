@@ -204,3 +204,24 @@ class TestRunComparison:
         header, *rows = table.strip().split("\n")
         assert header.split("\t") == list(report.TABLE_COLUMNS)
         assert len(rows) == len(report.cases)
+
+
+def test_document_counts_why_metrics_were_skipped(eval_instance):
+    net, teams, model = eval_instance
+    split = TestSplit(teams=tuple(teams[:3]), seed=4)
+    report = run_comparison(
+        net,
+        split,
+        ["genius"],
+        [25.0, 50.0],
+        seed=4,
+        caps=EvalCaps(ged_max_nodes=0),
+        model=model,
+        kernel_cfg=KernelConfig(decay=0.005, termination=0.1),  # D2 diverges on these labels
+    )
+    doc = report.to_document()["methods"]["genius"]
+    assert doc["cases"] > 0
+    assert doc["ged_skipped"] == {"size-cap": doc["cases"]}
+    assert doc["d2_skipped"] == {"ConvergenceError": doc["cases"]}
+    for metric in ("ged", "d1", "d2"):
+        assert doc[f"{metric}_cases"] + sum(doc[f"{metric}_skipped"].values()) == doc["cases"]

@@ -1,8 +1,10 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from conftest import net_from_dense
 from oracles import (
@@ -15,10 +17,14 @@ from oracles import (
     sp_kernel_brute,
 )
 from subteam.errors import ConvergenceError, RefusalError, ValidationError
-from subteam.graph import Team
+from subteam.evaluate import TestSplit, run_comparison
+from subteam.graph import SocialNetwork, Team
 from subteam.kernels import (
+    BASELINE_BATCH,
     KernelConfig,
     LabeledGraph,
+    _candidate_graphs,
+    _random_walk_scores,
     graph_edit_distance,
     kernel_baseline_replace,
     marginalized_kernel,
@@ -284,3 +290,88 @@ class TestKernelBaseline:
             kernel_baseline_replace(
                 Team((0, 1)), Team((0,)), net, KernelConfig(decay=0.01), budget=2
             )
+
+
+class TestBatchedBaseline:
+    CFG = KernelConfig(decay=0.01)
+
+    @pytest.mark.parametrize("departing", [(4,), (4, 10), (4, 10, 13)])
+    def test_every_batched_score_equals_single_pair_kernel(self, departing):
+        rng = np.random.default_rng(21)
+        n = 16
+        # nearly complete, with real weights, so the rounding depends on node order
+        upper = np.triu((rng.random((n, n)) < 0.95) * rng.uniform(0.5, 1.5, (n, n)), 1)
+        net = net_from_dense(upper + upper.T, rng.uniform(0, 0.4, size=(n, 3)))
+        team = Team((1, 4, 7, 10, 13))
+        remaining = tuple(v for v in team.members if v not in departing)
+        outside = [v for v in range(n) if v not in team]  # new members sort between old ones
+        combos = list(itertools.combinations(outside, len(departing)))
+        original = team_kernel_graph(net, team)
+        singles = [
+            random_walk_kernel(original, team_kernel_graph(net, Team(remaining + c)), self.CFG)
+            for c in combos
+        ]
+        # one stack of every candidate, unlike the baseline's chunks
+        members = np.sort(np.hstack([np.tile(remaining, (len(combos), 1)), combos]), axis=1)
+        batched = _random_walk_scores(original, *_candidate_graphs(net, members), self.CFG)
+        assert all(b == s for b, s in zip(batched, singles))
+        result = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
+        best = int(np.argmax(singles))
+        assert result.subteam == combos[best]
+        assert result.similarity == singles[best]
+        if len(departing) == 3:
+            assert len(combos) > BASELINE_BATCH
+
+    @staticmethod
+    def hot_net():
+        """Team (0, 1, 2) on a path; outside nodes 70 and 75 tie to all of it by heavy edges."""
+        n = 80
+        adjacency = np.zeros((n, n))
+        adjacency[0, 1] = adjacency[1, 0] = adjacency[1, 2] = adjacency[2, 1] = 1.0
+        for hot, weight in ((70, 60.0), (75, 90.0)):
+            adjacency[hot, :3] = adjacency[:3, hot] = weight
+        return net_from_dense(adjacency, np.full((n, 2), 0.5))
+
+    def test_guard_error_names_first_offending_combination(self):
+        net = self.hot_net()
+        team = Team((0, 1, 2))
+        original = team_kernel_graph(net, team)
+        messages = []
+        for hot in (70, 75):
+            with pytest.raises(ConvergenceError) as single:
+                random_walk_kernel(original, team_kernel_graph(net, Team((0, 1, hot))), self.CFG)
+            messages.append(str(single.value))
+        assert messages[0] != messages[1]
+        # node 70 is the 68th outside node, so it is scored in the second chunk
+        with pytest.raises(ConvergenceError) as batched:
+            kernel_baseline_replace(team, Team((2,)), net, self.CFG, budget=1000)
+        assert str(batched.value) == messages[0]
+
+    def test_guard_failure_is_refused_by_the_comparison(self):
+        net = self.hot_net()
+        split = TestSplit(teams=(Team((0, 1, 2)),), seed=0)
+        report = run_comparison(net, split, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
+        assert [case.status for case in report.cases] == ["refused"]
+        assert report.methods["kernel"].refusals == 1
+
+
+def test_baseline_allocates_no_n_by_n_array():
+    n = 20_000
+    ring = np.arange(n)
+    nxt = (ring + 1) % n
+    net = SocialNetwork(
+        adjacency=sp.coo_array(
+            (np.ones(2 * n), (np.r_[ring, nxt], np.r_[nxt, ring])), shape=(n, n)
+        ),
+        features=sp.coo_array(
+            (np.random.default_rng(0).uniform(0.1, 0.4, n), (ring, ring % 4)), shape=(n, 4)
+        ),
+    )
+    tracemalloc.start()
+    try:
+        result = kernel_baseline_replace(Team((0, 1, 2)), Team((1,)), net, CFG, budget=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.candidates_examined == n - 3
+    assert peak < n * n * 8 / 1000, f"traced peak {peak / 1e6:.1f} MB"
