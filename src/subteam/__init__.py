@@ -61,6 +61,7 @@ from .objectives import (
     clustering_loss,
     contrastive_loss,
     cosine,
+    cosine_rows,
     pair_sim,
     skill_loss,
     structural_loss,

@@ -1,9 +1,9 @@
 """Command-line pipeline: synthesize data, train, recommend, evaluate.
 
-Exit codes: 0 success, 1 internal error, 2 validation/parse failure,
-3 no candidate found, 4 empty evaluation. Flags always win over the optional
-JSON config file (``--config``), whose keys must match flag names with
-dashes replaced by underscores; unknown keys are rejected.
+Exit codes: 0 success, 1 internal error, 2 validation/parse failure or a
+search refused by its budget, 3 no candidate found, 4 empty evaluation. Flags
+always win over the optional JSON config file (``--config``), whose keys must
+match flag names with dashes replaced by underscores; unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from .encoder import ClusterModel, load_checkpoint, save_checkpoint
-from .errors import ParseError, ValidationError
+from .errors import ParseError, RefusalError, ValidationError
 from .evaluate import (
     EvalCaps,
     TestSplit,
@@ -284,7 +284,7 @@ def main(argv=None) -> int:
         _apply_config(argv, parser, commands)
         args = parser.parse_args(argv)
         return args.func(args)
-    except (ValidationError, ParseError) as exc:
+    except (ValidationError, ParseError, RefusalError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:

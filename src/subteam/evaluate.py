@@ -3,8 +3,9 @@
 Each test case (team, percentage, drawn departing subteam) is generated once
 and fed to every method, so all methods see identical inputs. Per-case
 disparities are computed between the original team graph and the rebuilt team
-graph; refusals and undefined metrics are counted, never silently dropped.
-Aggregate means cover only cases every method completed, keeping the
+graph, with the original team's self-kernels computed once per case and shared
+by every method; refusals and undefined metrics are counted, never silently
+dropped. Aggregate means cover only cases every method completed, keeping the
 per-method rows comparable.
 """
 
@@ -56,25 +57,74 @@ class EvalCaps:
     baseline_budget: int = 200_000
 
 
-def disparity_sp(t0: TeamGraph, t1: TeamGraph) -> float:
-    """Normalized shortest-path-kernel deviation of t1 from t0's self-kernel."""
+def disparity_sp(t0: TeamGraph, t1: TeamGraph, self_kernel: float | None = None) -> float:
+    """Normalized shortest-path-kernel deviation of t1 from t0's self-kernel.
+
+    ``self_kernel`` is t0's self-kernel when the caller already has it.
+    """
     g0 = LabeledGraph.from_team_graph(t0)
-    self_kernel = shortest_path_kernel(g0, g0)
+    if self_kernel is None:
+        self_kernel = shortest_path_kernel(g0, g0)
     if self_kernel <= 0:
         raise ZeroSelfKernelError("shortest-path self-kernel is zero")
     cross = shortest_path_kernel(g0, LabeledGraph.from_team_graph(t1))
     return abs(cross - self_kernel) / self_kernel
 
 
-def disparity_marg(t0: TeamGraph, t1: TeamGraph, cfg: KernelConfig | None = None) -> float:
-    """Normalized marginalized-kernel deviation of t1 from t0's self-kernel."""
+def disparity_marg(
+    t0: TeamGraph,
+    t1: TeamGraph,
+    cfg: KernelConfig | None = None,
+    self_kernel: float | None = None,
+) -> float:
+    """Normalized marginalized-kernel deviation of t1 from t0's self-kernel.
+
+    ``self_kernel`` is t0's self-kernel under ``cfg`` when the caller already has it.
+    """
     cfg = cfg or KernelConfig()
     g0 = LabeledGraph.from_team_graph(t0)
-    self_kernel = marginalized_kernel(g0, g0, cfg)
+    if self_kernel is None:
+        self_kernel = marginalized_kernel(g0, g0, cfg)
     if self_kernel <= 0:
         raise ZeroSelfKernelError("marginalized self-kernel is zero")
     cross = marginalized_kernel(g0, LabeledGraph.from_team_graph(t1), cfg)
     return abs(cross - self_kernel) / self_kernel
+
+
+def _attempt(kernel, *args) -> float | Exception:
+    try:
+        return kernel(*args)
+    except (ConvergenceError, RefusalError) as exc:
+        return exc
+
+
+def _value(outcome: float | Exception) -> float:
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+@dataclass(frozen=True)
+class OriginalTeam:
+    """A case's original team graph and its self-kernels, shared by every method.
+
+    A self-kernel whose computation refused or diverged holds that exception,
+    and each method's case metrics report it as the skip reason.
+    """
+
+    graph: TeamGraph
+    sp_self: float | Exception
+    marg_self: float | Exception
+
+    @classmethod
+    def build(cls, net: SocialNetwork, team: Team, kernel_cfg: KernelConfig) -> "OriginalTeam":
+        t0 = induced_subgraph(net, team)
+        g0 = LabeledGraph.from_team_graph(t0)
+        return cls(
+            graph=t0,
+            sp_self=_attempt(shortest_path_kernel, g0, g0),
+            marg_self=_attempt(marginalized_kernel, g0, g0, kernel_cfg),
+        )
 
 
 @dataclass
@@ -93,9 +143,15 @@ def evaluate_case_metrics(
     new_team: Team,
     caps: EvalCaps,
     kernel_cfg: KernelConfig,
+    original: OriginalTeam | None = None,
 ) -> CaseMetrics:
-    """GED / shortest-path / marginalized disparities between two teams."""
-    t0 = induced_subgraph(net, team)
+    """GED / shortest-path / marginalized disparities between two teams.
+
+    ``original`` is ``team``'s :class:`OriginalTeam` under ``kernel_cfg``, built
+    here when not given.
+    """
+    original = original or OriginalTeam.build(net, team, kernel_cfg)
+    t0 = original.graph
     t1 = induced_subgraph(net, new_team)
     ged = ged_skipped = None
     if max(t0.size, t1.size) <= caps.ged_max_nodes:
@@ -106,12 +162,12 @@ def evaluate_case_metrics(
         ged_skipped = "size-cap"
     d1 = d1_skipped = None
     try:
-        d1 = disparity_sp(t0, t1)
+        d1 = disparity_sp(t0, t1, _value(original.sp_self))
     except (ZeroSelfKernelError, RefusalError) as exc:
         d1_skipped = type(exc).__name__
     d2 = d2_skipped = None
     try:
-        d2 = disparity_marg(t0, t1, kernel_cfg)
+        d2 = disparity_marg(t0, t1, kernel_cfg, _value(original.marg_self))
     except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
         d2_skipped = type(exc).__name__
     return CaseMetrics(ged, ged_skipped, d1, d1_skipped, d2, d2_skipped)
@@ -317,6 +373,7 @@ def run_comparison(
     def run_case(case) -> list[CaseOutcome]:
         case_id, team, pct, departing = case
         outcomes = []
+        original = None  # built once, when the first method completes the case
         for method in method_names:
             start = time.perf_counter()
             try:
@@ -350,7 +407,8 @@ def run_comparison(
                 )
                 continue
             new_team = Team(tuple(set(team.members) - set(departing)) + result.subteam)
-            metrics = evaluate_case_metrics(net, team, new_team, caps, kernel_cfg)
+            original = original or OriginalTeam.build(net, team, kernel_cfg)
+            metrics = evaluate_case_metrics(net, team, new_team, caps, kernel_cfg, original)
             inference_ms = result.elapsed_ms
             total_ms = inference_ms + (amortized_ms if method == "genius" else 0.0)
             outcomes.append(

@@ -61,17 +61,34 @@ def team_embedding(members, z: np.ndarray) -> np.ndarray:
     return z[np.asarray(ids, dtype=np.intp)].mean(axis=0)
 
 
+def cosine_rows(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
+    """Cosine of ``u`` against every row of ``vs``; 0 where either norm is below the floor.
+
+    Dot products and norms are row-wise ``einsum`` reductions over contiguous
+    copies, so a row's score depends neither on the other rows of ``vs`` nor on
+    its memory layout: it equals :func:`cosine` of that row bit for bit (a BLAS
+    matrix-vector product would not).
+    """
+    u = np.ascontiguousarray(u, dtype=np.float64)
+    vs = np.ascontiguousarray(vs, dtype=np.float64)
+    if u.ndim != 1 or vs.ndim != 2 or vs.shape[1] != u.shape[0]:
+        raise ValidationError(f"length mismatch: {u.shape} vs rows of {vs.shape}")
+    nu = math.sqrt(np.einsum("i,i->", u, u))
+    out = np.zeros(vs.shape[0])
+    if nu < COSINE_NORM_FLOOR:
+        return out
+    nv = np.sqrt(np.einsum("ij,ij->i", vs, vs))
+    dots = np.einsum("ij,j->i", vs, u)
+    return np.divide(dots, nu * nv, out=out, where=~(nv < COSINE_NORM_FLOOR))
+
+
 def cosine(u: np.ndarray, v: np.ndarray) -> float:
     """Cosine similarity; 0 by convention when either vector is (near-)zero."""
     u = np.asarray(u, dtype=np.float64)
     v = np.asarray(v, dtype=np.float64)
     if u.shape != v.shape:
         raise ValidationError(f"length mismatch: {u.shape} vs {v.shape}")
-    nu = np.linalg.norm(u)
-    nv = np.linalg.norm(v)
-    if nu < COSINE_NORM_FLOOR or nv < COSINE_NORM_FLOOR:
-        return 0.0
-    return float(u @ v / (nu * nv))
+    return float(cosine_rows(u, v[None])[0])
 
 
 def _row_normalize(m: np.ndarray) -> np.ndarray:

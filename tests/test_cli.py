@@ -1,10 +1,11 @@
+import functools
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from subteam import graph
+from subteam import cli, graph, recommender
 from subteam.cli import main
 
 SYNTH = ["synth", "--n", "24", "--d", "8", "--clusters", "4", "--teams", "12", "--seed", "7"]
@@ -273,6 +274,26 @@ class TestRecommend:
         )
         assert code == 3
         assert "no candidate" in capsys.readouterr().err
+
+    def test_search_over_budget_exits_2(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "recommend", functools.partial(recommender.recommend, budget=0))
+        team = self.team_of(trained)
+        code = main(
+            [
+                "recommend",
+                "--data",
+                str(trained),
+                "--checkpoint",
+                str(trained / "checkpoint.json"),
+                "--team",
+                *map(str, team),
+                "--departing",
+                str(team[0]),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "exceeds budget 0" in err and "internal" not in err
 
     def test_bad_node_id_exits_2(self, trained):
         code = main(

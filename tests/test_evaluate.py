@@ -1,7 +1,10 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 from conftest import net_from_dense
+from subteam import evaluate
 from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError, ZeroSelfKernelError
 from subteam.evaluate import (
@@ -225,3 +228,26 @@ def test_document_counts_why_metrics_were_skipped(eval_instance):
     assert doc["d2_skipped"] == {"ConvergenceError": doc["cases"]}
     for metric in ("ged", "d1", "d2"):
         assert doc[f"{metric}_cases"] + sum(doc[f"{metric}_skipped"].values()) == doc["cases"]
+
+
+def test_self_kernels_computed_once_per_case(eval_instance, monkeypatch):
+    net, teams, model = eval_instance
+    calls = Counter()
+    for name in ("shortest_path_kernel", "marginalized_kernel"):
+        kernel = getattr(evaluate, name)
+
+        def counted(*args, _name=name, _kernel=kernel):
+            calls[_name] += 1
+            return _kernel(*args)
+
+        monkeypatch.setattr(evaluate, name, counted)
+    split = TestSplit(teams=tuple(teams[:4]), seed=2)
+    report = run_comparison(
+        net, split, ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
+    )
+    ok = [case for case in report.cases if case.status == "ok"]
+    completed = {case.case_id for case in ok}
+    assert len(ok) > len(completed)  # some case has both methods sharing one team
+    # one self-kernel per completed case, one cross kernel per completed method
+    assert calls["shortest_path_kernel"] == len(completed) + len(ok)
+    assert calls["marginalized_kernel"] == len(completed) + len(ok)

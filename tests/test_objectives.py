@@ -25,6 +25,7 @@ from subteam.objectives import (
     clustering_loss,
     contrastive_loss,
     cosine,
+    cosine_rows,
     feature_factor,
     pair_sim,
     skill_loss,
@@ -94,6 +95,30 @@ class TestCosine:
         for a, b in ((0.5 * u, v), (v, 0.5 * u)):
             assert cosine(a, b) == 0.0
             assert naive_cosine(a, b) == 0.0
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=60, deadline=None)
+    def test_rows_equal_cosine_bit_for_bit(self, seed):
+        # recommend scores a block of candidates at once; the oracles score one at a time
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 40))
+        count = int(rng.integers(1, 50))
+        vs = rng.normal(size=(count, d)) * 10.0 ** rng.integers(-3, 4, size=(count, 1))
+        vs[rng.random(count) < 0.2] *= 1e-14
+        vs[rng.random(count) < 0.1] = 0.0
+        for u in (rng.normal(size=d), np.zeros(d), 1e-14 * rng.normal(size=d)):
+            scores = cosine_rows(u, vs)
+            assert np.array_equal(cosine_rows(u, np.asfortranarray(vs)), scores)
+            for row, score in zip(vs, scores):
+                assert score == cosine(u, row)
+                if np.linalg.norm(row) < COSINE_NORM_FLOOR or np.linalg.norm(u) < COSINE_NORM_FLOOR:
+                    assert score == 0.0
+
+    def test_rows_shape_mismatch_rejected(self):
+        with pytest.raises(ValidationError):
+            cosine_rows(np.ones(3), np.ones((2, 4)))
+        with pytest.raises(ValidationError):
+            cosine_rows(np.ones(3), np.ones(3))
 
 
 class TestContrastiveLoss:

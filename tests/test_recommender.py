@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_dense
+from subteam import recommender
 from subteam.encoder import ClusterModel, build_containers, init_params
 from subteam.errors import RefusalError, ValidationError
 from subteam.graph import Team, generate_synthetic
@@ -32,21 +35,50 @@ def blank_net(n, d=2):
 
 
 def product_search_oracle(team, departing, model):
-    """Independent re-enumeration of the per-member cluster product semantics."""
+    """Independent re-enumeration of the per-member cluster product semantics.
+
+    Returns the best member set, its score, and the count of tuples that kept
+    at least one member outside the team.
+    """
     z = model.embeddings
     team_set = set(team.members)
     rem = sorted(team_set - set(departing.members))
     r = z[rem].mean(axis=0)
     pools = [model.containers[int(model.hard[t])] for t in departing]
-    best, best_score = None, -math.inf
+    best, best_score, examined = None, -math.inf, 0
     for tup in itertools.product(*pools):
         members = tuple(sorted(set(tup) - team_set))
         if not members:
             continue
+        examined += 1
         score = cosine(r, z[list(members)].mean(axis=0))
         if score > best_score:
             best, best_score = members, score
-    return best, best_score
+    return best, best_score, examined
+
+
+def random_pool_instance(seed: int):
+    """Random pools for 1-4 departing members: shared and overlapping clusters,
+    team members inside the pools, tied and zero embedding rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 16))
+    z = rng.normal(size=(n, int(rng.integers(1, 5))))
+    if rng.random() < 0.3:
+        z = np.round(z, 1)  # exact ties between member sets
+    z[rng.random(n) < 0.1] = 0.0
+    team = Team(tuple(rng.choice(n, size=int(rng.integers(2, 7)), replace=False)))
+    r = int(rng.integers(1, min(4, len(team) - 1) + 1))
+    departing = Team(tuple(rng.choice(team.members, size=r, replace=False)))
+    clusters = int(rng.integers(1, r + 1))  # fewer clusters than members: some share one
+    hard = rng.integers(1, clusters + 1, size=n)
+    containers = {
+        c: sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, 7)), replace=False))
+        for c in range(1, clusters + 1)
+    }
+    soft = np.zeros((n, clusters))
+    soft[np.arange(n), hard - 1] = 1.0
+    model = ClusterModel(embeddings=z, soft=soft, hard=hard, containers=containers)
+    return team, departing, model, blank_net(n)
 
 
 class TestRecommend:
@@ -129,7 +161,7 @@ class TestRecommend:
             team = Team(tuple(rng.choice(n, size=6, replace=False)))
             departing = Team(tuple(rng.choice(team.members, size=2, replace=False)))
             result = recommend(team, departing, model, net)
-            expected_members, expected_score = product_search_oracle(team, departing, model)
+            expected_members, expected_score, _ = product_search_oracle(team, departing, model)
             if expected_members is None:
                 assert not result.found
             else:
@@ -143,6 +175,63 @@ class TestRecommend:
         net = blank_net(4)
         result = recommend(Team((0, 1)), Team((0,)), model, net)
         assert result.subteam == (2,)
+
+    @pytest.mark.parametrize("chunk", [recommender.CHUNK, 7])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_search_equals_product_oracle(self, chunk, seed):
+        team, departing, model, net = random_pool_instance(seed)
+        with mock.patch.object(recommender, "CHUNK", chunk):
+            result = recommend(team, departing, model, net)
+        members, score, examined = product_search_oracle(team, departing, model)
+        assert result.subteam == members
+        assert result.candidates_examined == examined
+        if members is None:
+            assert result.similarity is None
+        else:
+            assert result.similarity == score
+
+    def test_tie_across_chunk_boundary_keeps_the_earlier(self, monkeypatch):
+        # pool 0..9: tuples 6 and 7 straddle the boundary of 7-tuple chunks and
+        # tie exactly at the top score
+        monkeypatch.setattr(recommender, "CHUNK", 7)
+        z = np.full((11, 2), 0.1)
+        z[:, 1] = np.linspace(0.5, 1.5, 11)
+        z[6] = z[7] = [1.0, 0.0]
+        z[10] = [1.0, 0.0]  # the remaining team
+        model = rig_model(z, [1] * 10 + [2], 2)
+        net = blank_net(11)
+        result = recommend(Team((0, 10)), Team((0,)), model, net)
+        assert result.subteam == (6,)
+        assert result.similarity == 1.0
+        assert result.candidates_examined == 9
+
+    def test_peak_memory_set_by_chunk_not_by_tuple_count(self):
+        # three 60-node clusters, one departing member in each: 216k tuples
+        d = 8
+        z = np.random.default_rng(5).normal(size=(181, d))
+        model = rig_model(z, np.repeat([1, 2, 3, 4], [60, 60, 60, 1]), 4)
+        team, departing = Team((0, 60, 120, 180)), Team((0, 60, 120))
+        net = blank_net(181)
+        tracemalloc.start()
+        try:
+            result = recommend(team, departing, model, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.candidates_examined == 60**3 - 1
+        # a few chunk-sized arrays of int64 ids and float64 rows
+        bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
+        assert peak < bound < 60**3 * 8 * (len(departing) + d) / 10
+
+    def test_budget_refuses_before_enumerating(self):
+        z = np.random.default_rng(6).normal(size=(9, 3))
+        model = rig_model(z, [1, 1, 1, 2, 2, 2, 3, 3, 3], 3)
+        net = blank_net(9)
+        team, departing = Team((0, 3, 6)), Team((0, 3))  # 3 * 3 tuples
+        assert recommend(team, departing, model, net, budget=9).found
+        with pytest.raises(RefusalError, match="9 tuples exceeds budget 8"):
+            recommend(team, departing, model, net, budget=8)
 
 
 class TestExhaustiveOracle:
