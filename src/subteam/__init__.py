@@ -25,6 +25,7 @@ from .errors import (
 from .evaluate import (
     EvalCaps,
     EvalReport,
+    OriginalTeam,
     TestSplit,
     disparity_marg,
     disparity_sp,

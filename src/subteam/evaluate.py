@@ -15,6 +15,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -57,74 +58,51 @@ class EvalCaps:
     baseline_budget: int = 200_000
 
 
-def disparity_sp(t0: TeamGraph, t1: TeamGraph, self_kernel: float | None = None) -> float:
-    """Normalized shortest-path-kernel deviation of t1 from t0's self-kernel.
-
-    ``self_kernel`` is t0's self-kernel when the caller already has it.
-    """
-    g0 = LabeledGraph.from_team_graph(t0)
-    if self_kernel is None:
-        self_kernel = shortest_path_kernel(g0, g0)
-    if self_kernel <= 0:
-        raise ZeroSelfKernelError("shortest-path self-kernel is zero")
-    cross = shortest_path_kernel(g0, LabeledGraph.from_team_graph(t1))
-    return abs(cross - self_kernel) / self_kernel
-
-
-def disparity_marg(
-    t0: TeamGraph,
-    t1: TeamGraph,
-    cfg: KernelConfig | None = None,
-    self_kernel: float | None = None,
-) -> float:
-    """Normalized marginalized-kernel deviation of t1 from t0's self-kernel.
-
-    ``self_kernel`` is t0's self-kernel under ``cfg`` when the caller already has it.
-    """
-    cfg = cfg or KernelConfig()
-    g0 = LabeledGraph.from_team_graph(t0)
-    if self_kernel is None:
-        self_kernel = marginalized_kernel(g0, g0, cfg)
-    if self_kernel <= 0:
-        raise ZeroSelfKernelError("marginalized self-kernel is zero")
-    cross = marginalized_kernel(g0, LabeledGraph.from_team_graph(t1), cfg)
-    return abs(cross - self_kernel) / self_kernel
-
-
-def _attempt(kernel, *args) -> float | Exception:
-    try:
-        return kernel(*args)
-    except (ConvergenceError, RefusalError) as exc:
-        return exc
-
-
-def _value(outcome: float | Exception) -> float:
-    if isinstance(outcome, Exception):
-        raise outcome
-    return outcome
-
-
 @dataclass(frozen=True)
 class OriginalTeam:
-    """A case's original team graph and its self-kernels, shared by every method.
+    """A case's original team graph, shared by every method of the case.
 
-    A self-kernel whose computation refused or diverged holds that exception,
-    and each method's case metrics report it as the skip reason.
+    Each self-kernel is computed on first use and kept. One that refuses or
+    diverges is not kept, so every method that asks for it gets the same
+    exception, reported as that method's skip reason.
     """
 
     graph: TeamGraph
-    sp_self: float | Exception
-    marg_self: float | Exception
+    labeled: LabeledGraph
+    kernel_cfg: KernelConfig
 
     @classmethod
     def build(cls, net: SocialNetwork, team: Team, kernel_cfg: KernelConfig) -> "OriginalTeam":
         t0 = induced_subgraph(net, team)
-        g0 = LabeledGraph.from_team_graph(t0)
-        return cls(
-            graph=t0,
-            sp_self=_attempt(shortest_path_kernel, g0, g0),
-            marg_self=_attempt(marginalized_kernel, g0, g0, kernel_cfg),
-        )
+        return cls(t0, LabeledGraph.from_team_graph(t0), kernel_cfg)
+
+    @cached_property
+    def sp_self(self) -> float:
+        return shortest_path_kernel(self.labeled, self.labeled)
+
+    @cached_property
+    def marg_self(self) -> float:
+        return marginalized_kernel(self.labeled, self.labeled, self.kernel_cfg)
+
+
+def disparity_sp(original: OriginalTeam, t1: TeamGraph) -> float:
+    """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel."""
+    self_kernel = original.sp_self
+    if self_kernel <= 0:
+        raise ZeroSelfKernelError("shortest-path self-kernel is zero")
+    cross = shortest_path_kernel(original.labeled, LabeledGraph.from_team_graph(t1))
+    return abs(cross - self_kernel) / self_kernel
+
+
+def disparity_marg(original: OriginalTeam, t1: TeamGraph) -> float:
+    """Normalized marginalized-kernel deviation of t1 from the original's self-kernel."""
+    self_kernel = original.marg_self
+    if self_kernel <= 0:
+        raise ZeroSelfKernelError("marginalized self-kernel is zero")
+    cross = marginalized_kernel(
+        original.labeled, LabeledGraph.from_team_graph(t1), original.kernel_cfg
+    )
+    return abs(cross - self_kernel) / self_kernel
 
 
 @dataclass
@@ -139,35 +117,26 @@ class CaseMetrics:
 
 def evaluate_case_metrics(
     net: SocialNetwork,
-    team: Team,
+    original: OriginalTeam,
     new_team: Team,
     caps: EvalCaps,
-    kernel_cfg: KernelConfig,
-    original: OriginalTeam | None = None,
 ) -> CaseMetrics:
-    """GED / shortest-path / marginalized disparities between two teams.
-
-    ``original`` is ``team``'s :class:`OriginalTeam` under ``kernel_cfg``, built
-    here when not given.
-    """
-    original = original or OriginalTeam.build(net, team, kernel_cfg)
+    """GED / shortest-path / marginalized disparities between two teams."""
     t0 = original.graph
     t1 = induced_subgraph(net, new_team)
     ged = ged_skipped = None
     if max(t0.size, t1.size) <= caps.ged_max_nodes:
-        ged = graph_edit_distance(
-            LabeledGraph.from_team_graph(t0), LabeledGraph.from_team_graph(t1)
-        )
+        ged = graph_edit_distance(original.labeled, LabeledGraph.from_team_graph(t1))
     else:
         ged_skipped = "size-cap"
     d1 = d1_skipped = None
     try:
-        d1 = disparity_sp(t0, t1, _value(original.sp_self))
+        d1 = disparity_sp(original, t1)
     except (ZeroSelfKernelError, RefusalError) as exc:
         d1_skipped = type(exc).__name__
     d2 = d2_skipped = None
     try:
-        d2 = disparity_marg(t0, t1, kernel_cfg, _value(original.marg_self))
+        d2 = disparity_marg(original, t1)
     except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
         d2_skipped = type(exc).__name__
     return CaseMetrics(ged, ged_skipped, d1, d1_skipped, d2, d2_skipped)
@@ -408,7 +377,7 @@ def run_comparison(
                 continue
             new_team = Team(tuple(set(team.members) - set(departing)) + result.subteam)
             original = original or OriginalTeam.build(net, team, kernel_cfg)
-            metrics = evaluate_case_metrics(net, team, new_team, caps, kernel_cfg, original)
+            metrics = evaluate_case_metrics(net, original, new_team, caps)
             inference_ms = result.elapsed_ms
             total_ms = inference_ms + (amortized_ms if method == "genius" else 0.0)
             outcomes.append(

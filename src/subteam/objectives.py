@@ -53,12 +53,28 @@ def _members_of(team) -> tuple[int, ...]:
     return tuple(getattr(team, "members", team))
 
 
+def ordered_sum(terms) -> np.ndarray:
+    """Sum of the arrays in ``terms``, added one after another into the first.
+
+    The first array is overwritten, so callers pass arrays they own. numpy's
+    ``sum`` and ``mean`` add pairwise along a contiguous axis, so their rounding
+    depends on the layout (a one-column embedding of 8 or more members is
+    summed pairwise, a wider one row by row). This order does not, so a team
+    embedding and the within-cluster search's batched means agree bit for bit.
+    """
+    terms = iter(terms)
+    total = next(terms)
+    for term in terms:
+        total += term
+    return total
+
+
 def team_embedding(members, z: np.ndarray) -> np.ndarray:
     """Mean of the members' embedding rows (uniform aggregation weights)."""
     ids = _members_of(members)
     if not ids:
         raise ValidationError("cannot embed an empty team")
-    return z[np.asarray(ids, dtype=np.intp)].mean(axis=0)
+    return ordered_sum(z[np.asarray(ids, dtype=np.intp)]) / len(ids)  # sums into a copy
 
 
 def cosine_rows(u: np.ndarray, vs: np.ndarray) -> np.ndarray:

@@ -5,8 +5,9 @@ search touches at most (largest cluster)^(departing size) tuples instead of
 the whole network. A tuple's candidate is its set of members outside the
 original team, so the recommended set is never larger than the departing one.
 The product is scored in numpy blocks of ``CHUNK`` tuples, so memory stays
-bounded whatever the tuple count; a search over more than ``budget`` tuples
-refuses before it starts instead of running for hours.
+bounded whatever the tuple count; a search over more than
+``DEFAULT_SEARCH_BUDGET`` tuples refuses before it starts instead of running
+for hours.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import numpy as np
 from .encoder import ClusterModel
 from .errors import RefusalError, ValidationError
 from .graph import SocialNetwork, Team
-from .objectives import cosine, cosine_rows, team_embedding
+from .objectives import cosine, cosine_rows, ordered_sum, team_embedding
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 # about 3 s of scoring at 0.3 us per tuple (r=3, 32-wide embeddings, one core)
@@ -65,7 +66,6 @@ def recommend(
     departing: Team,
     model: ClusterModel,
     net: SocialNetwork,
-    budget: int = DEFAULT_SEARCH_BUDGET,
 ) -> ReplacementResult:
     """Best replacement set from the departing members' clusters.
 
@@ -78,7 +78,7 @@ def recommend(
     so they never change the answer, and ``candidates_examined`` counts every
     tuple that kept at least one member, duplicates included. Refuses with
     :class:`RefusalError`, before enumerating anything, when the product holds
-    more than ``budget`` tuples.
+    more than ``DEFAULT_SEARCH_BUDGET`` tuples.
     """
     team.validate_for(net)
     remaining = _check_replacement_inputs(team, departing)
@@ -87,9 +87,9 @@ def recommend(
     pools = [model.containers[int(model.hard[t])] for t in departing]
     shape = tuple(len(pool) for pool in pools)
     total = prod(shape)
-    if total > budget:
+    if total > DEFAULT_SEARCH_BUDGET:
         raise RefusalError(
-            f"within-cluster search over {total} tuples exceeds budget {budget}"
+            f"within-cluster search over {total} tuples exceeds budget {DEFAULT_SEARCH_BUDGET}"
         )
     z = model.embeddings
     reference = team_embedding(remaining, z)
@@ -122,13 +122,9 @@ def recommend(
         for j in range(len(cols) - 1, 0, -1):
             cols[j] = np.where(cols[j] == cols[j - 1], blank, cols[j])
         counts = sum(col < blank for col in cols)
-        # Summing in member order, then dividing by the count, is team_embedding's
-        # mean bit for bit: numpy's mean adds a set's rows one after another
-        # (pairwise only for one-column embeddings of 8 or more members), and
-        # adding the blank row's zeros is exact.
-        sums = table[cols[0]]
-        for col in cols[1:]:
-            sums += table[col]
+        # team_embedding's arithmetic: the rows summed in member order, then
+        # divided by the count; adding the blank row's zeros is exact
+        sums = ordered_sum(table[col] for col in cols)
         sums /= np.maximum(counts, 1)[:, None]
         scores = cosine_rows(reference, sums)
         scores[counts == 0] = -np.inf

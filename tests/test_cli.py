@@ -1,11 +1,10 @@
-import functools
 import json
 import re
 from pathlib import Path
 
 import pytest
 
-from subteam import cli, graph, recommender
+from subteam import graph, recommender
 from subteam.cli import main
 
 SYNTH = ["synth", "--n", "24", "--d", "8", "--clusters", "4", "--teams", "12", "--seed", "7"]
@@ -276,7 +275,7 @@ class TestRecommend:
         assert "no candidate" in capsys.readouterr().err
 
     def test_search_over_budget_exits_2(self, trained, monkeypatch, capsys):
-        monkeypatch.setattr(cli, "recommend", functools.partial(recommender.recommend, budget=0))
+        monkeypatch.setattr(recommender, "DEFAULT_SEARCH_BUDGET", 0)
         team = self.team_of(trained)
         code = main(
             [

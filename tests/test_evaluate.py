@@ -9,6 +9,7 @@ from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError, ZeroSelfKernelError
 from subteam.evaluate import (
     EvalCaps,
+    OriginalTeam,
     TestSplit,
     disparity_marg,
     disparity_sp,
@@ -41,9 +42,9 @@ class TestDisparities:
     def test_identity_team_gives_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        tg = induced_subgraph(net, team)
-        assert disparity_sp(tg, tg) == 0.0
-        assert disparity_marg(tg, tg, KCFG) == 0.0
+        original = OriginalTeam.build(net, team, KCFG)
+        assert disparity_sp(original, original.graph) == 0.0
+        assert disparity_marg(original, original.graph) == 0.0
 
     def test_hand_evaluated_ratio(self, eval_instance):
         net, teams, _ = eval_instance
@@ -57,20 +58,21 @@ class TestDisparities:
         g1 = LabeledGraph.from_team_graph(t1)
         self_k = shortest_path_kernel(g0, g0)
         cross = shortest_path_kernel(g0, g1)
-        assert disparity_sp(t0, t1) == pytest.approx(abs(cross - self_k) / self_k)
+        original = OriginalTeam.build(net, team_a, KCFG)
+        assert disparity_sp(original, t1) == pytest.approx(abs(cross - self_k) / self_k)
 
     def test_zero_self_kernel_raises(self):
         net = net_from_dense(np.zeros((4, 4)), np.eye(4))
-        tg = induced_subgraph(net, Team((0, 1)))
+        original = OriginalTeam.build(net, Team((0, 1)), KCFG)
         with pytest.raises(ZeroSelfKernelError):
-            disparity_sp(tg, tg)
+            disparity_sp(original, original.graph)
 
 
 class TestEvaluateCaseMetrics:
     def test_identity_replacement_all_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, EvalCaps(), KCFG)
+        metrics = evaluate_case_metrics(net, OriginalTeam.build(net, team, KCFG), team, EvalCaps())
         assert metrics.ged == 0.0
         assert metrics.d1 == 0.0
         assert metrics.d2 == 0.0
@@ -78,7 +80,8 @@ class TestEvaluateCaseMetrics:
     def test_ged_size_cap_counted(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, EvalCaps(ged_max_nodes=1), KCFG)
+        original = OriginalTeam.build(net, team, KCFG)
+        metrics = evaluate_case_metrics(net, original, team, EvalCaps(ged_max_nodes=1))
         assert metrics.ged is None
         assert metrics.ged_skipped == "size-cap"
 

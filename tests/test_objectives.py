@@ -50,6 +50,22 @@ class TestTeamEmbedding:
         z = np.tile([2.0, 5.0], (4, 1))
         assert np.array_equal(team_embedding(Team((0, 1, 2, 3)), z), [2.0, 5.0])
 
+    def test_rows_added_in_member_order(self):
+        # numpy's mean adds a one-column array of 8 or more rows pairwise; a team
+        # embedding adds its rows one after another at every width, as the
+        # within-cluster search's batched means do
+        rng = np.random.default_rng(3)
+        pairwise_differs = False
+        for d in (1, 2, 5):
+            for k in range(1, 30):
+                z = rng.normal(size=(k, d)) * 10.0 ** rng.integers(-3, 4, size=(k, 1))
+                total = z[0]
+                for row in z[1:]:
+                    total = total + row
+                assert np.array_equal(team_embedding(range(k), z), total / k)
+                pairwise_differs |= not np.array_equal(z.mean(axis=0), total / k)
+        assert pairwise_differs
+
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             team_embedding((), np.eye(2))

@@ -224,14 +224,16 @@ class TestRecommend:
         bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
         assert peak < bound < 60**3 * 8 * (len(departing) + d) / 10
 
-    def test_budget_refuses_before_enumerating(self):
+    def test_budget_refuses_before_enumerating(self, monkeypatch):
         z = np.random.default_rng(6).normal(size=(9, 3))
         model = rig_model(z, [1, 1, 1, 2, 2, 2, 3, 3, 3], 3)
         net = blank_net(9)
         team, departing = Team((0, 3, 6)), Team((0, 3))  # 3 * 3 tuples
-        assert recommend(team, departing, model, net, budget=9).found
+        monkeypatch.setattr(recommender, "DEFAULT_SEARCH_BUDGET", 9)
+        assert recommend(team, departing, model, net).found
+        monkeypatch.setattr(recommender, "DEFAULT_SEARCH_BUDGET", 8)
         with pytest.raises(RefusalError, match="9 tuples exceeds budget 8"):
-            recommend(team, departing, model, net, budget=8)
+            recommend(team, departing, model, net)
 
 
 class TestExhaustiveOracle:
