@@ -12,7 +12,6 @@ from .encoder import (
     load_checkpoint,
     row_softmax,
     save_checkpoint,
-    soft_assign,
 )
 from .errors import (
     ConvergenceError,
@@ -63,13 +62,12 @@ from .objectives import (
     contrastive_loss,
     cosine,
     cosine_rows,
-    pair_sim,
     skill_loss,
     structural_loss,
     team_embedding,
     total_loss,
 )
-from .recommender import ReplacementResult, exhaustive_oracle, recommend
+from .recommender import ReplacementResult, recommend
 from .trainer import (
     TrainConfig,
     gradient_check,

@@ -117,10 +117,7 @@ def cmd_recommend(args) -> int:
     net, _ = _load_data(args.data)
     params = load_checkpoint(args.checkpoint)
     model = ClusterModel.build(net, params)
-    team = Team(tuple(args.team))
-    team.validate_for(net)
-    departing = Team(tuple(args.departing))
-    result = recommend(team, departing, model, net)
+    result = recommend(Team(tuple(args.team)), Team(tuple(args.departing)), model, net)
     if not result.found:
         print("no candidate: every tuple dissolved into the original team", file=sys.stderr)
         return EXIT_NO_CANDIDATE
@@ -143,6 +140,8 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
+    caps = EvalCaps(ged_max_nodes=args.ged_cap, baseline_budget=args.budget)
+    kernel_cfg = KernelConfig(decay=args.decay, termination=args.termination)
     net, teams = _load_data(args.data)
     if args.features is not None:
         net = feature_subsample(net, args.features, args.seed)
@@ -163,9 +162,9 @@ def cmd_evaluate(args) -> int:
         methods,
         args.percent,
         args.seed,
-        EvalCaps(ged_max_nodes=args.ged_cap, baseline_budget=args.budget),
+        caps,
         model=model,
-        kernel_cfg=KernelConfig(decay=args.decay, termination=args.termination),
+        kernel_cfg=kernel_cfg,
         training_time_ms=training_time_ms,
         config_echo={"feature_subset": args.features},
     )
@@ -189,6 +188,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
+    train_cfg, kernel_cfg, caps = TrainConfig(), KernelConfig(), EvalCaps()
+    weights = train_cfg.weights
 
     p = sub.add_parser("synth", help="generate a synthetic planted-partition dataset")
     p.add_argument("--n", type=int, default=40)
@@ -205,17 +206,19 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
     p = sub.add_parser("train", help="train the encoder on a dataset directory")
     p.add_argument("--data", required=True, help="directory with edges.tsv/features.tsv/teams.txt")
-    p.add_argument("--epochs", type=int, default=1000)
-    p.add_argument("--lr", type=float, default=0.01)
-    p.add_argument("--b1", type=float, default=1.0, help="skill loss weight")
-    p.add_argument("--b2", type=float, default=100.0, help="structural loss weight")
-    p.add_argument("--b3", type=float, default=1.0, help="clustering loss weight")
-    p.add_argument("--subteam-low", type=float, default=0.25)
-    p.add_argument("--subteam-high", type=float, default=0.75)
-    p.add_argument("--split", type=float, nargs=3, default=[0.6, 0.2, 0.2])
-    p.add_argument("--hidden", type=int, nargs="+", default=[64, 64])
-    p.add_argument("--clusters", type=int, default=None, help="cluster count (default sqrt(n))")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--epochs", type=int, default=train_cfg.epochs)
+    p.add_argument("--lr", type=float, default=train_cfg.learning_rate)
+    p.add_argument("--b1", type=float, default=weights.skill, help="skill loss weight")
+    p.add_argument("--b2", type=float, default=weights.structural, help="structural loss weight")
+    p.add_argument("--b3", type=float, default=weights.clustering, help="clustering loss weight")
+    p.add_argument("--subteam-low", type=float, default=train_cfg.subteam_fraction_range[0])
+    p.add_argument("--subteam-high", type=float, default=train_cfg.subteam_fraction_range[1])
+    p.add_argument("--split", type=float, nargs=3, default=train_cfg.split)
+    p.add_argument("--hidden", type=int, nargs="+", default=train_cfg.hidden)
+    p.add_argument(
+        "--clusters", type=int, default=train_cfg.clusters, help="cluster count (default sqrt(n))"
+    )
+    p.add_argument("--seed", type=int, default=train_cfg.seed)
     p.add_argument("--checkpoint", default=None, help="output path (default <data>/checkpoint.json)")
     p.add_argument("--log", default=None, help="training log path (default <data>/train.log)")
     p.add_argument("--config", default=None)
@@ -238,12 +241,12 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--methods", default="genius,kernel")
     p.add_argument("--percent", type=float, nargs="+", default=[1.0, 10.0, 25.0, 50.0])
     p.add_argument("--features", type=int, default=None, help="random feature-subset size")
-    p.add_argument("--split", type=float, nargs=3, default=[0.6, 0.2, 0.2])
+    p.add_argument("--split", type=float, nargs=3, default=train_cfg.split)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--decay", type=float, default=0.1)
-    p.add_argument("--termination", type=float, default=0.1)
-    p.add_argument("--ged-cap", type=int, default=12)
-    p.add_argument("--budget", type=int, default=200_000)
+    p.add_argument("--decay", type=float, default=kernel_cfg.decay)
+    p.add_argument("--termination", type=float, default=kernel_cfg.termination)
+    p.add_argument("--ged-cap", type=int, default=caps.ged_max_nodes)
+    p.add_argument("--budget", type=int, default=caps.baseline_budget)
     p.add_argument("--train-log", default=None, help="training log for amortized total time")
     p.add_argument("--out", default=None, help="report output path (default stdout)")
     p.add_argument("--format", choices=("json", "table"), default="json")

@@ -141,13 +141,6 @@ def row_softmax(e: np.ndarray) -> np.ndarray:
     return expd / expd.sum(axis=1, keepdims=True)
 
 
-def soft_assign(z: np.ndarray, w_c: np.ndarray) -> np.ndarray:
-    """Soft cluster assignments: row softmax of ReLU(z @ w_c)."""
-    if z.shape[1] != w_c.shape[0]:
-        raise ValidationError(f"shape mismatch: z {z.shape}, w_c {w_c.shape}")
-    return row_softmax(np.maximum(z @ w_c, 0.0))
-
-
 def hard_assign(c_mat: np.ndarray) -> np.ndarray:
     """1-based argmax per row; ties go to the lowest cluster index."""
     return np.argmax(np.asarray(c_mat), axis=1) + 1

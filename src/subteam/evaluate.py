@@ -7,6 +7,12 @@ graph, with the original team's self-kernels computed once per case and shared
 by every method; refusals and undefined metrics are counted, never silently
 dropped. Aggregate means cover only cases every method completed, keeping the
 per-method rows comparable.
+
+``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
+edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
+Each method's JSON entry holds ``cases``, ``refusals`` and ``no_candidates``,
+then ``mean_<m>``, ``<m>_cases`` and ``<m>_skipped`` for each metric ``m``, then
+``mean_inference_ms`` and ``mean_total_ms``; the table has one column per metric.
 """
 
 from __future__ import annotations
@@ -38,7 +44,7 @@ from .kernels import (
 )
 from .recommender import recommend
 
-KNOWN_METHODS = ("genius", "kernel")
+METRICS = ("ged", "d1", "d2")
 _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "kernel"}
 
 
@@ -56,6 +62,14 @@ class TestSplit:
 class EvalCaps:
     ged_max_nodes: int = GED_MAX_NODES
     baseline_budget: int = 200_000
+
+    def __post_init__(self):
+        if not 0 <= self.ged_max_nodes <= GED_MAX_NODES:
+            raise ValidationError(
+                f"ged_max_nodes must be in [0, {GED_MAX_NODES}], got {self.ged_max_nodes}"
+            )
+        if self.baseline_budget < 0:
+            raise ValidationError(f"baseline_budget must be >= 0, got {self.baseline_budget}")
 
 
 @dataclass(frozen=True)
@@ -85,34 +99,30 @@ class OriginalTeam:
         return marginalized_kernel(self.labeled, self.labeled, self.kernel_cfg)
 
 
+def _disparity(self_kernel: float, kernel, original: OriginalTeam, t1: TeamGraph, *args) -> float:
+    """|kernel(original, t1) - self_kernel| / self_kernel; a zero self-kernel refuses first."""
+    if self_kernel <= 0:
+        raise ZeroSelfKernelError("self-kernel is zero")
+    cross = kernel(original.labeled, LabeledGraph.from_team_graph(t1), *args)
+    return abs(cross - self_kernel) / self_kernel
+
+
 def disparity_sp(original: OriginalTeam, t1: TeamGraph) -> float:
     """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel."""
-    self_kernel = original.sp_self
-    if self_kernel <= 0:
-        raise ZeroSelfKernelError("shortest-path self-kernel is zero")
-    cross = shortest_path_kernel(original.labeled, LabeledGraph.from_team_graph(t1))
-    return abs(cross - self_kernel) / self_kernel
+    return _disparity(original.sp_self, shortest_path_kernel, original, t1)
 
 
 def disparity_marg(original: OriginalTeam, t1: TeamGraph) -> float:
     """Normalized marginalized-kernel deviation of t1 from the original's self-kernel."""
-    self_kernel = original.marg_self
-    if self_kernel <= 0:
-        raise ZeroSelfKernelError("marginalized self-kernel is zero")
-    cross = marginalized_kernel(
-        original.labeled, LabeledGraph.from_team_graph(t1), original.kernel_cfg
-    )
-    return abs(cross - self_kernel) / self_kernel
+    return _disparity(original.marg_self, marginalized_kernel, original, t1, original.kernel_cfg)
 
 
 @dataclass
 class CaseMetrics:
-    ged: float | None
-    ged_skipped: str | None
-    d1: float | None
-    d1_skipped: str | None
-    d2: float | None
-    d2_skipped: str | None
+    """Each metric of ``METRICS`` is either in ``values`` or, with the reason, in ``skipped``."""
+
+    values: dict[str, float]
+    skipped: dict[str, str]
 
 
 def evaluate_case_metrics(
@@ -122,24 +132,20 @@ def evaluate_case_metrics(
     caps: EvalCaps,
 ) -> CaseMetrics:
     """GED / shortest-path / marginalized disparities between two teams."""
-    t0 = original.graph
     t1 = induced_subgraph(net, new_team)
-    ged = ged_skipped = None
-    if max(t0.size, t1.size) <= caps.ged_max_nodes:
-        ged = graph_edit_distance(original.labeled, LabeledGraph.from_team_graph(t1))
+    metrics = CaseMetrics({}, {})
+    ged, *kernel_metrics = METRICS
+    if max(original.graph.size, t1.size) <= caps.ged_max_nodes:
+        g1 = LabeledGraph.from_team_graph(t1)
+        metrics.values[ged] = graph_edit_distance(original.labeled, g1)
     else:
-        ged_skipped = "size-cap"
-    d1 = d1_skipped = None
-    try:
-        d1 = disparity_sp(original, t1)
-    except (ZeroSelfKernelError, RefusalError) as exc:
-        d1_skipped = type(exc).__name__
-    d2 = d2_skipped = None
-    try:
-        d2 = disparity_marg(original, t1)
-    except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
-        d2_skipped = type(exc).__name__
-    return CaseMetrics(ged, ged_skipped, d1, d1_skipped, d2, d2_skipped)
+        metrics.skipped[ged] = "size-cap"
+    for name, disparity in zip(kernel_metrics, (disparity_sp, disparity_marg)):
+        try:
+            metrics.values[name] = disparity(original, t1)
+        except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
+            metrics.skipped[name] = type(exc).__name__
+    return metrics
 
 
 @dataclass
@@ -160,24 +166,56 @@ class CaseOutcome:
 class MethodAggregate:
     """Per-method tallies over the cases every method completed.
 
-    Each of those cases either has a metric (``*_cases``) or counts once
-    under the reason the metric was skipped (``*_skipped``).
+    Each of those cases either adds to a metric's ``sums`` and ``counts`` or
+    counts once in ``skipped`` under the reason the metric was skipped. Means
+    are the sums divided by the counts, read when the report is written.
     """
 
     cases: int = 0
     refusals: int = 0
     no_candidates: int = 0
-    mean_ged: float | None = None
-    ged_cases: int = 0
-    ged_skipped: Counter = field(default_factory=Counter)
-    mean_d1: float | None = None
-    d1_cases: int = 0
-    d1_skipped: Counter = field(default_factory=Counter)
-    mean_d2: float | None = None
-    d2_cases: int = 0
-    d2_skipped: Counter = field(default_factory=Counter)
-    mean_inference_ms: float = 0.0
-    mean_total_ms: float = 0.0
+    sums: dict[str, float] = field(default_factory=lambda: dict.fromkeys(METRICS, 0.0))
+    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(METRICS, 0))
+    skipped: dict[str, Counter] = field(default_factory=lambda: {m: Counter() for m in METRICS})
+    inference_ms: float = 0.0
+    total_ms: float = 0.0
+
+    def add(self, outcome: CaseOutcome, complete: bool) -> None:
+        """Tally one outcome; only a case every method completed adds metrics and times."""
+        if outcome.status == "refused":
+            self.refusals += 1
+        elif outcome.status == "no-candidate":
+            self.no_candidates += 1
+        elif complete:
+            self.cases += 1
+            self.inference_ms += outcome.inference_ms
+            self.total_ms += outcome.total_ms
+            for name, value in outcome.metrics.values.items():
+                self.sums[name] += value
+                self.counts[name] += 1
+            for name, reason in outcome.metrics.skipped.items():
+                self.skipped[name][reason] += 1
+
+    def mean(self, metric: str) -> float | None:
+        return self.sums[metric] / self.counts[metric] if self.counts[metric] else None
+
+    @property
+    def mean_inference_ms(self) -> float:
+        return self.inference_ms / self.cases if self.cases else 0.0
+
+    @property
+    def mean_total_ms(self) -> float:
+        return self.total_ms / self.cases if self.cases else 0.0
+
+    def to_document(self) -> dict:
+        doc = {"cases": self.cases, "refusals": self.refusals, "no_candidates": self.no_candidates}
+        for name in METRICS:
+            doc[f"mean_{name}"] = self.mean(name)
+            doc[f"{name}_cases"] = self.counts[name]
+            doc[f"{name}_skipped"] = dict(sorted(self.skipped[name].items()))
+        doc["mean_inference_ms"] = self.mean_inference_ms
+        doc["mean_total_ms"] = self.mean_total_ms
+        return doc
 
 
 @dataclass
@@ -189,25 +227,7 @@ class EvalReport:
     def to_document(self) -> dict:
         return {
             "config": self.config,
-            "methods": {
-                name: {
-                    "cases": agg.cases,
-                    "refusals": agg.refusals,
-                    "no_candidates": agg.no_candidates,
-                    "mean_ged": agg.mean_ged,
-                    "ged_cases": agg.ged_cases,
-                    "ged_skipped": dict(sorted(agg.ged_skipped.items())),
-                    "mean_d1": agg.mean_d1,
-                    "d1_cases": agg.d1_cases,
-                    "d1_skipped": dict(sorted(agg.d1_skipped.items())),
-                    "mean_d2": agg.mean_d2,
-                    "d2_cases": agg.d2_cases,
-                    "d2_skipped": dict(sorted(agg.d2_skipped.items())),
-                    "mean_inference_ms": agg.mean_inference_ms,
-                    "mean_total_ms": agg.mean_total_ms,
-                }
-                for name, agg in sorted(self.methods.items())
-            },
+            "methods": {name: agg.to_document() for name, agg in sorted(self.methods.items())},
         }
 
     def to_json(self) -> str:
@@ -221,9 +241,7 @@ class EvalReport:
         "departing_size",
         "status",
         "subteam_size",
-        "ged",
-        "d1",
-        "d2",
+        *METRICS,
         "inference_ms",
         "total_ms",
     )
@@ -231,7 +249,7 @@ class EvalReport:
     def to_table(self) -> str:
         lines = ["\t".join(self.TABLE_COLUMNS)]
         for case in self.cases:
-            m = case.metrics
+            values = case.metrics.values if case.metrics else {}
             row = (
                 case.case_id,
                 case.method,
@@ -240,9 +258,7 @@ class EvalReport:
                 len(case.departing),
                 case.status,
                 len(case.subteam) if case.subteam is not None else "",
-                m.ged if m and m.ged is not None else "",
-                m.d1 if m and m.d1 is not None else "",
-                m.d2 if m and m.d2 is not None else "",
+                *(values.get(name, "") for name in METRICS),
                 case.inference_ms,
                 case.total_ms,
             )
@@ -344,105 +360,36 @@ def run_comparison(
         outcomes = []
         original = None  # built once, when the first method completes the case
         for method in method_names:
+            outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
+            outcomes.append(outcome)
             start = time.perf_counter()
             try:
-                result = _run_method(
-                    method, net, team, Team(departing), model, kernel_cfg, caps
-                )
+                result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
             except (RefusalError, ConvergenceError):
-                outcomes.append(
-                    CaseOutcome(
-                        case_id=case_id,
-                        team=team.members,
-                        departing=departing,
-                        percent=pct,
-                        method=method,
-                        status="refused",
-                        inference_ms=(time.perf_counter() - start) * 1e3,
-                    )
-                )
+                outcome.inference_ms = (time.perf_counter() - start) * 1e3
                 continue
+            outcome.inference_ms = result.elapsed_ms
             if not result.found:
-                outcomes.append(
-                    CaseOutcome(
-                        case_id=case_id,
-                        team=team.members,
-                        departing=departing,
-                        percent=pct,
-                        method=method,
-                        status="no-candidate",
-                        inference_ms=result.elapsed_ms,
-                    )
-                )
+                outcome.status = "no-candidate"
                 continue
             new_team = Team(tuple(set(team.members) - set(departing)) + result.subteam)
             original = original or OriginalTeam.build(net, team, kernel_cfg)
-            metrics = evaluate_case_metrics(net, original, new_team, caps)
-            inference_ms = result.elapsed_ms
-            total_ms = inference_ms + (amortized_ms if method == "genius" else 0.0)
-            outcomes.append(
-                CaseOutcome(
-                    case_id=case_id,
-                    team=team.members,
-                    departing=departing,
-                    percent=pct,
-                    method=method,
-                    status="ok",
-                    subteam=result.subteam,
-                    metrics=metrics,
-                    inference_ms=inference_ms,
-                    total_ms=total_ms,
-                )
-            )
+            outcome.status = "ok"
+            outcome.subteam = result.subteam
+            outcome.metrics = evaluate_case_metrics(net, original, new_team, caps)
+            outcome.total_ms = result.elapsed_ms + (amortized_ms if method == "genius" else 0.0)
         return outcomes
 
     per_case = [run_case(case) for case in cases]
-
     complete = {
         outcomes[0].case_id
         for outcomes in per_case
         if all(o.status == "ok" for o in outcomes)
     }
     aggregates = {name: MethodAggregate() for name in method_names}
-    sums = {name: {"ged": 0.0, "d1": 0.0, "d2": 0.0, "inf": 0.0, "tot": 0.0} for name in method_names}
-    all_outcomes: list[CaseOutcome] = []
-    for outcomes in per_case:
-        for o in outcomes:
-            all_outcomes.append(o)
-            agg = aggregates[o.method]
-            if o.status == "refused":
-                agg.refusals += 1
-                continue
-            if o.status == "no-candidate":
-                agg.no_candidates += 1
-                continue
-            if o.case_id not in complete:
-                continue
-            agg.cases += 1
-            sums[o.method]["inf"] += o.inference_ms
-            sums[o.method]["tot"] += o.total_ms
-            if o.metrics.ged is not None:
-                agg.ged_cases += 1
-                sums[o.method]["ged"] += o.metrics.ged
-            else:
-                agg.ged_skipped[o.metrics.ged_skipped] += 1
-            if o.metrics.d1 is not None:
-                agg.d1_cases += 1
-                sums[o.method]["d1"] += o.metrics.d1
-            else:
-                agg.d1_skipped[o.metrics.d1_skipped] += 1
-            if o.metrics.d2 is not None:
-                agg.d2_cases += 1
-                sums[o.method]["d2"] += o.metrics.d2
-            else:
-                agg.d2_skipped[o.metrics.d2_skipped] += 1
-    for name, agg in aggregates.items():
-        if agg.cases:
-            agg.mean_inference_ms = sums[name]["inf"] / agg.cases
-            agg.mean_total_ms = sums[name]["tot"] / agg.cases
-        agg.mean_ged = sums[name]["ged"] / agg.ged_cases if agg.ged_cases else None
-        agg.mean_d1 = sums[name]["d1"] / agg.d1_cases if agg.d1_cases else None
-        agg.mean_d2 = sums[name]["d2"] / agg.d2_cases if agg.d2_cases else None
+    all_outcomes = [o for outcomes in per_case for o in outcomes]
+    for o in all_outcomes:
+        aggregates[o.method].add(o, o.case_id in complete)
 
     config = {
         "methods": method_names,

@@ -112,18 +112,6 @@ def _row_normalize(m: np.ndarray) -> np.ndarray:
     return np.divide(m, norms, out=np.zeros_like(m, dtype=np.float64), where=norms > 0)
 
 
-def pair_sim(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """All-pairs cosine block: row-normalize both inputs, multiply by the transpose.
-
-    Zero rows stay zero, so every entry lies in [-1, 1].
-    """
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValidationError(f"pair_sim needs equal shapes, got {p.shape} vs {q.shape}")
-    return _row_normalize(p) @ _row_normalize(q).T
-
-
 def contrastive_term(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Contrastive loss and the gradient of ``scale`` times it with respect to z.
 
@@ -188,9 +176,10 @@ def skill_term(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[flo
     """Skill loss and the gradient of ``scale`` times it with respect to C.
 
     The loss is -sum_i <y1h_i, y2h_i> with y1h = rownorm(Xh Xh^T) and
-    y2h = rownorm(Ch Ch^T), the negated trace of pair_sim(Y1, Y2). Neither n x n
-    factor is built: the row dots are d1_i d2_i xh_i (Xh^T Ch) ch_i^T, and every
-    product is n x d or n x k. ``feature_side`` comes from :func:`feature_factor`.
+    y2h = rownorm(Ch Ch^T), the negated trace of the all-pairs cosine block
+    rownorm(Y1) rownorm(Y2)^T. Neither n x n factor is built: the row dots are
+    d1_i d2_i xh_i (Xh^T Ch) ch_i^T, and every product is n x d or n x k.
+    ``feature_side`` comes from :func:`feature_factor`.
     """
     xh, d1 = feature_side
     c_mat = np.asarray(c_mat, dtype=np.float64)

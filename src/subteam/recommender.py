@@ -1,4 +1,4 @@
-"""Within-cluster replacement search and the exhaustive oracle used to verify it.
+"""Within-cluster replacement search.
 
 Candidate tuples are drawn from the clusters of the departing members, so a
 search touches at most (largest cluster)^(departing size) tuples instead of
@@ -12,19 +12,17 @@ for hours.
 
 from __future__ import annotations
 
-import itertools
 import time
 from dataclasses import dataclass
-from math import comb, prod
+from math import prod
 
 import numpy as np
 
 from .encoder import ClusterModel
 from .errors import RefusalError, ValidationError
 from .graph import SocialNetwork, Team
-from .objectives import cosine, cosine_rows, ordered_sum, team_embedding
+from .objectives import cosine_rows, ordered_sum, team_embedding
 
-DEFAULT_ORACLE_BUDGET = 2_000_000
 # about 3 s of scoring at 0.3 us per tuple (r=3, 32-wide embeddings, one core)
 DEFAULT_SEARCH_BUDGET = 10_000_000
 # tuples scored per numpy block; a search holds O(CHUNK * (r + d)) values at once
@@ -145,55 +143,3 @@ def recommend(
         elapsed_ms=elapsed_ms,
     )
 
-
-def exhaustive_oracle(
-    team: Team,
-    departing: Team,
-    model: ClusterModel,
-    net: SocialNetwork,
-    candidate_space,
-    max_size: int,
-    budget: int = DEFAULT_ORACLE_BUDGET,
-) -> ReplacementResult:
-    """Brute-force best subset of ``candidate_space`` with size <= ``max_size``.
-
-    Scores every non-empty subset with the same cosine objective as
-    :func:`recommend`; original-team members are removed from the space first.
-    Ties are broken toward the lexicographically smallest member list. Refuses
-    (rather than truncating) when the subset count exceeds ``budget``.
-    """
-    team.validate_for(net)
-    remaining = _check_replacement_inputs(team, departing)
-    if max_size < 1:
-        raise RefusalError(f"max_size={max_size} admits no non-empty subset")
-    space = sorted(set(int(v) for v in candidate_space) - set(team.members))
-    total = sum(comb(len(space), k) for k in range(1, min(max_size, len(space)) + 1))
-    if total > budget:
-        raise RefusalError(
-            f"exhaustive search over {total} subsets exceeds budget {budget}"
-        )
-    z = model.embeddings
-    reference = team_embedding(remaining, z)
-
-    start = time.perf_counter()
-    best_members: tuple[int, ...] | None = None
-    best_score = -np.inf
-    examined = 0
-    for size in range(1, min(max_size, len(space)) + 1):
-        for combo in itertools.combinations(space, size):
-            examined += 1
-            score = cosine(reference, team_embedding(combo, z))
-            if score > best_score or (score == best_score and combo < best_members):
-                best_score = score
-                best_members = combo
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    if best_members is None:
-        return ReplacementResult(
-            subteam=None, similarity=None, candidates_examined=examined, elapsed_ms=elapsed_ms
-        )
-    return ReplacementResult(
-        subteam=best_members,
-        similarity=float(best_score),
-        candidates_examined=examined,
-        elapsed_ms=elapsed_ms,
-    )

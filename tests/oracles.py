@@ -2,15 +2,24 @@
 
 Everything here is written the slow, obvious way (explicit loops, explicit
 Kronecker products, full enumerations) and deliberately shares no code with
-the library beyond its public data types.
+the library beyond its public data types. The one exception is
+:func:`exhaustive_oracle`: it scores subsets with the library's
+``team_embedding`` and ``cosine``, so its similarity can be compared with the
+search's by ``==``, and it checks the search space, not the arithmetic.
 """
 
 import itertools
 import math
+import time
 
 import numpy as np
 
+from subteam.errors import RefusalError
 from subteam.kernels import LabeledGraph
+from subteam.objectives import cosine, team_embedding
+from subteam.recommender import ReplacementResult
+
+DEFAULT_ORACLE_BUDGET = 2_000_000
 
 
 def naive_softmax(e: np.ndarray) -> np.ndarray:
@@ -250,3 +259,51 @@ def dense_structural_term(a: np.ndarray, c: np.ndarray, scale: float = 1.0):
     if fro == 0:
         return 0.0, np.zeros_like(c)
     return float(fro), scale * (-2.0 / fro) * (residual @ c)
+
+
+def exhaustive_oracle(
+    team,
+    departing,
+    model,
+    net,
+    candidate_space,
+    max_size: int,
+    budget: int = DEFAULT_ORACLE_BUDGET,
+) -> ReplacementResult:
+    """Brute-force best subset of ``candidate_space`` with size <= ``max_size``.
+
+    Scores every non-empty subset with the same cosine objective as
+    ``recommend``; original-team members are removed from the space first.
+    Ties are broken toward the lexicographically smallest member list. Refuses
+    (rather than truncating) when the subset count exceeds ``budget``.
+    """
+    team.validate_for(net)
+    assert set(departing.members) < set(team.members)
+    remaining = tuple(sorted(set(team.members) - set(departing.members)))
+    if max_size < 1:
+        raise RefusalError(f"max_size={max_size} admits no non-empty subset")
+    space = sorted(set(int(v) for v in candidate_space) - set(team.members))
+    total = sum(math.comb(len(space), k) for k in range(1, min(max_size, len(space)) + 1))
+    if total > budget:
+        raise RefusalError(f"exhaustive search over {total} subsets exceeds budget {budget}")
+    z = model.embeddings
+    reference = team_embedding(remaining, z)
+
+    start = time.perf_counter()
+    best_members = None
+    best_score = -np.inf
+    examined = 0
+    for size in range(1, min(max_size, len(space)) + 1):
+        for combo in itertools.combinations(space, size):
+            examined += 1
+            score = cosine(reference, team_embedding(combo, z))
+            if score > best_score or (score == best_score and combo < best_members):
+                best_score = score
+                best_members = combo
+    elapsed_ms = (time.perf_counter() - start) * 1e3
+    return ReplacementResult(
+        subteam=best_members,
+        similarity=None if best_members is None else float(best_score),
+        candidates_examined=examined,
+        elapsed_ms=elapsed_ms,
+    )

@@ -5,7 +5,11 @@ from pathlib import Path
 import pytest
 
 from subteam import graph, recommender
-from subteam.cli import main
+from subteam.cli import build_parser, main
+from subteam.evaluate import EvalCaps
+from subteam.kernels import KernelConfig
+from subteam.objectives import LossWeights
+from subteam.trainer import TrainConfig
 
 SYNTH = ["synth", "--n", "24", "--d", "8", "--clusters", "4", "--teams", "12", "--seed", "7"]
 TRAIN_FAST = [
@@ -388,6 +392,14 @@ class TestEvaluate:
         )
         assert code == 4
 
+    def test_ged_cap_above_exact_limit_exits_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = ["--data", str(trained), "--checkpoint", str(trained / "checkpoint.json")]
+        code = main(EVAL_FAST + args + ["--ged-cap", "13", "--out", str(out)])
+        assert code == 2
+        assert "ged_max_nodes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_report_deterministic_with_masked_timing(self, trained, tmp_path):
         texts = []
         for name in ("r1.json", "r2.json"):
@@ -408,6 +420,29 @@ class TestEvaluate:
             )
             texts.append(out.read_text())
         assert mask_timing(texts[0]) == mask_timing(texts[1])
+
+
+def test_parser_defaults_are_the_dataclass_defaults():
+    _, commands = build_parser()
+    train = commands["train"].parse_args(["--data", "d"])
+    evaluate = commands["evaluate"].parse_args(["--data", "d"])
+    cfg, weights, kernel_cfg, caps = TrainConfig(), LossWeights(), KernelConfig(), EvalCaps()
+    assert (train.epochs, train.lr, train.seed, train.clusters) == (
+        cfg.epochs,
+        cfg.learning_rate,
+        cfg.seed,
+        cfg.clusters,
+    )
+    assert (train.b1, train.b2, train.b3) == (
+        weights.skill,
+        weights.structural,
+        weights.clustering,
+    )
+    assert (train.subteam_low, train.subteam_high) == cfg.subteam_fraction_range
+    assert tuple(train.hidden) == cfg.hidden
+    assert tuple(train.split) == tuple(evaluate.split) == cfg.split
+    assert (evaluate.decay, evaluate.termination) == (kernel_cfg.decay, kernel_cfg.termination)
+    assert (evaluate.ged_cap, evaluate.budget) == (caps.ged_max_nodes, caps.baseline_budget)
 
 
 class TestConfigFile:

@@ -18,7 +18,6 @@ from subteam.encoder import (
     load_checkpoint,
     row_softmax,
     save_checkpoint,
-    soft_assign,
 )
 from subteam.errors import ValidationError
 from subteam.graph import generate_synthetic
@@ -99,21 +98,21 @@ class TestEncode:
         zp = encode(permuted, params)
         assert np.allclose(zp, z[perm])
 
-        c = soft_assign(z, params.cluster_weight)
-        cp = soft_assign(zp, params.cluster_weight)
+        c = row_softmax(np.maximum(z @ params.cluster_weight, 0.0))
+        cp = row_softmax(np.maximum(zp @ params.cluster_weight, 0.0))
         assert np.allclose(cp, c[perm])
         assert np.array_equal(hard_assign(cp), hard_assign(c[perm]))
 
 
 class TestSoftAssign:
     def test_zero_rows_give_uniform(self):
-        c = soft_assign(np.zeros((2, 3)), np.zeros((3, 2)))
+        c = row_softmax(np.maximum(np.zeros((2, 3)) @ np.zeros((3, 2)), 0.0))
         assert np.allclose(c, 0.5)
 
     def test_analytic_softmax(self):
         # pre-activations [ln 2, 0] -> [2/3, 1/3]
         z = np.array([[math.log(2.0), 0.0]])
-        c = soft_assign(z, np.eye(2))
+        c = row_softmax(np.maximum(z @ np.eye(2), 0.0))
         assert np.allclose(c, [[2 / 3, 1 / 3]], atol=1e-12)
 
     @given(
@@ -124,7 +123,7 @@ class TestSoftAssign:
     @settings(max_examples=60, deadline=None)
     def test_rows_sum_to_one(self, n, c, seed):
         rng = np.random.default_rng(seed)
-        mat = soft_assign(rng.normal(size=(n, 4)), rng.normal(size=(4, c)))
+        mat = row_softmax(np.maximum(rng.normal(size=(n, 4)) @ rng.normal(size=(4, c)), 0.0))
         assert np.allclose(mat.sum(axis=1), 1.0, atol=1e-9)
         assert mat.min() >= 0
 

@@ -9,6 +9,8 @@ from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError, ZeroSelfKernelError
 from subteam.evaluate import (
     EvalCaps,
+    EvalReport,
+    MethodAggregate,
     OriginalTeam,
     TestSplit,
     disparity_marg,
@@ -20,7 +22,7 @@ from subteam.evaluate import (
     run_comparison,
 )
 from subteam.graph import Team, generate_synthetic, induced_subgraph
-from subteam.kernels import KernelConfig
+from subteam.kernels import GED_MAX_NODES, KernelConfig
 
 
 @pytest.fixture(scope="module")
@@ -73,17 +75,17 @@ class TestEvaluateCaseMetrics:
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
         metrics = evaluate_case_metrics(net, OriginalTeam.build(net, team, KCFG), team, EvalCaps())
-        assert metrics.ged == 0.0
-        assert metrics.d1 == 0.0
-        assert metrics.d2 == 0.0
+        assert metrics.values["ged"] == 0.0
+        assert metrics.values["d1"] == 0.0
+        assert metrics.values["d2"] == 0.0
 
     def test_ged_size_cap_counted(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
         original = OriginalTeam.build(net, team, KCFG)
         metrics = evaluate_case_metrics(net, original, team, EvalCaps(ged_max_nodes=1))
-        assert metrics.ged is None
-        assert metrics.ged_skipped == "size-cap"
+        assert metrics.values.get("ged") is None
+        assert metrics.skipped["ged"] == "size-cap"
 
 
 class TestFeatureSubsample:
@@ -169,9 +171,9 @@ class TestRunComparison:
         fwd = run_comparison(net, split, ["genius", "kernel"], [25.0], **kwargs)
         rev = run_comparison(net, split, ["kernel", "genius"], [25.0], **kwargs)
         for name in ("genius", "kernel"):
-            assert fwd.methods[name].mean_ged == rev.methods[name].mean_ged
-            assert fwd.methods[name].mean_d1 == rev.methods[name].mean_d1
-            assert fwd.methods[name].mean_d2 == rev.methods[name].mean_d2
+            assert fwd.methods[name].mean("ged") == rev.methods[name].mean("ged")
+            assert fwd.methods[name].mean("d1") == rev.methods[name].mean("d1")
+            assert fwd.methods[name].mean("d2") == rev.methods[name].mean("d2")
 
     def test_refusals_recorded_not_dropped(self, eval_instance):
         net, teams, model = eval_instance
@@ -254,3 +256,47 @@ def test_self_kernels_computed_once_per_case(eval_instance, monkeypatch):
     # one self-kernel per completed case, one cross kernel per completed method
     assert calls["shortest_path_kernel"] == len(completed) + len(ok)
     assert calls["marginalized_kernel"] == len(completed) + len(ok)
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"ged_max_nodes": GED_MAX_NODES + 1}, {"ged_max_nodes": -1}, {"baseline_budget": -1}],
+)
+def test_caps_outside_their_range_rejected(kwargs):
+    # a GED cap above GED_MAX_NODES would reach graph_edit_distance's own refusal mid-run
+    with pytest.raises(ValidationError):
+        EvalCaps(**kwargs)
+
+
+def test_report_layout_is_pinned():
+    doc = EvalReport(config={}, methods={"m": MethodAggregate()}).to_document()["methods"]["m"]
+    assert list(doc) == [
+        "cases",
+        "refusals",
+        "no_candidates",
+        "mean_ged",
+        "ged_cases",
+        "ged_skipped",
+        "mean_d1",
+        "d1_cases",
+        "d1_skipped",
+        "mean_d2",
+        "d2_cases",
+        "d2_skipped",
+        "mean_inference_ms",
+        "mean_total_ms",
+    ]
+    assert list(EvalReport.TABLE_COLUMNS) == [
+        "case_id",
+        "method",
+        "percent",
+        "team_size",
+        "departing_size",
+        "status",
+        "subteam_size",
+        "ged",
+        "d1",
+        "d2",
+        "inference_ms",
+        "total_ms",
+    ]

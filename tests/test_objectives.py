@@ -12,7 +12,6 @@ from oracles import (
     naive_clustering_loss,
     naive_contrastive,
     naive_cosine,
-    naive_pair_sim,
     naive_skill_loss,
     naive_structural_loss,
 )
@@ -27,7 +26,6 @@ from subteam.objectives import (
     cosine,
     cosine_rows,
     feature_factor,
-    pair_sim,
     skill_loss,
     skill_term,
     structural_loss,
@@ -170,37 +168,6 @@ class TestContrastiveLoss:
         z = rng.normal(size=(6, 4))
         batch = [((0, 1, 2), (0,)), ((3, 4, 5), (3, 4))]
         assert -1 - 1e-12 <= contrastive_loss(batch, z) <= 1 + 1e-12
-
-
-class TestPairSim:
-    def test_identity_rows(self):
-        assert np.array_equal(pair_sim(np.eye(2), np.eye(2)), np.eye(2))
-
-    def test_self_diagonal_is_one(self):
-        rng = np.random.default_rng(1)
-        p = rng.normal(size=(5, 3))
-        sim = pair_sim(p, p)
-        assert np.allclose(np.diag(sim), 1.0)
-        assert np.allclose(sim, sim.T)
-
-    def test_zero_row_stays_zero(self):
-        p = np.array([[0.0, 0.0], [1.0, 2.0]])
-        sim = pair_sim(p, p)
-        assert np.array_equal(sim[0], [0.0, 0.0])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValidationError):
-            pair_sim(np.eye(2), np.eye(3))
-
-    @given(st.integers(0, 2**32 - 1))
-    @settings(max_examples=50)
-    def test_entries_bounded_and_match_naive(self, seed):
-        rng = np.random.default_rng(seed)
-        p = rng.normal(size=(4, 3))
-        q = rng.normal(size=(4, 3))
-        sim = pair_sim(p, q)
-        assert np.all(sim <= 1 + 1e-12) and np.all(sim >= -1 - 1e-12)
-        assert np.allclose(sim, naive_pair_sim(p, q), atol=1e-12)
 
 
 class TestSkillLoss:

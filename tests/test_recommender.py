@@ -9,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_dense
+from oracles import exhaustive_oracle
 from subteam import recommender
 from subteam.encoder import ClusterModel, build_containers, init_params
 from subteam.errors import RefusalError, ValidationError
 from subteam.graph import Team, generate_synthetic
 from subteam.objectives import cosine
-from subteam.recommender import exhaustive_oracle, recommend
+from subteam.recommender import recommend
 
 
 def rig_model(z: np.ndarray, hard, clusters: int) -> ClusterModel:
