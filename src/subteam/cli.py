@@ -150,7 +150,7 @@ def cmd_evaluate(args) -> int:
     if not test_teams:
         print("empty test split", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    split = TestSplit(teams=tuple(test_teams), seed=args.seed)
+    split = TestSplit(teams=tuple(test_teams))
     model = None
     if "genius" in methods:
         params = load_checkpoint(args.checkpoint)

@@ -102,26 +102,28 @@ def init_params(d: int, hidden, clusters: int, rng: np.random.Generator) -> Enco
 class Forward:
     """Every intermediate of one encoder pass; training backpropagates through them."""
 
-    aggregated: tuple  # per layer: norm_adj @ h_prev (sparse for the first layer)
+    aggregated: tuple  # per layer: norm_adj @ h_prev (the given ax for the first layer)
     activations: tuple[np.ndarray, ...]  # per layer: ReLU(aggregated @ w)
     z: np.ndarray  # embeddings: the activations side by side
     u: np.ndarray  # cluster-head pre-activation z @ w_c
     c: np.ndarray  # soft assignments: row softmax of ReLU(u)
 
 
-def forward(norm_adj, features, params: EncoderParams) -> Forward:
-    """The encoder pass: ReLU(norm_adj @ h @ w) per layer, concatenation, soft head."""
-    if params.dims.d != features.shape[1]:
-        raise ValidationError(
-            f"params expect d={params.dims.d}, features have d={features.shape[1]}"
-        )
+def forward(norm_adj, ax, params: EncoderParams) -> Forward:
+    """The encoder pass: ReLU(norm_adj @ h @ w) per layer, concatenation, soft head.
+
+    ``ax`` is ``norm_adj @ features`` (sparse when the features are), computed
+    once by the caller since no weight enters it; later layers aggregate here.
+    """
+    if params.dims.d != ax.shape[1]:
+        raise ValidationError(f"params expect d={params.dims.d}, features have d={ax.shape[1]}")
     aggregated, activations = [], []
-    h = features
+    m = ax
     for w in params.layer_weights:
-        m = norm_adj @ h
-        h = np.maximum(np.asarray(m @ w), 0.0)
+        if activations:
+            m = norm_adj @ activations[-1]
         aggregated.append(m)
-        activations.append(h)
+        activations.append(np.maximum(np.asarray(m @ w), 0.0))
     z = np.concatenate(activations, axis=1)
     u = z @ params.cluster_weight
     c = row_softmax(np.maximum(u, 0.0))
@@ -130,7 +132,8 @@ def forward(norm_adj, features, params: EncoderParams) -> Forward:
 
 def encode(net: SocialNetwork, params: EncoderParams) -> np.ndarray:
     """Node embeddings: column-concatenation of every layer's activations."""
-    return forward(normalize_adjacency(net), net.features, params).z
+    norm_adj = normalize_adjacency(net)
+    return forward(norm_adj, norm_adj @ net.features, params).z
 
 
 def row_softmax(e: np.ndarray) -> np.ndarray:
@@ -167,7 +170,8 @@ class ClusterModel:
 
     @classmethod
     def build(cls, net: SocialNetwork, params: EncoderParams) -> "ClusterModel":
-        fwd = forward(normalize_adjacency(net), net.features, params)
+        norm_adj = normalize_adjacency(net)
+        fwd = forward(norm_adj, norm_adj @ net.features, params)
         h = hard_assign(fwd.c)
         return cls(
             embeddings=fwd.z,

@@ -50,12 +50,11 @@ _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "k
 
 @dataclass(frozen=True)
 class TestSplit:
-    """Held-out teams plus the seed that produced the split."""
+    """Held-out teams; ``run_comparison``'s ``seed`` draws the cases from them."""
 
     __test__ = False  # not a pytest class, despite the name
 
     teams: tuple[Team, ...]
-    seed: int
 
 
 @dataclass(frozen=True)

@@ -322,12 +322,17 @@ def normalize_adjacency(net: SocialNetwork) -> sp.csr_array:
     """Symmetric degree normalization of the self-looped adjacency.
 
     Self-loops exist only in the returned matrix, never in the stored data;
-    isolated nodes reduce to a single diagonal 1.
+    isolated nodes reduce to a single diagonal 1. Each stored entry is scaled
+    in place as ``(s_i * a_ij) * s_j`` with ``s = 1/sqrt(deg)``, the product
+    that ``diag(s) @ A @ diag(s)`` forms, so the bits match that form.
     """
     with_loops = (net.adjacency + sp.eye_array(net.n, format="csr")).tocsr()
     deg = np.asarray(with_loops.sum(axis=1)).ravel()
-    inv_sqrt = sp.dia_array((1.0 / np.sqrt(deg)[None, :], [0]), shape=(net.n, net.n))
-    return (inv_sqrt @ with_loops @ inv_sqrt).tocsr()
+    inv_sqrt = 1.0 / np.sqrt(deg)
+    with_loops.sort_indices()
+    rows = np.repeat(np.arange(net.n), np.diff(with_loops.indptr))
+    with_loops.data = (inv_sqrt[rows] * with_loops.data) * inv_sqrt[with_loops.indices]
+    return with_loops
 
 
 def planted_blocks(n: int, k_planted: int) -> np.ndarray:

@@ -119,36 +119,56 @@ def contrastive_term(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, n
     team. ``batch`` is a sequence of (team, subteam) pairs; the subteam must be
     a strict, non-empty subset of its team so the remainder is non-empty.
     A pair whose cosine is 0 by the norm-floor convention adds no gradient.
+
+    The pairs share one CSR incidence, rows interleaved as subteam, remainder.
+    A row adds its members one after another from 0, as ``mean(axis=0)`` does
+    on embeddings two or more wide; the transpose adds each node's gradient
+    rows in pair order; row dots are BLAS ``ddot``, as in ``np.linalg.norm``
+    (a row-wise ``einsum`` rounds differently); cosines are summed in pair
+    order. So every bit equals that of a loop over the pairs.
     """
     if not batch:
         raise ValidationError("contrastive loss needs at least one (team, subteam) pair")
-    grad = np.zeros_like(z)
-    coef = -scale / len(batch)
-    total = 0.0
+    ids: list[int] = []
+    counts: list[int] = []
     for team, subteam in batch:
         team_ids = set(_members_of(team))
         sub_ids = _members_of(subteam)
         if not sub_ids:
             raise ValidationError("subteam must be non-empty")
-        if not set(sub_ids) <= team_ids:
+        if not team_ids.issuperset(sub_ids):
             raise ValidationError(f"subteam {sub_ids} not contained in team")
-        remainder = tuple(sorted(team_ids - set(sub_ids)))
+        remainder = sorted(team_ids.difference(sub_ids))
         if not remainder:
             raise ValidationError("subteam equals team; remainder is empty")
-        sub_ix = np.asarray(sub_ids, dtype=np.intp)
-        rem_ix = np.asarray(remainder, dtype=np.intp)
-        u_vec = z[sub_ix].mean(axis=0)
-        v_vec = z[rem_ix].mean(axis=0)
-        nu = np.linalg.norm(u_vec)
-        nv = np.linalg.norm(v_vec)
-        if nu < COSINE_NORM_FLOOR or nv < COSINE_NORM_FLOOR:
-            continue
-        total += float(u_vec @ v_vec / (nu * nv))
-        uh, vh = u_vec / nu, v_vec / nv
-        cos_uv = float(uh @ vh)
-        grad[sub_ix] += coef * ((vh - cos_uv * uh) / nu) / len(sub_ids)
-        grad[rem_ix] += coef * ((uh - cos_uv * vh) / nv) / len(remainder)
-    return -total / len(batch), grad
+        ids += sub_ids
+        ids += remainder
+        counts += (len(sub_ids), len(remainder))
+    ix = np.asarray(ids, dtype=np.intp)
+    if ix.min() < 0 or ix.max() >= z.shape[0]:
+        raise ValidationError(f"member ids must lie in 0..{z.shape[0] - 1}")
+    sizes = np.asarray(counts, dtype=np.float64)[:, None]
+    indptr = np.concatenate(([0], np.cumsum(counts)))
+    inc = sp.csr_array((np.ones(ix.size), ix, indptr), shape=(len(counts), z.shape[0]))
+    means = inc @ z / sizes
+
+    def row_dots(a, b):  # numpy hands each stacked (1 x d) @ (d x 1) product to ddot
+        return np.matmul(a[:, None, :], b[:, :, None])[:, 0]
+
+    u, v = means[0::2], means[1::2]
+    nu, nv = np.sqrt(row_dots(u, u)), np.sqrt(row_dots(v, v))
+    floored = np.flatnonzero((nu < COSINE_NORM_FLOOR) | (nv < COSINE_NORM_FLOOR))
+    nu[floored] = nv[floored] = 1.0  # any finite norm: these pairs' rows are zeroed below
+    cosines = row_dots(u, v) / (nu * nv)
+    uh, vh = u / nu, v / nv
+    cos_uv = row_dots(uh, vh)
+    coef = -scale / len(batch)
+    rows = np.empty_like(means)
+    rows[0::2] = coef * ((vh - cos_uv * uh) / nu) / sizes[0::2]
+    rows[1::2] = coef * ((uh - cos_uv * vh) / nv) / sizes[1::2]
+    rows[2 * floored] = rows[2 * floored + 1] = 0.0
+    total = ordered_sum([0.0, *np.delete(cosines, floored).tolist()])
+    return -total / len(batch), inc.T @ rows
 
 
 def contrastive_loss(batch, z: np.ndarray) -> float:

@@ -96,25 +96,34 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
     )
 
 
-def sample_subteam(team: Team, fraction_range, rng: np.random.Generator):
-    """Uniform subteam of fractional size; None for teams too small to split."""
-    m = len(team)
+def sample_subteam(team, fraction_range, rng: np.random.Generator):
+    """Uniform subteam of fractional size; None for teams too small to split.
+
+    ``team`` is a :class:`Team` or an array of its members. The draw indexes
+    positions, which takes the same random stream as drawing from the members.
+    """
+    members = np.asarray(getattr(team, "members", team))
+    m = len(members)
     if m < 2:
         return None
     lo, hi = fraction_range
     k = int(round(rng.uniform(lo, hi) * m))
     k = min(max(k, 1), m - 1)
-    chosen = rng.choice(np.asarray(team.members), size=k, replace=False)
-    return tuple(sorted(int(v) for v in chosen))
+    return tuple(np.sort(members[rng.choice(m, size=k, replace=False)]).tolist())
+
+
+def _member_arrays(teams) -> list[tuple[tuple[int, ...], np.ndarray]]:
+    """Each team's members as a tuple and as an array, built once per run for the sampler."""
+    return [(team.members, np.asarray(team.members)) for team in teams]
 
 
 def _sample_batch(teams, fraction_range, rng) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(team members, sampled subteam) for every team large enough to split."""
+    """(team members, sampled subteam) for each :func:`_member_arrays` entry that can split."""
     pairs = []
-    for team in teams:
-        sub = sample_subteam(team, fraction_range, rng)
+    for members, array in teams:
+        sub = sample_subteam(array, fraction_range, rng)
         if sub is not None:
-            pairs.append((team.members, sub))
+            pairs.append((members, sub))
     return pairs
 
 
@@ -123,7 +132,7 @@ class _LossModel:
 
     def __init__(self, net: SocialNetwork):
         self.norm_adj = normalize_adjacency(net)
-        self.x = net.features
+        self.ax = self.norm_adj @ net.features  # the first layer's input; no weight enters it
         self.feature_side = feature_factor(net.features)
         self.adjacency = net.adjacency
         self.adjacency_fro2 = float(np.vdot(net.adjacency.data, net.adjacency.data))
@@ -176,6 +185,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     for team in teams:
         team.validate_for(net)
     train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
+    train_teams, val_teams = _member_arrays(train_teams), _member_arrays(val_teams)
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))
     sampler = np.random.default_rng([cfg.seed, 1])
@@ -191,7 +201,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         t0 = time.perf_counter()
         pairs = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
         if fwd is None:
-            fwd = forward(model.norm_adj, model.x, params)
+            fwd = forward(model.norm_adj, model.ax, params)
         parts, dz, dc = model.terms(fwd, pairs, wvec)
         report = total_loss(**parts, weights=weights)
         for name, value in asdict(report).items():
@@ -208,7 +218,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
                 raise NonFiniteLossError("parameter update", epoch, float(np.max(np.abs(w))))
         params = EncoderParams(layer_weights=new_layers, cluster_weight=new_head)
         # one pass on the updated parameters serves validation and the next epoch
-        fwd = forward(model.norm_adj, model.x, params)
+        fwd = forward(model.norm_adj, model.ax, params)
 
         val_pairs = _sample_batch(val_teams, cfg.subteam_fraction_range, sampler)
         val_contra = None
@@ -260,7 +270,7 @@ def gradient_check_report(
     held fixed across all evaluations. Returns the worst error per term.
     """
     weights = weights or LossWeights()
-    pairs = _sample_batch(teams, (0.25, 0.75), np.random.default_rng([seed, 2]))
+    pairs = _sample_batch(_member_arrays(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
     model = _LossModel(net)
     wvecs = {
         "contra": (1.0, 0.0, 0.0, 0.0),
@@ -276,9 +286,9 @@ def gradient_check_report(
 
     def values() -> dict[str, float]:
         perturbed = EncoderParams(layer_weights=tuple(work), cluster_weight=head)
-        return model.terms(forward(model.norm_adj, model.x, perturbed), pairs, wvecs["total"])[0]
+        return model.terms(forward(model.norm_adj, model.ax, perturbed), pairs, wvecs["total"])[0]
 
-    fwd = forward(model.norm_adj, model.x, params)
+    fwd = forward(model.norm_adj, model.ax, params)
     analytic = {}
     for name, wvec in wvecs.items():
         _, dz, dc = model.terms(fwd, pairs, wvec)

@@ -6,6 +6,9 @@ the library beyond its public data types. The one exception is
 :func:`exhaustive_oracle`: it scores subsets with the library's
 ``team_embedding`` and ``cosine``, so its similarity can be compared with the
 search's by ``==``, and it checks the search space, not the arithmetic.
+:func:`contrastive_term_oracle` and :func:`normalize_adjacency_oracle` are the
+earlier per-pair loop and diagonal-product forms of two library functions,
+kept so that the vectorized forms can be compared with them bit for bit.
 """
 
 import itertools
@@ -13,10 +16,11 @@ import math
 import time
 
 import numpy as np
+import scipy.sparse as sp
 
 from subteam.errors import RefusalError
 from subteam.kernels import LabeledGraph
-from subteam.objectives import cosine, team_embedding
+from subteam.objectives import COSINE_NORM_FLOOR, cosine, team_embedding
 from subteam.recommender import ReplacementResult
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -81,6 +85,41 @@ def naive_contrastive(batch, z: np.ndarray) -> float:
         g_rem = z[rem].mean(axis=0)
         total += naive_cosine(g_sub, g_rem)
     return -total / len(batch)
+
+
+def contrastive_term_oracle(batch, z: np.ndarray, scale: float = 1.0):
+    """Contrastive value and gradient wrt z, one (team, subteam) pair at a time."""
+    grad = np.zeros_like(z)
+    coef = -scale / len(batch)
+    total = 0.0
+    for team, subteam in batch:
+        sub_ids = tuple(getattr(subteam, "members", subteam))
+        remainder = tuple(sorted(set(getattr(team, "members", team)) - set(sub_ids)))
+        sub_ix = np.asarray(sub_ids, dtype=np.intp)
+        rem_ix = np.asarray(remainder, dtype=np.intp)
+        u_vec = z[sub_ix].mean(axis=0)
+        v_vec = z[rem_ix].mean(axis=0)
+        nu = np.linalg.norm(u_vec)
+        nv = np.linalg.norm(v_vec)
+        if nu < COSINE_NORM_FLOOR or nv < COSINE_NORM_FLOOR:
+            continue
+        total += float(u_vec @ v_vec / (nu * nv))
+        uh, vh = u_vec / nu, v_vec / nv
+        cos_uv = float(uh @ vh)
+        grad[sub_ix] += coef * ((vh - cos_uv * uh) / nu) / len(sub_ids)
+        grad[rem_ix] += coef * ((uh - cos_uv * vh) / nv) / len(remainder)
+    return -total / len(batch), grad
+
+
+def normalize_adjacency_oracle(adjacency) -> sp.csr_array:
+    """D^-1/2 (A + I) D^-1/2 as two sparse products with a diagonal matrix."""
+    n = adjacency.shape[0]
+    with_loops = (adjacency + sp.eye_array(n, format="csr")).tocsr()
+    deg = np.asarray(with_loops.sum(axis=1)).ravel()
+    inv_sqrt = sp.dia_array((1.0 / np.sqrt(deg)[None, :], [0]), shape=(n, n))
+    out = (inv_sqrt @ with_loops @ inv_sqrt).tocsr()
+    out.sort_indices()
+    return out
 
 
 def _explicit_kron_pieces(g1: LabeledGraph, g2: LabeledGraph):

@@ -113,14 +113,14 @@ class TestFeatureSubsample:
 class TestDrawCases:
     def test_shared_cases_are_seed_deterministic(self, eval_instance):
         _, teams, _ = eval_instance
-        split = TestSplit(teams=tuple(teams[:5]), seed=3)
+        split = TestSplit(teams=tuple(teams[:5]))
         a = draw_cases(split, [25.0, 50.0], seed=3)
         b = draw_cases(split, [25.0, 50.0], seed=3)
         assert a == b
 
     def test_departing_is_strict_subset(self, eval_instance):
         _, teams, _ = eval_instance
-        split = TestSplit(teams=tuple(teams), seed=0)
+        split = TestSplit(teams=tuple(teams))
         for _, team, pct, departing in draw_cases(split, [1.0, 50.0], seed=1):
             assert set(departing) < set(team.members)
             assert 1 <= len(departing) <= len(team) - 1
@@ -139,7 +139,7 @@ class TestNormalizeMethods:
 class TestRunComparison:
     def test_both_methods_share_cases_and_report(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:4]), seed=2)
+        split = TestSplit(teams=tuple(teams[:4]))
         report = run_comparison(
             net,
             split,
@@ -166,7 +166,7 @@ class TestRunComparison:
 
     def test_means_invariant_under_method_order(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:4]), seed=2)
+        split = TestSplit(teams=tuple(teams[:4]))
         kwargs = dict(seed=2, model=model, kernel_cfg=KCFG)
         fwd = run_comparison(net, split, ["genius", "kernel"], [25.0], **kwargs)
         rev = run_comparison(net, split, ["kernel", "genius"], [25.0], **kwargs)
@@ -177,7 +177,7 @@ class TestRunComparison:
 
     def test_refusals_recorded_not_dropped(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:3]), seed=2)
+        split = TestSplit(teams=tuple(teams[:3]))
         report = run_comparison(
             net,
             split,
@@ -197,12 +197,12 @@ class TestRunComparison:
         net, _, model = eval_instance
         with pytest.raises(ValidationError):
             run_comparison(
-                net, TestSplit(teams=(), seed=0), ["genius"], [25.0], seed=0, model=model
+                net, TestSplit(teams=()), ["genius"], [25.0], seed=0, model=model
             )
 
     def test_table_and_document_round_out(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:3]), seed=4)
+        split = TestSplit(teams=tuple(teams[:3]))
         report = run_comparison(
             net, split, ["genius"], [25.0], seed=4, model=model, kernel_cfg=KCFG
         )
@@ -216,7 +216,7 @@ class TestRunComparison:
 
 def test_document_counts_why_metrics_were_skipped(eval_instance):
     net, teams, model = eval_instance
-    split = TestSplit(teams=tuple(teams[:3]), seed=4)
+    split = TestSplit(teams=tuple(teams[:3]))
     report = run_comparison(
         net,
         split,
@@ -246,7 +246,7 @@ def test_self_kernels_computed_once_per_case(eval_instance, monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(evaluate, name, counted)
-    split = TestSplit(teams=tuple(teams[:4]), seed=2)
+    split = TestSplit(teams=tuple(teams[:4]))
     report = run_comparison(
         net, split, ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
     )

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_dense
+from oracles import normalize_adjacency_oracle
 from subteam import graph
 from subteam.errors import ParseError, ValidationError
 from subteam.graph import (
@@ -231,6 +232,20 @@ class TestNormalizeAdjacency:
     def test_isolated_nodes_give_identity(self):
         net = net_from_dense(np.zeros((3, 3)), np.eye(3))
         assert np.array_equal(normalize_adjacency(net).toarray(), np.eye(3))
+
+    @given(st.integers(0, 2**32 - 1), st.integers(1, 40), st.floats(0.0, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_diagonal_products_bit_for_bit(self, seed, n, density):
+        # weighted edges, and isolated nodes wherever a row draws no edge
+        rng = np.random.default_rng(seed)
+        upper = np.triu(rng.random((n, n)) < density, 1) * rng.uniform(0.01, 50.0, (n, n))
+        net = net_from_dense(upper + upper.T, np.eye(n))
+        got = normalize_adjacency(net)
+        want = normalize_adjacency_oracle(net.adjacency)
+        assert got.has_sorted_indices
+        assert np.array_equal(got.indptr, want.indptr)
+        assert np.array_equal(got.indices, want.indices)
+        assert got.data.tobytes() == want.data.tobytes()
 
     def test_regular_graph_rows_sum_to_one(self):
         n = 6

@@ -349,7 +349,7 @@ class TestBatchedBaseline:
 
     def test_guard_failure_is_refused_by_the_comparison(self):
         net = self.hot_net()
-        split = TestSplit(teams=(Team((0, 1, 2)),), seed=0)
+        split = TestSplit(teams=(Team((0, 1, 2)),))
         report = run_comparison(net, split, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
         assert [case.status for case in report.cases] == ["refused"]
         assert report.methods["kernel"].refusals == 1

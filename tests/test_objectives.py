@@ -7,6 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    contrastive_term_oracle,
     dense_skill_term,
     dense_structural_term,
     naive_clustering_loss,
@@ -23,6 +24,7 @@ from subteam.objectives import (
     LossWeights,
     clustering_loss,
     contrastive_loss,
+    contrastive_term,
     cosine,
     cosine_rows,
     feature_factor,
@@ -168,6 +170,74 @@ class TestContrastiveLoss:
         z = rng.normal(size=(6, 4))
         batch = [((0, 1, 2), (0,)), ((3, 4, 5), (3, 4))]
         assert -1 - 1e-12 <= contrastive_loss(batch, z) <= 1 + 1e-12
+
+
+def random_contrastive_batch(rng, n: int, pairs: int, max_team: int):
+    """Overlapping teams over n nodes, each with a strict subteam in drawn order."""
+    batch = []
+    for _ in range(pairs):
+        size = int(rng.integers(2, max_team + 1))
+        team = tuple(sorted(rng.choice(n, size=size, replace=False).tolist()))
+        k = int(rng.integers(1, size))
+        batch.append((team, tuple(rng.permutation(team)[:k].tolist())))
+    return batch
+
+
+class TestContrastiveTermMatchesPairLoop:
+    """The sparse-incidence term equals the per-pair loop bit for bit.
+
+    Embeddings are at least two wide: there numpy's ``mean(axis=0)`` adds rows
+    in order, as a CSR row does (a one-wide mean of 8 or more rows is pairwise).
+    """
+
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(3, 14),
+        st.integers(2, 7),
+        st.integers(1, 12),
+        st.sampled_from([1.0, 0.37, -2.5, 100.0]),
+        st.booleans(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_value_and_gradient_equal_oracle(self, seed, n, width, pairs, scale, zero_pair):
+        rng = np.random.default_rng(seed)
+        z = rng.normal(size=(n, width)) * 10.0 ** rng.integers(-3, 4, size=(n, 1))
+        batch = random_contrastive_batch(rng, n, pairs, max_team=min(n, 9))
+        if zero_pair:  # one pair's subteam mean is 0, below the norm floor
+            z[list(batch[0][1])] = 0.0
+        value, grad = contrastive_term(batch, z, scale)
+        want_value, want_grad = contrastive_term_oracle(batch, z, scale)
+        assert value == want_value
+        assert np.array_equal(grad, want_grad)
+
+    def test_covers_overlap_single_members_and_the_floor(self):
+        z = np.array([[1.0, 2.0], [0.0, 0.0], [3.0, -1.0], [0.5, 0.25], [-2.0, 1.0]])
+        batch = [
+            ((0, 2, 3), (2,)),  # one-member subteam
+            ((0, 2), (0,)),  # one-member subteam and remainder, overlaps the first
+            ((1, 3, 4), (1,)),  # subteam mean 0: below the floor, no gradient
+            (Team((0, 3, 4)), (4, 0)),  # subteam in drawn order
+        ]
+        for scale in (1.0, -0.75):
+            value, grad = contrastive_term(batch, z, scale)
+            want_value, want_grad = contrastive_term_oracle(batch, z, scale)
+            assert value == want_value
+            assert np.array_equal(grad, want_grad)
+        assert not grad[1].any()
+
+    @pytest.mark.parametrize(
+        "batch",
+        [
+            [],
+            [((0, 1, 2), ())],  # empty subteam
+            [((0, 1, 2), (0,)), ((0, 1), (3,))],  # not contained in its team
+            [((0, 1, 2), (0,)), ((1, 2), (2, 1))],  # empty remainder
+            [((0, 9), (0,))],  # member outside the embedding rows
+        ],
+    )
+    def test_invalid_batches_rejected(self, batch):
+        with pytest.raises(ValidationError):
+            contrastive_term(batch, np.ones((4, 3)))
 
 
 class TestSkillLoss:

@@ -71,6 +71,25 @@ class TestSampleSubteam:
         rng = np.random.default_rng(2)
         assert sample_subteam(Team((4,)), (0.2, 0.8), rng) is None
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31 + 5])
+    def test_same_draws_as_choosing_from_the_members(self, seed):
+        # drawing positions and indexing a member array built once takes the
+        # same random stream as rng.choice over the members, so subteams repeat
+        teams = [Team(tuple(range(3 * i, 3 * i + size))) for i, size in enumerate(range(1, 40))]
+        fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
+        arrays = [np.asarray(team.members) for team in teams]
+        for _ in range(3):
+            for team, members in zip(teams, arrays):
+                got = sample_subteam(members, (0.25, 0.75), fast)
+                if len(team) < 2:
+                    assert got is None
+                    continue
+                k = int(round(slow.uniform(0.25, 0.75) * len(team)))
+                k = min(max(k, 1), len(team) - 1)
+                chosen = slow.choice(np.asarray(team.members), size=k, replace=False)
+                assert got == tuple(sorted(int(v) for v in chosen))
+        assert fast.bit_generator.state == slow.bit_generator.state
+
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_strict_nonempty_subset(self, size, seed):
