@@ -25,7 +25,6 @@ from .evaluate import (
     EvalCaps,
     EvalReport,
     OriginalTeam,
-    TestSplit,
     disparity_marg,
     disparity_sp,
     evaluate_case_metrics,
@@ -33,9 +32,9 @@ from .evaluate import (
     run_comparison,
 )
 from .graph import (
+    LabeledGraph,
     SocialNetwork,
     Team,
-    TeamGraph,
     generate_synthetic,
     induced_subgraph,
     load_network,
@@ -47,13 +46,11 @@ from .graph import (
 )
 from .kernels import (
     KernelConfig,
-    LabeledGraph,
     graph_edit_distance,
     kernel_baseline_replace,
     marginalized_kernel,
     random_walk_kernel,
     shortest_path_kernel,
-    team_kernel_graph,
 )
 from .objectives import (
     LossReport,

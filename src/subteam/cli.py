@@ -1,7 +1,8 @@
 """Command-line pipeline: synthesize data, train, recommend, evaluate.
 
-Exit codes: 0 success, 1 internal error, 2 validation/parse failure or a
-search refused by its budget, 3 no candidate found, 4 empty evaluation. Flags
+Exit codes: 0 success, 1 internal error, 2 validation/parse failure (a missing
+input file included) or a search refused by its budget, 3 no candidate found,
+4 empty evaluation. Flags
 always win over the optional JSON config file (``--config``), whose keys must
 match flag names with dashes replaced by underscores; unknown keys are rejected.
 """
@@ -15,13 +16,7 @@ from pathlib import Path
 
 from .encoder import ClusterModel, load_checkpoint, save_checkpoint
 from .errors import ParseError, RefusalError, ValidationError
-from .evaluate import (
-    EvalCaps,
-    TestSplit,
-    feature_subsample,
-    normalize_methods,
-    run_comparison,
-)
+from .evaluate import EvalCaps, feature_subsample, normalize_methods, run_comparison
 from .graph import (
     Team,
     generate_synthetic,
@@ -49,11 +44,17 @@ def _data_paths(data_dir: str) -> dict[str, Path]:
     return {key: base / name for key, name in DATA_FILES.items()}
 
 
+def _input_file(path, flag: str) -> Path:
+    """The file that ``flag`` names; an absent flag or a missing file is a validation error."""
+    if path is None:
+        raise ValidationError(f"{flag} is required")
+    if not Path(path).is_file():
+        raise ValidationError(f"{flag}: no such file {path}")
+    return Path(path)
+
+
 def _load_data(data_dir: str):
-    paths = _data_paths(data_dir)
-    for path in paths.values():
-        if not path.exists():
-            raise ValidationError(f"missing data file: {path}")
+    paths = {key: _input_file(path, "--data") for key, path in _data_paths(data_dir).items()}
     net = load_network(paths["edges"], paths["features"])
     teams = load_teams(paths["teams"], net)
     return net, teams
@@ -115,7 +116,7 @@ def cmd_train(args) -> int:
 
 def cmd_recommend(args) -> int:
     net, _ = _load_data(args.data)
-    params = load_checkpoint(args.checkpoint)
+    params = load_checkpoint(_input_file(args.checkpoint, "--checkpoint"))
     model = ClusterModel.build(net, params)
     result = recommend(Team(tuple(args.team)), Team(tuple(args.departing)), model, net)
     if not result.found:
@@ -150,15 +151,16 @@ def cmd_evaluate(args) -> int:
     if not test_teams:
         print("empty test split", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    split = TestSplit(teams=tuple(test_teams))
     model = None
     if "genius" in methods:
-        params = load_checkpoint(args.checkpoint)
+        params = load_checkpoint(_input_file(args.checkpoint, "--checkpoint"))
         model = ClusterModel.build(net, params)
-    training_time_ms = read_total_wall_ms(args.train_log) if args.train_log else 0.0
+    training_time_ms = (
+        read_total_wall_ms(_input_file(args.train_log, "--train-log")) if args.train_log else 0.0
+    )
     report = run_comparison(
         net,
-        split,
+        test_teams,
         methods,
         args.percent,
         args.seed,
@@ -265,6 +267,7 @@ def _apply_config(argv, parser, commands) -> None:
     config_path = getattr(ns, "config", None)
     if not config_path:
         return
+    _input_file(config_path, "--config")
     try:
         with open(config_path, encoding="utf-8") as fh:
             values = json.load(fh)

@@ -32,11 +32,10 @@ from .errors import (
     ValidationError,
     ZeroSelfKernelError,
 )
-from .graph import SocialNetwork, Team, TeamGraph, induced_subgraph
+from .graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
 from .kernels import (
     GED_MAX_NODES,
     KernelConfig,
-    LabeledGraph,
     graph_edit_distance,
     kernel_baseline_replace,
     marginalized_kernel,
@@ -46,15 +45,6 @@ from .recommender import recommend
 
 METRICS = ("ged", "d1", "d2")
 _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "kernel"}
-
-
-@dataclass(frozen=True)
-class TestSplit:
-    """Held-out teams; ``run_comparison``'s ``seed`` draws the cases from them."""
-
-    __test__ = False  # not a pytest class, despite the name
-
-    teams: tuple[Team, ...]
 
 
 @dataclass(frozen=True)
@@ -80,38 +70,38 @@ class OriginalTeam:
     exception, reported as that method's skip reason.
     """
 
-    graph: TeamGraph
-    labeled: LabeledGraph
+    graph: LabeledGraph
     kernel_cfg: KernelConfig
 
     @classmethod
     def build(cls, net: SocialNetwork, team: Team, kernel_cfg: KernelConfig) -> "OriginalTeam":
-        t0 = induced_subgraph(net, team)
-        return cls(t0, LabeledGraph.from_team_graph(t0), kernel_cfg)
+        return cls(induced_subgraph(net, team), kernel_cfg)
 
     @cached_property
     def sp_self(self) -> float:
-        return shortest_path_kernel(self.labeled, self.labeled)
+        return shortest_path_kernel(self.graph, self.graph)
 
     @cached_property
     def marg_self(self) -> float:
-        return marginalized_kernel(self.labeled, self.labeled, self.kernel_cfg)
+        return marginalized_kernel(self.graph, self.graph, self.kernel_cfg)
 
 
-def _disparity(self_kernel: float, kernel, original: OriginalTeam, t1: TeamGraph, *args) -> float:
+def _disparity(
+    self_kernel: float, kernel, original: OriginalTeam, t1: LabeledGraph, *args
+) -> float:
     """|kernel(original, t1) - self_kernel| / self_kernel; a zero self-kernel refuses first."""
     if self_kernel <= 0:
         raise ZeroSelfKernelError("self-kernel is zero")
-    cross = kernel(original.labeled, LabeledGraph.from_team_graph(t1), *args)
+    cross = kernel(original.graph, t1, *args)
     return abs(cross - self_kernel) / self_kernel
 
 
-def disparity_sp(original: OriginalTeam, t1: TeamGraph) -> float:
+def disparity_sp(original: OriginalTeam, t1: LabeledGraph) -> float:
     """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel."""
     return _disparity(original.sp_self, shortest_path_kernel, original, t1)
 
 
-def disparity_marg(original: OriginalTeam, t1: TeamGraph) -> float:
+def disparity_marg(original: OriginalTeam, t1: LabeledGraph) -> float:
     """Normalized marginalized-kernel deviation of t1 from the original's self-kernel."""
     return _disparity(original.marg_self, marginalized_kernel, original, t1, original.kernel_cfg)
 
@@ -135,8 +125,7 @@ def evaluate_case_metrics(
     metrics = CaseMetrics({}, {})
     ged, *kernel_metrics = METRICS
     if max(original.graph.size, t1.size) <= caps.ged_max_nodes:
-        g1 = LabeledGraph.from_team_graph(t1)
-        metrics.values[ged] = graph_edit_distance(original.labeled, g1)
+        metrics.values[ged] = graph_edit_distance(original.graph, t1)
     else:
         metrics.skipped[ged] = "size-cap"
     for name, disparity in zip(kernel_metrics, (disparity_sp, disparity_marg)):
@@ -277,12 +266,19 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
     )
 
 
-def draw_cases(split: TestSplit, percentages, seed: int):
-    """Shared (team, percent, departing) cases: one draw per team and percentage."""
+def draw_cases(teams, percentages, seed: int):
+    """Shared (team, percent, departing) cases: one draw per team and percentage.
+
+    Each percentage must lie in (0, 100]; the departing count rounds it to at
+    least one member and at most all but one.
+    """
+    for pct in percentages:
+        if not 0 < pct <= 100:
+            raise ValidationError(f"percentages must be in (0, 100], got {pct}")
     rng = np.random.default_rng([seed, 3])
     cases = []
     case_id = 0
-    for team in split.teams:
+    for team in teams:
         if len(team) < 2:
             continue
         for pct in percentages:
@@ -329,7 +325,7 @@ def normalize_methods(methods) -> list[str]:
 
 def run_comparison(
     net: SocialNetwork,
-    split: TestSplit,
+    teams,
     methods,
     percentages,
     seed: int,
@@ -340,7 +336,7 @@ def run_comparison(
     training_time_ms: float = 0.0,
     config_echo: dict | None = None,
 ) -> EvalReport:
-    """Evaluate every method on identical cases and aggregate per-method means.
+    """Evaluate every method on identical cases drawn from the held-out ``teams``.
 
     Training time is amortized over the test teams and added to the trained
     method's total time. Means are over the cases all methods completed;
@@ -349,10 +345,10 @@ def run_comparison(
     caps = caps or EvalCaps()
     kernel_cfg = kernel_cfg or KernelConfig()
     method_names = normalize_methods(methods)
-    if not split.teams:
+    if not teams:
         raise ValidationError("empty test split")
-    cases = draw_cases(split, percentages, seed)
-    amortized_ms = training_time_ms / len(split.teams)
+    cases = draw_cases(teams, percentages, seed)
+    amortized_ms = training_time_ms / len(teams)
 
     def run_case(case) -> list[CaseOutcome]:
         case_id, team, pct, departing = case
@@ -400,7 +396,7 @@ def run_comparison(
         "termination": kernel_cfg.termination,
         "n": net.n,
         "d": net.d,
-        "test_teams": len(split.teams),
+        "test_teams": len(teams),
         "cases": len(cases),
         "training_time_ms": training_time_ms,
     }

@@ -1,4 +1,7 @@
-"""Network data model, file ingestion, subgraph views, and the synthetic generator.
+"""Network data model, file ingestion, dense team graphs, and the synthetic generator.
+
+A team's dense graph is a :class:`LabeledGraph`, the one type that
+:func:`induced_subgraph` returns and every kernel in :mod:`subteam.kernels` takes.
 
 The on-disk formats are plain UTF-8 text:
 
@@ -45,9 +48,9 @@ class SocialNetwork:
     """Whole-graph view: symmetric weighted adjacency plus sparse node features.
 
     Both matrices are stored row-compressed; dense views are only materialized
-    for small node sets: a team (:func:`induced_subgraph`) or one chunk of the
-    kernel baseline's candidate teams. Instances are immutable after
-    construction and safe to share across threads.
+    for small node sets: a team's :class:`LabeledGraph` (:func:`induced_subgraph`)
+    or one chunk of the kernel baseline's candidate teams. Instances are
+    immutable after construction and safe to share across threads.
     """
 
     adjacency: sp.csr_array
@@ -130,16 +133,35 @@ class Team:
 
 
 @dataclass(frozen=True, eq=False)
-class TeamGraph:
-    """Dense induced-subgraph view of a team: adjacency block plus feature rows."""
+class LabeledGraph:
+    """Dense team graph: symmetric weighted adjacency plus a non-negative label row per node.
+
+    :func:`induced_subgraph` returns one for a team, with the team's feature
+    rows as labels, and every kernel and the edit distance take it.
+    """
 
     adjacency: np.ndarray
-    features: np.ndarray
-    origin_ids: tuple[int, ...]
+    labels: np.ndarray
+
+    def __post_init__(self):
+        adj = np.asarray(self.adjacency, dtype=np.float64)
+        labels = np.asarray(self.labels, dtype=np.float64)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValidationError(f"adjacency must be square, got {adj.shape}")
+        if labels.ndim != 2 or labels.shape[0] != adj.shape[0]:
+            raise ValidationError(
+                f"labels must have one row per node, got {labels.shape} for n={adj.shape[0]}"
+            )
+        if adj.size and not np.array_equal(adj, adj.T):
+            raise ValidationError("adjacency must be symmetric")
+        if (adj.size and adj.min() < 0) or (labels.size and labels.min() < 0):
+            raise ValidationError("adjacency and labels must be non-negative")
+        object.__setattr__(self, "adjacency", adj)
+        object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
-        return len(self.origin_ids)
+        return self.adjacency.shape[0]
 
 
 def _data_lines(path):
@@ -309,13 +331,11 @@ def _dense_rows(csr: sp.csr_array, ix: np.ndarray, cols: np.ndarray | None = Non
     return out
 
 
-def induced_subgraph(net: SocialNetwork, members: Team) -> TeamGraph:
-    """Dense restriction of the network to the team, rows in member order."""
+def induced_subgraph(net: SocialNetwork, members: Team) -> LabeledGraph:
+    """Dense restriction of the network to the team, rows in member order, features as labels."""
     members.validate_for(net)
     ix = np.asarray(members.members, dtype=np.intp)
-    adjacency = _dense_rows(net.adjacency, ix, ix)
-    features = _dense_rows(net.features, ix)
-    return TeamGraph(adjacency=adjacency, features=features, origin_ids=members.members)
+    return LabeledGraph(_dense_rows(net.adjacency, ix, ix), _dense_rows(net.features, ix))
 
 
 def normalize_adjacency(net: SocialNetwork) -> sp.csr_array:

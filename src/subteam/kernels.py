@@ -1,5 +1,8 @@
 """Attributed-graph similarity: walk kernels, shortest-path kernel, exact GED.
 
+Every kernel and the edit distance compare two :class:`~subteam.graph.LabeledGraph`
+values, the dense team graphs that :func:`~subteam.graph.induced_subgraph` returns.
+
 The random-walk and marginalized kernels solve linear systems on the product
 space of the two graphs without ever materializing a Kronecker product: a
 matrix-vector product against A1 (x) A2 is evaluated as A1 @ V @ A2.T on the
@@ -22,12 +25,14 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb
+from math import comb, isfinite
 
 import numpy as np
 
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .graph import SocialNetwork, Team, TeamGraph, _dense_rows, induced_subgraph
+# perfbench/tracing.py wraps induced_subgraph under this module's name, so the
+# baseline must call it through that name
+from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, induced_subgraph
 from .recommender import ReplacementResult, _check_replacement_inputs
 
 SHORTEST_PATH_MAX_NODES = 64
@@ -35,38 +40,6 @@ GED_MAX_NODES = 12
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITERS = 500_000
 BASELINE_BATCH = 64  # candidate teams per batched solve; keeps each stack small
-
-
-@dataclass(frozen=True, eq=False)
-class LabeledGraph:
-    """Symmetric weighted adjacency plus a non-negative label row per node."""
-
-    adjacency: np.ndarray
-    labels: np.ndarray
-
-    def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64)
-        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
-            raise ValidationError(f"adjacency must be square, got {adj.shape}")
-        if labels.ndim != 2 or labels.shape[0] != adj.shape[0]:
-            raise ValidationError(
-                f"labels must have one row per node, got {labels.shape} for n={adj.shape[0]}"
-            )
-        if adj.size and not np.array_equal(adj, adj.T):
-            raise ValidationError("adjacency must be symmetric")
-        if (adj.size and adj.min() < 0) or (labels.size and labels.min() < 0):
-            raise ValidationError("adjacency and labels must be non-negative")
-        object.__setattr__(self, "adjacency", adj)
-        object.__setattr__(self, "labels", labels)
-
-    @property
-    def size(self) -> int:
-        return self.adjacency.shape[0]
-
-    @classmethod
-    def from_team_graph(cls, tg: TeamGraph) -> "LabeledGraph":
-        return cls(adjacency=tg.adjacency, labels=tg.features)
 
 
 @dataclass(frozen=True)
@@ -77,8 +50,8 @@ class KernelConfig:
     termination: float = 0.1
 
     def __post_init__(self):
-        if self.decay <= 0:
-            raise ValidationError(f"decay must be positive, got {self.decay}")
+        if not (isfinite(self.decay) and self.decay > 0):
+            raise ValidationError(f"decay must be finite and positive, got {self.decay}")
         if not (0 < self.termination < 1):
             raise ValidationError(f"termination must be in (0,1), got {self.termination}")
 
@@ -316,10 +289,6 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     return best
 
 
-def team_kernel_graph(net: SocialNetwork, team: Team) -> LabeledGraph:
-    return LabeledGraph.from_team_graph(induced_subgraph(net, team))
-
-
 def _candidate_graphs(net: SocialNetwork, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stacked (B, m, m) adjacency and (B, m, d) labels of the teams in the rows of ``members``.
 
@@ -360,7 +329,7 @@ def kernel_baseline_replace(
         raise RefusalError(
             f"kernel baseline over {total} combinations exceeds budget {budget}"
         )
-    original = team_kernel_graph(net, team)
+    original = induced_subgraph(net, team)
 
     start = time.perf_counter()
     best_members: tuple[int, ...] | None = None
@@ -373,14 +342,9 @@ def kernel_baseline_replace(
         if scores[top] > best_score:
             best_score = float(scores[top])
             best_members = chunk[top]
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    if best_members is None:
-        return ReplacementResult(
-            subteam=None, similarity=None, candidates_examined=total, elapsed_ms=elapsed_ms
-        )
     return ReplacementResult(
         subteam=best_members,
-        similarity=best_score,
+        similarity=None if best_members is None else best_score,
         candidates_examined=total,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - start) * 1e3,
     )

@@ -131,15 +131,11 @@ def recommend(
         if scores[first] > best_score:
             best_score = scores[first]
             best_row = [int(col[first]) for col in cols]
-    elapsed_ms = (time.perf_counter() - start) * 1e3
-    if best_row is None:
-        return ReplacementResult(
-            subteam=None, similarity=None, candidates_examined=examined, elapsed_ms=elapsed_ms
-        )
+    found = best_row is not None
     return ReplacementResult(
-        subteam=tuple(int(nodes[v]) for v in best_row if v < blank),
-        similarity=float(best_score),
+        subteam=tuple(int(nodes[v]) for v in best_row if v < blank) if found else None,
+        similarity=float(best_score) if found else None,
         candidates_examined=examined,
-        elapsed_ms=elapsed_ms,
+        elapsed_ms=(time.perf_counter() - start) * 1e3,
     )
 

@@ -10,6 +10,7 @@ data reproduce bit-identical parameters.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import asdict, astuple, dataclass
 
@@ -35,6 +36,17 @@ from .objectives import (
 )
 
 
+def _split_fractions(fractions) -> tuple[float, ...]:
+    """The (train, val, test) fractions as floats: three, each >= 0, summing to 1."""
+    fractions = tuple(float(f) for f in fractions)
+    # written so that a NaN fails the test
+    if len(fractions) != 3 or not (
+        all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9
+    ):
+        raise ValidationError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
+    return fractions
+
+
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 1000
@@ -49,17 +61,17 @@ class TrainConfig:
     def __post_init__(self):
         if self.epochs < 1:
             raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if self.learning_rate <= 0:
-            raise ValidationError("learning rate must be positive")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValidationError(
+                f"learning rate must be finite and positive, got {self.learning_rate}"
+            )
         lo, hi = self.subteam_fraction_range
         if not (0 < lo <= hi < 1):
             raise ValidationError(f"need 0 < low <= high < 1, got ({lo}, {hi})")
-        if len(self.split) != 3 or min(self.split) < 0 or abs(sum(self.split) - 1.0) > 1e-9:
-            raise ValidationError(f"split fractions must be >= 0 and sum to 1, got {self.split}")
         if not self.hidden:
             raise ValidationError("need at least one hidden layer size")
         object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
-        object.__setattr__(self, "split", tuple(float(f) for f in self.split))
+        object.__setattr__(self, "split", _split_fractions(self.split))
         object.__setattr__(
             self, "subteam_fraction_range", tuple(float(f) for f in self.subteam_fraction_range)
         )
@@ -81,9 +93,7 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
     """Deterministic shuffled partition; floor-sized val/test, remainder to train."""
     if not teams:
         raise ValidationError("cannot split an empty team list")
-    f_train, f_val, f_test = fractions
-    if min(fractions) < 0 or abs(f_train + f_val + f_test - 1.0) > 1e-9:
-        raise ValidationError(f"bad split fractions {fractions}")
+    _, f_val, f_test = _split_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(teams))
     n_val = int(f_val * len(teams))
     n_test = int(f_test * len(teams))

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from subteam.errors import RefusalError
-from subteam.kernels import LabeledGraph
+from subteam.graph import LabeledGraph
 from subteam.objectives import COSINE_NORM_FLOOR, cosine, team_embedding
 from subteam.recommender import ReplacementResult
 

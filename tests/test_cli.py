@@ -230,6 +230,25 @@ class TestRecommend:
         assert code == 2
         assert "bad.json" in err and "internal" not in err
 
+    def test_missing_checkpoint_exits_2(self, trained, tmp_path, capsys):
+        team = self.team_of(trained)
+        code = main(
+            [
+                "recommend",
+                "--data",
+                str(trained),
+                "--checkpoint",
+                str(tmp_path / "absent.json"),
+                "--team",
+                *map(str, team),
+                "--departing",
+                str(team[0]),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "absent.json" in err and "internal" not in err
+
     def test_team_spanning_all_nodes_exits_3(self, tmp_path, capsys):
         # every cluster member is a team member, so no candidate survives
         data = tmp_path / "tiny"
@@ -400,6 +419,24 @@ class TestEvaluate:
         assert "ged_max_nodes" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_missing_train_log_exits_2(self, trained, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        args = ["--data", str(trained), "--checkpoint", str(trained / "checkpoint.json")]
+        args += ["--train-log", str(tmp_path / "absent.log"), "--out", str(out)]
+        code = main(EVAL_FAST + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "absent.log" in err and "internal" not in err
+        assert not out.exists()
+
+    def test_genius_without_checkpoint_names_the_flag(self, trained, tmp_path, capsys):
+        out = tmp_path / "report.json"
+        code = main(EVAL_FAST + ["--data", str(trained), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "--checkpoint" in err and "malformed" not in err
+        assert not out.exists()
+
     def test_report_deterministic_with_masked_timing(self, trained, tmp_path):
         texts = []
         for name in ("r1.json", "r2.json"):
@@ -420,6 +457,34 @@ class TestEvaluate:
             )
             texts.append(out.read_text())
         assert mask_timing(texts[0]) == mask_timing(texts[1])
+
+
+BAD_NUMBERS = [
+    ("evaluate", "--percent nan"),
+    ("evaluate", "--percent inf"),
+    ("evaluate", "--percent -5"),
+    ("evaluate", "--percent 0"),
+    ("evaluate", "--percent 250"),
+    ("evaluate", "--split 0.5 nan 0.5"),
+    ("train", "--split 0.5 nan 0.5"),
+    ("train", "--lr nan"),
+    ("train", "--lr inf"),
+]
+
+
+@pytest.mark.parametrize("command, flags", BAD_NUMBERS, ids=[" ".join(c) for c in BAD_NUMBERS])
+def test_non_finite_or_out_of_range_number_exits_2(trained, tmp_path, capsys, command, flags):
+    outputs = [tmp_path / "checkpoint.json", tmp_path / "train.log", tmp_path / "report.json"]
+    if command == "train":
+        base = TRAIN_FAST + ["--checkpoint", str(outputs[0]), "--log", str(outputs[1])]
+    else:
+        checkpoint = str(trained / "checkpoint.json")
+        base = EVAL_FAST + ["--checkpoint", checkpoint, "--out", str(outputs[2])]
+    code = main(base + ["--data", str(trained)] + flags.split())
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "error" in err and "internal" not in err
+    assert not any(path.exists() for path in outputs)
 
 
 def test_parser_defaults_are_the_dataclass_defaults():
@@ -467,6 +532,14 @@ class TestConfigFile:
         code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
         assert code == 2
         assert "mystery_knob" in capsys.readouterr().err
+
+    def test_missing_config_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["synth", "--config", str(tmp_path / "absent.json"), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "absent.json" in err and "internal" not in err
+        assert not out.exists()
 
     def test_bad_json_config_exits_2(self, tmp_path, capsys):
         data = run_synth(tmp_path)

@@ -12,7 +12,6 @@ from subteam.evaluate import (
     EvalReport,
     MethodAggregate,
     OriginalTeam,
-    TestSplit,
     disparity_marg,
     disparity_sp,
     draw_cases,
@@ -50,16 +49,14 @@ class TestDisparities:
 
     def test_hand_evaluated_ratio(self, eval_instance):
         net, teams, _ = eval_instance
-        from subteam.kernels import LabeledGraph, shortest_path_kernel
+        from subteam.kernels import shortest_path_kernel
 
         team_a = next(t for t in teams if len(t) >= 3)
         team_b = next(t for t in teams if t != team_a and len(t) >= 3)
         t0 = induced_subgraph(net, team_a)
         t1 = induced_subgraph(net, team_b)
-        g0 = LabeledGraph.from_team_graph(t0)
-        g1 = LabeledGraph.from_team_graph(t1)
-        self_k = shortest_path_kernel(g0, g0)
-        cross = shortest_path_kernel(g0, g1)
+        self_k = shortest_path_kernel(t0, t0)
+        cross = shortest_path_kernel(t0, t1)
         original = OriginalTeam.build(net, team_a, KCFG)
         assert disparity_sp(original, t1) == pytest.approx(abs(cross - self_k) / self_k)
 
@@ -113,15 +110,13 @@ class TestFeatureSubsample:
 class TestDrawCases:
     def test_shared_cases_are_seed_deterministic(self, eval_instance):
         _, teams, _ = eval_instance
-        split = TestSplit(teams=tuple(teams[:5]))
-        a = draw_cases(split, [25.0, 50.0], seed=3)
-        b = draw_cases(split, [25.0, 50.0], seed=3)
+        a = draw_cases(teams[:5], [25.0, 50.0], seed=3)
+        b = draw_cases(teams[:5], [25.0, 50.0], seed=3)
         assert a == b
 
     def test_departing_is_strict_subset(self, eval_instance):
         _, teams, _ = eval_instance
-        split = TestSplit(teams=tuple(teams))
-        for _, team, pct, departing in draw_cases(split, [1.0, 50.0], seed=1):
+        for _, team, pct, departing in draw_cases(teams, [1.0, 50.0], seed=1):
             assert set(departing) < set(team.members)
             assert 1 <= len(departing) <= len(team) - 1
 
@@ -139,10 +134,10 @@ class TestNormalizeMethods:
 class TestRunComparison:
     def test_both_methods_share_cases_and_report(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:4]))
+        held_out = teams[:4]
         report = run_comparison(
             net,
-            split,
+            held_out,
             ["genius", "kernel"],
             [25.0],
             seed=2,
@@ -166,10 +161,10 @@ class TestRunComparison:
 
     def test_means_invariant_under_method_order(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:4]))
+        held_out = teams[:4]
         kwargs = dict(seed=2, model=model, kernel_cfg=KCFG)
-        fwd = run_comparison(net, split, ["genius", "kernel"], [25.0], **kwargs)
-        rev = run_comparison(net, split, ["kernel", "genius"], [25.0], **kwargs)
+        fwd = run_comparison(net, held_out, ["genius", "kernel"], [25.0], **kwargs)
+        rev = run_comparison(net, held_out, ["kernel", "genius"], [25.0], **kwargs)
         for name in ("genius", "kernel"):
             assert fwd.methods[name].mean("ged") == rev.methods[name].mean("ged")
             assert fwd.methods[name].mean("d1") == rev.methods[name].mean("d1")
@@ -177,10 +172,10 @@ class TestRunComparison:
 
     def test_refusals_recorded_not_dropped(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:3]))
+        held_out = teams[:3]
         report = run_comparison(
             net,
-            split,
+            held_out,
             ["kernel"],
             [50.0],
             seed=2,
@@ -197,14 +192,14 @@ class TestRunComparison:
         net, _, model = eval_instance
         with pytest.raises(ValidationError):
             run_comparison(
-                net, TestSplit(teams=()), ["genius"], [25.0], seed=0, model=model
+                net, (), ["genius"], [25.0], seed=0, model=model
             )
 
     def test_table_and_document_round_out(self, eval_instance):
         net, teams, model = eval_instance
-        split = TestSplit(teams=tuple(teams[:3]))
+        held_out = teams[:3]
         report = run_comparison(
-            net, split, ["genius"], [25.0], seed=4, model=model, kernel_cfg=KCFG
+            net, held_out, ["genius"], [25.0], seed=4, model=model, kernel_cfg=KCFG
         )
         doc = report.to_document()
         assert doc["config"]["methods"] == ["genius"]
@@ -216,10 +211,10 @@ class TestRunComparison:
 
 def test_document_counts_why_metrics_were_skipped(eval_instance):
     net, teams, model = eval_instance
-    split = TestSplit(teams=tuple(teams[:3]))
+    held_out = teams[:3]
     report = run_comparison(
         net,
-        split,
+        held_out,
         ["genius"],
         [25.0, 50.0],
         seed=4,
@@ -246,9 +241,9 @@ def test_self_kernels_computed_once_per_case(eval_instance, monkeypatch):
             return _kernel(*args)
 
         monkeypatch.setattr(evaluate, name, counted)
-    split = TestSplit(teams=tuple(teams[:4]))
+    held_out = teams[:4]
     report = run_comparison(
-        net, split, ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
+        net, held_out, ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
     )
     ok = [case for case in report.cases if case.status == "ok"]
     completed = {case.case_id for case in ok}

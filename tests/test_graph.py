@@ -201,7 +201,7 @@ class TestInducedSubgraph:
     def test_full_selection_is_identity(self, tiny_net):
         tg = induced_subgraph(tiny_net, Team((0, 1, 2)))
         assert np.array_equal(tg.adjacency, tiny_net.adjacency.toarray())
-        assert np.array_equal(tg.features, tiny_net.features.toarray())
+        assert np.array_equal(tg.labels, tiny_net.features.toarray())
 
     def test_direct_read(self, tiny_net):
         tg = induced_subgraph(tiny_net, Team((1, 2)))
@@ -213,10 +213,10 @@ class TestInducedSubgraph:
         net = net_from_dense(upper + upper.T, rng.random((8, 5)))
         members = Team((1, 4, 6))
         tg = induced_subgraph(net, members)
-        for a, ga in enumerate(tg.origin_ids):
-            for b, gb in enumerate(tg.origin_ids):
+        for a, ga in enumerate(members.members):
+            for b, gb in enumerate(members.members):
                 assert tg.adjacency[a, b] == net.adjacency[ga, gb]
-            assert np.array_equal(tg.features[a], net.features.toarray()[ga])
+            assert np.array_equal(tg.labels[a], net.features.toarray()[ga])
 
 
 class TestNormalizeAdjacency:

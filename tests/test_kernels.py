@@ -17,12 +17,11 @@ from oracles import (
     sp_kernel_brute,
 )
 from subteam.errors import ConvergenceError, RefusalError, ValidationError
-from subteam.evaluate import TestSplit, run_comparison
-from subteam.graph import SocialNetwork, Team
+from subteam.evaluate import run_comparison
+from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
 from subteam.kernels import (
     BASELINE_BATCH,
     KernelConfig,
-    LabeledGraph,
     _candidate_graphs,
     _random_walk_scores,
     graph_edit_distance,
@@ -30,7 +29,6 @@ from subteam.kernels import (
     marginalized_kernel,
     random_walk_kernel,
     shortest_path_kernel,
-    team_kernel_graph,
 )
 
 CFG = KernelConfig(decay=0.1)
@@ -90,6 +88,12 @@ class TestRandomWalkKernel:
         )
         with pytest.raises(ConvergenceError, match="decay"):
             random_walk_kernel(big, big, KernelConfig(decay=0.5))
+
+    @pytest.mark.parametrize("decay", [0.0, math.nan, math.inf])
+    def test_decay_must_be_finite_and_positive(self, decay):
+        # a NaN decay would pass the spectral guard and spin the solver to its step cap
+        with pytest.raises(ValidationError, match="decay"):
+            KernelConfig(decay=decay)
 
     def test_label_dim_mismatch_rejected(self):
         with pytest.raises(ValidationError):
@@ -255,13 +259,13 @@ class TestKernelBaseline:
         cfg = KernelConfig(decay=0.01)
         team = Team((0, 1, 2, 3))
         departing = Team((3,))
-        original = team_kernel_graph(net, team)
+        original = induced_subgraph(net, team)
         self_kernel = random_walk_kernel(original, original, cfg)
         result = kernel_baseline_replace(team, departing, net, cfg, budget=100)
         # scoring the original team against itself bounds nothing in general,
         # but re-scoring the winner must reproduce its reported similarity
         rebuilt = Team((0, 1, 2) + result.subteam)
-        rescored = random_walk_kernel(original, team_kernel_graph(net, rebuilt), cfg)
+        rescored = random_walk_kernel(original, induced_subgraph(net, rebuilt), cfg)
         assert rescored == result.similarity
         if result.subteam == (3,):
             assert result.similarity == pytest.approx(self_kernel)
@@ -272,13 +276,13 @@ class TestKernelBaseline:
         team = Team((0, 1, 2))
         departing = Team((1,))
         result = kernel_baseline_replace(team, departing, net, cfg, budget=100)
-        original = team_kernel_graph(net, team)
+        original = induced_subgraph(net, team)
         best, best_score = None, -math.inf
         for v in range(net.n):
             if v in team.members:
                 continue
             candidate = Team((0, 2, v))
-            score = random_walk_kernel(original, team_kernel_graph(net, candidate), cfg)
+            score = random_walk_kernel(original, induced_subgraph(net, candidate), cfg)
             if score > best_score:
                 best, best_score = (v,), score
         assert result.subteam == best
@@ -306,9 +310,9 @@ class TestBatchedBaseline:
         remaining = tuple(v for v in team.members if v not in departing)
         outside = [v for v in range(n) if v not in team]  # new members sort between old ones
         combos = list(itertools.combinations(outside, len(departing)))
-        original = team_kernel_graph(net, team)
+        original = induced_subgraph(net, team)
         singles = [
-            random_walk_kernel(original, team_kernel_graph(net, Team(remaining + c)), self.CFG)
+            random_walk_kernel(original, induced_subgraph(net, Team(remaining + c)), self.CFG)
             for c in combos
         ]
         # one stack of every candidate, unlike the baseline's chunks
@@ -335,11 +339,11 @@ class TestBatchedBaseline:
     def test_guard_error_names_first_offending_combination(self):
         net = self.hot_net()
         team = Team((0, 1, 2))
-        original = team_kernel_graph(net, team)
+        original = induced_subgraph(net, team)
         messages = []
         for hot in (70, 75):
             with pytest.raises(ConvergenceError) as single:
-                random_walk_kernel(original, team_kernel_graph(net, Team((0, 1, hot))), self.CFG)
+                random_walk_kernel(original, induced_subgraph(net, Team((0, 1, hot))), self.CFG)
             messages.append(str(single.value))
         assert messages[0] != messages[1]
         # node 70 is the 68th outside node, so it is scored in the second chunk
@@ -349,8 +353,8 @@ class TestBatchedBaseline:
 
     def test_guard_failure_is_refused_by_the_comparison(self):
         net = self.hot_net()
-        split = TestSplit(teams=(Team((0, 1, 2)),))
-        report = run_comparison(net, split, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
+        teams = (Team((0, 1, 2)),)
+        report = run_comparison(net, teams, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
         assert [case.status for case in report.cases] == ["refused"]
         assert report.methods["kernel"].refusals == 1
 
