@@ -61,8 +61,6 @@ def _load_data(data_dir: str):
 
 
 def cmd_synth(args) -> int:
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     net, teams = generate_synthetic(
         n=args.n,
         d=args.d,
@@ -72,6 +70,8 @@ def cmd_synth(args) -> int:
         teams=args.teams,
         seed=args.seed,
     )
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     paths = _data_paths(args.out)
     save_network(net, paths["edges"], paths["features"])
     save_teams(teams, paths["teams"])

@@ -31,14 +31,6 @@ class EncoderDims:
     hidden: tuple[int, ...]
     clusters: int
 
-    @property
-    def layers(self) -> int:
-        return len(self.hidden)
-
-    @property
-    def embedding_width(self) -> int:
-        return sum(self.hidden)
-
 
 @dataclass(frozen=True, eq=False)
 class EncoderParams:

@@ -32,7 +32,7 @@ from .errors import (
     ValidationError,
     ZeroSelfKernelError,
 )
-from .graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
+from .graph import LabeledGraph, SocialNetwork, Team, check_seed, induced_subgraph
 from .kernels import (
     GED_MAX_NODES,
     KernelConfig,
@@ -258,6 +258,7 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
     """Keep a uniform random subset of feature columns (in ascending order)."""
     if d_sub < 0 or d_sub > net.d:
         raise ValidationError(f"d_sub={d_sub} outside [0, {net.d}]")
+    check_seed(seed)
     cols = np.sort(np.random.default_rng(seed).choice(net.d, size=d_sub, replace=False))
     return SocialNetwork(
         adjacency=net.adjacency,

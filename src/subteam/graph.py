@@ -173,6 +173,12 @@ def _data_lines(path):
             yield line_no, line
 
 
+def check_seed(seed: int) -> None:
+    """Refuse a negative random seed, which numpy's generators reject."""
+    if seed < 0:
+        raise ValidationError(f"seed must be >= 0, got {seed}")
+
+
 def _check_id(path, line_no: int, kind: str, value: int, cap: int) -> None:
     if not 0 <= value < cap:
         raise ValidationError(f"{path}:{line_no}: {kind} id {value} out of range [0, {cap})")
@@ -386,6 +392,7 @@ def generate_synthetic(
         raise ValidationError(f"need at least one feature per block (d={d}, k={k_planted})")
     if teams < 0:
         raise ValidationError("team count must be non-negative")
+    check_seed(seed)
     block_size = n // k_planted
     if block_size < 2:
         raise ValidationError("blocks need at least 2 nodes to host teams")

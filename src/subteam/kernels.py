@@ -18,6 +18,13 @@ baseline gathers its candidate teams as stacked arrays, in chunks of
 was measured and rejected: at team size 26 the product space has 676 unknowns,
 and one dense ``np.linalg.solve`` costs over a hundred times what a candidate
 costs in a batched fixed-point solve.
+
+The exact edit distance assigns g1's nodes in order by depth-first branch and
+bound. One extra target stands for deleting a node: a zero row and column
+added to g2's adjacency, never used up, whose node cost is always 1. With it
+every step is priced by one formula, the node cost plus one for each earlier
+g1 node whose edge weight to this one differs from the weight between their
+targets. Unused g2 nodes and the edges that touch them are inserted at the end.
 """
 
 from __future__ import annotations
@@ -197,96 +204,45 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
 
     Unit costs for node and edge insertion/deletion; substituting a node is
     free when the label rows are equal (1 otherwise), and substituting an edge
-    is free when the weights are equal (1 otherwise).
+    is free when the weights are equal (1 otherwise). Self-loops are ignored.
     """
-    if g1.size > GED_MAX_NODES or g2.size > GED_MAX_NODES:
-        raise RefusalError(
-            f"exact edit distance capped at {GED_MAX_NODES} nodes, "
-            f"got {g1.size} and {g2.size}"
-        )
     n1, n2 = g1.size, g2.size
-    a1, a2 = g1.adjacency, g2.adjacency
-    if n1 and n2:
-        label_eq = np.array(
-            [[np.array_equal(g1.labels[u], g2.labels[v]) for v in range(n2)] for u in range(n1)]
+    if n1 > GED_MAX_NODES or n2 > GED_MAX_NODES:
+        raise RefusalError(
+            f"exact edit distance capped at {GED_MAX_NODES} nodes, got {n1} and {n2}"
         )
-    else:
-        label_eq = np.zeros((n1, n2), dtype=bool)
-
-    # suffix edge counts of g1: edges with both endpoints >= u
-    e1_suffix = np.zeros(n1 + 1, dtype=np.int64)
-    for u in range(n1 - 1, -1, -1):
-        e1_suffix[u] = e1_suffix[u + 1] + int(np.count_nonzero(a1[u, u + 1 :]))
-    edges2 = [(i, j) for i in range(n2) for j in range(i + 1, n2) if a2[i, j] > 0]
-
+    a1 = g1.adjacency.tolist()
+    # target n2 deletes a node: a zero row and column of g2 that is never used up
+    a2 = [row + [0.0] for row in g2.adjacency.tolist()] + [[0.0] * (n2 + 1)]
+    same = [[np.array_equal(x, y) for y in g2.labels] for x in g1.labels]
+    # e1[d]: edges of g1 with both endpoints >= d
+    edges1 = [u for u in range(n1) for v in range(u + 1, n1) if a1[u][v] > 0]
+    e1 = [sum(u >= d for u in edges1) for d in range(n1 + 1)]
+    edges2 = [(i, j) for i in range(n2) for j in range(i + 1, n2) if a2[i][j] > 0]
+    assignment, used = [n2] * n1, [False] * (n2 + 1)
     best = float("inf")
-    assignment = np.full(n1, -1, dtype=np.int64)  # g2 target or -1 for deletion
-    used = np.zeros(n2, dtype=bool)
 
-    def completion_cost() -> float:
-        extra = 0.0
-        for v in range(n2):
-            if not used[v]:
-                extra += 1.0
-        for i, j in edges2:
-            if not (used[i] and used[j]):
-                extra += 1.0
-        return extra
-
-    def lower_bound(depth: int, avail: int) -> float:
-        remaining = n1 - depth
-        e2_avail = sum(1 for i, j in edges2 if not used[i] and not used[j])
-        return abs(remaining - avail) + abs(int(e1_suffix[depth]) - e2_avail)
-
-    def edge_cost(u: int, target: int) -> float:
-        cost = 0.0
-        for v in range(u):
-            w1 = a1[u, v]
-            tv = assignment[v]
-            if target < 0:
-                if w1 > 0:
-                    cost += 1.0
-                continue
-            if tv < 0:
-                if w1 > 0:
-                    cost += 1.0
-                continue
-            w2 = a2[target, tv]
-            if w1 > 0 and w2 > 0:
-                if w1 != w2:
-                    cost += 1.0
-            elif w1 > 0 or w2 > 0:
-                cost += 1.0
-        return cost
-
-    def dfs(depth: int, cost: float, avail: int) -> None:
+    def dfs(depth: int, cost: int, avail: int) -> None:
         nonlocal best
-        if cost + lower_bound(depth, avail) >= best:
+        free = sum(not (used[i] or used[j]) for i, j in edges2)
+        if cost + abs(n1 - depth - avail) + abs(e1[depth] - free) >= best:
             return
         if depth == n1:
-            total = cost + completion_cost()
-            if total < best:
-                best = total
+            best = min(best, cost + avail + sum(not (used[i] and used[j]) for i, j in edges2))
             return
-        targets = sorted(
-            (v for v in range(n2) if not used[v]),
-            key=lambda v: (not label_eq[depth, v], v),
-        )
-        for v in targets:
-            step = (0.0 if label_eq[depth, v] else 1.0) + edge_cost(depth, v)
-            assignment[depth] = v
-            used[v] = True
-            dfs(depth + 1, cost + step, avail - 1)
+        row = a1[depth]
+        targets = sorted((v for v in range(n2) if not used[v]), key=lambda v: not same[depth][v])
+        for v in [*targets, n2]:
+            assignment[depth], used[v] = v, v < n2
+            step = (v == n2 or not same[depth][v]) + sum(
+                row[u] != a2[v][assignment[u]] for u in range(depth)
+            )
+            dfs(depth + 1, cost + step, avail - (v < n2))
             used[v] = False
-            assignment[depth] = -1
-        # deletion branch
-        step = 1.0 + edge_cost(depth, -1)
-        assignment[depth] = -1
-        dfs(depth + 1, cost + step, avail)
-        assignment[depth] = -1
 
-    dfs(0, 0.0, n2)
-    return best
+    dfs(0, 0, n2)
+    del dfs  # dfs refers to itself; unbinding it frees the search's lists now, not at a gc pass
+    return float(best)
 
 
 def _candidate_graphs(net: SocialNetwork, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

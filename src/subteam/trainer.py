@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoder import EncoderParams, Forward, default_cluster_count, forward, init_params
 from .errors import NonFiniteLossError, ValidationError
-from .graph import SocialNetwork, Team, normalize_adjacency
+from .graph import SocialNetwork, Team, _data_lines, check_seed, normalize_adjacency
 # skill_loss, structural_loss and clustering_loss are not called here, but stay
 # importable as subteam.trainer.* because perfbench/tracing.py wraps them there.
 from .objectives import (
@@ -68,9 +68,13 @@ class TrainConfig:
         lo, hi = self.subteam_fraction_range
         if not (0 < lo <= hi < 1):
             raise ValidationError(f"need 0 < low <= high < 1, got ({lo}, {hi})")
-        if not self.hidden:
-            raise ValidationError("need at least one hidden layer size")
-        object.__setattr__(self, "hidden", tuple(int(h) for h in self.hidden))
+        hidden = tuple(int(h) for h in self.hidden)
+        if not hidden or min(hidden) < 1:
+            raise ValidationError(f"need at least one hidden layer, each >= 1 wide, got {hidden}")
+        if self.clusters is not None and self.clusters < 2:
+            raise ValidationError(f"need at least 2 clusters, got {self.clusters}")
+        check_seed(self.seed)
+        object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "split", _split_fractions(self.split))
         object.__setattr__(
             self, "subteam_fraction_range", tuple(float(f) for f in self.subteam_fraction_range)
@@ -93,6 +97,7 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
     """Deterministic shuffled partition; floor-sized val/test, remainder to train."""
     if not teams:
         raise ValidationError("cannot split an empty team list")
+    check_seed(seed)
     _, f_val, f_test = _split_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(teams))
     n_val = int(f_val * len(teams))
@@ -255,14 +260,20 @@ def write_train_log(log, path) -> None:
 
 
 def read_total_wall_ms(path) -> float:
-    """Sum of the wall-ms column of a training log (for amortized-time reporting)."""
+    """Sum of the wall-ms column of a training log (for amortized-time reporting).
+
+    Each value must be a finite number >= 0; the error names the file and line.
+    """
     total = 0.0
-    with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            total += float(line.split("\t")[-1])
+    for line_no, line in _data_lines(path):
+        field = line.split("\t")[-1]
+        try:
+            value = float(field)
+        except ValueError:
+            value = math.nan
+        if not (math.isfinite(value) and value >= 0):
+            raise ValidationError(f"{path}:{line_no}: wall ms must be finite and >= 0: {field}")
+        total += value
     return total
 
 

@@ -80,6 +80,19 @@ class TestSynth:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
+    def test_negative_seed_exits_2(self, tmp_path, capsys, via_config):
+        # argparse does not convert defaults that --config installs, so the
+        # library has to refuse the seed
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": -1}))
+        seed = ["--config", str(cfg)] if via_config else ["--seed", "-1"]
+        code = main(SYNTH[:-2] + seed + ["--out", str(tmp_path / "x")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed" in err and "internal" not in err
+        assert not (tmp_path / "x").exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path, capsys):
@@ -429,6 +442,19 @@ class TestEvaluate:
         assert "absent.log" in err and "internal" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("wall_ms", ["garbage", "nan", "-5000"])
+    def test_malformed_train_log_exits_2(self, trained, tmp_path, capsys, wall_ms):
+        log = tmp_path / "bad.log"
+        log.write_text(f"# epoch\twall_ms\n1\t0.5\t0.5\t0.5\t0.5\t2.0\t{wall_ms}\n")
+        out = tmp_path / "report.json"
+        args = ["--data", str(trained), "--checkpoint", str(trained / "checkpoint.json")]
+        args += ["--train-log", str(log), "--out", str(out)]
+        code = main(EVAL_FAST + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "bad.log:2" in err and "internal" not in err
+        assert not out.exists()
+
     def test_genius_without_checkpoint_names_the_flag(self, trained, tmp_path, capsys):
         out = tmp_path / "report.json"
         code = main(EVAL_FAST + ["--data", str(trained), "--out", str(out)])
@@ -469,6 +495,12 @@ BAD_NUMBERS = [
     ("train", "--split 0.5 nan 0.5"),
     ("train", "--lr nan"),
     ("train", "--lr inf"),
+    ("train", "--hidden 0"),
+    ("train", "--hidden 8 -3"),
+    ("train", "--clusters -2"),
+    ("train", "--seed -1"),
+    ("evaluate", "--seed -1"),
+    ("evaluate", "--features 4 --seed -1"),
 ]
 
 

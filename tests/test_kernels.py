@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import net_from_dense
 from oracles import (
@@ -180,6 +182,53 @@ class TestMarginalizedKernel:
             marginalized_kernel(hot, hot, KernelConfig(termination=0.1))
 
 
+@st.composite
+def weighted_graphs(draw):
+    """0-5 nodes, edge weights from {1, 2}, self-loops, label rows from {0, 1}^2."""
+    n = draw(st.integers(0, 5))
+    weights = draw(st.lists(st.sampled_from([0.0, 1.0, 2.0]), min_size=n * n, max_size=n * n))
+    upper = np.triu(np.array(weights).reshape(n, n))  # keeps the diagonal: self-loops
+    label = st.sampled_from([(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)])
+    rows = draw(st.lists(label, min_size=n, max_size=n))
+    return LabeledGraph(
+        adjacency=upper + np.triu(upper, 1).T, labels=np.array(rows).reshape(n, 2)
+    )
+
+
+def edited_pair(seed):
+    """A random 6-10-node graph and a node-permuted copy with about a tenth of it redrawn."""
+    rng = np.random.default_rng(seed)
+
+    def draw(n):
+        upper = np.triu(rng.choice([0.0, 1.0, 2.0], size=(n, n), p=[0.6, 0.25, 0.15]))
+        return upper + np.triu(upper, 1).T, rng.integers(0, 2, size=(n, 3)).astype(float)
+
+    n1 = int(rng.integers(6, 11))
+    a1, l1 = draw(n1)
+    n2 = int(np.clip(n1 + rng.integers(-2, 3), 6, 10))
+    a2, l2 = draw(n2)
+    m = min(n1, n2)
+    keep = np.triu(rng.random((m, m)) < 0.9)
+    keep |= np.triu(keep, 1).T
+    a2[:m, :m] = np.where(keep, a1[:m, :m], a2[:m, :m])
+    l2[:m] = np.where(rng.random((m, 1)) < 0.9, l1[:m], l2[:m])
+    order = rng.permutation(n2)
+    return (
+        LabeledGraph(adjacency=a1, labels=l1),
+        LabeledGraph(adjacency=a2[np.ix_(order, order)], labels=l2[order]),
+    )
+
+
+# (seed, distance) for edited_pair(seed), computed with the search that preceded
+# the deletion-target rewrite
+PINNED_GED = [
+    (0, 3.0), (1, 5.0), (2, 1.0), (3, 9.0), (4, 8.0),
+    (5, 3.0), (6, 9.0), (7, 2.0), (8, 6.0), (9, 5.0),
+    (10, 9.0), (11, 1.0), (12, 7.0), (13, 5.0), (14, 2.0),
+    (15, 11.0), (16, 10.0), (17, 2.0), (18, 3.0), (19, 7.0),
+]
+
+
 class TestGraphEditDistance:
     def test_identity_is_zero(self):
         rng = np.random.default_rng(16)
@@ -198,21 +247,16 @@ class TestGraphEditDistance:
         g2 = LabeledGraph(adjacency=b, labels=labels)
         assert graph_edit_distance(g1, g2) == 1.0
 
-    def test_matches_brute_force_on_small_graphs(self):
-        rng = np.random.default_rng(17)
-        for _ in range(12):
-            n1 = int(rng.integers(1, 5))
-            n2 = int(rng.integers(1, 5))
-            # coarse labels so substitutions sometimes match
-            g1 = LabeledGraph(
-                adjacency=random_labeled_graph(rng, n1, 1).adjacency.round(),
-                labels=rng.integers(0, 2, size=(n1, 2)).astype(float),
-            )
-            g2 = LabeledGraph(
-                adjacency=random_labeled_graph(rng, n2, 1).adjacency.round(),
-                labels=rng.integers(0, 2, size=(n2, 2)).astype(float),
-            )
-            assert graph_edit_distance(g1, g2) == ged_brute(g1, g2)
+    @given(weighted_graphs(), weighted_graphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_brute_force_on_small_graphs(self, g1, g2):
+        assert graph_edit_distance(g1, g2) == ged_brute(g1, g2)
+
+    @pytest.mark.parametrize("seed, expected", PINNED_GED, ids=[str(s) for s, _ in PINNED_GED])
+    def test_pinned_distances_on_larger_graphs(self, seed, expected):
+        distance = graph_edit_distance(*edited_pair(seed))
+        assert type(distance) is float
+        assert distance == expected
 
     def test_metric_properties_on_small_graphs(self):
         rng = np.random.default_rng(18)
