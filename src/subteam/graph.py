@@ -28,6 +28,10 @@ from .errors import ParseError, ValidationError
 # these caps are refused instead.
 MAX_NODES = 1_000_000
 MAX_FEATURES = 100_000
+# generate_synthetic draws every node pair at once: 33 bytes per pair at its
+# traced peak, up to 221 when every pair becomes an edge (p_in = 1, one block).
+# This cap (n <= 4000) holds that peak under 1.8 GB; larger n is refused.
+MAX_SYNTH_PAIRS = 8_000_000
 
 
 def _canonical_csr(m) -> sp.csr_array:
@@ -382,7 +386,8 @@ def generate_synthetic(
     block owns a disjoint band of feature columns; every node activates a few
     in-band features plus occasional low-value cross-band noise. Teams draw
     members from a home block, with each seat having a 10% chance of being
-    filled cross-block. Output is a pure function of the arguments.
+    filled cross-block. Output is a pure function of the arguments. More than
+    ``MAX_SYNTH_PAIRS`` node pairs are refused before anything is allocated.
     """
     if not (0 <= p_out < p_in <= 1):
         raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -393,6 +398,11 @@ def generate_synthetic(
     if teams < 0:
         raise ValidationError("team count must be non-negative")
     check_seed(seed)
+    pairs = n * (n - 1) // 2
+    if pairs > MAX_SYNTH_PAIRS:
+        raise ValidationError(
+            f"n={n} has {pairs} node pairs to draw, over the cap of {MAX_SYNTH_PAIRS}"
+        )
     block_size = n // k_planted
     if block_size < 2:
         raise ValidationError("blocks need at least 2 nodes to host teams")

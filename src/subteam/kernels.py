@@ -13,8 +13,12 @@ One fixed-point solver serves both walk kernels. It works on a stack of
 second graphs against one shared first graph, and each slice of the stack
 stops on its own tolerance, so a slice's arithmetic is the same in any batch.
 The single-pair kernels call it with a batch of one; the whole-network
-baseline gathers its candidate teams as stacked arrays, in chunks of
-``BASELINE_BATCH``, and scores each chunk in one solve. A dense direct solve
+baseline gathers its candidate teams as stacked arrays and scores each chunk of
+them in one solve. A chunk holds as many candidates as keep each array it
+allocates within ``BASELINE_ENTRIES`` entries, so at team sizes of a few members
+one query's candidates form a single stack. Its label stacks are gathered a
+piece at a time instead of limiting the chunk, so that feature width does not
+change how the solver's work is chunked. A dense direct solve
 was measured and rejected: at team size 26 the product space has 676 unknowns,
 and one dense ``np.linalg.solve`` costs over a hundred times what a candidate
 costs in a batched fixed-point solve.
@@ -32,7 +36,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass
-from math import comb, isfinite
+from math import comb, isfinite, isqrt
 
 import numpy as np
 
@@ -46,7 +50,7 @@ SHORTEST_PATH_MAX_NODES = 64
 GED_MAX_NODES = 12
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITERS = 500_000
-BASELINE_BATCH = 64  # candidate teams per batched solve; keeps each stack small
+BASELINE_ENTRIES = 1 << 16  # float64 entries per array one baseline chunk allocates
 
 
 @dataclass(frozen=True)
@@ -98,16 +102,20 @@ def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndar
     raise ConvergenceError(f"product-space solve did not converge in {_SOLVE_MAX_ITERS} steps")
 
 
+def _label_products(g1: LabeledGraph, labels: np.ndarray, out=None) -> np.ndarray:
+    """(B, m1, m) label dot products of ``g1`` with each graph of a (B, m, d) label stack."""
+    return np.matmul(g1.labels, labels.transpose(0, 2, 1), out=out)
+
+
 def _random_walk_scores(
-    g1: LabeledGraph, adjacency: np.ndarray, labels: np.ndarray, cfg: KernelConfig
+    g1: LabeledGraph, adjacency: np.ndarray, lx: np.ndarray, cfg: KernelConfig
 ) -> np.ndarray:
     """Random-walk kernel of ``g1`` against each graph of a stack.
 
-    ``adjacency`` is (B, m, m) and ``labels`` (B, m, d). The spectral guard is
-    checked for the whole stack first; the error names the first graph that
-    breaks it.
+    ``adjacency`` is (B, m, m) and ``lx`` (B, m1, m) holds each graph's label
+    products from ``_label_products``. The spectral guard is checked for the
+    whole stack first; the error names the first graph that breaks it.
     """
-    lx = g1.labels @ labels.transpose(0, 2, 1)
     rs1 = g1.adjacency.sum(axis=1)
     rs2 = adjacency.sum(axis=2)
     bound = cfg.decay * (lx * (rs1[:, None] * rs2[:, None, :])).max(axis=(1, 2))
@@ -130,7 +138,8 @@ def random_walk_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) ->
     diagonal of pairwise label dot products, and returns y . w.
     """
     _require_compatible(g1, g2)
-    return float(_random_walk_scores(g1, g2.adjacency[None], g2.labels[None], cfg)[0])
+    lx = _label_products(g1, g2.labels[None])
+    return float(_random_walk_scores(g1, g2.adjacency[None], lx, cfg)[0])
 
 
 def _floyd_warshall(adjacency: np.ndarray) -> np.ndarray:
@@ -245,16 +254,44 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     return float(best)
 
 
-def _candidate_graphs(net: SocialNetwork, members: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (B, m, m) adjacency and (B, m, d) labels of the teams in the rows of ``members``.
+def _baseline_batch(m: int, r: int, d: int, outside: int) -> int:
+    """Candidates per baseline chunk: the most whose arrays fit ``BASELINE_ENTRIES``.
+
+    A chunk of B candidate teams of m members, r of them drawn from ``outside``
+    nodes with d features, is solved on (B, m, m) stacks. They are gathered from
+    the dense adjacency block (nodes x nodes) and feature rows (nodes x d) of
+    the chunk's nodes, at most (m - r) + min(B * r, outside) of them. Each of
+    these stays within the budget unless one candidate alone exceeds it; the
+    batch is never below 1. The batch depends on d only once the feature rows
+    bind, so teams of one size are solved in the same stacks at every feature
+    width; ``_candidate_graphs`` bounds the label stacks on its own.
+    """
+    batch = BASELINE_ENTRIES // (m * m)
+    side = min(isqrt(BASELINE_ENTRIES), BASELINE_ENTRIES // max(d, 1)) - (m - r)  # new nodes
+    if outside > side:
+        batch = min(batch, side // r)
+    return max(1, batch)
+
+
+def _candidate_graphs(
+    net: SocialNetwork, members: np.ndarray, g1: LabeledGraph
+) -> tuple[np.ndarray, np.ndarray]:
+    """Stacked (B, m, m) adjacency and (B, m1, m) label products with ``g1`` of ``members``' teams.
 
     Each row must be sorted, as a ``Team`` is. Both stacks are gathered from the
-    dense restriction of the network to the nodes the rows use.
+    dense restriction of the network to the nodes the rows use. The (B', m, d)
+    label stacks behind the label products are gathered and multiplied a piece
+    at a time, with B' the most rows within ``BASELINE_ENTRIES`` entries.
     """
     nodes = np.unique(members)
     local = np.searchsorted(nodes, members)
     adjacency = _dense_rows(net.adjacency, nodes, nodes)[local[:, :, None], local[:, None, :]]
-    return adjacency, _dense_rows(net.features, nodes)[local]
+    features = _dense_rows(net.features, nodes)
+    lx = np.empty((len(members), g1.size, members.shape[1]))
+    step = max(1, BASELINE_ENTRIES // (members.shape[1] * max(features.shape[1], 1)))
+    for i in range(0, len(members), step):
+        _label_products(g1, features[local[i : i + step]], out=lx[i : i + step])
+    return adjacency, lx
 
 
 def kernel_baseline_replace(
@@ -270,8 +307,9 @@ def kernel_baseline_replace(
     the candidate team, and keeps the combination whose new team graph has the
     highest kernel value against the original team graph. Ties keep the first
     combination in lexicographic order. ``similarity`` holds the raw kernel
-    value, which is not bounded by 1. Candidates are scored
-    ``BASELINE_BATCH`` at a time in one batched solve; each score equals
+    value, which is not bounded by 1. Candidates are scored in chunks sized by
+    ``_baseline_batch``, each in one batched solve, and every array a chunk
+    allocates stays within ``BASELINE_ENTRIES`` entries; each score equals
     ``random_walk_kernel`` of the original and the candidate team graph.
     """
     team.validate_for(net)
@@ -290,10 +328,11 @@ def kernel_baseline_replace(
     start = time.perf_counter()
     best_members: tuple[int, ...] | None = None
     best_score = -np.inf
+    batch = _baseline_batch(len(team), r, net.features.shape[1], len(outside))
     combos = itertools.combinations(outside, r)
-    while chunk := list(itertools.islice(combos, BASELINE_BATCH)):
+    while chunk := list(itertools.islice(combos, batch)):
         members = np.sort(np.hstack([np.tile(remaining, (len(chunk), 1)), chunk]), axis=1)
-        scores = _random_walk_scores(original, *_candidate_graphs(net, members), cfg)
+        scores = _random_walk_scores(original, *_candidate_graphs(net, members, original), cfg)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_score = float(scores[top])

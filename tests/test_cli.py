@@ -93,6 +93,14 @@ class TestSynth:
         assert "seed" in err and "internal" not in err
         assert not (tmp_path / "x").exists()
 
+    def test_too_many_node_pairs_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        code = main(["synth", "--n", "10000000", "--d", "1", "--clusters", "1", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "node pairs" in err and "internal" not in err
+        assert not out.exists()
+
 
 class TestTrain:
     def test_writes_checkpoint_and_log(self, tmp_path, capsys):

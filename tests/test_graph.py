@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
@@ -9,6 +11,7 @@ from oracles import normalize_adjacency_oracle
 from subteam import graph
 from subteam.errors import ParseError, ValidationError
 from subteam.graph import (
+    MAX_SYNTH_PAIRS,
     SocialNetwork,
     Team,
     generate_synthetic,
@@ -301,6 +304,18 @@ class TestGenerateSynthetic:
             generate_synthetic(n=20, d=8, k_planted=4, p_in=0.5, p_out=0.7, teams=1, seed=0)
         with pytest.raises(ValidationError):
             generate_synthetic(n=20, d=8, k_planted=4, p_in=1.0, p_out=1.5, teams=1, seed=0)
+
+    def test_pair_cap_refuses_before_allocating(self):
+        # n = 4000 has 7,998,000 pairs, within the cap; 4001 has 8,002,000
+        assert 4000 * 3999 // 2 <= MAX_SYNTH_PAIRS < 4001 * 4000 // 2
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValidationError, match="node pairs"):
+                generate_synthetic(n=4001, d=1, k_planted=1, p_in=0.5, p_out=0.0, teams=0, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_block_count_must_divide_n(self):
         with pytest.raises(ValidationError):

@@ -18,12 +18,14 @@ from oracles import (
     rw_kernel_series,
     sp_kernel_brute,
 )
+from subteam import kernels
 from subteam.errors import ConvergenceError, RefusalError, ValidationError
 from subteam.evaluate import run_comparison
 from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
 from subteam.kernels import (
-    BASELINE_BATCH,
+    BASELINE_ENTRIES,
     KernelConfig,
+    _baseline_batch,
     _candidate_graphs,
     _random_walk_scores,
     graph_edit_distance,
@@ -344,7 +346,7 @@ class TestBatchedBaseline:
     CFG = KernelConfig(decay=0.01)
 
     @pytest.mark.parametrize("departing", [(4,), (4, 10), (4, 10, 13)])
-    def test_every_batched_score_equals_single_pair_kernel(self, departing):
+    def test_every_batched_score_equals_single_pair_kernel(self, departing, monkeypatch):
         rng = np.random.default_rng(21)
         n = 16
         # nearly complete, with real weights, so the rounding depends on node order
@@ -359,16 +361,57 @@ class TestBatchedBaseline:
             random_walk_kernel(original, induced_subgraph(net, Team(remaining + c)), self.CFG)
             for c in combos
         ]
-        # one stack of every candidate, unlike the baseline's chunks
         members = np.sort(np.hstack([np.tile(remaining, (len(combos), 1)), combos]), axis=1)
-        batched = _random_walk_scores(original, *_candidate_graphs(net, members), self.CFG)
+        stacks = _candidate_graphs(net, members, original)
+        batched = _random_walk_scores(original, *stacks, self.CFG)
         assert all(b == s for b, s in zip(batched, singles))
-        result = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
         best = int(np.argmax(singles))
-        assert result.subteam == combos[best]
-        assert result.similarity == singles[best]
+        batch = _baseline_batch(len(team), len(departing), 3, len(outside))
+        assert batch >= len(combos)  # the baseline scores them in one stack
+        one_stack = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
+        monkeypatch.setattr(kernels, "BASELINE_ENTRIES", 400)
         if len(departing) == 3:
-            assert len(combos) > BASELINE_BATCH
+            batch = _baseline_batch(len(team), 3, 3, len(outside))
+            assert math.ceil(len(combos) / batch) >= 3
+        chunked = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
+        for result in (one_stack, chunked):
+            assert result.subteam == combos[best]
+            assert result.similarity == singles[best]
+
+    @pytest.mark.parametrize("entries", [27, BASELINE_ENTRIES], ids=["straddling", "one-stack"])
+    def test_tie_keeps_the_first_combination(self, entries, monkeypatch):
+        """Twins 5 and 6 gather identical stacks; 5 wins, even across a chunk boundary."""
+        n = 12
+        adjacency = np.zeros((n, n))
+        adjacency[0, 1] = adjacency[1, 0] = 1.0
+        for v in range(3, n):
+            adjacency[v, 0] = adjacency[0, v] = 1.0
+        for twin in (5, 6):
+            adjacency[twin, 1] = adjacency[1, twin] = 1.0
+        net = net_from_dense(adjacency, np.full((n, 2), 0.5))
+        team, departing = Team((0, 1, 2)), Team((2,))
+        original = induced_subgraph(net, team)
+        singles = {
+            v: random_walk_kernel(original, induced_subgraph(net, Team((0, 1, v))), self.CFG)
+            for v in range(3, n)
+        }
+        assert singles[5] == singles[6] == max(singles.values())
+        assert sum(s == singles[5] for s in singles.values()) == 2
+        monkeypatch.setattr(kernels, "BASELINE_ENTRIES", entries)
+        batch = _baseline_batch(3, 1, 2, n - 3)
+        # 5 and 6 are the outside nodes at positions 2 and 3
+        assert (2 // batch != 3 // batch) == (entries == 27)
+        result = kernel_baseline_replace(team, departing, net, self.CFG, budget=100)
+        assert result.subteam == (5,)
+        assert result.similarity == singles[5]
+
+    def test_featureless_network_scores_zero(self):
+        net = SocialNetwork(
+            adjacency=sp.csr_array(np.ones((6, 6)) - np.eye(6)), features=sp.csr_array((6, 0))
+        )
+        result = kernel_baseline_replace(Team((0, 1, 2)), Team((2,)), net, self.CFG, budget=10)
+        assert result.subteam == (3,)
+        assert result.similarity == 0.0
 
     @staticmethod
     def hot_net():
@@ -380,7 +423,8 @@ class TestBatchedBaseline:
             adjacency[hot, :3] = adjacency[:3, hot] = weight
         return net_from_dense(adjacency, np.full((n, 2), 0.5))
 
-    def test_guard_error_names_first_offending_combination(self):
+    @pytest.mark.parametrize("entries", [144, BASELINE_ENTRIES], ids=["later-chunk", "one-stack"])
+    def test_guard_error_names_first_offending_combination(self, entries, monkeypatch):
         net = self.hot_net()
         team = Team((0, 1, 2))
         original = induced_subgraph(net, team)
@@ -390,7 +434,13 @@ class TestBatchedBaseline:
                 random_walk_kernel(original, induced_subgraph(net, Team((0, 1, hot))), self.CFG)
             messages.append(str(single.value))
         assert messages[0] != messages[1]
-        # node 70 is the 68th outside node, so it is scored in the second chunk
+        monkeypatch.setattr(kernels, "BASELINE_ENTRIES", entries)
+        batch = _baseline_batch(3, 1, 2, 77)
+        # nodes 70 and 75 are the outside nodes at positions 67 and 72
+        if entries == 144:
+            assert 0 < 67 // batch < 72 // batch
+        else:
+            assert 72 < batch
         with pytest.raises(ConvergenceError) as batched:
             kernel_baseline_replace(team, Team((2,)), net, self.CFG, budget=1000)
         assert str(batched.value) == messages[0]
@@ -423,3 +473,47 @@ def test_baseline_allocates_no_n_by_n_array():
         tracemalloc.stop()
     assert result.candidates_examined == n - 3
     assert peak < n * n * 8 / 1000, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_baseline_batch_keeps_every_chunk_array_within_the_budget():
+    for m, r, d, outside in itertools.product(
+        range(1, 27), range(1, 4), (0, 1, 16, 128, 10_000), (1, 44, 20_000)
+    ):
+        if r > m:
+            continue
+
+        def sizes(batch):
+            nodes = (m - r) + min(batch * r, outside)
+            return batch * m * m, nodes * nodes, nodes * d
+
+        batch = _baseline_batch(m, r, d, outside)
+        assert batch >= 1
+        assert batch == 1 or max(sizes(batch)) <= BASELINE_ENTRIES, (m, r, d, outside)
+        # the largest such batch: one more candidate breaks a bound
+        assert max(sizes(batch + 1)) > BASELINE_ENTRIES, (m, r, d, outside)
+
+
+def test_baseline_label_stack_is_bounded_for_wide_features():
+    n, d = 500, 2_000
+    ring = np.arange(n)
+    nxt = (ring + 1) % n
+    net = SocialNetwork(
+        adjacency=sp.coo_array(
+            (np.ones(2 * n), (np.r_[ring, nxt], np.r_[nxt, ring])), shape=(n, n)
+        ),
+        features=sp.coo_array(
+            (np.random.default_rng(0).uniform(0.1, 0.4, n), (ring, ring * 7 % d)), shape=(n, d)
+        ),
+    )
+    team = Team(tuple(range(8)))
+    # 25 candidates per chunk, whose (25, 8, d) label stack alone is 6 budgets
+    assert _baseline_batch(8, 1, d, n - 8) * 8 * d > 6 * BASELINE_ENTRIES
+    tracemalloc.start()
+    try:
+        result = kernel_baseline_replace(team, Team((3,)), net, CFG, budget=n)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.candidates_examined == n - 8
+    # the chunk's feature rows and one piece of its label stack are held at once
+    assert peak < 3 * BASELINE_ENTRIES * 8, f"traced peak {peak / 1e6:.2f} MB"
