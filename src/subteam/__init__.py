@@ -2,7 +2,6 @@
 
 from .encoder import (
     ClusterModel,
-    EncoderDims,
     EncoderParams,
     build_containers,
     default_cluster_count,
@@ -53,7 +52,6 @@ from .kernels import (
     shortest_path_kernel,
 )
 from .objectives import (
-    LossReport,
     LossWeights,
     clustering_loss,
     contrastive_loss,
@@ -67,7 +65,6 @@ from .objectives import (
 from .recommender import ReplacementResult, recommend
 from .trainer import (
     TrainConfig,
-    gradient_check,
     gradient_check_report,
     sample_subteam,
     split_teams,

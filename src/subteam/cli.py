@@ -125,15 +125,13 @@ def cmd_recommend(args) -> int:
     if args.json:
         doc = {
             "members": list(result.subteam),
-            "names": [net.name_of(v) for v in result.subteam],
             "similarity": result.similarity,
             "candidates_examined": result.candidates_examined,
             "elapsed_ms": result.elapsed_ms,
         }
         print(json.dumps(doc, indent=2))
     else:
-        shown = ", ".join(f"{v} ({net.name_of(v)})" for v in result.subteam)
-        print(f"members: {shown}")
+        print(f"members: {', '.join(map(str, result.subteam))}")
         print(f"similarity: {result.similarity:.6f}")
         print(f"candidates examined: {result.candidates_examined}")
         print(f"elapsed: {result.elapsed_ms:.3f} ms")

@@ -260,11 +260,7 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
         raise ValidationError(f"d_sub={d_sub} outside [0, {net.d}]")
     check_seed(seed)
     cols = np.sort(np.random.default_rng(seed).choice(net.d, size=d_sub, replace=False))
-    return SocialNetwork(
-        adjacency=net.adjacency,
-        features=net.features[:, cols],
-        node_names=net.node_names,
-    )
+    return SocialNetwork(adjacency=net.adjacency, features=net.features[:, cols])
 
 
 def draw_cases(teams, percentages, seed: int):

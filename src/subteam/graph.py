@@ -59,7 +59,6 @@ class SocialNetwork:
 
     adjacency: sp.csr_array
     features: sp.csr_array
-    node_names: dict[int, str] | None = None
 
     def __post_init__(self):
         adj = _canonical_csr(self.adjacency)
@@ -87,18 +86,12 @@ class SocialNetwork:
     def d(self) -> int:
         return self.features.shape[1]
 
-    def name_of(self, node: int) -> str:
-        if self.node_names and node in self.node_names:
-            return self.node_names[node]
-        return str(node)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, SocialNetwork):
             return NotImplemented
         return (
             _csr_equal(self.adjacency, other.adjacency)
             and _csr_equal(self.features, other.features)
-            and self.node_names == other.node_names
         )
 
 
@@ -387,7 +380,8 @@ def generate_synthetic(
     in-band features plus occasional low-value cross-band noise. Teams draw
     members from a home block, with each seat having a 10% chance of being
     filled cross-block. Output is a pure function of the arguments. More than
-    ``MAX_SYNTH_PAIRS`` node pairs are refused before anything is allocated.
+    ``MAX_SYNTH_PAIRS`` node pairs, or more than ``MAX_FEATURES`` features, are
+    refused before anything is allocated.
     """
     if not (0 <= p_out < p_in <= 1):
         raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -395,6 +389,8 @@ def generate_synthetic(
         raise ValidationError(f"k_planted={k_planted} must divide n={n}")
     if d < k_planted:
         raise ValidationError(f"need at least one feature per block (d={d}, k={k_planted})")
+    if d > MAX_FEATURES:
+        raise ValidationError(f"d={d} is over the feature cap of {MAX_FEATURES}")
     if teams < 0:
         raise ValidationError("team count must be non-negative")
     check_seed(seed)

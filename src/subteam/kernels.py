@@ -14,14 +14,16 @@ second graphs against one shared first graph, and each slice of the stack
 stops on its own tolerance, so a slice's arithmetic is the same in any batch.
 The single-pair kernels call it with a batch of one; the whole-network
 baseline gathers its candidate teams as stacked arrays and scores each chunk of
-them in one solve. A chunk holds as many candidates as keep each array it
-allocates within ``BASELINE_ENTRIES`` entries, so at team sizes of a few members
-one query's candidates form a single stack. Its label stacks are gathered a
-piece at a time instead of limiting the chunk, so that feature width does not
-change how the solver's work is chunked. A dense direct solve
-was measured and rejected: at team size 26 the product space has 676 unknowns,
-and one dense ``np.linalg.solve`` costs over a hundred times what a candidate
-costs in a batched fixed-point solve.
+them in one solve. Its label products are formed once per query, one row per
+network node, straight from the sparse feature rows, and each chunk gathers its
+stack from them; the random-walk kernel forms its products the same way, so
+every baseline score equals the single-pair kernel bit for bit. A chunk holds as
+many candidates as keep each array it allocates within ``BASELINE_ENTRIES``
+entries, so at team sizes of a few members one query's candidates form a single
+stack at any feature width. A dense direct solve was measured and rejected: at
+team size 26 the product space has 676 unknowns, and one dense
+``np.linalg.solve`` costs over a hundred times what a candidate costs in a
+batched fixed-point solve.
 
 The exact edit distance assigns g1's nodes in order by depth-first branch and
 bound. One extra target stands for deleting a node: a zero row and column
@@ -39,6 +41,7 @@ from dataclasses import dataclass
 from math import comb, isfinite, isqrt
 
 import numpy as np
+import scipy.sparse as sp
 
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
@@ -102,9 +105,13 @@ def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndar
     raise ConvergenceError(f"product-space solve did not converge in {_SOLVE_MAX_ITERS} steps")
 
 
-def _label_products(g1: LabeledGraph, labels: np.ndarray, out=None) -> np.ndarray:
-    """(B, m1, m) label dot products of ``g1`` with each graph of a (B, m, d) label stack."""
-    return np.matmul(g1.labels, labels.transpose(0, 2, 1), out=out)
+def _label_products(features: sp.csr_array, g1: LabeledGraph) -> np.ndarray:
+    """(n, m1) label dot products of each CSR feature row with ``g1``'s labels.
+
+    Each entry sums over the row's nonzeros in column order, so equal rows give
+    equal bits wherever they come from, whatever the BLAS build.
+    """
+    return features @ g1.labels.T
 
 
 def _random_walk_scores(
@@ -138,7 +145,7 @@ def random_walk_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) ->
     diagonal of pairwise label dot products, and returns y . w.
     """
     _require_compatible(g1, g2)
-    lx = _label_products(g1, g2.labels[None])
+    lx = np.ascontiguousarray(_label_products(sp.csr_array(g2.labels), g1).T[None])
     return float(_random_walk_scores(g1, g2.adjacency[None], lx, cfg)[0])
 
 
@@ -254,44 +261,37 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     return float(best)
 
 
-def _baseline_batch(m: int, r: int, d: int, outside: int) -> int:
+def _baseline_batch(m: int, r: int, outside: int) -> int:
     """Candidates per baseline chunk: the most whose arrays fit ``BASELINE_ENTRIES``.
 
     A chunk of B candidate teams of m members, r of them drawn from ``outside``
-    nodes with d features, is solved on (B, m, m) stacks. They are gathered from
-    the dense adjacency block (nodes x nodes) and feature rows (nodes x d) of
-    the chunk's nodes, at most (m - r) + min(B * r, outside) of them. Each of
-    these stays within the budget unless one candidate alone exceeds it; the
-    batch is never below 1. The batch depends on d only once the feature rows
-    bind, so teams of one size are solved in the same stacks at every feature
-    width; ``_candidate_graphs`` bounds the label stacks on its own.
+    nodes, is solved on (B, m, m) stacks. Its adjacency stack is gathered from
+    the dense adjacency block (nodes x nodes) of the chunk's nodes, at most
+    (m - r) + min(B * r, outside) of them. Each of these stays within the budget
+    unless one candidate alone exceeds it; the batch is never below 1.
     """
     batch = BASELINE_ENTRIES // (m * m)
-    side = min(isqrt(BASELINE_ENTRIES), BASELINE_ENTRIES // max(d, 1)) - (m - r)  # new nodes
+    side = isqrt(BASELINE_ENTRIES) - (m - r)  # new nodes
     if outside > side:
         batch = min(batch, side // r)
     return max(1, batch)
 
 
 def _candidate_graphs(
-    net: SocialNetwork, members: np.ndarray, g1: LabeledGraph
+    net: SocialNetwork, members: np.ndarray, products: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Stacked (B, m, m) adjacency and (B, m1, m) label products with ``g1`` of ``members``' teams.
+    """Stacked (B, m, m) adjacency and (B, m1, m) label products of ``members``' teams.
 
-    Each row must be sorted, as a ``Team`` is. Both stacks are gathered from the
-    dense restriction of the network to the nodes the rows use. The (B', m, d)
-    label stacks behind the label products are gathered and multiplied a piece
-    at a time, with B' the most rows within ``BASELINE_ENTRIES`` entries.
+    Each row must be sorted, as a ``Team`` is. The adjacency stack is gathered
+    from the dense restriction of the network to the nodes the rows use, and
+    the label stack from ``products``, the (n, m1) ``_label_products`` of the
+    network's feature rows.
     """
     nodes = np.unique(members)
     local = np.searchsorted(nodes, members)
     adjacency = _dense_rows(net.adjacency, nodes, nodes)[local[:, :, None], local[:, None, :]]
-    features = _dense_rows(net.features, nodes)
-    lx = np.empty((len(members), g1.size, members.shape[1]))
-    step = max(1, BASELINE_ENTRIES // (members.shape[1] * max(features.shape[1], 1)))
-    for i in range(0, len(members), step):
-        _label_products(g1, features[local[i : i + step]], out=lx[i : i + step])
-    return adjacency, lx
+    # a contiguous copy: the solver's elementwise steps run about 10% slower on a view
+    return adjacency, np.ascontiguousarray(products[members].transpose(0, 2, 1))
 
 
 def kernel_baseline_replace(
@@ -328,11 +328,12 @@ def kernel_baseline_replace(
     start = time.perf_counter()
     best_members: tuple[int, ...] | None = None
     best_score = -np.inf
-    batch = _baseline_batch(len(team), r, net.features.shape[1], len(outside))
+    products = _label_products(net.features, original)
+    batch = _baseline_batch(len(team), r, len(outside))
     combos = itertools.combinations(outside, r)
     while chunk := list(itertools.islice(combos, batch)):
         members = np.sort(np.hstack([np.tile(remaining, (len(chunk), 1)), chunk]), axis=1)
-        scores = _random_walk_scores(original, *_candidate_graphs(net, members, original), cfg)
+        scores = _random_walk_scores(original, *_candidate_graphs(net, members, products), cfg)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_score = float(scores[top])

@@ -3,7 +3,7 @@
 The encoder forward pass is :func:`subteam.encoder.forward`, and each loss
 term's value and gradient come from one function in :mod:`subteam.objectives`.
 This module adds the chain rule through the cluster head and the layers; the
-result is verified against central finite differences by :func:`gradient_check`.
+result is verified against central finite differences by :func:`gradient_check_report`.
 The whole loop is deterministic for a fixed seed: identical configuration and
 data reproduce bit-identical parameters.
 """
@@ -342,15 +342,3 @@ def gradient_check_report(
             worst = max(worst, float(err.max()))
         report[name] = worst
     return report
-
-
-def gradient_check(
-    net: SocialNetwork,
-    teams,
-    params: EncoderParams,
-    eps: float = 1e-4,
-    weights: LossWeights | None = None,
-    seed: int = 0,
-) -> float:
-    """Worst relative error over every loss term and the weighted total."""
-    return max(gradient_check_report(net, teams, params, eps, weights, seed).values())

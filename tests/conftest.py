@@ -5,11 +5,10 @@ import scipy.sparse as sp
 from subteam.graph import SocialNetwork
 
 
-def net_from_dense(adjacency, features, node_names=None) -> SocialNetwork:
+def net_from_dense(adjacency, features) -> SocialNetwork:
     return SocialNetwork(
         adjacency=sp.csr_array(np.asarray(adjacency, dtype=float)),
         features=sp.csr_array(np.asarray(features, dtype=float)),
-        node_names=node_names,
     )
 
 

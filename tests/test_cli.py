@@ -93,12 +93,19 @@ class TestSynth:
         assert "seed" in err and "internal" not in err
         assert not (tmp_path / "x").exists()
 
-    def test_too_many_node_pairs_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "n, d, clusters, message",
+        [(10_000_000, 1, 1, "node pairs"), (24, 200_000, 4, "feature cap")],
+        ids=["node-pairs", "features"],
+    )
+    def test_size_over_a_cap_exits_2(self, tmp_path, capsys, n, d, clusters, message):
         out = tmp_path / "x"
-        code = main(["synth", "--n", "10000000", "--d", "1", "--clusters", "1", "--out", str(out)])
+        code = main(
+            ["synth", "--n", str(n), "--d", str(d), "--clusters", str(clusters), "--out", str(out)]
+        )
         err = capsys.readouterr().err
         assert code == 2
-        assert "node pairs" in err and "internal" not in err
+        assert message in err and "internal" not in err
         assert not out.exists()
 
 

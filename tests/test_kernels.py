@@ -21,12 +21,13 @@ from oracles import (
 from subteam import kernels
 from subteam.errors import ConvergenceError, RefusalError, ValidationError
 from subteam.evaluate import run_comparison
-from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
+from subteam.graph import MAX_FEATURES, LabeledGraph, SocialNetwork, Team, induced_subgraph
 from subteam.kernels import (
     BASELINE_ENTRIES,
     KernelConfig,
     _baseline_batch,
     _candidate_graphs,
+    _label_products,
     _random_walk_scores,
     graph_edit_distance,
     kernel_baseline_replace,
@@ -345,13 +346,22 @@ class TestKernelBaseline:
 class TestBatchedBaseline:
     CFG = KernelConfig(decay=0.01)
 
+    @pytest.mark.parametrize("sparse", [False, True], ids=["dense-features", "sparse-features"])
     @pytest.mark.parametrize("departing", [(4,), (4, 10), (4, 10, 13)])
-    def test_every_batched_score_equals_single_pair_kernel(self, departing, monkeypatch):
+    def test_every_batched_score_equals_single_pair_kernel(self, departing, sparse, monkeypatch):
         rng = np.random.default_rng(21)
         n = 16
         # nearly complete, with real weights, so the rounding depends on node order
         upper = np.triu((rng.random((n, n)) < 0.95) * rng.uniform(0.5, 1.5, (n, n)), 1)
-        net = net_from_dense(upper + upper.T, rng.uniform(0, 0.4, size=(n, 3)))
+        if sparse:
+            # rows of several nonzeros with zeros between them, so the exact
+            # comparison covers the order in which each row's nonzeros are summed
+            features = (rng.random((n, 12)) < 0.5) * rng.uniform(0.01, 0.3, (n, 12))
+            assert ((features > 0).sum(axis=1) >= 3).all()
+            assert ((features[:, :-2] > 0) & (features[:, 1:-1] == 0) & (features[:, 2:] > 0)).any()
+        else:
+            features = rng.uniform(0, 0.4, size=(n, 3))
+        net = net_from_dense(upper + upper.T, features)
         team = Team((1, 4, 7, 10, 13))
         remaining = tuple(v for v in team.members if v not in departing)
         outside = [v for v in range(n) if v not in team]  # new members sort between old ones
@@ -362,16 +372,16 @@ class TestBatchedBaseline:
             for c in combos
         ]
         members = np.sort(np.hstack([np.tile(remaining, (len(combos), 1)), combos]), axis=1)
-        stacks = _candidate_graphs(net, members, original)
+        stacks = _candidate_graphs(net, members, _label_products(net.features, original))
         batched = _random_walk_scores(original, *stacks, self.CFG)
         assert all(b == s for b, s in zip(batched, singles))
         best = int(np.argmax(singles))
-        batch = _baseline_batch(len(team), len(departing), 3, len(outside))
+        batch = _baseline_batch(len(team), len(departing), len(outside))
         assert batch >= len(combos)  # the baseline scores them in one stack
         one_stack = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
         monkeypatch.setattr(kernels, "BASELINE_ENTRIES", 400)
         if len(departing) == 3:
-            batch = _baseline_batch(len(team), 3, 3, len(outside))
+            batch = _baseline_batch(len(team), 3, len(outside))
             assert math.ceil(len(combos) / batch) >= 3
         chunked = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
         for result in (one_stack, chunked):
@@ -398,7 +408,7 @@ class TestBatchedBaseline:
         assert singles[5] == singles[6] == max(singles.values())
         assert sum(s == singles[5] for s in singles.values()) == 2
         monkeypatch.setattr(kernels, "BASELINE_ENTRIES", entries)
-        batch = _baseline_batch(3, 1, 2, n - 3)
+        batch = _baseline_batch(3, 1, n - 3)
         # 5 and 6 are the outside nodes at positions 2 and 3
         assert (2 // batch != 3 // batch) == (entries == 27)
         result = kernel_baseline_replace(team, departing, net, self.CFG, budget=100)
@@ -435,7 +445,7 @@ class TestBatchedBaseline:
             messages.append(str(single.value))
         assert messages[0] != messages[1]
         monkeypatch.setattr(kernels, "BASELINE_ENTRIES", entries)
-        batch = _baseline_batch(3, 1, 2, 77)
+        batch = _baseline_batch(3, 1, 77)
         # nodes 70 and 75 are the outside nodes at positions 67 and 72
         if entries == 144:
             assert 0 < 67 // batch < 72 // batch
@@ -476,28 +486,26 @@ def test_baseline_allocates_no_n_by_n_array():
 
 
 def test_baseline_batch_keeps_every_chunk_array_within_the_budget():
-    for m, r, d, outside in itertools.product(
-        range(1, 27), range(1, 4), (0, 1, 16, 128, 10_000), (1, 44, 20_000)
-    ):
+    for m, r, outside in itertools.product(range(1, 27), range(1, 4), (1, 44, 20_000)):
         if r > m:
             continue
 
         def sizes(batch):
             nodes = (m - r) + min(batch * r, outside)
-            return batch * m * m, nodes * nodes, nodes * d
+            return batch * m * m, nodes * nodes
 
-        batch = _baseline_batch(m, r, d, outside)
+        batch = _baseline_batch(m, r, outside)
         assert batch >= 1
-        assert batch == 1 or max(sizes(batch)) <= BASELINE_ENTRIES, (m, r, d, outside)
+        assert batch == 1 or max(sizes(batch)) <= BASELINE_ENTRIES, (m, r, outside)
         # the largest such batch: one more candidate breaks a bound
-        assert max(sizes(batch + 1)) > BASELINE_ENTRIES, (m, r, d, outside)
+        assert max(sizes(batch + 1)) > BASELINE_ENTRIES, (m, r, outside)
 
 
-def test_baseline_label_stack_is_bounded_for_wide_features():
-    n, d = 500, 2_000
+def wide_ring(d: int, n: int = 500) -> SocialNetwork:
+    """A ring of n nodes, each with one feature out of d."""
     ring = np.arange(n)
     nxt = (ring + 1) % n
-    net = SocialNetwork(
+    return SocialNetwork(
         adjacency=sp.coo_array(
             (np.ones(2 * n), (np.r_[ring, nxt], np.r_[nxt, ring])), shape=(n, n)
         ),
@@ -505,15 +513,33 @@ def test_baseline_label_stack_is_bounded_for_wide_features():
             (np.random.default_rng(0).uniform(0.1, 0.4, n), (ring, ring * 7 % d)), shape=(n, d)
         ),
     )
+
+
+def test_baseline_label_stack_is_bounded_for_wide_features():
+    net = wide_ring(2_000)
     team = Team(tuple(range(8)))
-    # 25 candidates per chunk, whose (25, 8, d) label stack alone is 6 budgets
-    assert _baseline_batch(8, 1, d, n - 8) * 8 * d > 6 * BASELINE_ENTRIES
     tracemalloc.start()
     try:
-        result = kernel_baseline_replace(team, Team((3,)), net, CFG, budget=n)
+        result = kernel_baseline_replace(team, Team((3,)), net, CFG, budget=net.n)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result.candidates_examined == n - 8
-    # the chunk's feature rows and one piece of its label stack are held at once
+    assert result.candidates_examined == net.n - 8
     assert peak < 3 * BASELINE_ENTRIES * 8, f"traced peak {peak / 1e6:.2f} MB"
+
+
+def test_baseline_chunks_do_not_depend_on_feature_width(monkeypatch):
+    solves = []
+
+    def counted(*args):
+        solves.append(args[1].shape[0])
+        return _random_walk_scores(*args)
+
+    monkeypatch.setattr(kernels, "_random_walk_scores", counted)
+    chunks = []
+    for d in (16, MAX_FEATURES):
+        solves.clear()
+        result = kernel_baseline_replace(Team(tuple(range(8))), Team((3,)), wide_ring(d), CFG, 500)
+        assert sum(solves) == result.candidates_examined == 492
+        chunks.append(len(solves))
+    assert chunks[0] == chunks[1]
