@@ -4,10 +4,12 @@ Candidate tuples are drawn from the clusters of the departing members, so a
 search touches at most (largest cluster)^(departing size) tuples instead of
 the whole network. A tuple's candidate is its set of members outside the
 original team, so the recommended set is never larger than the departing one.
-The product is scored in numpy blocks of ``CHUNK`` tuples, so memory stays
-bounded whatever the tuple count; a search over more than
-``DEFAULT_SEARCH_BUDGET`` tuples refuses before it starts instead of running
-for hours.
+The product is walked in numpy blocks of ``CHUNK`` tuples, so memory stays
+bounded whatever the tuple count. Departing members that share a cluster draw
+from one pool, so a block scores only the tuples whose pool indices do not
+decrease along each such group: every member multiset is scored once. A
+search over more than ``DEFAULT_SEARCH_BUDGET`` product tuples refuses before
+it starts instead of running for hours.
 """
 
 from __future__ import annotations
@@ -23,9 +25,10 @@ from .errors import RefusalError, ValidationError
 from .graph import SocialNetwork, Team
 from .objectives import cosine_rows, ordered_sum, team_embedding
 
-# about 3 s of scoring at 0.3 us per tuple (r=3, 32-wide embeddings, one core)
+# counts product tuples: about 5 s at 0.5 us per tuple when r=3 members depart
+# from three clusters (32-wide embeddings, one core), 1 s from one shared cluster
 DEFAULT_SEARCH_BUDGET = 10_000_000
-# tuples scored per numpy block; a search holds O(CHUNK * (r + d)) values at once
+# product tuples per numpy block; a search holds O(CHUNK * (r + d)) values at once
 CHUNK = 2048
 
 
@@ -71,18 +74,22 @@ def recommend(
     hard-assigned to (lexicographically over the sorted cluster lists), drops
     original-team members from each tuple, and scores each tuple's remaining
     member set by cosine against the remaining-team embedding. Ties keep the
-    first candidate in enumeration order. Tuples that name the same member
-    set are scored again rather than skipped: they get the identical score,
-    so they never change the answer, and ``candidates_examined`` counts every
-    tuple that kept at least one member, duplicates included. Refuses with
-    :class:`RefusalError`, before enumerating anything, when the product holds
-    more than ``DEFAULT_SEARCH_BUDGET`` tuples.
+    first candidate in enumeration order. Within a cluster that several
+    departing members share, each member multiset is scored once, in product
+    order, at the tuple whose pool indices do not decrease within the
+    cluster. That tuple comes first among the multiset's orderings, which all
+    get the identical score, so skipping the others never changes the
+    answer. ``candidates_examined`` still counts every product tuple that
+    kept at least one member, duplicates included. Refuses with
+    :class:`RefusalError`, before enumerating anything, when the product
+    holds more than ``DEFAULT_SEARCH_BUDGET`` tuples.
     """
     team.validate_for(net)
     remaining = _check_replacement_inputs(team, departing)
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
-    pools = [model.containers[int(model.hard[t])] for t in departing]
+    clusters = [int(model.hard[t]) for t in departing]
+    pools = [model.containers[c] for c in clusters]
     shape = tuple(len(pool) for pool in pools)
     total = prod(shape)
     if total > DEFAULT_SEARCH_BUDGET:
@@ -105,13 +112,32 @@ def recommend(
     at = np.minimum(np.searchsorted(members, nodes), len(members) - 1)
     local = np.where(members[at] == nodes, blank, np.arange(blank))
     local_pools = [local[np.searchsorted(nodes, pool)] for pool in pools]
+    # departing members that share a cluster draw from one pool; link each
+    # position to the previous one of its group, with its rank in the group
+    links = []
+    for j, c in enumerate(clusters):
+        group = [i for i in range(j) if clusters[i] == c]
+        if group:
+            links.append((group[-1], j, len(group) + 1))
 
     examined = 0
     best_row: list[int] | None = None
     best_score = -np.inf
     for lo in range(0, total, CHUNK):
-        flat = np.arange(lo, min(lo + CHUNK, total))
-        cols = [pool[ix] for pool, ix in zip(local_pools, np.unravel_index(flat, shape))]
+        ix = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), shape)
+        if links:
+            # keep the canonical tuples: pool indices non-decreasing along each group
+            keep = np.logical_and.reduce([ix[prev] <= ix[j] for prev, j, _ in links])
+            if not keep.any():
+                continue
+            ix = [i[keep] for i in ix]
+            # a kept tuple stands for its distinct orderings within the groups,
+            # g! / prod(run length)! per group, built up one position at a time
+            orderings, runs = 1, {}
+            for prev, j, k in links:
+                runs[j] = np.where(ix[prev] == ix[j], runs.get(prev, 1) + 1, 1)
+                orderings = orderings * k // runs[j]
+        cols = [pool[i] for pool, i in zip(local_pools, ix)]
         # sort each tuple with a bubble-sort network over the columns, then blank repeats
         for end in range(len(cols) - 1, 0, -1):
             for j in range(end):
@@ -126,7 +152,7 @@ def recommend(
         sums /= np.maximum(counts, 1)[:, None]
         scores = cosine_rows(reference, sums)
         scores[counts == 0] = -np.inf
-        examined += int(np.count_nonzero(counts))
+        examined += int(orderings[counts > 0].sum()) if links else int(np.count_nonzero(counts))
         first = int(np.argmax(scores))
         if scores[first] > best_score:
             best_score = scores[first]

@@ -35,6 +35,19 @@ def blank_net(n, d=2):
     return net_from_dense(np.zeros((n, n)), np.ones((n, d)))
 
 
+def count_scored_rows(monkeypatch) -> list[int]:
+    """Record the row count of every ``cosine_rows`` call the search makes."""
+    rows = []
+    score = recommender.cosine_rows
+
+    def counting(u, vs):
+        rows.append(len(vs))
+        return score(u, vs)
+
+    monkeypatch.setattr(recommender, "cosine_rows", counting)
+    return rows
+
+
 def product_search_oracle(team, departing, model):
     """Independent re-enumeration of the per-member cluster product semantics.
 
@@ -225,6 +238,24 @@ class TestRecommend:
         bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
         assert peak < bound < 60**3 * 8 * (len(departing) + d) / 10
 
+    def test_peak_memory_set_by_chunk_for_one_shared_pool(self):
+        # all three departing members in one 150-node cluster: 3,375,000 tuples
+        d = 8
+        z = np.random.default_rng(7).normal(size=(151, d))
+        model = rig_model(z, np.repeat([1, 2], [150, 1]), 2)
+        team, departing = Team((0, 1, 2, 150)), Team((0, 1, 2))
+        net = blank_net(151)
+        tracemalloc.start()
+        try:
+            result = recommend(team, departing, model, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the 27 tuples made only of departing members collapse to nothing
+        assert result.candidates_examined == 150**3 - 27
+        bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
+        assert peak < bound
+
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         z = np.random.default_rng(6).normal(size=(9, 3))
         model = rig_model(z, [1, 1, 1, 2, 2, 2, 3, 3, 3], 3)
@@ -235,6 +266,48 @@ class TestRecommend:
         monkeypatch.setattr(recommender, "DEFAULT_SEARCH_BUDGET", 8)
         with pytest.raises(RefusalError, match="9 tuples exceeds budget 8"):
             recommend(team, departing, model, net)
+
+    @pytest.mark.parametrize(
+        "departing, scored",
+        [
+            ((0, 1, 2), math.comb(22, 3)),  # 1540 multisets of 20 nodes, not 8000 tuples
+            ((0, 1, 20), math.comb(21, 2) * 20),  # 210 pairs of one pool times 20
+            ((0,), 20),
+        ],
+        ids=["r3-one-cluster", "r3-two-clusters", "r1"],
+    )
+    def test_each_multiset_is_scored_once(self, monkeypatch, departing, scored):
+        # clusters 0-19 and 20-39; node 40, alone in a third, stays in the team
+        rows = count_scored_rows(monkeypatch)
+        z = np.random.default_rng(8).normal(size=(41, 4))
+        model = rig_model(z, np.repeat([1, 2, 3], [20, 20, 1]), 3)
+        team = Team((*departing, 40))
+        result = recommend(team, Team(departing), model, blank_net(41))
+        assert sum(rows) == scored
+        assert result.candidates_examined == product_search_oracle(team, Team(departing), model)[2]
+
+    @pytest.mark.parametrize("chunk", [recommender.CHUNK, 7])
+    def test_tie_rule_with_interleaved_groups(self, monkeypatch, chunk):
+        # departing 1, 3, 5 sit in clusters A, B, A in position order; A has
+        # 10 nodes and B 3, so 7-tuple chunks from flat index 280 keep none
+        monkeypatch.setattr(recommender, "CHUNK", chunk)
+        rows = count_scored_rows(monkeypatch)
+        hard = [1, 1, 1, 2, 1, 1, 1, 1, 1, 1, 1, 2, 2, 3]
+        z = np.random.default_rng(9).normal(size=(14, 2))
+        # nodes 8 (in A) and 11 (in B) duplicate the remaining member's row, so
+        # {8}, {11} and {8, 11} tie at the top; the first tie is the tuple
+        # (1, 3, 8), which collapses onto team members 1 and 3 (the blank row)
+        z[8] = z[11] = z[13] = [0.9, 0.3]
+        model = rig_model(z, hard, 3)
+        team, departing = Team((1, 3, 5, 13)), Team((1, 3, 5))
+        result = recommend(team, departing, model, blank_net(14))
+        members, score, examined = product_search_oracle(team, departing, model)
+        assert members == (8,)
+        assert result.subteam == members
+        assert result.similarity == score
+        assert result.candidates_examined == examined
+        if chunk == 7:
+            assert len(rows) < math.ceil(10 * 3 * 10 / chunk)  # a chunk was emptied
 
 
 class TestExhaustiveOracle:
