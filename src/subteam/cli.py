@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 1 internal error, 2 validation/parse failure (a missing
 input file included) or a search refused by its budget, 3 no candidate found,
-4 empty evaluation. Flags
-always win over the optional JSON config file (``--config``), whose keys must
-match flag names with dashes replaced by underscores; unknown keys are rejected.
+4 empty evaluation. The optional JSON config file (``--config``) holds flag
+values keyed by flag name with dashes replaced by underscores; they are parsed
+as flags placed before the command line's own, so explicit flags win. Unknown
+keys are rejected.
 """
 
 from __future__ import annotations
@@ -256,15 +257,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     return parser, commands
 
 
-def _apply_config(argv, parser, commands) -> None:
-    """Install config-file values as subparser defaults so explicit flags win."""
+def _config_value(key: str, value) -> str:
+    if isinstance(value, bool) or not isinstance(value, (str, int, float)):
+        raise ValidationError(f"config key {key}: {json.dumps(value)} is not a flag value")
+    return str(value)
+
+
+def _with_config(argv, parser, commands) -> list[str]:
+    """``argv`` with the ``--config`` file's values as flags before the command's own.
+
+    argparse then converts config values as it converts flags, and a flag
+    given on the command line comes later, so it wins.
+    """
     if not argv or argv[0] not in commands:
-        return
+        return argv
     command = argv[0]
     ns, _ = parser.parse_known_args(argv)
     config_path = getattr(ns, "config", None)
     if not config_path:
-        return
+        return argv
     _input_file(config_path, "--config")
     try:
         with open(config_path, encoding="utf-8") as fh:
@@ -273,20 +284,35 @@ def _apply_config(argv, parser, commands) -> None:
         raise ValidationError(f"malformed config {config_path}: {exc}") from exc
     if not isinstance(values, dict):
         raise ValidationError(f"config {config_path} must hold a JSON object")
-    subparser = commands[command]
-    known = {action.dest for action in subparser._actions}
-    unknown = sorted(set(values) - known)
+    actions = {
+        action.dest: action
+        for action in commands[command]._actions
+        if action.dest not in ("help", "config")
+    }
+    unknown = sorted(set(values) - set(actions))
     if unknown:
         raise ValidationError(f"unknown config keys for {command}: {', '.join(unknown)}")
-    subparser.set_defaults(**values)
+    tokens = []
+    for key, value in values.items():
+        flag = actions[key].option_strings[0]
+        nargs = actions[key].nargs
+        if nargs == 0:  # a switch: true gives the bare flag, false leaves it out
+            if not isinstance(value, bool):
+                raise ValidationError(f"config key {key} must be true or false")
+            tokens += [flag] if value else []
+        elif nargs is None:
+            tokens.append(f"{flag}={_config_value(key, value)}")
+        else:
+            items = value if isinstance(value, list) else [value]
+            tokens += [flag, *(_config_value(key, item) for item in items)]
+    return [command, *tokens, *argv[1:]]
 
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        _apply_config(argv, parser, commands)
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_with_config(argv, parser, commands))
         return args.func(args)
     except (ValidationError, ParseError, RefusalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

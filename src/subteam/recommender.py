@@ -7,7 +7,9 @@ original team, so the recommended set is never larger than the departing one.
 The product is walked in numpy blocks of ``CHUNK`` tuples, so memory stays
 bounded whatever the tuple count. Departing members that share a cluster draw
 from one pool, so a block scores only the tuples whose pool indices do not
-decrease along each such group: every member multiset is scored once. A
+decrease along each such group: every member multiset is scored once. The
+count of product tuples that keep a member is the product's size minus the
+tuples drawn only from team members, so it is known before the walk. A
 search over more than ``DEFAULT_SEARCH_BUDGET`` product tuples refuses before
 it starts instead of running for hours.
 """
@@ -79,8 +81,9 @@ def recommend(
     order, at the tuple whose pool indices do not decrease within the
     cluster. That tuple comes first among the multiset's orderings, which all
     get the identical score, so skipping the others never changes the
-    answer. ``candidates_examined`` still counts every product tuple that
-    kept at least one member, duplicates included. Refuses with
+    answer. ``candidates_examined`` counts every product tuple that keeps at
+    least one member, duplicates included: the product's size minus the
+    product of each pool's team-member count. Refuses with
     :class:`RefusalError`, before enumerating anything, when the product
     holds more than ``DEFAULT_SEARCH_BUDGET`` tuples.
     """
@@ -112,31 +115,26 @@ def recommend(
     at = np.minimum(np.searchsorted(members, nodes), len(members) - 1)
     local = np.where(members[at] == nodes, blank, np.arange(blank))
     local_pools = [local[np.searchsorted(nodes, pool)] for pool in pools]
+    # a tuple keeps no member exactly when every position draws a team member
+    examined = total - prod(int(np.count_nonzero(pool == blank)) for pool in local_pools)
     # departing members that share a cluster draw from one pool; link each
-    # position to the previous one of its group, with its rank in the group
+    # position to the previous one of its group
     links = []
     for j, c in enumerate(clusters):
         group = [i for i in range(j) if clusters[i] == c]
         if group:
-            links.append((group[-1], j, len(group) + 1))
+            links.append((group[-1], j))
 
-    examined = 0
     best_row: list[int] | None = None
     best_score = -np.inf
     for lo in range(0, total, CHUNK):
         ix = np.unravel_index(np.arange(lo, min(lo + CHUNK, total)), shape)
         if links:
             # keep the canonical tuples: pool indices non-decreasing along each group
-            keep = np.logical_and.reduce([ix[prev] <= ix[j] for prev, j, _ in links])
+            keep = np.logical_and.reduce([ix[prev] <= ix[j] for prev, j in links])
             if not keep.any():
                 continue
             ix = [i[keep] for i in ix]
-            # a kept tuple stands for its distinct orderings within the groups,
-            # g! / prod(run length)! per group, built up one position at a time
-            orderings, runs = 1, {}
-            for prev, j, k in links:
-                runs[j] = np.where(ix[prev] == ix[j], runs.get(prev, 1) + 1, 1)
-                orderings = orderings * k // runs[j]
         cols = [pool[i] for pool, i in zip(local_pools, ix)]
         # sort each tuple with a bubble-sort network over the columns, then blank repeats
         for end in range(len(cols) - 1, 0, -1):
@@ -152,7 +150,6 @@ def recommend(
         sums /= np.maximum(counts, 1)[:, None]
         scores = cosine_rows(reference, sums)
         scores[counts == 0] = -np.inf
-        examined += int(orderings[counts > 0].sum()) if links else int(np.count_nonzero(counts))
         first = int(np.argmax(scores))
         if scores[first] > best_score:
             best_score = scores[first]

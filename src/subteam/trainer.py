@@ -199,6 +199,12 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         raise ValidationError("cannot train without teams")
     for team in teams:
         team.validate_for(net)
+    if net.d == 0:
+        raise ValidationError("cannot train on a network without features (d = 0)")
+    # the head holds sum(hidden) x clusters weights and the skill term a
+    # clusters x clusters Gram, so an explicit count is capped at n
+    if cfg.clusters is not None and cfg.clusters > net.n:
+        raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
     train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
     train_teams, val_teams = _member_arrays(train_teams), _member_arrays(val_teams)
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)

@@ -82,8 +82,8 @@ class TestSynth:
 
     @pytest.mark.parametrize("via_config", [False, True], ids=["flag", "config"])
     def test_negative_seed_exits_2(self, tmp_path, capsys, via_config):
-        # argparse does not convert defaults that --config installs, so the
-        # library has to refuse the seed
+        # argparse reads the config's seed as it reads the flag, and only the
+        # library refuses a negative one
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"seed": -1}))
         seed = ["--config", str(cfg)] if via_config else ["--seed", "-1"]
@@ -595,6 +595,94 @@ class TestConfigFile:
         assert main(["train", "--data", str(data), "--config", str(cfg)]) == 2
         err = capsys.readouterr().err
         assert "cfg.json" in err and "internal" not in err
+
+
+def exit_code(argv) -> int:
+    """``main``'s exit code, counting argparse's own exit on a value it cannot convert."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+WRONGLY_TYPED = [
+    ("train", {"epochs": 2.5}),
+    ("train", {"clusters": 2.5}),
+    ("train", {"seed": 1.5}),
+    ("train", {"lr": None}),
+    ("train", {"split": 5}),
+    ("train", {"hidden": [8, [8]]}),
+    ("evaluate", {"methods": ["genius"]}),
+    ("evaluate", {"features": 2.5}),
+    ("evaluate", {"seed": True}),
+    ("recommend", {"json": "yes"}),
+]
+
+
+class TestConfigTypes:
+    """Config values go through argparse's conversion, as flags do."""
+
+    def argv(self, command, trained, tmp_path, *extra):
+        checkpoint = ["--checkpoint", str(trained / "checkpoint.json")]
+        team = (trained / "teams.txt").read_text().splitlines()[0].split()
+        outputs = {
+            "train": ["--checkpoint", str(tmp_path / "c.json"), "--log", str(tmp_path / "t.log")],
+            "evaluate": checkpoint + ["--out", str(tmp_path / "report.json")],
+            "recommend": checkpoint + ["--team", *team, "--departing", team[0]],
+        }
+        return [command, "--data", str(trained), *outputs[command], *extra]
+
+    def write_config(self, tmp_path, values):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        return ["--config", str(cfg)]
+
+    @pytest.mark.parametrize(
+        "command, values", WRONGLY_TYPED, ids=[f"{c}-{json.dumps(v)}" for c, v in WRONGLY_TYPED]
+    )
+    def test_wrongly_typed_value_exits_2(self, trained, tmp_path, capsys, command, values):
+        config = self.write_config(tmp_path, values)
+        code = exit_code(self.argv(command, trained, tmp_path, *config))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "internal" not in err
+        assert [path.name for path in tmp_path.iterdir()] == ["cfg.json"]
+
+    def test_scalar_for_a_list_flag_reads_as_the_flag(self, trained, tmp_path):
+        base = ["--epochs", "2", "--clusters", "4", "--seed", "1"]
+        checkpoints = []
+        for name, extra in (("flag", ["--hidden", "8"]), ("config", [])):
+            run = tmp_path / name
+            run.mkdir()
+            config = self.write_config(run, {"hidden": 8}) if not extra else []
+            assert main(self.argv("train", trained, run, *base, *extra, *config)) == 0
+            checkpoints.append((run / "c.json").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
+        reports = []
+        for name, extra in (("flag", ["--percent", "25"]), ("config", [])):
+            run = tmp_path / name
+            config = self.write_config(run, {"percent": 25}) if not extra else []
+            argv = self.argv("evaluate", trained, run, "--seed", "1", "--decay", "0.005")
+            assert main(argv + ["--termination", "0.95", *extra, *config]) == 0
+            reports.append(mask_timing((run / "report.json").read_text()))
+        assert reports[0] == reports[1]
+        assert json.loads(reports[0])["config"]["percentages"] == [25.0]
+
+    def test_command_line_list_flag_wins(self, trained, tmp_path):
+        config = self.write_config(tmp_path, {"percent": [10, 50], "methods": "kernel"})
+        argv = self.argv("evaluate", trained, tmp_path, "--percent", "25", *config)
+        assert main(argv + ["--decay", "0.005", "--termination", "0.95"]) == 0
+        doc = json.loads((tmp_path / "report.json").read_text())
+        assert doc["config"]["percentages"] == [25.0]
+        assert set(doc["methods"]) == {"kernel"}
+
+    @pytest.mark.parametrize("switch", [True, False])
+    def test_switch_from_config(self, trained, tmp_path, capsys, switch):
+        config = self.write_config(tmp_path, {"json": switch})
+        assert main(self.argv("recommend", trained, tmp_path, *config)) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("{") == switch
 
 
 class TestInputImmutability:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ValidationError
-from subteam.graph import Team, generate_synthetic
+from subteam.graph import SocialNetwork, Team, generate_synthetic
 from subteam.trainer import (
     TrainConfig,
     gradient_check_report,
@@ -194,6 +194,18 @@ class TestTrain:
         net, _ = small_instance
         with pytest.raises(ValidationError):
             train(net, [], TrainConfig(epochs=1))
+
+    def test_network_without_features_rejected(self, small_instance):
+        net, teams = small_instance
+        featureless = SocialNetwork(adjacency=net.adjacency, features=net.features[:, :0])
+        with pytest.raises(ValidationError, match="without features"):
+            train(featureless, teams, TrainConfig(epochs=1))
+
+    def test_cluster_count_above_n_rejected(self, small_instance):
+        net, teams = small_instance
+        train(net, teams, TrainConfig(epochs=1, clusters=net.n))
+        with pytest.raises(ValidationError, match="exceeds the node count"):
+            train(net, teams, TrainConfig(epochs=1, clusters=net.n + 1))
 
 
 def test_training_epoch_allocates_no_n_by_n_array():
