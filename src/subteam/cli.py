@@ -312,7 +312,10 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser, commands = build_parser()
     try:
-        args = parser.parse_args(_with_config(argv, parser, commands))
+        try:
+            args = parser.parse_args(_with_config(argv, parser, commands))
+        except SystemExit as exc:  # argparse's own exit: 0 after --help, 2 on a bad flag
+            return exc.code
         return args.func(args)
     except (ValidationError, ParseError, RefusalError) as exc:
         print(f"error: {exc}", file=sys.stderr)

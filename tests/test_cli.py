@@ -685,6 +685,23 @@ class TestConfigTypes:
         assert out.startswith("{") == switch
 
 
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["train", "--data", "x", "--epochs", "2.5"], 2),
+        (["evaluate"], 2),
+        (["nosuch"], 2),
+        (["--help"], 0),
+    ],
+    ids=["unconvertible-value", "missing-required", "unknown-command", "help"],
+)
+def test_argparse_exit_is_returned_not_raised(capsys, argv, code):
+    # called without exit_code's guard: a SystemExit escaping main fails the test
+    assert main(argv) == code
+    out, err = capsys.readouterr()
+    assert (out if code == 0 else err).startswith("usage:")
+
+
 class TestInputImmutability:
     def test_commands_do_not_mutate_inputs(self, tmp_path):
         data = run_synth(tmp_path)

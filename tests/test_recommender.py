@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -13,7 +14,7 @@ from oracles import exhaustive_oracle
 from subteam import recommender
 from subteam.encoder import ClusterModel, build_containers, init_params
 from subteam.errors import RefusalError, ValidationError
-from subteam.graph import Team, generate_synthetic
+from subteam.graph import SocialNetwork, Team, generate_synthetic
 from subteam.objectives import cosine
 from subteam.recommender import recommend
 
@@ -256,6 +257,25 @@ class TestRecommend:
         bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
         assert peak < bound
 
+    def test_peak_memory_set_by_chunk_for_a_large_pool(self):
+        # one departing member in a 20,000-node cluster: its one run is about
+        # ten pieces long, and the pool's table is the only pool-sized float array
+        n, d = 20_000, 16
+        z = np.random.default_rng(10).normal(size=(n + 1, d))
+        model = rig_model(z, np.repeat([1, 2], [n, 1]), 2)
+        net = SocialNetwork(adjacency=sp.csr_array((n + 1, n + 1)), features=sp.csr_array((n + 1, 1)))
+        team, departing = Team((0, n)), Team((0,))
+        tracemalloc.start()
+        try:
+            result = recommend(team, departing, model, net)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert result.candidates_examined == n - 1
+        table = (n + 1) * d * 8
+        bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
+        assert peak - table < bound < table
+
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         z = np.random.default_rng(6).normal(size=(9, 3))
         model = rig_model(z, [1, 1, 1, 2, 2, 2, 3, 3, 3], 3)
@@ -308,6 +328,28 @@ class TestRecommend:
         assert result.candidates_examined == examined
         if chunk == 7:
             assert len(rows) < math.ceil(10 * 3 * 10 / chunk)  # a chunk was emptied
+
+    def test_one_shared_cluster_is_scored_in_one_block(self, monkeypatch):
+        # r=3 inside one 20-node cluster: 210 kept prefixes whose runs hold all
+        # 1,540 multisets fit in one piece of CHUNK rows
+        rows = count_scored_rows(monkeypatch)
+        z = np.random.default_rng(8).normal(size=(21, 4))
+        model = rig_model(z, np.repeat([1, 2], [20, 1]), 2)
+        recommend(Team((0, 1, 2, 20)), Team((0, 1, 2)), model, blank_net(21))
+        assert rows == [math.comb(22, 3)]
+
+    @pytest.mark.parametrize("chunk", [1, 3])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_run_pieces_equal_product_oracle(self, chunk, seed):
+        # blocks of 1-3 prefixes, and runs split across pieces of 1 or 3 rows
+        team, departing, model, net = random_pool_instance(seed)
+        with mock.patch.object(recommender, "CHUNK", chunk):
+            result = recommend(team, departing, model, net)
+        members, score, examined = product_search_oracle(team, departing, model)
+        assert result.subteam == members
+        assert result.similarity == (None if members is None else score)
+        assert result.candidates_examined == examined
 
 
 class TestExhaustiveOracle:
