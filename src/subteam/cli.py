@@ -54,6 +54,17 @@ def _input_file(path, flag: str) -> Path:
     return Path(path)
 
 
+def _output_file(path, flag: str) -> Path:
+    """The file that ``flag`` names for writing; a path whose directory is missing is a
+    validation error, refused before any work starts."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise ValidationError(f"{flag}: no such directory {path.parent}")
+    if path.is_dir():
+        raise ValidationError(f"{flag}: {path} is a directory")
+    return path
+
+
 def _load_data(data_dir: str):
     paths = {key: _input_file(path, "--data") for key, path in _data_paths(data_dir).items()}
     net = load_network(paths["edges"], paths["features"])
@@ -104,10 +115,14 @@ def cmd_train(args) -> int:
         hidden=tuple(args.hidden),
         clusters=args.clusters,
     )
+    checkpoint = (
+        _output_file(args.checkpoint, "--checkpoint")
+        if args.checkpoint
+        else Path(args.data) / "checkpoint.json"
+    )
+    log_path = _output_file(args.log, "--log") if args.log else Path(args.data) / "train.log"
     net, teams = _load_data(args.data)
     params, log = train(net, teams, cfg)
-    checkpoint = Path(args.checkpoint) if args.checkpoint else Path(args.data) / "checkpoint.json"
-    log_path = Path(args.log) if args.log else Path(args.data) / "train.log"
     save_checkpoint(params, checkpoint)
     write_train_log(log, log_path)
     print(f"trained {cfg.epochs} epochs; checkpoint {checkpoint}, log {log_path}")
@@ -142,6 +157,7 @@ def cmd_recommend(args) -> int:
 def cmd_evaluate(args) -> int:
     caps = EvalCaps(ged_max_nodes=args.ged_cap, baseline_budget=args.budget)
     kernel_cfg = KernelConfig(decay=args.decay, termination=args.termination)
+    out = _output_file(args.out, "--out") if args.out else None
     net, teams = _load_data(args.data)
     if args.features is not None:
         net = feature_subsample(net, args.features, args.seed)
@@ -171,8 +187,8 @@ def cmd_evaluate(args) -> int:
     )
     completed = sum(agg.cases for agg in report.methods.values())
     text = report.to_json() if args.format == "json" else report.to_table()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+    if out:
+        out.write_text(text, encoding="utf-8")
         print(f"wrote report to {args.out}")
     else:
         print(text, end="")

@@ -3,10 +3,12 @@
 Each test case (team, percentage, drawn departing subteam) is generated once
 and fed to every method, so all methods see identical inputs. Per-case
 disparities are computed between the original team graph and the rebuilt team
-graph, with the original team's self-kernels computed once per case and shared
-by every method; refusals and undefined metrics are counted, never silently
-dropped. Aggregate means cover only cases every method completed, keeping the
-per-method rows comparable.
+graph. Each held-out team's work is done once: its original graph and
+self-kernels are shared by every percentage and method, and the marginalized
+kernels of all its rebuilt teams are solved with its self-kernel in one
+stacked solve per team size. Refusals and undefined metrics are counted,
+never silently dropped. Aggregate means cover only cases every method
+completed, keeping the per-method rows comparable.
 
 ``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
 edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
@@ -33,9 +35,12 @@ from .errors import (
     ZeroSelfKernelError,
 )
 from .graph import LabeledGraph, SocialNetwork, Team, check_seed, induced_subgraph
+# perfbench/tracing.py wraps marginalized_kernel under this module's name, so
+# the name stays here although the comparison solves through _marginalized_scores
 from .kernels import (
     GED_MAX_NODES,
     KernelConfig,
+    _marginalized_scores,
     graph_edit_distance,
     kernel_baseline_replace,
     marginalized_kernel,
@@ -63,11 +68,12 @@ class EvalCaps:
 
 @dataclass(frozen=True)
 class OriginalTeam:
-    """A case's original team graph, shared by every method of the case.
+    """A held-out team's original graph, shared by every percentage and method of the team.
 
-    Each self-kernel is computed on first use and kept. One that refuses or
-    diverges is not kept, so every method that asks for it gets the same
-    exception, reported as that method's skip reason.
+    The shortest-path self-kernel is computed on first use and kept; one that
+    refuses is not kept, so every case that asks for it gets the same
+    exception, reported as that case's skip reason. The marginalized
+    self-kernel is solved in the stack of each :func:`disparities_marg` call.
     """
 
     graph: LabeledGraph
@@ -81,29 +87,51 @@ class OriginalTeam:
     def sp_self(self) -> float:
         return shortest_path_kernel(self.graph, self.graph)
 
-    @cached_property
-    def marg_self(self) -> float:
-        return marginalized_kernel(self.graph, self.graph, self.kernel_cfg)
 
+def disparity_sp(original: OriginalTeam, t1: LabeledGraph) -> float:
+    """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel.
 
-def _disparity(
-    self_kernel: float, kernel, original: OriginalTeam, t1: LabeledGraph, *args
-) -> float:
-    """|kernel(original, t1) - self_kernel| / self_kernel; a zero self-kernel refuses first."""
+    |kernel(original, t1) - self_kernel| / self_kernel; a zero self-kernel refuses first.
+    """
+    self_kernel = original.sp_self
     if self_kernel <= 0:
         raise ZeroSelfKernelError("self-kernel is zero")
-    cross = kernel(original.graph, t1, *args)
+    cross = shortest_path_kernel(original.graph, t1)
     return abs(cross - self_kernel) / self_kernel
 
 
-def disparity_sp(original: OriginalTeam, t1: LabeledGraph) -> float:
-    """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel."""
-    return _disparity(original.sp_self, shortest_path_kernel, original, t1)
+def disparities_marg(
+    original: OriginalTeam, graphs: list[LabeledGraph]
+) -> list[float | ConvergenceError | ZeroSelfKernelError]:
+    """Normalized marginalized-kernel deviation of each graph, or the error that skips it.
+
+    The self-kernel and every cross kernel are one stacked solve. A self-kernel
+    that refuses skips every graph, a zero one refuses next, and then each
+    cross kernel that refuses skips its own graph only.
+    """
+    scores, _ = _marginalized_scores(original.graph, [original.graph, *graphs], original.kernel_cfg)
+    self_kernel, *cross = scores.tolist()
+    out = []
+    refused = ConvergenceError("marginalized kernel refused: spectral bound >= 1 or no convergence")
+    for value in cross:
+        if np.isnan(self_kernel):
+            out.append(refused)
+        elif self_kernel <= 0:
+            out.append(ZeroSelfKernelError("self-kernel is zero"))
+        elif np.isnan(value):
+            out.append(refused)
+        else:
+            out.append(abs(value - self_kernel) / self_kernel)
+    return out
 
 
 def disparity_marg(original: OriginalTeam, t1: LabeledGraph) -> float:
-    """Normalized marginalized-kernel deviation of t1 from the original's self-kernel."""
-    return _disparity(original.marg_self, marginalized_kernel, original, t1, original.kernel_cfg)
+    """Normalized marginalized-kernel deviation of t1, the one-graph case of
+    :func:`disparities_marg`."""
+    (value,) = disparities_marg(original, [t1])
+    if isinstance(value, Exception):
+        raise value
+    return value
 
 
 @dataclass
@@ -114,26 +142,42 @@ class CaseMetrics:
     skipped: dict[str, str]
 
 
+def evaluate_team_metrics(
+    net: SocialNetwork,
+    original: OriginalTeam,
+    new_teams: list[Team],
+    caps: EvalCaps,
+) -> list[CaseMetrics]:
+    """GED / shortest-path / marginalized disparities between one original and each new team."""
+    graphs = [induced_subgraph(net, team) for team in new_teams]
+    ged, d1, d2 = METRICS
+    out = []
+    for t1, marg in zip(graphs, disparities_marg(original, graphs)):
+        metrics = CaseMetrics({}, {})
+        if max(original.graph.size, t1.size) <= caps.ged_max_nodes:
+            metrics.values[ged] = graph_edit_distance(original.graph, t1)
+        else:
+            metrics.skipped[ged] = "size-cap"
+        try:
+            metrics.values[d1] = disparity_sp(original, t1)
+        except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
+            metrics.skipped[d1] = type(exc).__name__
+        if isinstance(marg, Exception):
+            metrics.skipped[d2] = type(marg).__name__
+        else:
+            metrics.values[d2] = marg
+        out.append(metrics)
+    return out
+
+
 def evaluate_case_metrics(
     net: SocialNetwork,
     original: OriginalTeam,
     new_team: Team,
     caps: EvalCaps,
 ) -> CaseMetrics:
-    """GED / shortest-path / marginalized disparities between two teams."""
-    t1 = induced_subgraph(net, new_team)
-    metrics = CaseMetrics({}, {})
-    ged, *kernel_metrics = METRICS
-    if max(original.graph.size, t1.size) <= caps.ged_max_nodes:
-        metrics.values[ged] = graph_edit_distance(original.graph, t1)
-    else:
-        metrics.skipped[ged] = "size-cap"
-    for name, disparity in zip(kernel_metrics, (disparity_sp, disparity_marg)):
-        try:
-            metrics.values[name] = disparity(original, t1)
-        except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
-            metrics.skipped[name] = type(exc).__name__
-    return metrics
+    """The metrics of one new team: the one-team case of :func:`evaluate_team_metrics`."""
+    return evaluate_team_metrics(net, original, [new_team], caps)[0]
 
 
 @dataclass
@@ -346,11 +390,12 @@ def run_comparison(
         raise ValidationError("empty test split")
     cases = draw_cases(teams, percentages, seed)
     amortized_ms = training_time_ms / len(teams)
+    # each held-out team's completed outcomes with their rebuilt teams, keyed by its members
+    rebuilt: dict[tuple[int, ...], list[tuple[CaseOutcome, Team]]] = {}
 
     def run_case(case) -> list[CaseOutcome]:
         case_id, team, pct, departing = case
         outcomes = []
-        original = None  # built once, when the first method completes the case
         for method in method_names:
             outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
             outcomes.append(outcome)
@@ -365,14 +410,20 @@ def run_comparison(
                 outcome.status = "no-candidate"
                 continue
             new_team = Team(tuple(set(team.members) - set(departing)) + result.subteam)
-            original = original or OriginalTeam.build(net, team, kernel_cfg)
+            rebuilt.setdefault(team.members, []).append((outcome, new_team))
             outcome.status = "ok"
             outcome.subteam = result.subteam
-            outcome.metrics = evaluate_case_metrics(net, original, new_team, caps)
             outcome.total_ms = result.elapsed_ms + (amortized_ms if method == "genius" else 0.0)
         return outcomes
 
     per_case = [run_case(case) for case in cases]
+    for members, completed in rebuilt.items():
+        original = OriginalTeam.build(net, Team(members), kernel_cfg)
+        new_teams = [new_team for _, new_team in completed]
+        for (outcome, _), metrics in zip(
+            completed, evaluate_team_metrics(net, original, new_teams, caps)
+        ):
+            outcome.metrics = metrics
     complete = {
         outcomes[0].case_id
         for outcomes in per_case

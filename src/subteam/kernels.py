@@ -9,21 +9,24 @@ matrix-vector product against A1 (x) A2 is evaluated as A1 @ V @ A2.T on the
 matrix reshape of the product-space vector. Convergence is guaranteed by an
 explicit spectral guard checked before iterating.
 
-One fixed-point solver serves both walk kernels. It works on a stack of
-second graphs against one shared first graph, and each slice of the stack
-stops on its own tolerance, so a slice's arithmetic is the same in any batch.
-The single-pair kernels call it with a batch of one; the whole-network
-baseline gathers its candidate teams as stacked arrays and scores each chunk of
-them in one solve. Its label products are formed once per query, one row per
-network node, straight from the sparse feature rows, and each chunk gathers its
-stack from them; the random-walk kernel forms its products the same way, so
-every baseline score equals the single-pair kernel bit for bit. A chunk holds as
-many candidates as keep each array it allocates within ``BASELINE_ENTRIES``
-entries, so at team sizes of a few members one query's candidates form a single
-stack at any feature width. A dense direct solve was measured and rejected: at
-team size 26 the product space has 676 unknowns, and one dense
-``np.linalg.solve`` costs over a hundred times what a candidate costs in a
-batched fixed-point solve.
+One fixed-point solver serves both walk kernels. It works on a stack of second
+graphs against one shared first graph, and each slice of the stack stops on its
+own tolerance, so a slice's arithmetic is the same in any batch. It iterates in
+buffers it allocates once per call. The single-pair kernels are the one-graph
+cases of stacked solves. The marginalized kernel of one graph against several
+(the evaluation's self-kernel and every rebuilt team of one held-out team) is
+one solve per graph size, and a pair that breaks the spectral guard is refused
+alone. The whole-network baseline gathers its candidate teams as stacked arrays
+and scores each chunk of them in one solve. Its label products are formed once
+per query, one row per network node, straight from the sparse feature rows, and
+each chunk gathers its stack from them; the random-walk kernel forms its
+products the same way, so every baseline score equals the single-pair kernel
+bit for bit. A chunk holds as many candidates as keep each array it allocates
+within ``BASELINE_ENTRIES`` entries, so at team sizes of a few members one
+query's candidates form a single stack at any feature width. A dense direct
+solve was measured and rejected: at team size 26 the product space has 676
+unknowns, and one dense ``np.linalg.solve`` costs over a hundred times what a
+candidate costs in a batched fixed-point solve.
 
 The exact edit distance assigns g1's nodes in order by depth-first branch and
 bound. One extra target stands for deleting a node: a zero row and column
@@ -54,6 +57,10 @@ GED_MAX_NODES = 12
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITERS = 500_000
 BASELINE_ENTRIES = 1 << 16  # float64 entries per array one baseline chunk allocates
+# the solver screens for converged slices on stacks at least this deep whose
+# slices hold at most this many entries (see _screens)
+_SCREEN_MIN_DEPTH = 128
+_SCREEN_MAX_SIZE = 64
 
 
 @dataclass(frozen=True)
@@ -85,24 +92,76 @@ def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndar
     ``rhs``, ``scale`` and ``m2t`` are stacked along a leading batch axis and
     ``m1`` is shared. A slice stops iterating once its step is within the
     tolerance while the others go on, so its result does not depend on the
-    batch. Converges geometrically whenever the max row sum of the implied
-    iteration matrix is below 1 (checked by callers); refuses loudly otherwise.
+    batch. Each step writes into two buffers allocated once. Converges
+    geometrically whenever the max row sum of the implied iteration matrix is
+    below 1 (checked by callers); a slice still moving after
+    ``_SOLVE_MAX_ITERS`` steps is returned as NaN.
     """
     out = np.empty_like(rhs)
     live = np.arange(len(rhs))
     w = rhs.copy()
+    step, w_next = np.empty_like(rhs), np.empty_like(rhs)
+    screen = _screens(step)
     for _ in range(_SOLVE_MAX_ITERS):
-        w_next = rhs + scale * (m1 @ w @ m2t)
-        delta = np.abs(w_next - w).max(axis=(1, 2))
-        w = w_next
-        done = delta <= _SOLVE_TOL * np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+        # out passed by position: the keyword costs about 0.3 us a call, which tiny stacks notice
+        np.matmul(m1, w, step)
+        np.matmul(step, m2t, w_next)
+        w_next *= scale
+        w_next += rhs
+        np.subtract(w_next, w, step)
+        np.abs(step, step)
+        w, w_next = w_next, w  # the old w is scratch from here on
+        if screen:
+            done = _screened_convergence(step, w, w_next)
+        else:
+            done = step.max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
+                1.0, np.abs(w, w_next).max(axis=(1, 2))
+            )
         if done.any():
             out[live[done]] = w[done]
             if done.all():
                 return out
             going = ~done
-            live, w, rhs, scale, m2t = live[going], w[going], rhs[going], scale[going], m2t[going]
-    raise ConvergenceError(f"product-space solve did not converge in {_SOLVE_MAX_ITERS} steps")
+            live, rhs, scale, m2t = live[going], rhs[going], scale[going], m2t[going]
+            w, w_next = np.compress(going, w, axis=0, out=w_next[: len(live)]), w[: len(live)]
+            step = step[: len(live)]
+            screen = _screens(step)
+    out[live] = np.nan
+    return out
+
+
+def _screens(stack: np.ndarray) -> bool:
+    """Whether the solver screens ``stack``'s slices before reducing them.
+
+    numpy reduces a stack slice by slice at about 0.1 us each, so on a deep
+    stack of small slices the two per-slice maxima of a step cost more than
+    the step's arithmetic; elsewhere the screen costs more than it saves.
+    """
+    return len(stack) >= _SCREEN_MIN_DEPTH and stack[0].size <= _SCREEN_MAX_SIZE
+
+
+def _screened_convergence(moved: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """The solver's convergence test, reducing only the slices that can pass it.
+
+    ``moved`` holds each entry's absolute step and ``w`` the new iterate;
+    ``scratch`` is overwritten. A slice can pass only if every entry moved at
+    most the tolerance of the stack's largest magnitude, and whole-stack
+    operations find those slices. The result equals the unscreened test.
+    """
+    depth, size = len(moved), moved[0].size
+    np.less_equal(moved, _SOLVE_TOL * max(1.0, np.abs(w, scratch).max()), scratch)
+    could = np.flatnonzero(scratch.reshape(depth, size) @ np.ones(size) == size)
+    done = np.zeros(depth, dtype=bool)
+    done[could] = moved[could].max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
+        1.0, np.abs(w[could]).max(axis=(1, 2))
+    )
+    return done
+
+
+def _require_converged(scores: np.ndarray) -> np.ndarray:
+    if np.isnan(scores).any():
+        raise ConvergenceError(f"product-space solve did not converge in {_SOLVE_MAX_ITERS} steps")
+    return scores
 
 
 def _label_products(features: sp.csr_array, g1: LabeledGraph) -> np.ndarray:
@@ -135,7 +194,7 @@ def _random_walk_scores(
     mass = 1.0 / (g1.size * adjacency.shape[1])
     rhs = lx * mass  # Lx @ x in matrix form
     w = _product_space_solve(rhs, cfg.decay * lx, g1.adjacency, adjacency)
-    return w.reshape(len(w), -1).sum(axis=1) * mass  # y . w with uniform y
+    return _require_converged(w.reshape(len(w), -1).sum(axis=1) * mass)  # y . w with uniform y
 
 
 def random_walk_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) -> float:
@@ -185,6 +244,50 @@ def shortest_path_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
     return total
 
 
+def _transition(adjacency: np.ndarray) -> np.ndarray:
+    """Each row divided by its sum; a row without neighbors stays zero."""
+    rows = adjacency.sum(axis=-1, keepdims=True)
+    return np.divide(adjacency, rows, out=np.zeros_like(adjacency), where=rows > 0)
+
+
+def _marginalized_scores(
+    g1: LabeledGraph, graphs, cfg: KernelConfig
+) -> tuple[np.ndarray, np.ndarray]:
+    """Marginalized kernel of ``g1`` against each graph, and each pair's spectral bound.
+
+    The graphs of one size are stacked and solved in one call that shares g1's
+    transition matrix. A pair whose bound is 1 or more is left out of its
+    stack and scores NaN, as does one whose solve does not converge. Each
+    pair's label products are formed as the single-pair kernel forms them, so
+    every score equals that pair's ``marginalized_kernel`` bit for bit.
+    """
+    for g2 in graphs:
+        _require_compatible(g1, g2)
+    damping = 1.0 - cfg.termination
+    p1 = _transition(g1.adjacency)
+    live1 = g1.adjacency.sum(axis=1) > 0
+    scores = np.full(len(graphs), np.nan)
+    bounds = np.zeros(len(graphs))
+    by_size: dict[int, list[int]] = {}
+    for i, g2 in enumerate(graphs):
+        by_size.setdefault(g2.size, []).append(i)
+    for group in by_size.values():
+        adjacency = np.stack([graphs[i].adjacency for i in group])
+        k = np.stack([g1.labels @ graphs[i].labels.T for i in group])
+        live = live1[:, None] & (adjacency.sum(axis=2) > 0)[:, None, :]
+        bound = damping * (k * live).max(axis=(1, 2))
+        bounds[group] = bound
+        solved = ~(bound >= 1)
+        if solved.any():
+            k = k[solved]
+            # the transposed view is what the single-pair kernel passes; the
+            # solver's matrix products round differently on a transposed copy
+            m2t = _transition(adjacency[solved]).transpose(0, 2, 1)
+            r = _product_space_solve(k, damping * k, p1, m2t)
+            scores[np.asarray(group)[solved]] = r.reshape(len(r), -1).mean(axis=1)
+    return scores, bounds
+
+
 def marginalized_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) -> float:
     """Expected label-product over synchronized terminating random walks.
 
@@ -192,27 +295,16 @@ def marginalized_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) -
     after each visited pair (or when either node has no neighbors), and
     otherwise step to a neighbor with probability proportional to the edge
     weight. Each visited pair multiplies the label dot product into the walk's
-    contribution. Solved as a fixed point on the product space.
+    contribution. Solved as a fixed point on the product space, as the
+    one-graph case of the stacked solve.
     """
-    _require_compatible(g1, g2)
-    gamma = cfg.termination
-    k = g1.labels @ g2.labels.T
-
-    def _transition(adj: np.ndarray) -> np.ndarray:
-        rows = adj.sum(axis=1, keepdims=True)
-        return np.divide(adj, rows, out=np.zeros_like(adj), where=rows > 0)
-
-    p1 = _transition(g1.adjacency)
-    p2 = _transition(g2.adjacency)
-    live = np.outer(g1.adjacency.sum(axis=1) > 0, g2.adjacency.sum(axis=1) > 0)
-    bound = (1.0 - gamma) * float((k * live).max()) if live.any() else 0.0
-    if bound >= 1:
+    scores, bounds = _marginalized_scores(g1, [g2], cfg)
+    if bounds[0] >= 1:
         raise ConvergenceError(
-            f"spectral radius bound {bound:.6g} >= 1 after termination damping "
-            f"(gamma={gamma}); walk values would diverge"
+            f"spectral radius bound {bounds[0]:.6g} >= 1 after termination damping "
+            f"(gamma={cfg.termination}); walk values would diverge"
         )
-    r = _product_space_solve(k[None], ((1.0 - gamma) * k)[None], p1, p2.T[None])[0]
-    return float(r.mean())  # uniform start over node pairs
+    return float(_require_converged(scores)[0])  # uniform start over node pairs
 
 
 def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:

@@ -109,6 +109,8 @@ def recommend(
     reference = team_embedding(remaining, z)
 
     start = time.perf_counter()
+    if total == 0:  # a departing member's cluster is empty, so no tuple exists
+        return ReplacementResult(None, None, 0, (time.perf_counter() - start) * 1e3)
     # Departing members that share a cluster draw from one pool. Local ids index
     # a table of the pooled nodes' rows in ascending node order plus one zero
     # row, ``blank``, that stands for team members and repeats.

@@ -9,6 +9,13 @@ search's by ``==``, and it checks the search space, not the arithmetic.
 :func:`contrastive_term_oracle` and :func:`normalize_adjacency_oracle` are the
 earlier per-pair loop and diagonal-product forms of two library functions,
 kept so that the vectorized forms can be compared with them bit for bit.
+:func:`product_space_solve_reference` and :func:`marginalized_kernel_reference`
+are the walk kernels' fixed-point solver as it was before it reused buffers and
+the marginalized kernel as it was before it was stacked, and
+:func:`per_case_comparison` is the
+evaluation's per-case metric path as it was before each held-out team's work
+was shared; the latter calls the library's kernels and methods, since it
+checks the evaluation's bookkeeping, not the kernels' arithmetic.
 """
 
 import itertools
@@ -18,8 +25,10 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from subteam.errors import RefusalError
-from subteam.graph import LabeledGraph
+from subteam.errors import ConvergenceError, RefusalError, ZeroSelfKernelError
+from subteam.evaluate import METRICS, _run_method, draw_cases, normalize_methods
+from subteam.graph import LabeledGraph, Team, induced_subgraph
+from subteam.kernels import graph_edit_distance, marginalized_kernel, shortest_path_kernel
 from subteam.objectives import COSINE_NORM_FLOOR, cosine, team_embedding
 from subteam.recommender import ReplacementResult
 
@@ -346,3 +355,84 @@ def exhaustive_oracle(
         candidates_examined=examined,
         elapsed_ms=elapsed_ms,
     )
+
+
+def product_space_solve_reference(rhs, scale, m1, m2t, max_iters=500_000, tol=1e-14):
+    """Fixed-point solve of W_b = rhs_b + scale_b * (m1 @ W_b @ m2t_b), allocating every step."""
+    out = np.empty_like(rhs)
+    live = np.arange(len(rhs))
+    w = rhs.copy()
+    for _ in range(max_iters):
+        w_next = rhs + scale * (m1 @ w @ m2t)
+        delta = np.abs(w_next - w).max(axis=(1, 2))
+        w = w_next
+        done = delta <= tol * np.maximum(1.0, np.abs(w).max(axis=(1, 2)))
+        if done.any():
+            out[live[done]] = w[done]
+            if done.all():
+                return out
+            going = ~done
+            live, w, rhs, scale, m2t = live[going], w[going], rhs[going], scale[going], m2t[going]
+    raise ConvergenceError(f"product-space solve did not converge in {max_iters} steps")
+
+
+def marginalized_kernel_reference(g1: LabeledGraph, g2: LabeledGraph, termination: float) -> float:
+    """One pair's marginalized kernel, solved alone by :func:`product_space_solve_reference`."""
+    k = g1.labels @ g2.labels.T
+
+    def transition(adj):
+        rows = adj.sum(axis=1, keepdims=True)
+        return np.divide(adj, rows, out=np.zeros_like(adj), where=rows > 0)
+
+    live = np.outer(g1.adjacency.sum(axis=1) > 0, g2.adjacency.sum(axis=1) > 0)
+    bound = (1.0 - termination) * float((k * live).max()) if live.any() else 0.0
+    if bound >= 1:
+        raise ConvergenceError(f"spectral radius bound {bound:.6g} >= 1")
+    m1, m2t = transition(g1.adjacency), transition(g2.adjacency).T[None]
+    r = product_space_solve_reference(k[None], ((1.0 - termination) * k)[None], m1, m2t)
+    return float(r[0].mean())
+
+
+def per_case_comparison(net, teams, methods, percentages, seed, caps, model, kernel_cfg):
+    """Every outcome of the comparison, each case's metrics computed on their own.
+
+    Each case rebuilds its original team graph and both self-kernels, and every
+    kernel is one single-pair call. Returns one dict per outcome with every
+    field of a ``CaseOutcome`` except the timings.
+    """
+    rows = []
+    for case_id, team, pct, departing in draw_cases(teams, percentages, seed):
+        original = induced_subgraph(net, team)
+        for method in normalize_methods(methods):
+            row = dict(case_id=case_id, team=team.members, departing=departing, percent=pct,
+                       method=method, status="refused", subteam=None, values=None, skipped=None)
+            rows.append(row)
+            try:
+                result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
+            except (RefusalError, ConvergenceError):
+                continue
+            if not result.found:
+                row["status"] = "no-candidate"
+                continue
+            kept = tuple(set(team.members) - set(departing))
+            t1 = induced_subgraph(net, Team(kept + result.subteam))
+            values, skipped = {}, {}
+            ged, d1, d2 = METRICS
+            if max(original.size, t1.size) <= caps.ged_max_nodes:
+                values[ged] = graph_edit_distance(original, t1)
+            else:
+                skipped[ged] = "size-cap"
+            kernels = {
+                d1: lambda a, b: shortest_path_kernel(a, b),
+                d2: lambda a, b: marginalized_kernel(a, b, kernel_cfg),
+            }
+            for name, kernel in kernels.items():
+                try:
+                    self_kernel = kernel(original, original)
+                    if self_kernel <= 0:
+                        raise ZeroSelfKernelError("self-kernel is zero")
+                    values[name] = abs(kernel(original, t1) - self_kernel) / self_kernel
+                except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
+                    skipped[name] = type(exc).__name__
+            row.update(status="ok", subteam=result.subteam, values=values, skipped=skipped)
+    return rows

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from subteam import graph, recommender
+from subteam import cli, graph, recommender
 from subteam.cli import build_parser, main
 from subteam.evaluate import EvalCaps
 from subteam.kernels import KernelConfig
@@ -532,6 +532,25 @@ def test_non_finite_or_out_of_range_number_exits_2(trained, tmp_path, capsys, co
     assert code == 2
     assert "error" in err and "internal" not in err
     assert not any(path.exists() for path in outputs)
+
+
+@pytest.mark.parametrize("target", ["missing-directory", "a-directory"])
+@pytest.mark.parametrize(
+    "command, flag", [("train", "--checkpoint"), ("train", "--log"), ("evaluate", "--out")]
+)
+def test_unwritable_output_path_exits_2_before_work(
+    trained, tmp_path, monkeypatch, capsys, command, flag, target
+):
+    loads = []
+    monkeypatch.setattr(cli, "_load_data", lambda *args: loads.append(args))
+    path = tmp_path / "absent" / "out.json" if target == "missing-directory" else tmp_path
+    argv = (TRAIN_FAST if command == "train" else EVAL_FAST) + ["--data", str(trained)]
+    code = main(argv + [flag, str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert flag in err and "internal" not in err
+    assert not loads  # refused before the data was read
+    assert not (tmp_path / "absent").exists()
 
 
 def test_parser_defaults_are_the_dataclass_defaults():

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from conftest import net_from_dense
-from subteam import evaluate
+from oracles import per_case_comparison
+from subteam import evaluate, kernels
 from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError, ZeroSelfKernelError
 from subteam.evaluate import (
@@ -65,6 +66,12 @@ class TestDisparities:
         original = OriginalTeam.build(net, Team((0, 1)), KCFG)
         with pytest.raises(ZeroSelfKernelError):
             disparity_sp(original, original.graph)
+
+    def test_zero_marginalized_self_kernel_raises(self):
+        net = net_from_dense(np.ones((3, 3)) - np.eye(3), [[0.0], [0.0], [1.0]])
+        original = OriginalTeam.build(net, Team((0, 1)), KCFG)
+        with pytest.raises(ZeroSelfKernelError):
+            disparity_marg(original, induced_subgraph(net, Team((1, 2))))
 
 
 class TestEvaluateCaseMetrics:
@@ -230,27 +237,68 @@ def test_document_counts_why_metrics_were_skipped(eval_instance):
         assert doc[f"{metric}_cases"] + sum(doc[f"{metric}_skipped"].values()) == doc["cases"]
 
 
-def test_self_kernels_computed_once_per_case(eval_instance, monkeypatch):
+def test_self_kernels_computed_once_per_team(eval_instance, monkeypatch):
     net, teams, model = eval_instance
-    calls = Counter()
-    for name in ("shortest_path_kernel", "marginalized_kernel"):
-        kernel = getattr(evaluate, name)
+    sp_pairs, stacks, single = [], [], []
+    sp, stacked = evaluate.shortest_path_kernel, evaluate._marginalized_scores
 
-        def counted(*args, _name=name, _kernel=kernel):
-            calls[_name] += 1
-            return _kernel(*args)
+    def counted_sp(g1, g2):
+        sp_pairs.append(g1 is g2)
+        return sp(g1, g2)
 
-        monkeypatch.setattr(evaluate, name, counted)
+    def counted_stack(g1, graphs, cfg):
+        stacks.append((g1, graphs))
+        return stacked(g1, graphs, cfg)
+
+    monkeypatch.setattr(evaluate, "shortest_path_kernel", counted_sp)
+    monkeypatch.setattr(evaluate, "_marginalized_scores", counted_stack)
+    monkeypatch.setattr(evaluate, "marginalized_kernel", lambda *args: single.append(args))
     held_out = teams[:4]
     report = run_comparison(
         net, held_out, ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
     )
     ok = [case for case in report.cases if case.status == "ok"]
-    completed = {case.case_id for case in ok}
-    assert len(ok) > len(completed)  # some case has both methods sharing one team
-    # one self-kernel per completed case, one cross kernel per completed method
-    assert calls["shortest_path_kernel"] == len(completed) + len(ok)
-    assert calls["marginalized_kernel"] == len(completed) + len(ok)
+    completed_teams = {case.team for case in ok}
+    # some team completes both percentages, so the sharing spans cases
+    assert len({case.case_id for case in ok}) > len(completed_teams)
+    # one shortest-path self-kernel per held-out team, one cross kernel per completed method
+    assert sp_pairs.count(True) == len(completed_teams)
+    assert sp_pairs.count(False) == len(ok)
+    # one marginalized stack per held-out team: its self-kernel, then every rebuilt team
+    assert len(stacks) == len(completed_teams)
+    assert all(graphs[0] is g1 for g1, graphs in stacks)
+    assert sum(len(graphs) - 1 for _, graphs in stacks) == len(ok)
+    assert not single
+
+
+@pytest.mark.parametrize(
+    "termination, max_iters",
+    [(0.95, None), (0.6, None), (0.1, None), (0.95, 12)],
+    ids=["d2-converges", "d2-refuses-some", "d2-refuses-all", "solves-stop-at-12-steps"],
+)
+def test_outcomes_equal_the_per_case_oracle(eval_instance, monkeypatch, termination, max_iters):
+    net, teams, model = eval_instance
+    if max_iters is not None:  # slices that need more steps refuse, each on its own
+        monkeypatch.setattr(kernels, "_SOLVE_MAX_ITERS", max_iters)
+    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2, EvalCaps(ged_max_nodes=4))
+    cfg = KernelConfig(decay=0.005, termination=termination)
+    report = run_comparison(*args, model=model, kernel_cfg=cfg)
+    got = [
+        dict(
+            case_id=o.case_id, team=o.team, departing=o.departing, percent=o.percent,
+            method=o.method, status=o.status, subteam=o.subteam,
+            values=o.metrics and o.metrics.values, skipped=o.metrics and o.metrics.skipped,
+        )
+        for o in report.cases
+    ]
+    expected = per_case_comparison(*args, model, cfg)
+    assert got == expected
+    statuses = Counter(row["status"] for row in expected)
+    assert statuses["ok"] > len(teams[:6])  # teams complete several cases
+    completed = [row for row in expected if row["values"] is not None]
+    d2 = Counter("value" if "d2" in row["values"] else "skipped" for row in completed)
+    assert d2["value"] > 0 or termination == 0.1
+    assert d2["skipped"] > 0 or termination == 0.95 and max_iters is None
 
 
 @pytest.mark.parametrize(

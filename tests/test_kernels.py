@@ -12,7 +12,9 @@ from conftest import net_from_dense
 from oracles import (
     ged_brute,
     marginalized_dense,
+    marginalized_kernel_reference,
     marginalized_mc,
+    product_space_solve_reference,
     random_labeled_graph,
     rw_kernel_dense,
     rw_kernel_series,
@@ -196,6 +198,117 @@ def weighted_graphs(draw):
     return LabeledGraph(
         adjacency=upper + np.triu(upper, 1).T, labels=np.array(rows).reshape(n, 2)
     )
+
+
+@st.composite
+def walk_graphs(draw, min_nodes: int = 1):
+    """1-6 nodes, zero or fractional edge weights (isolated nodes likely), fractional labels."""
+    n = draw(st.integers(min_nodes, 6))
+    weight = st.sampled_from([0.0, 0.0, 0.0, 0.3, 0.7, 1.0, 1.9])
+    upper = np.triu(np.array(draw(st.lists(weight, min_size=n * n, max_size=n * n))).reshape(n, n))
+    labels = draw(st.lists(st.sampled_from([0.0, 0.2, 0.5, 1.0]), min_size=2 * n, max_size=2 * n))
+    return LabeledGraph(
+        adjacency=upper + np.triu(upper, 1).T, labels=np.array(labels).reshape(n, 2)
+    )
+
+
+@st.composite
+def marginalized_stacks(draw):
+    """g1 whose node 0 is labeled and has a neighbor (itself, if g1 has one node); a stack of
+    1-6 other graphs, g1 itself and a hot graph that g1's spectral guard refuses, in drawn
+    order; a termination drawn so that ordinary graphs refuse too."""
+    g1 = draw(walk_graphs())
+    adjacency, labels = g1.adjacency.copy(), g1.labels.copy()
+    adjacency[0, -1] = adjacency[-1, 0] = 1.0
+    labels[0] = 1.0
+    g1 = LabeledGraph(adjacency=adjacency, labels=labels)
+    hot = LabeledGraph(adjacency=np.array([[0.0, 1.0], [1.0, 0.0]]), labels=np.full((2, 2), 1e3))
+    others = draw(st.lists(walk_graphs(), min_size=1, max_size=6))
+    graphs = draw(st.permutations([*others, g1, hot]))
+    return g1, graphs, KernelConfig(termination=draw(st.sampled_from([0.3, 0.6, 0.9])))
+
+
+@given(marginalized_stacks())
+@settings(max_examples=150, deadline=None)
+def test_stacked_marginalized_scores_equal_the_single_pair_kernel(stack):
+    g1, graphs, cfg = stack
+    scores, bounds = kernels._marginalized_scores(g1, graphs, cfg)
+    refused = 0
+    for g2, score, bound in zip(graphs, scores, bounds):
+        try:
+            expected = marginalized_kernel_reference(g1, g2, cfg.termination)
+        except ConvergenceError:
+            assert np.isnan(score) and bound >= 1
+            with pytest.raises(ConvergenceError, match="termination"):
+                marginalized_kernel(g1, g2, cfg)
+            refused += 1
+        else:
+            assert score == expected
+            assert marginalized_kernel(g1, g2, cfg) == expected
+    assert refused >= 1
+
+
+@pytest.mark.parametrize("m1", [1, 5, 26])
+def test_stacked_marginalized_scores_on_team_sized_graphs(m1):
+    # float weights and labels at sizes up to a criterion-8 team, where the solver's matrix
+    # products round differently on a transposed copy than on the transposed view
+    rng = np.random.default_rng(m1)
+    g1 = random_labeled_graph(rng, m1, 3)
+    graphs = [random_labeled_graph(rng, m, 3) for m in (1, 4, 17, 26, 26, 4) for _ in range(2)]
+    scores, _ = kernels._marginalized_scores(g1, [g1, *graphs], CFG)
+    expected = [marginalized_kernel_reference(g1, g2, CFG.termination) for g2 in [g1, *graphs]]
+    assert scores.tolist() == expected
+
+
+def solver_inputs(batch: int, m: int, kind: str, seed: int = 0):
+    """A stack of ``batch`` product-space systems on m-node graphs, as each walk kernel builds
+    them: the random walk's symmetric adjacency stack, or the marginalized kernel's
+    transposed view of row-stochastic transitions; isolated nodes included."""
+    rng = np.random.default_rng([batch, m, seed])
+
+    def adjacency(*shape):
+        weights = rng.uniform(0.5, 1.5, (*shape, m, m))
+        upper = np.triu((rng.random((*shape, m, m)) < 0.5) * weights, 1)
+        return upper + np.swapaxes(upper, -1, -2)
+
+    a1, a2 = adjacency(), adjacency(batch)
+    lx = rng.uniform(0.0, 1.0, (batch, m, m))
+    if kind == "random-walk":
+        decay = 0.9 / max((lx * a1.sum(1)[:, None] * a2.sum(2)[:, None, :]).max(), 1.0)
+        return lx / (m * m), decay * lx, a1, a2
+    rows1, rows2 = a1.sum(1, keepdims=True), a2.sum(2, keepdims=True)
+    p1 = np.divide(a1, rows1, out=np.zeros_like(a1), where=rows1 > 0)
+    p2 = np.divide(a2, rows2, out=np.zeros_like(a2), where=rows2 > 0)
+    return lx, 0.3 * lx, p1, p2.transpose(0, 2, 1)
+
+
+@pytest.mark.parametrize("kind", ["random-walk", "marginalized"])
+@pytest.mark.parametrize(
+    "batch, m", [(946, 4), (44, 4), (1, 4), (200, 8), (400, 12), (96, 26), (8, 26), (1, 26)]
+)
+def test_solver_equals_the_allocating_reference(batch, m, kind):
+    args = solver_inputs(batch, m, kind)
+    assert np.array_equal(kernels._product_space_solve(*args), product_space_solve_reference(*args))
+
+
+@pytest.mark.parametrize("batch", [20, 130])  # below and above the screened depth
+def test_solver_returns_nan_for_each_slice_still_moving_at_the_step_cap(batch, monkeypatch):
+    rhs, scale, m1, m2t = solver_inputs(batch, 4, "random-walk", seed=1)
+    mixed = 0
+    for cap in range(4, 40, 4):
+        expected = []
+        for b in range(batch):
+            one = (rhs[b : b + 1], scale[b : b + 1], m1, m2t[b : b + 1])
+            try:
+                expected.append(product_space_solve_reference(*one, max_iters=cap)[0])
+            except ConvergenceError:
+                expected.append(np.full((4, 4), np.nan))
+        monkeypatch.setattr(kernels, "_SOLVE_MAX_ITERS", cap)
+        got = kernels._product_space_solve(rhs, scale, m1, m2t)
+        assert np.array_equal(got, np.stack(expected), equal_nan=True), cap
+        nan = np.isnan(got).any(axis=(1, 2))
+        mixed += 0 < nan.sum() < batch
+    assert mixed >= 3
 
 
 def edited_pair(seed):

@@ -126,6 +126,18 @@ class TestRecommend:
         assert result.subteam is None and result.similarity is None
         assert result.candidates_examined == 0
 
+    @pytest.mark.parametrize(
+        "departing", [(0,), (0, 1)], ids=["every-pool-empty", "one-pool-empty"]
+    )
+    def test_no_candidate_when_a_departing_cluster_is_empty(self, departing):
+        # a hand-built model may hold an empty container: node 0's cluster has no nodes
+        hard = np.array([1, 2, 2, 2])
+        containers = {1: [], 2: [1, 2, 3]}
+        model = ClusterModel(np.eye(4), np.eye(2)[hard - 1], hard, containers)
+        result = recommend(Team((0, 1, 2)), Team(departing), model, blank_net(4))
+        assert result.subteam is None and result.similarity is None
+        assert result.candidates_examined == 0
+
     def test_candidate_count_accounting(self):
         # pools: cluster1 = {0,1,4,5}, cluster2 = {2,6}; team = {0,1,2,3}
         z = np.random.default_rng(0).normal(size=(7, 3))
