@@ -23,9 +23,6 @@ from .errors import (
 from .evaluate import (
     EvalCaps,
     EvalReport,
-    OriginalTeam,
-    disparity_marg,
-    disparity_sp,
     evaluate_case_metrics,
     feature_subsample,
     run_comparison,

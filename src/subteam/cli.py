@@ -65,6 +65,16 @@ def _output_file(path, flag: str) -> Path:
     return path
 
 
+def _output_dir(path, flag: str) -> Path:
+    """The directory that ``flag`` names for writing, made if missing; a path that is,
+    or lies below, an existing file is a validation error, refused before any work starts."""
+    path = Path(path)
+    existing = next(p for p in (path, *path.parents) if p.exists())
+    if not existing.is_dir():
+        raise ValidationError(f"{flag}: {existing} is not a directory")
+    return path
+
+
 def _load_data(data_dir: str):
     paths = {key: _input_file(path, "--data") for key, path in _data_paths(data_dir).items()}
     net = load_network(paths["edges"], paths["features"])
@@ -73,6 +83,7 @@ def _load_data(data_dir: str):
 
 
 def cmd_synth(args) -> int:
+    out = _output_dir(args.out, "--out")
     net, teams = generate_synthetic(
         n=args.n,
         d=args.d,
@@ -82,7 +93,6 @@ def cmd_synth(args) -> int:
         teams=args.teams,
         seed=args.seed,
     )
-    out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     paths = _data_paths(args.out)
     save_network(net, paths["edges"], paths["features"])

@@ -1,12 +1,14 @@
 """Multi-metric comparison of replacement methods on a held-out test split.
 
 Each test case (team, percentage, drawn departing subteam) is generated once
-and fed to every method, so all methods see identical inputs. Per-case
-disparities are computed between the original team graph and the rebuilt team
-graph. Each held-out team's work is done once: its original graph and
-self-kernels are shared by every percentage and method, and the marginalized
-kernels of all its rebuilt teams are solved with its self-kernel in one
-stacked solve per team size. Refusals and undefined metrics are counted,
+and fed to every method, so all methods see identical inputs. The cases come
+grouped by held-out team, and each team is evaluated in one pass straight
+after its cases run: its original graph and both self-kernels are computed
+once, and the marginalized kernels of all its rebuilt teams are solved with
+its self-kernel in one stacked solve. Each kernel disparity is
+|k(T0, T1) - k(T0, T0)| / k(T0, T0) under one skip rule: a refused self-kernel
+skips every case of the team, a zero one skips every case next, and a refused
+cross kernel skips its own case. Refusals and undefined metrics are counted,
 never silently dropped. Aggregate means cover only cases every method
 completed, keeping the per-method rows comparable.
 
@@ -19,11 +21,11 @@ then ``mean_<m>``, ``<m>_cases`` and ``<m>_skipped`` for each metric ``m``, then
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -66,72 +68,27 @@ class EvalCaps:
             raise ValidationError(f"baseline_budget must be >= 0, got {self.baseline_budget}")
 
 
-@dataclass(frozen=True)
-class OriginalTeam:
-    """A held-out team's original graph, shared by every percentage and method of the team.
+def _shortest_path_or_nan(g1: LabeledGraph, g2: LabeledGraph) -> float:
+    try:
+        return shortest_path_kernel(g1, g2)
+    except RefusalError:
+        return np.nan
 
-    The shortest-path self-kernel is computed on first use and kept; one that
-    refuses is not kept, so every case that asks for it gets the same
-    exception, reported as that case's skip reason. The marginalized
-    self-kernel is solved in the stack of each :func:`disparities_marg` call.
+
+def _disparities(kernels: list[float], refused: str) -> list[float | str]:
+    """|k(T0, T1) - k(T0, T0)| / k(T0, T0) for each cross kernel, or why it is skipped.
+
+    ``kernels`` holds the self-kernel k(T0, T0), then one cross kernel per new
+    team; NaN stands for a kernel that refused, skipped as ``refused``. A
+    refused self-kernel skips every team, a zero one skips every team next,
+    and then each refused cross kernel skips its own team only.
     """
-
-    graph: LabeledGraph
-    kernel_cfg: KernelConfig
-
-    @classmethod
-    def build(cls, net: SocialNetwork, team: Team, kernel_cfg: KernelConfig) -> "OriginalTeam":
-        return cls(induced_subgraph(net, team), kernel_cfg)
-
-    @cached_property
-    def sp_self(self) -> float:
-        return shortest_path_kernel(self.graph, self.graph)
-
-
-def disparity_sp(original: OriginalTeam, t1: LabeledGraph) -> float:
-    """Normalized shortest-path-kernel deviation of t1 from the original's self-kernel.
-
-    |kernel(original, t1) - self_kernel| / self_kernel; a zero self-kernel refuses first.
-    """
-    self_kernel = original.sp_self
+    self_kernel, *cross = kernels
+    if np.isnan(self_kernel):
+        return [refused] * len(cross)
     if self_kernel <= 0:
-        raise ZeroSelfKernelError("self-kernel is zero")
-    cross = shortest_path_kernel(original.graph, t1)
-    return abs(cross - self_kernel) / self_kernel
-
-
-def disparities_marg(
-    original: OriginalTeam, graphs: list[LabeledGraph]
-) -> list[float | ConvergenceError | ZeroSelfKernelError]:
-    """Normalized marginalized-kernel deviation of each graph, or the error that skips it.
-
-    The self-kernel and every cross kernel are one stacked solve. A self-kernel
-    that refuses skips every graph, a zero one refuses next, and then each
-    cross kernel that refuses skips its own graph only.
-    """
-    scores, _ = _marginalized_scores(original.graph, [original.graph, *graphs], original.kernel_cfg)
-    self_kernel, *cross = scores.tolist()
-    out = []
-    refused = ConvergenceError("marginalized kernel refused: spectral bound >= 1 or no convergence")
-    for value in cross:
-        if np.isnan(self_kernel):
-            out.append(refused)
-        elif self_kernel <= 0:
-            out.append(ZeroSelfKernelError("self-kernel is zero"))
-        elif np.isnan(value):
-            out.append(refused)
-        else:
-            out.append(abs(value - self_kernel) / self_kernel)
-    return out
-
-
-def disparity_marg(original: OriginalTeam, t1: LabeledGraph) -> float:
-    """Normalized marginalized-kernel deviation of t1, the one-graph case of
-    :func:`disparities_marg`."""
-    (value,) = disparities_marg(original, [t1])
-    if isinstance(value, Exception):
-        raise value
-    return value
+        return [ZeroSelfKernelError.__name__] * len(cross)
+    return [refused if np.isnan(k) else abs(k - self_kernel) / self_kernel for k in cross]
 
 
 @dataclass
@@ -144,40 +101,43 @@ class CaseMetrics:
 
 def evaluate_team_metrics(
     net: SocialNetwork,
-    original: OriginalTeam,
+    team: Team,
     new_teams: list[Team],
+    kernel_cfg: KernelConfig,
     caps: EvalCaps,
 ) -> list[CaseMetrics]:
-    """GED / shortest-path / marginalized disparities between one original and each new team."""
-    graphs = [induced_subgraph(net, team) for team in new_teams]
-    ged, d1, d2 = METRICS
+    """GED, D1 and D2 between the original ``team`` and each new team.
+
+    The original's graph and both self-kernels are computed once; its
+    marginalized self-kernel and every new team's are one stacked solve.
+    """
+    t0 = induced_subgraph(net, team)
+    stack = [t0, *(induced_subgraph(net, new_team) for new_team in new_teams)]
+    marg, _ = _marginalized_scores(t0, stack, kernel_cfg)
+    ged = [
+        graph_edit_distance(t0, t1) if max(t0.size, t1.size) <= caps.ged_max_nodes else "size-cap"
+        for t1 in stack[1:]
+    ]
+    d1 = _disparities([_shortest_path_or_nan(t0, g) for g in stack], RefusalError.__name__)
+    d2 = _disparities(marg.tolist(), ConvergenceError.__name__)
     out = []
-    for t1, marg in zip(graphs, disparities_marg(original, graphs)):
+    for per_metric in zip(ged, d1, d2):
         metrics = CaseMetrics({}, {})
-        if max(original.graph.size, t1.size) <= caps.ged_max_nodes:
-            metrics.values[ged] = graph_edit_distance(original.graph, t1)
-        else:
-            metrics.skipped[ged] = "size-cap"
-        try:
-            metrics.values[d1] = disparity_sp(original, t1)
-        except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
-            metrics.skipped[d1] = type(exc).__name__
-        if isinstance(marg, Exception):
-            metrics.skipped[d2] = type(marg).__name__
-        else:
-            metrics.values[d2] = marg
+        for name, value in zip(METRICS, per_metric):
+            (metrics.skipped if isinstance(value, str) else metrics.values)[name] = value
         out.append(metrics)
     return out
 
 
 def evaluate_case_metrics(
     net: SocialNetwork,
-    original: OriginalTeam,
+    team: Team,
     new_team: Team,
+    kernel_cfg: KernelConfig,
     caps: EvalCaps,
 ) -> CaseMetrics:
     """The metrics of one new team: the one-team case of :func:`evaluate_team_metrics`."""
-    return evaluate_team_metrics(net, original, [new_team], caps)[0]
+    return evaluate_team_metrics(net, team, [new_team], kernel_cfg, caps)[0]
 
 
 @dataclass
@@ -390,13 +350,11 @@ def run_comparison(
         raise ValidationError("empty test split")
     cases = draw_cases(teams, percentages, seed)
     amortized_ms = training_time_ms / len(teams)
-    # each held-out team's completed outcomes with their rebuilt teams, keyed by its members
-    rebuilt: dict[tuple[int, ...], list[tuple[CaseOutcome, Team]]] = {}
-
-    def run_case(case) -> list[CaseOutcome]:
-        case_id, team, pct, departing = case
-        outcomes = []
-        for method in method_names:
+    outcomes: list[CaseOutcome] = []
+    for team, team_cases in itertools.groupby(cases, key=lambda case: case[1]):
+        completed: list[CaseOutcome] = []
+        new_teams: list[Team] = []  # the rebuilt team of each completed outcome
+        for (case_id, _, pct, departing), method in itertools.product(team_cases, method_names):
             outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
             outcomes.append(outcome)
             start = time.perf_counter()
@@ -409,30 +367,20 @@ def run_comparison(
             if not result.found:
                 outcome.status = "no-candidate"
                 continue
-            new_team = Team(tuple(set(team.members) - set(departing)) + result.subteam)
-            rebuilt.setdefault(team.members, []).append((outcome, new_team))
             outcome.status = "ok"
             outcome.subteam = result.subteam
             outcome.total_ms = result.elapsed_ms + (amortized_ms if method == "genius" else 0.0)
-        return outcomes
-
-    per_case = [run_case(case) for case in cases]
-    for members, completed in rebuilt.items():
-        original = OriginalTeam.build(net, Team(members), kernel_cfg)
-        new_teams = [new_team for _, new_team in completed]
-        for (outcome, _), metrics in zip(
-            completed, evaluate_team_metrics(net, original, new_teams, caps)
-        ):
-            outcome.metrics = metrics
-    complete = {
-        outcomes[0].case_id
-        for outcomes in per_case
-        if all(o.status == "ok" for o in outcomes)
-    }
+            kept = tuple(set(team.members) - set(departing))
+            completed.append(outcome)
+            new_teams.append(Team(kept + result.subteam))
+        if completed:
+            metrics = evaluate_team_metrics(net, team, new_teams, kernel_cfg, caps)
+            for outcome, case_metrics in zip(completed, metrics):
+                outcome.metrics = case_metrics
+    incomplete = {o.case_id for o in outcomes if o.status != "ok"}
     aggregates = {name: MethodAggregate() for name in method_names}
-    all_outcomes = [o for outcomes in per_case for o in outcomes]
-    for o in all_outcomes:
-        aggregates[o.method].add(o, o.case_id in complete)
+    for o in outcomes:
+        aggregates[o.method].add(o, o.case_id not in incomplete)
 
     config = {
         "methods": method_names,
@@ -450,4 +398,4 @@ def run_comparison(
     }
     if config_echo:
         config.update(config_echo)
-    return EvalReport(config=config, methods=aggregates, cases=all_outcomes)
+    return EvalReport(config=config, methods=aggregates, cases=outcomes)

@@ -14,9 +14,9 @@ graphs against one shared first graph, and each slice of the stack stops on its
 own tolerance, so a slice's arithmetic is the same in any batch. It iterates in
 buffers it allocates once per call. The single-pair kernels are the one-graph
 cases of stacked solves. The marginalized kernel of one graph against several
-(the evaluation's self-kernel and every rebuilt team of one held-out team) is
-one solve per graph size, and a pair that breaks the spectral guard is refused
-alone. The whole-network baseline gathers its candidate teams as stacked arrays
+(a held-out team's original graph against itself and against each of its
+rebuilt teams, in the evaluation) is one solve per graph size, and a pair that
+breaks the spectral guard is refused alone. The whole-network baseline gathers its candidate teams as stacked arrays
 and scores each chunk of them in one solve. Its label products are formed once
 per query, one row per network node, straight from the sparse feature rows, and
 each chunk gathers its stack from them; the random-walk kernel forms its

@@ -206,6 +206,11 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     if cfg.clusters is not None and cfg.clusters > net.n:
         raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
     train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
+    if all(len(team) < 2 for team in train_teams):
+        raise ValidationError(
+            f"training split {cfg.split} holds no team of 2 or more members "
+            f"({len(train_teams)} teams)"
+        )
     train_teams, val_teams = _member_arrays(train_teams), _member_arrays(val_teams)
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))

@@ -553,6 +553,31 @@ def test_unwritable_output_path_exits_2_before_work(
     assert not (tmp_path / "absent").exists()
 
 
+@pytest.mark.parametrize("target", ["an-existing-file", "below-a-file"])
+def test_synth_out_through_a_file_exits_2_before_work(tmp_path, monkeypatch, capsys, target):
+    generated = []
+    monkeypatch.setattr(cli, "generate_synthetic", lambda **kwargs: generated.append(kwargs))
+    blocker = tmp_path / "blocker"
+    blocker.write_text("kept\n")
+    path = blocker if target == "an-existing-file" else blocker / "data"
+    code = main(SYNTH + ["--out", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "--out" in err and "internal" not in err
+    assert not generated  # refused before any data was generated
+    assert blocker.read_text() == "kept\n"
+
+
+def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
+    data = run_synth(tmp_path)
+    code = main(TRAIN_FAST + ["--data", str(data), "--split", "0", "0", "1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert "training split" in err and "internal" not in err
+    assert not (data / "checkpoint.json").exists()
+    assert not (data / "train.log").exists()
+
+
 def test_parser_defaults_are_the_dataclass_defaults():
     _, commands = build_parser()
     train = commands["train"].parse_args(["--data", "d"])

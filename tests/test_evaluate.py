@@ -7,14 +7,11 @@ from conftest import net_from_dense
 from oracles import per_case_comparison
 from subteam import evaluate, kernels
 from subteam.encoder import ClusterModel, init_params
-from subteam.errors import ValidationError, ZeroSelfKernelError
+from subteam.errors import ValidationError
 from subteam.evaluate import (
     EvalCaps,
     EvalReport,
     MethodAggregate,
-    OriginalTeam,
-    disparity_marg,
-    disparity_sp,
     draw_cases,
     evaluate_case_metrics,
     feature_subsample,
@@ -44,9 +41,9 @@ class TestDisparities:
     def test_identity_team_gives_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        original = OriginalTeam.build(net, team, KCFG)
-        assert disparity_sp(original, original.graph) == 0.0
-        assert disparity_marg(original, original.graph) == 0.0
+        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
+        assert metrics.values["d1"] == 0.0
+        assert metrics.values["d2"] == 0.0
 
     def test_hand_evaluated_ratio(self, eval_instance):
         net, teams, _ = eval_instance
@@ -58,27 +55,28 @@ class TestDisparities:
         t1 = induced_subgraph(net, team_b)
         self_k = shortest_path_kernel(t0, t0)
         cross = shortest_path_kernel(t0, t1)
-        original = OriginalTeam.build(net, team_a, KCFG)
-        assert disparity_sp(original, t1) == pytest.approx(abs(cross - self_k) / self_k)
+        metrics = evaluate_case_metrics(net, team_a, team_b, KCFG, EvalCaps())
+        assert metrics.values["d1"] == pytest.approx(abs(cross - self_k) / self_k)
 
-    def test_zero_self_kernel_raises(self):
+    def test_zero_self_kernel_skips_d1(self):
         net = net_from_dense(np.zeros((4, 4)), np.eye(4))
-        original = OriginalTeam.build(net, Team((0, 1)), KCFG)
-        with pytest.raises(ZeroSelfKernelError):
-            disparity_sp(original, original.graph)
+        team = Team((0, 1))
+        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
+        assert "d1" not in metrics.values
+        assert metrics.skipped["d1"] == "ZeroSelfKernelError"
 
-    def test_zero_marginalized_self_kernel_raises(self):
+    def test_zero_marginalized_self_kernel_skips_d2(self):
         net = net_from_dense(np.ones((3, 3)) - np.eye(3), [[0.0], [0.0], [1.0]])
-        original = OriginalTeam.build(net, Team((0, 1)), KCFG)
-        with pytest.raises(ZeroSelfKernelError):
-            disparity_marg(original, induced_subgraph(net, Team((1, 2))))
+        metrics = evaluate_case_metrics(net, Team((0, 1)), Team((1, 2)), KCFG, EvalCaps())
+        assert "d2" not in metrics.values
+        assert metrics.skipped["d2"] == "ZeroSelfKernelError"
 
 
 class TestEvaluateCaseMetrics:
     def test_identity_replacement_all_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, OriginalTeam.build(net, team, KCFG), team, EvalCaps())
+        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
         assert metrics.values["ged"] == 0.0
         assert metrics.values["d1"] == 0.0
         assert metrics.values["d2"] == 0.0
@@ -86,8 +84,7 @@ class TestEvaluateCaseMetrics:
     def test_ged_size_cap_counted(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        original = OriginalTeam.build(net, team, KCFG)
-        metrics = evaluate_case_metrics(net, original, team, EvalCaps(ged_max_nodes=1))
+        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps(ged_max_nodes=1))
         assert metrics.values.get("ged") is None
         assert metrics.skipped["ged"] == "size-cap"
 
@@ -272,14 +269,24 @@ def test_self_kernels_computed_once_per_team(eval_instance, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "termination, max_iters",
-    [(0.95, None), (0.6, None), (0.1, None), (0.95, 12)],
-    ids=["d2-converges", "d2-refuses-some", "d2-refuses-all", "solves-stop-at-12-steps"],
+    "termination, max_iters, sp_max_nodes",
+    [(0.95, None, None), (0.6, None, None), (0.1, None, None), (0.95, 12, None), (0.95, None, 4)],
+    ids=[
+        "d2-converges",
+        "d2-refuses-some",
+        "d2-refuses-all",
+        "solves-stop-at-12-steps",
+        "d1-refuses-some",
+    ],
 )
-def test_outcomes_equal_the_per_case_oracle(eval_instance, monkeypatch, termination, max_iters):
+def test_outcomes_equal_the_per_case_oracle(
+    eval_instance, monkeypatch, termination, max_iters, sp_max_nodes
+):
     net, teams, model = eval_instance
     if max_iters is not None:  # slices that need more steps refuse, each on its own
         monkeypatch.setattr(kernels, "_SOLVE_MAX_ITERS", max_iters)
+    if sp_max_nodes is not None:  # the larger teams' shortest-path self-kernels refuse
+        monkeypatch.setattr(kernels, "SHORTEST_PATH_MAX_NODES", sp_max_nodes)
     args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2, EvalCaps(ged_max_nodes=4))
     cfg = KernelConfig(decay=0.005, termination=termination)
     report = run_comparison(*args, model=model, kernel_cfg=cfg)
@@ -299,6 +306,10 @@ def test_outcomes_equal_the_per_case_oracle(eval_instance, monkeypatch, terminat
     d2 = Counter("value" if "d2" in row["values"] else "skipped" for row in completed)
     assert d2["value"] > 0 or termination == 0.1
     assert d2["skipped"] > 0 or termination == 0.95 and max_iters is None
+    d1 = Counter(row["skipped"].get("d1") for row in completed)
+    assert set(d1) <= {None, "RefusalError"}
+    assert (d1["RefusalError"] > 0) == (sp_max_nodes is not None)
+    assert d1[None] > 0
 
 
 @pytest.mark.parametrize(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
@@ -200,6 +201,20 @@ class TestTrain:
         featureless = SocialNetwork(adjacency=net.adjacency, features=net.features[:, :0])
         with pytest.raises(ValidationError, match="without features"):
             train(featureless, teams, TrainConfig(epochs=1))
+
+    @pytest.mark.parametrize(
+        "singletons, split", [(False, (0.0, 0.0, 1.0)), (True, (1.0, 0.0, 0.0))],
+        ids=["no-training-teams", "only-singletons"],
+    )
+    def test_training_split_without_a_team_to_split_rejected(
+        self, small_instance, monkeypatch, singletons, split
+    ):
+        net, teams = small_instance
+        if singletons:
+            teams = [Team(team.members[:1]) for team in teams]
+        monkeypatch.setattr(trainer, "init_params", lambda *args: pytest.fail("initialised"))
+        with pytest.raises(ValidationError, match="no team of 2 or more members"):
+            train(net, teams, TrainConfig(epochs=1, split=split))
 
     def test_cluster_count_above_n_rejected(self, small_instance):
         net, teams = small_instance
