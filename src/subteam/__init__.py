@@ -18,7 +18,6 @@ from .errors import (
     ParseError,
     RefusalError,
     ValidationError,
-    ZeroSelfKernelError,
 )
 from .evaluate import (
     EvalCaps,

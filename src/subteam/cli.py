@@ -193,9 +193,9 @@ def cmd_evaluate(args) -> int:
         model=model,
         kernel_cfg=kernel_cfg,
         training_time_ms=training_time_ms,
-        config_echo={"feature_subset": args.features},
     )
-    completed = sum(agg.cases for agg in report.methods.values())
+    report.config["feature_subset"] = args.features
+    completed = sum(entry["cases"] for entry in report.methods.values())
     text = report.to_json() if args.format == "json" else report.to_table()
     if out:
         out.write_text(text, encoding="utf-8")

@@ -22,10 +22,6 @@ class ConvergenceError(RuntimeError):
     """An iterative kernel solve cannot converge under the configured decay."""
 
 
-class ZeroSelfKernelError(RuntimeError):
-    """A disparity is undefined because the reference self-kernel is zero."""
-
-
 class NonFiniteLossError(RuntimeError):
     """Training produced a non-finite quantity."""
 

@@ -9,14 +9,18 @@ its self-kernel in one stacked solve. Each kernel disparity is
 |k(T0, T1) - k(T0, T0)| / k(T0, T0) under one skip rule: a refused self-kernel
 skips every case of the team, a zero one skips every case next, and a refused
 cross kernel skips its own case. Refusals and undefined metrics are counted,
-never silently dropped. Aggregate means cover only cases every method
-completed, keeping the per-method rows comparable.
+never silently dropped.
 
 ``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
 edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
-Each method's JSON entry holds ``cases``, ``refusals`` and ``no_candidates``,
-then ``mean_<m>``, ``<m>_cases`` and ``<m>_skipped`` for each metric ``m``, then
-``mean_inference_ms`` and ``mean_total_ms``; the table has one column per metric.
+A report holds its config and one outcome per case and method; an ok
+outcome's ``metrics`` maps each metric to its value or the reason it was
+skipped. Each method's JSON entry is computed from the outcomes: ``cases``,
+``refusals`` and ``no_candidates``, then ``mean_<m>``, ``<m>_cases`` and
+``<m>_skipped`` for each metric ``m``, then ``mean_inference_ms`` and
+``mean_total_ms``. Metrics and times cover only the cases every method
+completed; refusals and no-candidate outcomes count on every outcome. The
+table has one column per metric.
 """
 
 from __future__ import annotations
@@ -25,17 +29,12 @@ import itertools
 import json
 import time
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .encoder import ClusterModel
-from .errors import (
-    ConvergenceError,
-    RefusalError,
-    ValidationError,
-    ZeroSelfKernelError,
-)
+from .errors import ConvergenceError, RefusalError, ValidationError
 from .graph import LabeledGraph, SocialNetwork, Team, check_seed, induced_subgraph
 # perfbench/tracing.py wraps marginalized_kernel under this module's name, so
 # the name stays here although the comparison solves through _marginalized_scores
@@ -87,16 +86,8 @@ def _disparities(kernels: list[float], refused: str) -> list[float | str]:
     if np.isnan(self_kernel):
         return [refused] * len(cross)
     if self_kernel <= 0:
-        return [ZeroSelfKernelError.__name__] * len(cross)
+        return ["ZeroSelfKernelError"] * len(cross)
     return [refused if np.isnan(k) else abs(k - self_kernel) / self_kernel for k in cross]
-
-
-@dataclass
-class CaseMetrics:
-    """Each metric of ``METRICS`` is either in ``values`` or, with the reason, in ``skipped``."""
-
-    values: dict[str, float]
-    skipped: dict[str, str]
 
 
 def evaluate_team_metrics(
@@ -105,11 +96,12 @@ def evaluate_team_metrics(
     new_teams: list[Team],
     kernel_cfg: KernelConfig,
     caps: EvalCaps,
-) -> list[CaseMetrics]:
+) -> list[dict[str, float | str]]:
     """GED, D1 and D2 between the original ``team`` and each new team.
 
-    The original's graph and both self-kernels are computed once; its
-    marginalized self-kernel and every new team's are one stacked solve.
+    One dict per new team maps each metric to its value or, as a string, why
+    it was skipped. The original's graph and both self-kernels are computed
+    once; its marginalized self-kernel and every new team's are one stacked solve.
     """
     t0 = induced_subgraph(net, team)
     stack = [t0, *(induced_subgraph(net, new_team) for new_team in new_teams)]
@@ -120,13 +112,7 @@ def evaluate_team_metrics(
     ]
     d1 = _disparities([_shortest_path_or_nan(t0, g) for g in stack], RefusalError.__name__)
     d2 = _disparities(marg.tolist(), ConvergenceError.__name__)
-    out = []
-    for per_metric in zip(ged, d1, d2):
-        metrics = CaseMetrics({}, {})
-        for name, value in zip(METRICS, per_metric):
-            (metrics.skipped if isinstance(value, str) else metrics.values)[name] = value
-        out.append(metrics)
-    return out
+    return [dict(zip(METRICS, row)) for row in zip(ged, d1, d2)]
 
 
 def evaluate_case_metrics(
@@ -135,7 +121,7 @@ def evaluate_case_metrics(
     new_team: Team,
     kernel_cfg: KernelConfig,
     caps: EvalCaps,
-) -> CaseMetrics:
+) -> dict[str, float | str]:
     """The metrics of one new team: the one-team case of :func:`evaluate_team_metrics`."""
     return evaluate_team_metrics(net, team, [new_team], kernel_cfg, caps)[0]
 
@@ -149,78 +135,56 @@ class CaseOutcome:
     method: str
     status: str  # ok | refused | no-candidate
     subteam: tuple[int, ...] | None = None
-    metrics: CaseMetrics | None = None
+    metrics: dict[str, float | str] | None = None  # each metric's value or skip reason
     inference_ms: float = 0.0
     total_ms: float = 0.0
 
 
-@dataclass
-class MethodAggregate:
-    """Per-method tallies over the cases every method completed.
+def _mean(values: list[float], empty: float | None) -> float | None:
+    """Summed in order from 0.0; the built-in ``sum`` compensates from Python 3.12 on."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total / len(values) if values else empty
 
-    Each of those cases either adds to a metric's ``sums`` and ``counts`` or
-    counts once in ``skipped`` under the reason the metric was skipped. Means
-    are the sums divided by the counts, read when the report is written.
-    """
 
-    cases: int = 0
-    refusals: int = 0
-    no_candidates: int = 0
-    sums: dict[str, float] = field(default_factory=lambda: dict.fromkeys(METRICS, 0.0))
-    counts: dict[str, int] = field(default_factory=lambda: dict.fromkeys(METRICS, 0))
-    skipped: dict[str, Counter] = field(default_factory=lambda: {m: Counter() for m in METRICS})
-    inference_ms: float = 0.0
-    total_ms: float = 0.0
-
-    def add(self, outcome: CaseOutcome, complete: bool) -> None:
-        """Tally one outcome; only a case every method completed adds metrics and times."""
-        if outcome.status == "refused":
-            self.refusals += 1
-        elif outcome.status == "no-candidate":
-            self.no_candidates += 1
-        elif complete:
-            self.cases += 1
-            self.inference_ms += outcome.inference_ms
-            self.total_ms += outcome.total_ms
-            for name, value in outcome.metrics.values.items():
-                self.sums[name] += value
-                self.counts[name] += 1
-            for name, reason in outcome.metrics.skipped.items():
-                self.skipped[name][reason] += 1
-
-    def mean(self, metric: str) -> float | None:
-        return self.sums[metric] / self.counts[metric] if self.counts[metric] else None
-
-    @property
-    def mean_inference_ms(self) -> float:
-        return self.inference_ms / self.cases if self.cases else 0.0
-
-    @property
-    def mean_total_ms(self) -> float:
-        return self.total_ms / self.cases if self.cases else 0.0
-
-    def to_document(self) -> dict:
-        doc = {"cases": self.cases, "refusals": self.refusals, "no_candidates": self.no_candidates}
-        for name in METRICS:
-            doc[f"mean_{name}"] = self.mean(name)
-            doc[f"{name}_cases"] = self.counts[name]
-            doc[f"{name}_skipped"] = dict(sorted(self.skipped[name].items()))
-        doc["mean_inference_ms"] = self.mean_inference_ms
-        doc["mean_total_ms"] = self.mean_total_ms
-        return doc
+def _method_entry(outcomes: list[CaseOutcome], incomplete: set[int]) -> dict:
+    """One method's JSON entry; only cases outside ``incomplete`` add metrics and times."""
+    statuses = Counter(o.status for o in outcomes)
+    kept = [o for o in outcomes if o.status == "ok" and o.case_id not in incomplete]
+    entry = {
+        "cases": len(kept),
+        "refusals": statuses["refused"],
+        "no_candidates": statuses["no-candidate"],
+    }
+    for name in METRICS:
+        outcomes_of_metric = [o.metrics[name] for o in kept]
+        values = [v for v in outcomes_of_metric if not isinstance(v, str)]
+        skipped = Counter(v for v in outcomes_of_metric if isinstance(v, str))
+        entry[f"mean_{name}"] = _mean(values, None)
+        entry[f"{name}_cases"] = len(values)
+        entry[f"{name}_skipped"] = dict(sorted(skipped.items()))
+    entry["mean_inference_ms"] = _mean([o.inference_ms for o in kept], 0.0)
+    entry["mean_total_ms"] = _mean([o.total_ms for o in kept], 0.0)
+    return entry
 
 
 @dataclass
 class EvalReport:
     config: dict
-    methods: dict[str, MethodAggregate]
-    cases: list[CaseOutcome] = field(default_factory=list)
+    cases: list[CaseOutcome]
+
+    @property
+    def methods(self) -> dict[str, dict]:
+        """Each method's JSON entry, computed from the outcomes, in sorted method order."""
+        incomplete = {o.case_id for o in self.cases if o.status != "ok"}
+        return {
+            name: _method_entry([o for o in self.cases if o.method == name], incomplete)
+            for name in sorted(self.config["methods"])
+        }
 
     def to_document(self) -> dict:
-        return {
-            "config": self.config,
-            "methods": {name: agg.to_document() for name, agg in sorted(self.methods.items())},
-        }
+        return {"config": self.config, "methods": self.methods}
 
     def to_json(self) -> str:
         return json.dumps(self.to_document(), indent=2) + "\n"
@@ -241,7 +205,7 @@ class EvalReport:
     def to_table(self) -> str:
         lines = ["\t".join(self.TABLE_COLUMNS)]
         for case in self.cases:
-            values = case.metrics.values if case.metrics else {}
+            metrics = [(case.metrics or {}).get(name, "") for name in METRICS]
             row = (
                 case.case_id,
                 case.method,
@@ -250,7 +214,7 @@ class EvalReport:
                 len(case.departing),
                 case.status,
                 len(case.subteam) if case.subteam is not None else "",
-                *(values.get(name, "") for name in METRICS),
+                *("" if isinstance(v, str) else v for v in metrics),  # a skip reason prints blank
                 case.inference_ms,
                 case.total_ms,
             )
@@ -335,13 +299,13 @@ def run_comparison(
     model: ClusterModel | None = None,
     kernel_cfg: KernelConfig | None = None,
     training_time_ms: float = 0.0,
-    config_echo: dict | None = None,
 ) -> EvalReport:
     """Evaluate every method on identical cases drawn from the held-out ``teams``.
 
-    Training time is amortized over the test teams and added to the trained
-    method's total time. Means are over the cases all methods completed;
-    refusals and no-candidate outcomes are tallied per method.
+    Each outcome's ``inference_ms`` is the wall clock around its method's
+    call, refused or not. Training time is amortized over the test teams and
+    added to the trained method's total time. Means are over the cases all
+    methods completed; refusals and no-candidate outcomes are counted per method.
     """
     caps = caps or EvalCaps()
     kernel_cfg = kernel_cfg or KernelConfig()
@@ -361,15 +325,15 @@ def run_comparison(
             try:
                 result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
             except (RefusalError, ConvergenceError):
-                outcome.inference_ms = (time.perf_counter() - start) * 1e3
                 continue
-            outcome.inference_ms = result.elapsed_ms
+            finally:
+                outcome.inference_ms = (time.perf_counter() - start) * 1e3
             if not result.found:
                 outcome.status = "no-candidate"
                 continue
             outcome.status = "ok"
             outcome.subteam = result.subteam
-            outcome.total_ms = result.elapsed_ms + (amortized_ms if method == "genius" else 0.0)
+            outcome.total_ms = outcome.inference_ms + (amortized_ms if method == "genius" else 0.0)
             kept = tuple(set(team.members) - set(departing))
             completed.append(outcome)
             new_teams.append(Team(kept + result.subteam))
@@ -377,11 +341,6 @@ def run_comparison(
             metrics = evaluate_team_metrics(net, team, new_teams, kernel_cfg, caps)
             for outcome, case_metrics in zip(completed, metrics):
                 outcome.metrics = case_metrics
-    incomplete = {o.case_id for o in outcomes if o.status != "ok"}
-    aggregates = {name: MethodAggregate() for name in method_names}
-    for o in outcomes:
-        aggregates[o.method].add(o, o.case_id not in incomplete)
-
     config = {
         "methods": method_names,
         "percentages": [float(p) for p in percentages],
@@ -396,6 +355,4 @@ def run_comparison(
         "cases": len(cases),
         "training_time_ms": training_time_ms,
     }
-    if config_echo:
-        config.update(config_echo)
-    return EvalReport(config=config, methods=aggregates, cases=outcomes)
+    return EvalReport(config=config, cases=outcomes)

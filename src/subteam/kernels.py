@@ -184,13 +184,18 @@ def _random_walk_scores(
     """
     rs1 = g1.adjacency.sum(axis=1)
     rs2 = adjacency.sum(axis=2)
-    bound = cfg.decay * (lx * (rs1[:, None] * rs2[:, None, :])).max(axis=(1, 2))
-    broken = bound >= 1
-    if broken.any():
-        raise ConvergenceError(
-            f"decay * max row sum of the walk matrix is {bound[np.argmax(broken)]:.6g} >= 1; "
-            f"lower the decay (currently {cfg.decay})"
-        )
+    walk = lx * (rs1[:, None] * rs2[:, None, :])
+    # rounding is monotone, so decay * max is the largest slice's bound; only a
+    # stack at or over it (or holding a NaN) is reduced per slice to name the slice
+    if not cfg.decay * walk.max() < 1:
+        bound = cfg.decay * walk.max(axis=(1, 2))
+        broken = bound >= 1
+        if broken.any():
+            raise ConvergenceError(
+                f"decay * max row sum of the walk matrix is {bound[np.argmax(broken)]:.6g} >= 1; "
+                f"lower the decay (currently {cfg.decay})"
+            )
+    del walk  # not held through the solve
     mass = 1.0 / (g1.size * adjacency.shape[1])
     rhs = lx * mass  # Lx @ x in matrix form
     w = _product_space_solve(rhs, cfg.decay * lx, g1.adjacency, adjacency)

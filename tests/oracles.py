@@ -25,7 +25,7 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
-from subteam.errors import ConvergenceError, RefusalError, ZeroSelfKernelError
+from subteam.errors import ConvergenceError, RefusalError
 from subteam.evaluate import METRICS, _run_method, draw_cases, normalize_methods
 from subteam.graph import LabeledGraph, Team, induced_subgraph
 from subteam.kernels import graph_edit_distance, marginalized_kernel, shortest_path_kernel
@@ -398,14 +398,15 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
 
     Each case rebuilds its original team graph and both self-kernels, and every
     kernel is one single-pair call. Returns one dict per outcome with every
-    field of a ``CaseOutcome`` except the timings.
+    field of a ``CaseOutcome`` except the timings; ``metrics`` maps each metric
+    to its value or the reason it was skipped.
     """
     rows = []
     for case_id, team, pct, departing in draw_cases(teams, percentages, seed):
         original = induced_subgraph(net, team)
         for method in normalize_methods(methods):
             row = dict(case_id=case_id, team=team.members, departing=departing, percent=pct,
-                       method=method, status="refused", subteam=None, values=None, skipped=None)
+                       method=method, status="refused", subteam=None, metrics=None)
             rows.append(row)
             try:
                 result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
@@ -416,12 +417,12 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
                 continue
             kept = tuple(set(team.members) - set(departing))
             t1 = induced_subgraph(net, Team(kept + result.subteam))
-            values, skipped = {}, {}
+            metrics = {}
             ged, d1, d2 = METRICS
             if max(original.size, t1.size) <= caps.ged_max_nodes:
-                values[ged] = graph_edit_distance(original, t1)
+                metrics[ged] = graph_edit_distance(original, t1)
             else:
-                skipped[ged] = "size-cap"
+                metrics[ged] = "size-cap"
             kernels = {
                 d1: lambda a, b: shortest_path_kernel(a, b),
                 d2: lambda a, b: marginalized_kernel(a, b, kernel_cfg),
@@ -430,9 +431,10 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
                 try:
                     self_kernel = kernel(original, original)
                     if self_kernel <= 0:
-                        raise ZeroSelfKernelError("self-kernel is zero")
-                    values[name] = abs(kernel(original, t1) - self_kernel) / self_kernel
-                except (ZeroSelfKernelError, ConvergenceError, RefusalError) as exc:
-                    skipped[name] = type(exc).__name__
-            row.update(status="ok", subteam=result.subteam, values=values, skipped=skipped)
+                        metrics[name] = "ZeroSelfKernelError"
+                    else:
+                        metrics[name] = abs(kernel(original, t1) - self_kernel) / self_kernel
+                except (ConvergenceError, RefusalError) as exc:
+                    metrics[name] = type(exc).__name__
+            row.update(status="ok", subteam=result.subteam, metrics=metrics)
     return rows

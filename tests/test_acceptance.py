@@ -263,7 +263,7 @@ def test_criterion_6_loss_analytics():
     )
     team = next(t for t in teams if len(t) >= 3)
     metrics = evaluate_case_metrics(net, team, team, SYNTH_KERNEL_CFG, EvalCaps())
-    if any(metrics.values.get(m) != 0.0 for m in ("ged", "d1", "d2")):
+    if any(metrics[m] != 0.0 for m in ("ged", "d1", "d2")):
         failures.append(f"identity replacement disparities {metrics}")
 
     report(

@@ -9,9 +9,9 @@ from subteam import evaluate, kernels
 from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError
 from subteam.evaluate import (
+    CaseOutcome,
     EvalCaps,
     EvalReport,
-    MethodAggregate,
     draw_cases,
     evaluate_case_metrics,
     feature_subsample,
@@ -42,8 +42,8 @@ class TestDisparities:
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
         metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
-        assert metrics.values["d1"] == 0.0
-        assert metrics.values["d2"] == 0.0
+        assert metrics["d1"] == 0.0
+        assert metrics["d2"] == 0.0
 
     def test_hand_evaluated_ratio(self, eval_instance):
         net, teams, _ = eval_instance
@@ -56,20 +56,18 @@ class TestDisparities:
         self_k = shortest_path_kernel(t0, t0)
         cross = shortest_path_kernel(t0, t1)
         metrics = evaluate_case_metrics(net, team_a, team_b, KCFG, EvalCaps())
-        assert metrics.values["d1"] == pytest.approx(abs(cross - self_k) / self_k)
+        assert metrics["d1"] == pytest.approx(abs(cross - self_k) / self_k)
 
     def test_zero_self_kernel_skips_d1(self):
         net = net_from_dense(np.zeros((4, 4)), np.eye(4))
         team = Team((0, 1))
         metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
-        assert "d1" not in metrics.values
-        assert metrics.skipped["d1"] == "ZeroSelfKernelError"
+        assert metrics["d1"] == "ZeroSelfKernelError"
 
     def test_zero_marginalized_self_kernel_skips_d2(self):
         net = net_from_dense(np.ones((3, 3)) - np.eye(3), [[0.0], [0.0], [1.0]])
         metrics = evaluate_case_metrics(net, Team((0, 1)), Team((1, 2)), KCFG, EvalCaps())
-        assert "d2" not in metrics.values
-        assert metrics.skipped["d2"] == "ZeroSelfKernelError"
+        assert metrics["d2"] == "ZeroSelfKernelError"
 
 
 class TestEvaluateCaseMetrics:
@@ -77,16 +75,13 @@ class TestEvaluateCaseMetrics:
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
         metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
-        assert metrics.values["ged"] == 0.0
-        assert metrics.values["d1"] == 0.0
-        assert metrics.values["d2"] == 0.0
+        assert metrics == {"ged": 0.0, "d1": 0.0, "d2": 0.0}
 
     def test_ged_size_cap_counted(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
         metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps(ged_max_nodes=1))
-        assert metrics.values.get("ged") is None
-        assert metrics.skipped["ged"] == "size-cap"
+        assert metrics["ged"] == "size-cap"
 
 
 class TestFeatureSubsample:
@@ -158,10 +153,10 @@ class TestRunComparison:
             assert methods["genius"].departing == methods["kernel"].departing
         genius = report.methods["genius"]
         kernel = report.methods["kernel"]
-        assert genius.cases == kernel.cases > 0
+        assert genius["cases"] == kernel["cases"] > 0
         # amortized training time flows into the trained method's total only
-        assert genius.mean_total_ms > genius.mean_inference_ms
-        assert kernel.mean_total_ms == pytest.approx(kernel.mean_inference_ms)
+        assert genius["mean_total_ms"] > genius["mean_inference_ms"]
+        assert kernel["mean_total_ms"] == pytest.approx(kernel["mean_inference_ms"])
 
     def test_means_invariant_under_method_order(self, eval_instance):
         net, teams, model = eval_instance
@@ -170,9 +165,9 @@ class TestRunComparison:
         fwd = run_comparison(net, held_out, ["genius", "kernel"], [25.0], **kwargs)
         rev = run_comparison(net, held_out, ["kernel", "genius"], [25.0], **kwargs)
         for name in ("genius", "kernel"):
-            assert fwd.methods[name].mean("ged") == rev.methods[name].mean("ged")
-            assert fwd.methods[name].mean("d1") == rev.methods[name].mean("d1")
-            assert fwd.methods[name].mean("d2") == rev.methods[name].mean("d2")
+            assert fwd.methods[name]["mean_ged"] == rev.methods[name]["mean_ged"]
+            assert fwd.methods[name]["mean_d1"] == rev.methods[name]["mean_d1"]
+            assert fwd.methods[name]["mean_d2"] == rev.methods[name]["mean_d2"]
 
     def test_refusals_recorded_not_dropped(self, eval_instance):
         net, teams, model = eval_instance
@@ -188,8 +183,8 @@ class TestRunComparison:
             kernel_cfg=KCFG,
         )
         kernel = report.methods["kernel"]
-        assert kernel.refusals == len([c for c in report.cases if c.method == "kernel"])
-        assert kernel.cases == 0
+        assert kernel["refusals"] == len([c for c in report.cases if c.method == "kernel"])
+        assert kernel["cases"] == 0
         assert all(c.status == "refused" for c in report.cases)
 
     def test_empty_split_rejected(self, eval_instance):
@@ -293,8 +288,7 @@ def test_outcomes_equal_the_per_case_oracle(
     got = [
         dict(
             case_id=o.case_id, team=o.team, departing=o.departing, percent=o.percent,
-            method=o.method, status=o.status, subteam=o.subteam,
-            values=o.metrics and o.metrics.values, skipped=o.metrics and o.metrics.skipped,
+            method=o.method, status=o.status, subteam=o.subteam, metrics=o.metrics,
         )
         for o in report.cases
     ]
@@ -302,11 +296,11 @@ def test_outcomes_equal_the_per_case_oracle(
     assert got == expected
     statuses = Counter(row["status"] for row in expected)
     assert statuses["ok"] > len(teams[:6])  # teams complete several cases
-    completed = [row for row in expected if row["values"] is not None]
-    d2 = Counter("value" if "d2" in row["values"] else "skipped" for row in completed)
+    completed = [row["metrics"] for row in expected if row["metrics"] is not None]
+    d2 = Counter("skipped" if isinstance(metrics["d2"], str) else "value" for metrics in completed)
     assert d2["value"] > 0 or termination == 0.1
     assert d2["skipped"] > 0 or termination == 0.95 and max_iters is None
-    d1 = Counter(row["skipped"].get("d1") for row in completed)
+    d1 = Counter(m["d1"] if isinstance(m["d1"], str) else None for m in completed)
     assert set(d1) <= {None, "RefusalError"}
     assert (d1["RefusalError"] > 0) == (sp_max_nodes is not None)
     assert d1[None] > 0
@@ -322,8 +316,66 @@ def test_caps_outside_their_range_rejected(kwargs):
         EvalCaps(**kwargs)
 
 
+def hand_outcome(case_id, method, status, metrics=None, inference_ms=0.0, total_ms=0.0):
+    subteam = (9,) if status == "ok" else None
+    return CaseOutcome(
+        case_id, (1, 2, 3), (2,), 50.0, method, status, subteam, metrics, inference_ms, total_ms
+    )
+
+
+def test_means_cover_only_cases_every_method_completed():
+    cases = [
+        hand_outcome(0, "genius", "ok", {"ged": 2.0, "d1": 0.5, "d2": "ConvergenceError"}, 1, 3),
+        hand_outcome(0, "kernel", "ok", {"ged": 4.0, "d1": "RefusalError", "d2": 0.25}, 10, 10),
+        # kernel refused case 1 and genius found nothing in case 2: neither case
+        # adds to the other method's cases, means or skip counts
+        hand_outcome(1, "genius", "ok", {"ged": 1.0, "d1": 0.25, "d2": 0.5}, 3, 5),
+        hand_outcome(1, "kernel", "refused", inference_ms=0.5),
+        hand_outcome(2, "genius", "no-candidate", inference_ms=0.5),
+        hand_outcome(2, "kernel", "ok", {"ged": "size-cap", "d1": 0.75, "d2": 0.125}, 7, 7),
+        hand_outcome(3, "genius", "ok", {"ged": "size-cap", "d1": "ZeroSelfKernelError", "d2": 0.5},
+                     2, 4),
+        hand_outcome(3, "kernel", "ok", {"ged": 1.0, "d1": 0.25, "d2": "ConvergenceError"}, 6, 6),
+    ]
+    report = EvalReport(config={"methods": ["kernel", "genius"]}, cases=cases)
+    assert list(report.methods) == ["genius", "kernel"]
+    assert report.methods["genius"] == {
+        "cases": 2,
+        "refusals": 0,
+        "no_candidates": 1,
+        "mean_ged": 2.0,
+        "ged_cases": 1,
+        "ged_skipped": {"size-cap": 1},
+        "mean_d1": 0.5,
+        "d1_cases": 1,
+        "d1_skipped": {"ZeroSelfKernelError": 1},
+        "mean_d2": 0.5,
+        "d2_cases": 1,
+        "d2_skipped": {"ConvergenceError": 1},
+        "mean_inference_ms": 1.5,
+        "mean_total_ms": 3.5,
+    }
+    assert report.methods["kernel"] == {
+        "cases": 2,
+        "refusals": 1,
+        "no_candidates": 0,
+        "mean_ged": 2.5,
+        "ged_cases": 2,
+        "ged_skipped": {},
+        "mean_d1": 0.25,
+        "d1_cases": 1,
+        "d1_skipped": {"RefusalError": 1},
+        "mean_d2": 0.25,
+        "d2_cases": 1,
+        "d2_skipped": {"ConvergenceError": 1},
+        "mean_inference_ms": 8.0,
+        "mean_total_ms": 8.0,
+    }
+    assert report.to_document() == {"config": report.config, "methods": report.methods}
+
+
 def test_report_layout_is_pinned():
-    doc = EvalReport(config={}, methods={"m": MethodAggregate()}).to_document()["methods"]["m"]
+    doc = EvalReport(config={"methods": ["m"]}, cases=[]).to_document()["methods"]["m"]
     assert list(doc) == [
         "cases",
         "refusals",
