@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -153,12 +153,39 @@ def build_containers(h: np.ndarray, c: int) -> dict[int, list[int]]:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """Inference-time bundle: embeddings, soft/hard assignments, cluster containers."""
+    """Inference-time bundle: embeddings, soft/hard assignments, cluster containers.
+
+    The model holds its embeddings once, as ``padded``: an (n+1)×w float64
+    array whose last row, at id n, is zeros. ``embeddings`` is the view of its
+    first n rows, so the two cannot disagree, and the search indexes
+    ``padded`` by global node id with id n standing for team members and
+    repeats. Both are read-only. Every container must hold node ids in
+    0..n-1, or construction raises :class:`ValidationError`; containers need
+    not be sorted.
+    """
 
     embeddings: np.ndarray
     soft: np.ndarray
     hard: np.ndarray
     containers: dict[int, list[int]]
+    padded: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        z = np.asarray(self.embeddings, dtype=np.float64)
+        if z.ndim != 2:
+            raise ValidationError(f"embeddings must be 2-D, got shape {z.shape}")
+        n = z.shape[0]
+        for cluster, nodes in self.containers.items():
+            outside = [int(v) for v in nodes if not 0 <= v < n]
+            if outside:
+                raise ValidationError(
+                    f"cluster {cluster} holds node ids {outside} outside 0..{n - 1}"
+                )
+        padded = np.zeros((n + 1, z.shape[1]))
+        padded[:n] = z
+        padded.flags.writeable = False
+        object.__setattr__(self, "padded", padded)
+        object.__setattr__(self, "embeddings", padded[:n])
 
     @classmethod
     def build(cls, net: SocialNetwork, params: EncoderParams) -> "ClusterModel":

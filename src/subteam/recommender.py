@@ -10,7 +10,10 @@ every member multiset is scored once. Those tuples are generated directly:
 the product of every position but the last is walked in numpy blocks of
 ``CHUNK`` prefixes, each kept prefix expands to a run of last-position
 indices, and the runs are scored in pieces of ``CHUNK`` rows, so memory
-stays bounded whatever the tuple count. The count of product tuples that
+stays bounded whatever the tuple count. Tuples hold global node ids and are
+scored against the model's zero-padded embeddings (``ClusterModel.padded``),
+whose zero row at id n stands for team members and repeats, so a query
+builds no table of its own. The count of product tuples that
 keep a member is the product's size minus the tuples drawn only from team
 members, so it is known before the walk. A search over more than
 ``DEFAULT_SEARCH_BUDGET`` product tuples refuses before it starts instead of
@@ -105,26 +108,21 @@ def recommend(
         raise RefusalError(
             f"within-cluster search over {total} tuples exceeds budget {DEFAULT_SEARCH_BUDGET}"
         )
-    z = model.embeddings
-    reference = team_embedding(remaining, z)
+    reference = team_embedding(remaining, model.embeddings)
 
     start = time.perf_counter()
     if total == 0:  # a departing member's cluster is empty, so no tuple exists
         return ReplacementResult(None, None, 0, (time.perf_counter() - start) * 1e3)
-    # Departing members that share a cluster draw from one pool. Local ids index
-    # a table of the pooled nodes' rows in ascending node order plus one zero
-    # row, ``blank``, that stands for team members and repeats.
-    pools = {c: np.asarray(model.containers[c], dtype=np.intp) for c in dict.fromkeys(clusters)}
-    nodes = np.sort(np.concatenate(list(pools.values())))
-    nodes = nodes[np.concatenate(([True], nodes[1:] != nodes[:-1]))]
-    blank = len(nodes)
-    table = np.zeros((blank + 1, z.shape[1]))
-    # gather straight into the table: take's default mode would buffer a copy
-    np.take(np.asarray(z, dtype=np.float64), nodes, axis=0, out=table[:blank], mode="clip")
+    # Departing members that share a cluster draw from one pool. Pools hold
+    # global node ids into ``model.padded``, whose zero row ``blank = n``
+    # stands for team members and repeats.
+    z, blank = model.padded, model.n
     members = np.asarray(team.members, dtype=np.intp)
-    at = np.minimum(np.searchsorted(members, nodes), len(members) - 1)
-    local = np.where(members[at] == nodes, blank, np.arange(blank))
-    pools = {c: local[np.searchsorted(nodes, pool)] for c, pool in pools.items()}
+    pools = {}
+    for c in dict.fromkeys(clusters):
+        pool = np.asarray(model.containers[c], dtype=np.intp)
+        at = np.minimum(np.searchsorted(members, pool), len(members) - 1)
+        pools[c] = np.where(members[at] == pool, blank, pool)
     in_team = {c: int(np.count_nonzero(pool == blank)) for c, pool in pools.items()}
     # a tuple keeps no member exactly when every position draws a team member
     examined = total - prod(in_team[c] for c in clusters)
@@ -142,7 +140,7 @@ def recommend(
         counts = sum(col < blank for col in cols)
         # team_embedding's arithmetic: the rows summed in member order, then
         # divided by the count; adding the blank row's zeros is exact
-        sums = ordered_sum(table[col] for col in cols)
+        sums = ordered_sum(z[col] for col in cols)
         sums /= np.maximum(counts, 1)[:, None]
         scores = cosine_rows(reference, sums)
         scores[counts == 0] = -np.inf
@@ -152,7 +150,7 @@ def recommend(
             best_row = [int(col[first]) for col in cols]
     found = best_row is not None
     return ReplacementResult(
-        subteam=tuple(int(nodes[v]) for v in best_row if v < blank) if found else None,
+        subteam=tuple(v for v in best_row if v < blank) if found else None,
         similarity=float(best_score) if found else None,
         candidates_examined=examined,
         elapsed_ms=(time.perf_counter() - start) * 1e3,
@@ -193,11 +191,17 @@ def _canonical_pieces(pools: list[np.ndarray], clusters: list[int]):
             if not keep.any():
                 continue
             ix = [i[keep] for i in ix]
-        # kept prefix p's run starts at ix[before][p] and fills block rows up to ends[p]
-        ends = np.cumsum(width - ix[before] if before is not None else np.full(len(ix[0]), width))
         cols = [pool[i] for pool, i in zip(heads, ix)]
-        rows = int(ends[-1])
+        if before is None:  # every run is the whole last pool
+            rows = len(ix[0]) * width
+        else:  # kept prefix p's run starts at ix[before][p] and fills block rows up to ends[p]
+            ends = np.cumsum(width - ix[before])
+            rows = int(ends[-1])
         for piece in range(0, rows, CHUNK):
             row = np.arange(piece, min(piece + CHUNK, rows))
-            p = np.searchsorted(ends, row, side="right")
-            yield [col[p] for col in cols] + [last[row + (width - ends[p])]]
+            if before is None:
+                p, i = np.divmod(row, width)
+            else:
+                p = np.searchsorted(ends, row, side="right")
+                i = row + (width - ends[p])
+            yield [col[p] for col in cols] + [last[i]]

@@ -186,6 +186,20 @@ class TestClusterModel:
             assert node in model.containers[int(cluster)]
             assert model.soft[node].argmax() + 1 == cluster
 
+    def test_embeddings_are_the_padded_rows_above_a_zero_row(self):
+        z = np.arange(6, dtype=np.int64).reshape(3, 2)
+        model = ClusterModel(
+            embeddings=z, soft=np.tile([1.0, 0.0], (3, 1)), hard=np.ones(3, dtype=int),
+            containers={1: [2, 0, 1], 2: []},
+        )
+        assert model.padded.shape == (4, 2) and model.padded.dtype == np.float64
+        assert np.shares_memory(model.embeddings, model.padded)
+        assert np.array_equal(model.embeddings, z) and not model.padded[3].any()
+        with pytest.raises(ValueError):
+            model.embeddings[0, 0] = 1.0
+        with pytest.raises(ValidationError, match="2-D"):
+            ClusterModel(embeddings=np.zeros(3), soft=model.soft, hard=model.hard, containers={})
+
 
 class TestDefaultClusterCount:
     @pytest.mark.parametrize(

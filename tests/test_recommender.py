@@ -74,7 +74,8 @@ def product_search_oracle(team, departing, model):
 
 def random_pool_instance(seed: int):
     """Random pools for 1-4 departing members: shared and overlapping clusters,
-    team members inside the pools, tied and zero embedding rows."""
+    team members inside the pools, tied and zero embedding rows, and in about
+    half the draws unsorted containers."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 16))
     z = rng.normal(size=(n, int(rng.integers(1, 5))))
@@ -90,6 +91,9 @@ def random_pool_instance(seed: int):
         c: sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, 7)), replace=False))
         for c in range(1, clusters + 1)
     }
+    if rng.random() < 0.5:  # a hand-built model need not sort its containers
+        for pool in containers.values():
+            rng.shuffle(pool)
     soft = np.zeros((n, clusters))
     soft[np.arange(n), hard - 1] = 1.0
     model = ClusterModel(embeddings=z, soft=soft, hard=hard, containers=containers)
@@ -152,6 +156,14 @@ class TestRecommend:
             if not (set(tup) - {0, 1, 2, 3})
         )
         assert result.candidates_examined == total - skipped
+
+    @pytest.mark.parametrize("node", [7, 4, -1], ids=["beyond-n", "equal-to-n", "negative"])
+    def test_container_node_outside_the_network_rejected(self, node):
+        # id n would read the zero row that stands for team members
+        z = np.eye(4)
+        soft = np.tile([1.0, 0.0], (4, 1))
+        with pytest.raises(ValidationError, match=f"cluster 1 holds node ids \\[{node}\\] outside 0..3"):
+            ClusterModel(embeddings=z, soft=soft, hard=np.ones(4, dtype=int), containers={1: [0, 1, 2, node]})
 
     def test_departing_must_be_strict_subset(self):
         z = np.eye(4)
@@ -271,7 +283,8 @@ class TestRecommend:
 
     def test_peak_memory_set_by_chunk_for_a_large_pool(self):
         # one departing member in a 20,000-node cluster: its one run is about
-        # ten pieces long, and the pool's table is the only pool-sized float array
+        # ten pieces long, and the search gathers rows straight from the
+        # model's padded embeddings, so it allocates no pool-sized float array
         n, d = 20_000, 16
         z = np.random.default_rng(10).normal(size=(n + 1, d))
         model = rig_model(z, np.repeat([1, 2], [n, 1]), 2)
@@ -284,9 +297,8 @@ class TestRecommend:
         finally:
             tracemalloc.stop()
         assert result.candidates_examined == n - 1
-        table = (n + 1) * d * 8
         bound = 8 * recommender.CHUNK * 8 * (len(departing) + d)
-        assert peak - table < bound < table
+        assert peak < bound
 
     def test_budget_refuses_before_enumerating(self, monkeypatch):
         z = np.random.default_rng(6).normal(size=(9, 3))
