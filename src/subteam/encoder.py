@@ -13,7 +13,10 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
@@ -159,33 +162,65 @@ class ClusterModel:
     array whose last row, at id n, is zeros. ``embeddings`` is the view of its
     first n rows, so the two cannot disagree, and the search indexes
     ``padded`` by global node id with id n standing for team members and
-    repeats. Both are read-only. Every container must hold node ids in
-    0..n-1, or construction raises :class:`ValidationError`; containers need
-    not be sorted.
+    repeats. The search pools are built once, at construction: ``pools``
+    maps each cluster id to a read-only ``intp`` array of the container's
+    node ids in container order, and ``containers`` becomes a read-only
+    mapping of the same ids as tuples, so the two cannot disagree and a later
+    edit to the caller's lists does not reach the model. ``hard`` is kept as
+    a read-only copy. Construction raises :class:`ValidationError` unless
+    every container holds integer node ids in 0..n-1, ``hard`` is a 1-D
+    integer array of length n whose every id is a container key, and
+    ``soft`` has n rows; containers need not be sorted.
     """
 
     embeddings: np.ndarray
     soft: np.ndarray
     hard: np.ndarray
-    containers: dict[int, list[int]]
+    containers: Mapping[int, tuple[int, ...]]
     padded: np.ndarray = field(init=False, repr=False)
+    pools: Mapping[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.embeddings, dtype=np.float64)
         if z.ndim != 2:
             raise ValidationError(f"embeddings must be 2-D, got shape {z.shape}")
         n = z.shape[0]
+        pools = {}
         for cluster, nodes in self.containers.items():
-            outside = [int(v) for v in nodes if not 0 <= v < n]
-            if outside:
+            try:
+                pool = np.array([operator.index(v) for v in nodes], dtype=np.intp)
+            except TypeError as exc:
+                raise ValidationError(f"cluster {cluster} holds a non-integer node id: {exc}") from exc
+            outside = pool[(pool < 0) | (pool >= n)]
+            if outside.size:
                 raise ValidationError(
-                    f"cluster {cluster} holds node ids {outside} outside 0..{n - 1}"
+                    f"cluster {cluster} holds node ids {outside.tolist()} outside 0..{n - 1}"
                 )
+            pool.flags.writeable = False
+            pools[cluster] = pool
+        hard = np.array(self.hard)
+        if hard.shape != (n,) or not np.issubdtype(hard.dtype, np.integer):
+            raise ValidationError(
+                f"hard must be a 1-D integer array of length {n}, got {hard.dtype} of shape {hard.shape}"
+            )
+        unknown = set(np.unique(hard).tolist()).difference(pools)
+        if unknown:
+            raise ValidationError(f"hard assigns cluster ids {sorted(unknown)} that no container holds")
+        hard.flags.writeable = False
+        soft = np.asarray(self.soft)
+        if soft.ndim != 2 or soft.shape[0] != n:
+            raise ValidationError(f"soft must have {n} rows, got shape {soft.shape}")
         padded = np.zeros((n + 1, z.shape[1]))
         padded[:n] = z
         padded.flags.writeable = False
         object.__setattr__(self, "padded", padded)
         object.__setattr__(self, "embeddings", padded[:n])
+        object.__setattr__(self, "soft", soft)
+        object.__setattr__(self, "hard", hard)
+        object.__setattr__(self, "pools", MappingProxyType(pools))
+        object.__setattr__(
+            self, "containers", MappingProxyType({c: tuple(p.tolist()) for c, p in pools.items()})
+        )
 
     @classmethod
     def build(cls, net: SocialNetwork, params: EncoderParams) -> "ClusterModel":

@@ -13,9 +13,15 @@ indices, and the runs are scored in pieces of ``CHUNK`` rows, so memory
 stays bounded whatever the tuple count. Tuples hold global node ids and are
 scored against the model's zero-padded embeddings (``ClusterModel.padded``),
 whose zero row at id n stands for team members and repeats, so a query
-builds no table of its own. The count of product tuples that
-keep a member is the product's size minus the tuples drawn only from team
-members, so it is known before the walk. A search over more than
+builds no table of its own. Each cluster's pool is the read-only id array
+``ClusterModel.pools`` built once with the model (its ``containers`` are a
+read-only mapping of the same ids), and a query only blanks the team members
+in a copy. Every piece gathers its rows into two buffers the query allocates
+once, at ``min(CHUNK, product size)`` rows, and sums them in place; a piece
+of one-member tuples is scored on its rows as they are, since dividing a row
+by 1 is exact. The count of product tuples that keep a member is the
+product's size minus the tuples drawn only from team members, so it is known
+before the walk. A search over more than
 ``DEFAULT_SEARCH_BUDGET`` product tuples refuses before it starts instead of
 running for hours.
 """
@@ -31,12 +37,12 @@ import numpy as np
 from .encoder import ClusterModel
 from .errors import RefusalError, ValidationError
 from .graph import SocialNetwork, Team
-from .objectives import cosine_rows, ordered_sum, team_embedding
+from .objectives import cosine_rows, team_embedding
 
 # counts product tuples: with 215-node clusters and 32-wide embeddings on one
-# core, r=3 members departing from three clusters take 0.5-0.6 us per tuple
-# (about 5 s), and from one shared cluster, which scores one tuple in six,
-# 0.1 us per tuple (1 s)
+# core, r=3 members departing from three clusters take 0.16-0.2 us per tuple
+# (about 2 s), and from one shared cluster, which scores one tuple in six,
+# 0.03 us per tuple (0.3 s)
 DEFAULT_SEARCH_BUDGET = 10_000_000
 # rows per scored piece, and prefixes per block of the walk; a search holds
 # O(CHUNK * (r + d)) values at once
@@ -82,7 +88,7 @@ def recommend(
     """Best replacement set from the departing members' clusters.
 
     Enumerates the Cartesian product of the clusters the departing members are
-    hard-assigned to (lexicographically over the sorted cluster lists), drops
+    hard-assigned to (lexicographically over the pools in container order), drops
     original-team members from each tuple, and scores each tuple's remaining
     member set by cosine against the remaining-team embedding. Ties keep the
     first candidate in enumeration order. Within a cluster that several
@@ -102,8 +108,8 @@ def recommend(
     remaining = _check_replacement_inputs(team, departing)
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
-    clusters = [int(model.hard[t]) for t in departing]
-    total = prod(len(model.containers[c]) for c in clusters)
+    clusters = model.hard.take(departing.members).tolist()
+    total = prod(len(model.pools[c]) for c in clusters)
     if total > DEFAULT_SEARCH_BUDGET:
         raise RefusalError(
             f"within-cluster search over {total} tuples exceeds budget {DEFAULT_SEARCH_BUDGET}"
@@ -118,15 +124,20 @@ def recommend(
     # stands for team members and repeats.
     z, blank = model.padded, model.n
     members = np.asarray(team.members, dtype=np.intp)
-    pools = {}
+    pools, in_team = {}, {}
     for c in dict.fromkeys(clusters):
-        pool = np.asarray(model.containers[c], dtype=np.intp)
-        at = np.minimum(np.searchsorted(members, pool), len(members) - 1)
-        pools[c] = np.where(members[at] == pool, blank, pool)
-    in_team = {c: int(np.count_nonzero(pool == blank)) for c, pool in pools.items()}
+        pool = model.pools[c]
+        # the sorted members hold a pool id exactly where it would be inserted
+        hit = members.take(members.searchsorted(pool), mode="clip") == pool
+        pools[c] = np.where(hit, blank, pool)
+        in_team[c] = int(np.count_nonzero(hit))
     # a tuple keeps no member exactly when every position draws a team member
     examined = total - prod(in_team[c] for c in clusters)
 
+    # every piece's sums and gathers go into these, so a query allocates its rows
+    # once; takes use mode="clip" because the ids are checked when the model is
+    # built, and the default mode copies through a temporary when given ``out``
+    sums, gathered = np.empty((2, min(CHUNK, total), z.shape[1]))
     best_row: list[int] | None = None
     best_score = -np.inf
     for cols in _canonical_pieces([pools[c] for c in clusters], clusters):
@@ -137,14 +148,23 @@ def recommend(
                 cols[j], cols[j + 1] = np.minimum(low, high), np.maximum(low, high)
         for j in range(len(cols) - 1, 0, -1):
             cols[j] = np.where(cols[j] == cols[j - 1], blank, cols[j])
-        counts = sum(col < blank for col in cols)
-        # team_embedding's arithmetic: the rows summed in member order, then
-        # divided by the count; adding the blank row's zeros is exact
-        sums = ordered_sum(z[col] for col in cols)
-        sums /= np.maximum(counts, 1)[:, None]
-        scores = cosine_rows(reference, sums)
-        scores[counts == 0] = -np.inf
-        first = int(np.argmax(scores))
+        means = sums[: len(cols[0])]
+        z.take(cols[0], axis=0, out=means, mode="clip")
+        if len(cols) == 1:  # a one-member mean is its row: dividing by 1 is exact
+            empty = cols[0] == blank
+        else:
+            # team_embedding's arithmetic: the rows summed in member order, then
+            # divided by the count; adding the blank row's zeros is exact
+            counts = sum(col < blank for col in cols)
+            row = gathered[: len(means)]
+            for col in cols[1:]:
+                z.take(col, axis=0, out=row, mode="clip")
+                means += row
+            means /= np.maximum(counts, 1)[:, None]
+            empty = counts == 0
+        scores = cosine_rows(reference, means)
+        scores[empty] = -np.inf
+        first = int(scores.argmax())
         if scores[first] > best_score:
             best_score = scores[first]
             best_row = [int(col[first]) for col in cols]

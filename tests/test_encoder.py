@@ -200,6 +200,21 @@ class TestClusterModel:
         with pytest.raises(ValidationError, match="2-D"):
             ClusterModel(embeddings=np.zeros(3), soft=model.soft, hard=model.hard, containers={})
 
+    def test_pools_are_built_once_in_container_order_and_read_only(self):
+        hard = np.ones(3, dtype=int)
+        containers = {1: (2, 0, 1), 2: np.array([], dtype=np.int32)}
+        model = ClusterModel(np.eye(3), np.tile([1.0, 0.0], (3, 1)), hard, containers)
+        assert model.pools[1].dtype == np.intp and model.pools[1].tolist() == [2, 0, 1]
+        assert model.pools[2].dtype == np.intp and model.pools[2].size == 0
+        assert model.containers == {1: (2, 0, 1), 2: ()}
+        for frozen in (model.pools[1], model.hard):
+            with pytest.raises(ValueError):
+                frozen[0] = 2
+        with pytest.raises(TypeError):
+            model.pools[3] = np.array([0])
+        hard[0] = 9  # the model keeps its own copy
+        assert model.hard.tolist() == [1, 1, 1]
+
 
 class TestDefaultClusterCount:
     @pytest.mark.parametrize(

@@ -165,6 +165,39 @@ class TestRecommend:
         with pytest.raises(ValidationError, match=f"cluster 1 holds node ids \\[{node}\\] outside 0..3"):
             ClusterModel(embeddings=z, soft=soft, hard=np.ones(4, dtype=int), containers={1: [0, 1, 2, node]})
 
+    @pytest.mark.parametrize(
+        "hard, soft_rows, pool, match",
+        [
+            ([1, 1, 3, 2], 4, [2, 3], "hard assigns cluster ids \\[3\\] that no container holds"),
+            ([1, 2], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
+            ([[1, 1, 2, 2]], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
+            ([1.0, 1.0, 2.0, 2.0], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
+            ([1, 1, 2, 2], 3, [2, 3], "soft must have 4 rows"),
+            ([1, 1, 2, 2], 4, [2, 2.5], "cluster 2 holds a non-integer node id"),
+        ],
+        ids=["unknown-cluster", "too-short", "2-D", "float", "soft-rows", "float-node"],
+    )
+    def test_model_parts_that_do_not_fit_rejected(self, hard, soft_rows, pool, match):
+        # an unknown cluster id made recommend raise KeyError, a short hard IndexError
+        containers = {1: [0, 1], 2: pool}
+        with pytest.raises(ValidationError, match=match):
+            ClusterModel(np.eye(4), np.tile([1.0, 0.0], (soft_rows, 1)), hard, containers)
+
+    def test_containers_cannot_be_edited_after_construction(self):
+        # node 4 would read the zero row that stands for team members
+        containers = {1: [0, 1], 2: [2, 3]}
+        model = ClusterModel(np.eye(4), np.eye(2)[[0, 0, 1, 1]], [1, 1, 2, 2], containers)
+        team, departing, net = Team((0, 2)), Team((2,)), blank_net(4)
+        before = recommend(team, departing, model, net)
+        containers[2].append(4)
+        with pytest.raises(AttributeError):
+            model.containers[2].append(4)
+        with pytest.raises(TypeError):
+            model.containers[2] = [2, 3, 4]
+        after = recommend(team, departing, model, net)
+        assert model.containers[2] == (2, 3)
+        assert (after.subteam, after.candidates_examined) == (before.subteam, before.candidates_examined) == ((3,), 1)
+
     def test_departing_must_be_strict_subset(self):
         z = np.eye(4)
         model = rig_model(z, [1, 1, 2, 2], 2)
@@ -361,6 +394,27 @@ class TestRecommend:
         model = rig_model(z, np.repeat([1, 2], [20, 1]), 2)
         recommend(Team((0, 1, 2, 20)), Team((0, 1, 2)), model, blank_net(21))
         assert rows == [math.comb(22, 3)]
+
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_container_type_does_not_change_the_answer(self, seed):
+        # lists, tuples and numpy arrays in one shuffled order give identical answers
+        team, departing, model, net = random_pool_instance(seed)
+        rng = np.random.default_rng([seed, 1])
+        order = {c: rng.permutation(nodes).tolist() for c, nodes in model.containers.items()}
+        answers = set()
+        for kind in (list, tuple, lambda nodes: np.array(nodes, dtype=np.int32)):
+            shuffled = ClusterModel(
+                model.embeddings, model.soft, model.hard, {c: kind(nodes) for c, nodes in order.items()}
+            )
+            result = recommend(team, departing, shuffled, net)
+            members, score, examined = product_search_oracle(team, departing, shuffled)
+            assert result.subteam == members
+            assert result.similarity == (None if members is None else score)
+            assert result.candidates_examined == examined
+            bits = None if result.similarity is None else result.similarity.hex()
+            answers.add((result.subteam, result.candidates_examined, bits))
+        assert len(answers) == 1
 
     @pytest.mark.parametrize("chunk", [1, 3])
     @given(st.integers(0, 2**32 - 1))
