@@ -61,7 +61,6 @@ from .objectives import (
 from .recommender import ReplacementResult, recommend
 from .trainer import (
     TrainConfig,
-    gradient_check_report,
     sample_subteam,
     split_teams,
     train,

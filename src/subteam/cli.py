@@ -1,11 +1,11 @@
 """Command-line pipeline: synthesize data, train, recommend, evaluate.
 
 Exit codes: 0 success, 1 internal error, 2 validation/parse failure (a missing
-input file included) or a search refused by its budget, 3 no candidate found,
-4 empty evaluation. The optional JSON config file (``--config``) holds flag
-values keyed by flag name with dashes replaced by underscores; they are parsed
-as flags placed before the command line's own, so explicit flags win. Unknown
-keys are rejected.
+input file and a data file that is not UTF-8 included) or a search refused by
+its budget, 3 no candidate found, 4 empty evaluation. The optional JSON config
+file (``--config``) holds flag values keyed by flag name with dashes replaced
+by underscores; they are parsed as flags placed before the command line's own,
+so explicit flags win. Unknown keys are rejected.
 """
 
 from __future__ import annotations

@@ -2,7 +2,7 @@
 
 :func:`forward` is the one encoder pass: :func:`encode`,
 :meth:`ClusterModel.build` and the trainer all call it, and the trainer's
-backpropagation (checked by :func:`subteam.trainer.gradient_check_report`)
+backpropagation (checked against finite differences in the test suite)
 reads the intermediates it returns. All forward operations are pure functions
 of immutable inputs; parameter objects are never mutated in place. Cluster ids
 are 1-based throughout, matching the hard-assignment convention used by the

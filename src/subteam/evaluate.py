@@ -35,7 +35,7 @@ import numpy as np
 
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .graph import LabeledGraph, SocialNetwork, Team, check_seed, induced_subgraph
+from .graph import LabeledGraph, SocialNetwork, Team, check_seed, draw_subset, induced_subgraph
 # perfbench/tracing.py wraps marginalized_kernel under this module's name, so
 # the name stays here although the comparison solves through _marginalized_scores
 from .kernels import (
@@ -47,6 +47,7 @@ from .kernels import (
     marginalized_kernel,
     shortest_path_kernel,
 )
+from .objectives import ordered_sum
 from .recommender import recommend
 
 METRICS = ("ged", "d1", "d2")
@@ -142,10 +143,7 @@ class CaseOutcome:
 
 def _mean(values: list[float], empty: float | None) -> float | None:
     """Summed in order from 0.0; the built-in ``sum`` compensates from Python 3.12 on."""
-    total = 0.0
-    for value in values:
-        total += value
-    return total / len(values) if values else empty
+    return ordered_sum([0.0, *values]) / len(values) if values else empty
 
 
 def _method_entry(outcomes: list[CaseOutcome], incomplete: set[int]) -> dict:
@@ -234,26 +232,21 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
 def draw_cases(teams, percentages, seed: int):
     """Shared (team, percent, departing) cases: one draw per team and percentage.
 
-    Each percentage must lie in (0, 100]; the departing count rounds it to at
-    least one member and at most all but one.
+    Each percentage must lie in (0, 100]; :func:`subteam.graph.draw_subset` rounds
+    it to at least one member and at most all but one.
     """
     for pct in percentages:
         if not 0 < pct <= 100:
             raise ValidationError(f"percentages must be in (0, 100], got {pct}")
     rng = np.random.default_rng([seed, 3])
     cases = []
-    case_id = 0
     for team in teams:
         if len(team) < 2:
             continue
+        members = np.asarray(team.members)
         for pct in percentages:
-            k = int(round(pct / 100.0 * len(team)))
-            k = min(max(k, 1), len(team) - 1)
-            departing = tuple(
-                sorted(int(v) for v in rng.choice(np.asarray(team.members), k, replace=False))
-            )
-            cases.append((case_id, team, float(pct), departing))
-            case_id += 1
+            departing = draw_subset(members, pct / 100.0, rng)
+            cases.append((len(cases), team, float(pct), departing))
     return cases
 
 

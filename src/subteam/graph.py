@@ -10,7 +10,8 @@ The on-disk formats are plain UTF-8 text:
 * team file: one team per line, space-separated node ids
 
 Indices are 0-based decimal integers; ``#``-prefixed and blank lines are
-skipped in all three formats. Fields may be separated by any whitespace.
+skipped in all three formats. Fields may be separated by any whitespace. A
+byte that is not UTF-8 raises :class:`ParseError` naming its file and line.
 """
 
 from __future__ import annotations
@@ -162,8 +163,15 @@ class LabeledGraph:
 
 
 def _data_lines(path):
-    with open(path, encoding="utf-8") as fh:
+    """(line number, stripped line) for each line that is neither blank nor a comment.
+
+    Bytes that are not UTF-8 are decoded as escapes, which split lines as a valid
+    file would, and refused as a :class:`ParseError` naming their line.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
+            if not raw.isascii() and any("\udc80" <= ch <= "\udcff" for ch in raw):
+                raise ParseError(path, line_no, "not valid UTF-8")
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
@@ -176,9 +184,44 @@ def check_seed(seed: int) -> None:
         raise ValidationError(f"seed must be >= 0, got {seed}")
 
 
-def _check_id(path, line_no: int, kind: str, value: int, cap: int) -> None:
-    if not 0 <= value < cap:
-        raise ValidationError(f"{path}:{line_no}: {kind} id {value} out of range [0, {cap})")
+def draw_subset(members: np.ndarray, fraction: float, rng: np.random.Generator):
+    """Sorted tuple of ``round(fraction * m)`` of the m >= 2 members, kept to 1..m-1.
+
+    Drawing positions takes the same random stream as ``rng.choice(members, k, replace=False)``.
+    """
+    m = len(members)
+    k = min(max(int(round(fraction * m)), 1), m - 1)
+    return tuple(np.sort(members[rng.choice(m, size=k, replace=False)]).tolist())
+
+
+def _read_triples(path, usage: str, ids, value_name: str, default: float | None = None):
+    """The ``id id value`` lines of ``path`` as two id arrays and one value array.
+
+    ``ids`` holds each id's (kind, cap): it must lie in ``[0, cap)``. Values must be
+    finite and non-negative and may be left out only if there is a ``default``;
+    ``usage`` shows the line's shape. Errors name the file and line.
+    """
+    pairs: list[tuple[int, int]] = []
+    vals: list[float] = []
+    min_fields = 3 if default is None else 2
+    for line_no, line in _data_lines(path):
+        parts = line.split()
+        if not min_fields <= len(parts) <= 3:
+            raise ParseError(path, line_no, f"expected {usage!r}, got {line!r}")
+        try:
+            pair = int(parts[0]), int(parts[1])
+            value = float(parts[2]) if len(parts) == 3 else default
+        except ValueError as exc:
+            raise ParseError(path, line_no, str(exc)) from exc
+        for (kind, cap), i in zip(ids, pair):
+            if not 0 <= i < cap:
+                raise ValidationError(f"{path}:{line_no}: {kind} id {i} out of range [0, {cap})")
+        if not math.isfinite(value) or value < 0:
+            raise ValidationError(f"{path}:{line_no}: bad {value_name} {value!r}")
+        pairs.append(pair)
+        vals.append(value)
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    return pairs[:, 0], pairs[:, 1], np.array(vals)
 
 
 def load_network(edge_path, feature_path) -> SocialNetwork:
@@ -191,66 +234,36 @@ def load_network(edge_path, feature_path) -> SocialNetwork:
     is the maximum of the declared weights. Repeated feature triples
     accumulate.
     """
-    edges: dict[tuple[int, int], float] = {}
-    max_node = -1
-    for line_no, line in _data_lines(edge_path):
-        parts = line.split()
-        if len(parts) not in (2, 3):
-            raise ParseError(edge_path, line_no, f"expected 'src dst [weight]', got {line!r}")
-        try:
-            i, j = int(parts[0]), int(parts[1])
-            w = float(parts[2]) if len(parts) == 3 else 1.0
-        except ValueError as exc:
-            raise ParseError(edge_path, line_no, str(exc)) from exc
-        _check_id(edge_path, line_no, "node", i, MAX_NODES)
-        _check_id(edge_path, line_no, "node", j, MAX_NODES)
-        if not math.isfinite(w) or w < 0:
-            raise ValidationError(f"{edge_path}:{line_no}: bad edge weight {w!r}")
-        key = (i, j) if i <= j else (j, i)
-        edges[key] = max(edges.get(key, 0.0), w)
-        max_node = max(max_node, i, j)
+    node = ("node", MAX_NODES)
+    src, dst, w = _read_triples(edge_path, "src dst [weight]", (node, node), "edge weight", 1.0)
+    frows, fcols, fvals = _read_triples(
+        feature_path, "node feature value", (node, ("feature", MAX_FEATURES)), "feature value"
+    )
+    n = 1 + int(max(src.max(initial=-1), dst.max(initial=-1), frows.max(initial=-1)))
+    d = 1 + int(fcols.max(initial=-1))
+    # every line in both directions, then one entry per (row, col), keyed
+    # row * n + col, at its largest weight: sorted by key, then weight, the last
+    key = np.concatenate([src * n + dst, dst * n + src])
+    w = np.concatenate([w, w])
+    order = np.lexsort((w, key))
+    key, w = key[order], w[order]
+    last = np.diff(key, append=-1) != 0
+    return SocialNetwork(
+        adjacency=sp.coo_array((w[last], np.divmod(key[last], n)), shape=(n, n)),
+        features=sp.coo_array((fvals, (frows, fcols)), shape=(n, d)),
+    )
 
-    frows: list[int] = []
-    fcols: list[int] = []
-    fvals: list[float] = []
-    max_feat = -1
-    for line_no, line in _data_lines(feature_path):
-        parts = line.split()
-        if len(parts) != 3:
-            raise ParseError(
-                feature_path, line_no, f"expected 'node feature value', got {line!r}"
-            )
-        try:
-            node, feat = int(parts[0]), int(parts[1])
-            val = float(parts[2])
-        except ValueError as exc:
-            raise ParseError(feature_path, line_no, str(exc)) from exc
-        _check_id(feature_path, line_no, "node", node, MAX_NODES)
-        _check_id(feature_path, line_no, "feature", feat, MAX_FEATURES)
-        if not math.isfinite(val) or val < 0:
-            raise ValidationError(f"{feature_path}:{line_no}: bad feature value {val!r}")
-        frows.append(node)
-        fcols.append(feat)
-        fvals.append(val)
-        max_node = max(max_node, node)
-        max_feat = max(max_feat, feat)
 
-    n = max_node + 1
-    d = max_feat + 1
-    arows: list[int] = []
-    acols: list[int] = []
-    avals: list[float] = []
-    for (i, j), w in edges.items():
-        arows.append(i)
-        acols.append(j)
-        avals.append(w)
-        if i != j:
-            arows.append(j)
-            acols.append(i)
-            avals.append(w)
-    adjacency = sp.coo_array((avals, (arows, acols)), shape=(n, n)).tocsr()
-    features = sp.coo_array((fvals, (frows, fcols)), shape=(n, d)).tocsr()
-    return SocialNetwork(adjacency=adjacency, features=features)
+def _write_triples(path, header: str, entries: sp.coo_array, markers=()) -> None:
+    """``row<TAB>col<TAB>value`` lines sorted by (row, col), every value through
+    ``repr`` so that it reloads exactly; then a zero line per (row, col) marker.
+    """
+    order = np.lexsort((entries.col, entries.row))
+    rows, cols, vals = (a[order].tolist() for a in (entries.row, entries.col, entries.data))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(f"# {header}\n")
+        fh.writelines(f"{i}\t{j}\t{v!r}\n" for i, j, v in zip(rows, cols, vals))
+        fh.writelines(f"{i}\t{j}\t0.0\n" for i, j in markers)
 
 
 def save_network(net: SocialNetwork, edge_path, feature_path) -> None:
@@ -259,34 +272,18 @@ def save_network(net: SocialNetwork, edge_path, feature_path) -> None:
     Nodes with neither edges nor features get an explicit zero feature marker
     so the node count round-trips; the same trick pins the feature dimension.
     """
-    triu = sp.triu(net.adjacency).tocoo()
-    order = np.lexsort((triu.col, triu.row))
-    with open(edge_path, "w", encoding="utf-8") as fh:
-        fh.write("# src\tdst\tweight\n")
-        for k in order:
-            fh.write(f"{triu.row[k]}\t{triu.col[k]}\t{float(triu.data[k])!r}\n")
-
+    _write_triples(edge_path, "src\tdst\tweight", sp.triu(net.adjacency).tocoo())
     feats = net.features.tocoo()
-    covered = np.zeros(net.n, dtype=bool)
+    covered = np.diff(net.adjacency.indptr) > 0
     covered[feats.row] = True
-    deg = net.adjacency.indptr[1:] - net.adjacency.indptr[:-1]
-    covered[deg > 0] = True
-    missing = np.flatnonzero(~covered)
-    feat_cols = set(feats.col.tolist())
-    need_d_marker = net.d > 0 and (net.d - 1) not in feat_cols
-    if net.d == 0 and missing.size:
+    markers = [(node, 0) for node in np.flatnonzero(~covered).tolist()]
+    if net.d == 0 and markers:
         raise ValidationError("cannot mark isolated nodes in a network with d=0")
     if net.n == 0 and net.d > 0:
         raise ValidationError("cannot mark the feature dimension of an empty network")
-    forder = np.lexsort((feats.col, feats.row))
-    with open(feature_path, "w", encoding="utf-8") as fh:
-        fh.write("# node\tfeature\tvalue\n")
-        for k in forder:
-            fh.write(f"{feats.row[k]}\t{feats.col[k]}\t{float(feats.data[k])!r}\n")
-        for node in missing:
-            fh.write(f"{node}\t0\t0.0\n")
-        if need_d_marker:
-            fh.write(f"0\t{net.d - 1}\t0.0\n")
+    if net.d > 0 and not np.any(feats.col == net.d - 1):
+        markers.append((0, net.d - 1))
+    _write_triples(feature_path, "node\tfeature\tvalue", feats, markers)
 
 
 def load_teams(team_path, net: SocialNetwork) -> list[Team]:

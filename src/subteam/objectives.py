@@ -3,8 +3,8 @@
 Each loss term has one ``*_term`` function that returns its value and its
 gradient with respect to the soft assignments C (or the embeddings z for the
 contrastive term); the trainer backpropagates that gradient through the
-encoder, and :func:`subteam.trainer.gradient_check_report` verifies it against
-central finite differences. The ``*_loss`` functions return the value alone.
+encoder, and the test suite's ``gradient_check_report`` oracle checks it
+against central finite differences. The ``*_loss`` functions return the value alone.
 All operations are pure. The skill and structural terms never build an n x n
 array: they use dense n x d features, n x k assignments, k x k and d x k Grams,
 and the adjacency as given, dense or sparse.

@@ -2,8 +2,8 @@
 
 The encoder forward pass is :func:`subteam.encoder.forward`, and each loss
 term's value and gradient come from one function in :mod:`subteam.objectives`.
-This module adds the chain rule through the cluster head and the layers; the
-result is verified against central finite differences by :func:`gradient_check_report`.
+This module adds the chain rule through the cluster head and the layers; an
+oracle in the test suite checks it against central finite differences.
 The whole loop is deterministic for a fixed seed: identical configuration and
 data reproduce bit-identical parameters.
 """
@@ -18,7 +18,7 @@ import numpy as np
 
 from .encoder import EncoderParams, Forward, default_cluster_count, forward, init_params
 from .errors import NonFiniteLossError, ValidationError
-from .graph import SocialNetwork, Team, _data_lines, check_seed, normalize_adjacency
+from .graph import SocialNetwork, Team, _data_lines, check_seed, draw_subset, normalize_adjacency
 # skill_loss, structural_loss and clustering_loss are not called here, but stay
 # importable as subteam.trainer.* because perfbench/tracing.py wraps them there.
 from .objectives import (
@@ -114,17 +114,13 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
 def sample_subteam(team, fraction_range, rng: np.random.Generator):
     """Uniform subteam of fractional size; None for teams too small to split.
 
-    ``team`` is a :class:`Team` or an array of its members. The draw indexes
-    positions, which takes the same random stream as drawing from the members.
+    ``team`` is a :class:`Team` or an array of its members; the size fraction is
+    drawn uniformly from ``fraction_range``, then :func:`subteam.graph.draw_subset` draws.
     """
     members = np.asarray(getattr(team, "members", team))
-    m = len(members)
-    if m < 2:
+    if len(members) < 2:
         return None
-    lo, hi = fraction_range
-    k = int(round(rng.uniform(lo, hi) * m))
-    k = min(max(k, 1), m - 1)
-    return tuple(np.sort(members[rng.choice(m, size=k, replace=False)]).tolist())
+    return draw_subset(members, rng.uniform(*fraction_range), rng)
 
 
 def _member_arrays(teams) -> list[tuple[tuple[int, ...], np.ndarray]]:
@@ -287,69 +283,3 @@ def read_total_wall_ms(path) -> float:
         total += value
     return total
 
-
-def gradient_check_report(
-    net: SocialNetwork,
-    teams,
-    params: EncoderParams,
-    eps: float = 1e-4,
-    weights: LossWeights | None = None,
-    seed: int = 0,
-) -> dict[str, float]:
-    """Central-difference check of each loss term and the weighted total.
-
-    The subteam batch is sampled once (deterministically from ``seed``) and
-    held fixed across all evaluations. Returns the worst error per term.
-    """
-    weights = weights or LossWeights()
-    pairs = _sample_batch(_member_arrays(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
-    model = _LossModel(net)
-    wvecs = {
-        "contra": (1.0, 0.0, 0.0, 0.0),
-        "skill": (0.0, 1.0, 0.0, 0.0),
-        "structural": (0.0, 0.0, 1.0, 0.0),
-        "clustering": (0.0, 0.0, 0.0, 1.0),
-        "total": (1.0, weights.skill, weights.structural, weights.clustering),
-    }
-
-    work = [w.copy() for w in params.layer_weights]
-    head = params.cluster_weight.copy()
-    matrices = [*work, head]
-
-    def values() -> dict[str, float]:
-        perturbed = EncoderParams(layer_weights=tuple(work), cluster_weight=head)
-        return model.terms(forward(model.norm_adj, model.ax, perturbed), pairs, wvecs["total"])[0]
-
-    fwd = forward(model.norm_adj, model.ax, params)
-    analytic = {}
-    for name, wvec in wvecs.items():
-        _, dz, dc = model.terms(fwd, pairs, wvec)
-        grads, d_wc = model.backward(params, fwd, dz, dc)
-        analytic[name] = [*grads, d_wc]
-
-    numeric = {name: [np.zeros_like(m) for m in matrices] for name in wvecs}
-    for mat_idx, mat in enumerate(matrices):
-        for flat in range(mat.size):
-            idx = np.unravel_index(flat, mat.shape)
-            orig = mat[idx]
-            mat[idx] = orig + eps
-            plus = values()
-            mat[idx] = orig - eps
-            minus = values()
-            mat[idx] = orig
-            for name, wvec in wvecs.items():
-                numeric[name][mat_idx][idx] = (
-                    sum(w * v for w, v in zip(wvec, plus.values()))
-                    - sum(w * v for w, v in zip(wvec, minus.values()))
-                ) / (2 * eps)
-
-    report = {}
-    for name in wvecs:
-        worst = 0.0
-        for a_mat, n_mat in zip(analytic[name], numeric[name]):
-            diff = np.abs(a_mat - n_mat)
-            denom = np.maximum(np.abs(a_mat), np.abs(n_mat))
-            err = np.where(denom < 1e-6, diff, diff / np.maximum(denom, 1e-300))
-            worst = max(worst, float(err.max()))
-        report[name] = worst
-    return report

@@ -16,6 +16,9 @@ the marginalized kernel as it was before it was stacked, and
 evaluation's per-case metric path as it was before each held-out team's work
 was shared; the latter calls the library's kernels and methods, since it
 checks the evaluation's bookkeeping, not the kernels' arithmetic.
+:func:`gradient_check_report` takes central differences of the trainer's own
+loss values and compares its analytic gradients with them, so it checks the
+chain rule, not the loss values.
 """
 
 import itertools
@@ -25,12 +28,14 @@ import time
 import numpy as np
 import scipy.sparse as sp
 
+from subteam.encoder import EncoderParams, forward
 from subteam.errors import ConvergenceError, RefusalError
 from subteam.evaluate import METRICS, _run_method, draw_cases, normalize_methods
-from subteam.graph import LabeledGraph, Team, induced_subgraph
+from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
 from subteam.kernels import graph_edit_distance, marginalized_kernel, shortest_path_kernel
-from subteam.objectives import COSINE_NORM_FLOOR, cosine, team_embedding
+from subteam.objectives import COSINE_NORM_FLOOR, LossWeights, cosine, team_embedding
 from subteam.recommender import ReplacementResult
+from subteam.trainer import _LossModel, _member_arrays, _sample_batch
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -438,3 +443,70 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
                     metrics[name] = type(exc).__name__
             row.update(status="ok", subteam=result.subteam, metrics=metrics)
     return rows
+
+
+def gradient_check_report(
+    net: SocialNetwork,
+    teams,
+    params: EncoderParams,
+    eps: float = 1e-4,
+    weights: LossWeights | None = None,
+    seed: int = 0,
+) -> dict[str, float]:
+    """Central-difference check of each loss term and the weighted total.
+
+    The subteam batch is sampled once (deterministically from ``seed``) and
+    held fixed across all evaluations. Returns the worst error per term.
+    """
+    weights = weights or LossWeights()
+    pairs = _sample_batch(_member_arrays(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
+    model = _LossModel(net)
+    wvecs = {
+        "contra": (1.0, 0.0, 0.0, 0.0),
+        "skill": (0.0, 1.0, 0.0, 0.0),
+        "structural": (0.0, 0.0, 1.0, 0.0),
+        "clustering": (0.0, 0.0, 0.0, 1.0),
+        "total": (1.0, weights.skill, weights.structural, weights.clustering),
+    }
+
+    work = [w.copy() for w in params.layer_weights]
+    head = params.cluster_weight.copy()
+    matrices = [*work, head]
+
+    def values() -> dict[str, float]:
+        perturbed = EncoderParams(layer_weights=tuple(work), cluster_weight=head)
+        return model.terms(forward(model.norm_adj, model.ax, perturbed), pairs, wvecs["total"])[0]
+
+    fwd = forward(model.norm_adj, model.ax, params)
+    analytic = {}
+    for name, wvec in wvecs.items():
+        _, dz, dc = model.terms(fwd, pairs, wvec)
+        grads, d_wc = model.backward(params, fwd, dz, dc)
+        analytic[name] = [*grads, d_wc]
+
+    numeric = {name: [np.zeros_like(m) for m in matrices] for name in wvecs}
+    for mat_idx, mat in enumerate(matrices):
+        for flat in range(mat.size):
+            idx = np.unravel_index(flat, mat.shape)
+            orig = mat[idx]
+            mat[idx] = orig + eps
+            plus = values()
+            mat[idx] = orig - eps
+            minus = values()
+            mat[idx] = orig
+            for name, wvec in wvecs.items():
+                numeric[name][mat_idx][idx] = (
+                    sum(w * v for w, v in zip(wvec, plus.values()))
+                    - sum(w * v for w, v in zip(wvec, minus.values()))
+                ) / (2 * eps)
+
+    report = {}
+    for name in wvecs:
+        worst = 0.0
+        for a_mat, n_mat in zip(analytic[name], numeric[name]):
+            diff = np.abs(a_mat - n_mat)
+            denom = np.maximum(np.abs(a_mat), np.abs(n_mat))
+            err = np.where(denom < 1e-6, diff, diff / np.maximum(denom, 1e-300))
+            worst = max(worst, float(err.max()))
+        report[name] = worst
+    return report

@@ -14,7 +14,13 @@ import time
 import numpy as np
 
 from conftest import net_from_dense
-from oracles import exhaustive_oracle, random_labeled_graph, rw_kernel_dense, rw_kernel_series
+from oracles import (
+    exhaustive_oracle,
+    gradient_check_report,
+    random_labeled_graph,
+    rw_kernel_dense,
+    rw_kernel_series,
+)
 from subteam.cli import main as cli_main
 from subteam.encoder import (
     ClusterModel,
@@ -28,7 +34,7 @@ from subteam.graph import Team, generate_synthetic, planted_blocks
 from subteam.kernels import KernelConfig, kernel_baseline_replace, random_walk_kernel
 from subteam.objectives import clustering_loss, structural_loss
 from subteam.recommender import recommend
-from subteam.trainer import TrainConfig, gradient_check_report, train
+from subteam.trainer import TrainConfig, train
 
 SYNTH_KERNEL_CFG = KernelConfig(decay=0.005, termination=0.95)
 

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import re
+import shutil
 from pathlib import Path
 
 import pytest
@@ -74,6 +76,22 @@ class TestSynth:
         b = run_synth(tmp_path, "b")
         for name in ("edges.tsv", "features.tsv", "teams.txt", "manifest.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes()
+
+    def test_quickstart_files_are_pinned(self, tmp_path):
+        # the README quickstart's synth command; a change to these bytes changes every
+        # downstream result, so it must be deliberate
+        out = tmp_path / "data"
+        argv = ["synth", "--n", "48", "--d", "16", "--clusters", "4", "--teams", "40"]
+        assert main(argv + ["--seed", "11", "--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("edges.tsv", "features.tsv", "teams.txt")
+        }
+        assert digests == {
+            "edges.tsv": "8b7f8db718a63cf32250940eac785456577e99ad0d81ae15b53e49a427ccbf38",
+            "features.tsv": "cefba6df0943b3ca0cf6dfe183a7fe6265f61d34b7c0d9196b43d6605cd6c6da",
+            "teams.txt": "b2d38de32d6862ab98b5c167d83d1493f3661bebacae06d71cb00dcd33228762",
+        }
 
     def test_invalid_probability_exits_2(self, tmp_path, capsys):
         code = main(SYNTH + ["--p-out", "1.5", "--out", str(tmp_path / "x")])
@@ -468,6 +486,22 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert code == 2
         assert "bad.log:2" in err and "internal" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("target", ["edges.tsv", "features.tsv", "teams.txt", "train.log"])
+    def test_bytes_not_utf8_exit_2_naming_the_line(self, trained, tmp_path, capsys, target):
+        data = tmp_path / "data"
+        shutil.copytree(trained, data)
+        lines = (data / target).read_bytes().splitlines(keepends=True)
+        lines[2] = lines[2][:1] + b"\xff" + lines[2][1:]
+        (data / target).write_bytes(b"".join(lines))
+        out = tmp_path / "report.json"
+        args = ["--data", str(data), "--checkpoint", str(data / "checkpoint.json")]
+        args += ["--train-log", str(data / "train.log"), "--out", str(out)]
+        code = main(EVAL_FAST + args)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{target}:3: not valid UTF-8" in err and "internal" not in err
         assert not out.exists()
 
     def test_genius_without_checkpoint_names_the_flag(self, trained, tmp_path, capsys):

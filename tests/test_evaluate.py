@@ -119,6 +119,34 @@ class TestDrawCases:
             assert set(departing) < set(team.members)
             assert 1 <= len(departing) <= len(team) - 1
 
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31 + 5])
+    def test_same_draws_as_choosing_from_the_members(self, monkeypatch, seed):
+        # the shared subset draw indexes positions, which takes the same random
+        # stream as rng.choice over each team's members
+        teams = [Team(tuple(range(3 * i, 3 * i + size))) for i, size in enumerate(range(1, 40))]
+        percentages = [0.5, 1.0, 10.0, 25.0, 33.3, 50.0, 62.5, 75.0, 99.0, 100.0]
+        made, default_rng = [], np.random.default_rng
+
+        def recording_rng(seed_seq):
+            made.append(default_rng(seed_seq))
+            return made[-1]
+
+        monkeypatch.setattr(np.random, "default_rng", recording_rng)
+        cases = draw_cases(teams, percentages, seed)
+        monkeypatch.undo()
+        slow = np.random.default_rng([seed, 3])
+        want = []
+        for team in teams:
+            if len(team) < 2:
+                continue
+            for pct in percentages:
+                k = int(round(pct / 100.0 * len(team)))
+                k = min(max(k, 1), len(team) - 1)
+                chosen = slow.choice(np.asarray(team.members), k, replace=False)
+                want.append((len(want), team, pct, tuple(sorted(int(v) for v in chosen))))
+        assert cases == want
+        assert [rng.bit_generator.state for rng in made] == [slow.bit_generator.state]
+
 
 class TestNormalizeMethods:
     def test_aliases(self):

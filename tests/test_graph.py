@@ -135,6 +135,54 @@ class TestLoadNetwork:
         assert (net.adjacency != net.adjacency.T).nnz == 0
 
 
+class TestLoadErrors:
+    """Each refused data line: the exception type and the full ``path:line: ...`` text.
+
+    The bad line is line 3 of its file, after a comment and a good line.
+    """
+
+    @pytest.mark.parametrize(
+        "name, line, error, message",
+        [
+            ("e.tsv", "0\t1\t2\t3", ParseError, "expected 'src dst [weight]', got '0\\t1\\t2\\t3'"),
+            ("e.tsv", "7", ParseError, "expected 'src dst [weight]', got '7'"),
+            ("e.tsv", "0\tx\t1", ParseError, "invalid literal for int() with base 10: 'x'"),
+            ("e.tsv", "0\t1\tabc", ParseError, "could not convert string to float: 'abc'"),
+            ("e.tsv", "99\t1\tabc", ParseError, "could not convert string to float: 'abc'"),
+            ("e.tsv", "0\t1\t-1.5", ValidationError, "bad edge weight -1.5"),
+            ("e.tsv", "0\t1\tnan", ValidationError, "bad edge weight nan"),
+            ("e.tsv", "0\t1\tinf", ValidationError, "bad edge weight inf"),
+            ("e.tsv", "0\t50", ValidationError, "node id 50 out of range [0, 50)"),
+            ("e.tsv", "-1\t0", ValidationError, "node id -1 out of range [0, 50)"),
+            ("e.tsv", "3\t99\t-1", ValidationError, "node id 99 out of range [0, 50)"),
+            ("f.tsv", "0\t1", ParseError, "expected 'node feature value', got '0\\t1'"),
+            ("f.tsv", "0 1 2 3", ParseError, "expected 'node feature value', got '0 1 2 3'"),
+            ("f.tsv", "0\t1.5\t1", ParseError, "invalid literal for int() with base 10: '1.5'"),
+            ("f.tsv", "0\t1\tx", ParseError, "could not convert string to float: 'x'"),
+            ("f.tsv", "0\t1\t-2", ValidationError, "bad feature value -2.0"),
+            ("f.tsv", "0\t1\tNaN", ValidationError, "bad feature value nan"),
+            ("f.tsv", "0\t1\t-inf", ValidationError, "bad feature value -inf"),
+            ("f.tsv", "50\t0\t1", ValidationError, "node id 50 out of range [0, 50)"),
+            ("f.tsv", "0\t9\t1", ValidationError, "feature id 9 out of range [0, 9)"),
+            ("f.tsv", "0\t9\t-1", ValidationError, "feature id 9 out of range [0, 9)"),
+        ],
+    )
+    def test_message(self, tmp_path, monkeypatch, name, line, error, message):
+        monkeypatch.setattr(graph, "MAX_NODES", 50)
+        monkeypatch.setattr(graph, "MAX_FEATURES", 9)
+        paths = {
+            file_name: write(
+                tmp_path / file_name,
+                f"# header\n0\t1\t1\n{line}\n" if file_name == name else "0\t0\t1\n",
+            )
+            for file_name in ("e.tsv", "f.tsv")
+        }
+        with pytest.raises(error) as err:
+            load_network(paths["e.tsv"], paths["f.tsv"])
+        assert type(err.value) is error
+        assert str(err.value) == f"{paths[name]}:3: {message}"
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         net, _ = generate_synthetic(n=20, d=8, k_planted=4, p_in=0.7, p_out=0.1, teams=5, seed=3)

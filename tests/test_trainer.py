@@ -5,17 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import gradient_check_report
 from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
-from subteam.trainer import (
-    TrainConfig,
-    gradient_check_report,
-    sample_subteam,
-    split_teams,
-    train,
-)
+from subteam.trainer import TrainConfig, sample_subteam, split_teams, train
 
 
 def make_teams(count, size=4, n=20, seed=0):
