@@ -47,10 +47,12 @@ class EncoderParams:
             raise ValidationError("need at least one layer weight")
         weights = tuple(np.asarray(w, dtype=np.float64) for w in self.layer_weights)
         head = np.asarray(self.cluster_weight, dtype=np.float64)
-        for idx in range(1, len(weights)):
-            if weights[idx].shape[0] != weights[idx - 1].shape[1]:
+        for idx, w in enumerate(weights):
+            if w.ndim != 2:
+                raise ValidationError(f"layer {idx} weight must be 2-D, got shape {w.shape}")
+            if idx and w.shape[0] != weights[idx - 1].shape[1]:
                 raise ValidationError(
-                    f"layer {idx} input {weights[idx].shape[0]} != layer {idx - 1} "
+                    f"layer {idx} input {w.shape[0]} != layer {idx - 1} "
                     f"output {weights[idx - 1].shape[1]}"
                 )
         dz = sum(w.shape[1] for w in weights)
@@ -167,10 +169,10 @@ class ClusterModel:
     node ids in container order, and ``containers`` becomes a read-only
     mapping of the same ids as tuples, so the two cannot disagree and a later
     edit to the caller's lists does not reach the model. ``hard`` is kept as
-    a read-only copy. Construction raises :class:`ValidationError` unless
-    every container holds integer node ids in 0..n-1, ``hard`` is a 1-D
-    integer array of length n whose every id is a container key, and
-    ``soft`` has n rows; containers need not be sorted.
+    a read-only copy. Construction raises :class:`ValidationError` unless the
+    embeddings' sum of squares is finite, every container holds integer node
+    ids in 0..n-1, ``hard`` is a 1-D integer array of length n whose every id
+    is a container key, and ``soft`` has n rows; containers need not be sorted.
     """
 
     embeddings: np.ndarray
@@ -184,6 +186,9 @@ class ClusterModel:
         z = np.asarray(self.embeddings, dtype=np.float64)
         if z.ndim != 2:
             raise ValidationError(f"embeddings must be 2-D, got shape {z.shape}")
+        # the sum bounds every row norm and every mean of rows, so no search cosine overflows
+        if not np.isfinite(np.einsum("ij,ij->", z, z)):
+            raise ValidationError("embeddings' sum of squares is not finite")
         n = z.shape[0]
         pools = {}
         for cluster, nodes in self.containers.items():
@@ -263,7 +268,8 @@ def load_checkpoint(path) -> EncoderParams:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
-        if version != CHECKPOINT_VERSION:
+        # type() and not ==: JSON true loads as True, and True == 1
+        if type(version) is not int or version != CHECKPOINT_VERSION:
             raise ValidationError(
                 f"unsupported checkpoint format version {version!r} "
                 f"(expected {CHECKPOINT_VERSION})"

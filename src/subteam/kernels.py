@@ -39,7 +39,6 @@ targets. Unused g2 nodes and the edges that touch them are inserted at the end.
 from __future__ import annotations
 
 import itertools
-import time
 from dataclasses import dataclass
 from math import comb, isfinite, isqrt
 
@@ -407,10 +406,10 @@ def kernel_baseline_replace(
     value, which is not bounded by 1. Candidates are scored in chunks sized by
     ``_baseline_batch``, each in one batched solve, and every array a chunk
     allocates stays within ``BASELINE_ENTRIES`` entries; each score equals
-    ``random_walk_kernel`` of the original and the candidate team graph.
+    ``random_walk_kernel`` of the original and the candidate team graph. The
+    result holds no timing; a caller that wants one times the whole call.
     """
-    team.validate_for(net)
-    remaining = _check_replacement_inputs(team, departing)
+    remaining = _check_replacement_inputs(team, departing, net)
     in_team = np.zeros(net.n, dtype=bool)
     in_team[list(team.members)] = True
     outside = np.flatnonzero(~in_team).tolist()
@@ -421,8 +420,6 @@ def kernel_baseline_replace(
             f"kernel baseline over {total} combinations exceeds budget {budget}"
         )
     original = induced_subgraph(net, team)
-
-    start = time.perf_counter()
     best_members: tuple[int, ...] | None = None
     best_score = -np.inf
     products = _label_products(net.features, original)
@@ -439,5 +436,4 @@ def kernel_baseline_replace(
         subteam=best_members,
         similarity=None if best_members is None else best_score,
         candidates_examined=total,
-        elapsed_ms=(time.perf_counter() - start) * 1e3,
     )

@@ -28,7 +28,6 @@ running for hours.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from math import prod
 
@@ -56,20 +55,21 @@ class ReplacementResult:
     ``subteam`` is None when every candidate tuple dissolved into the original
     team (the explicit no-candidate outcome); ``similarity`` is the cosine
     score for embedding searches and the raw kernel value for the graph-kernel
-    baseline. ``elapsed_ms`` is the only timing field.
+    baseline. It holds no timing: a caller that wants one times the whole call.
     """
 
     subteam: tuple[int, ...] | None
     similarity: float | None
     candidates_examined: int
-    elapsed_ms: float
 
     @property
     def found(self) -> bool:
         return self.subteam is not None
 
 
-def _check_replacement_inputs(team: Team, departing: Team) -> tuple[int, ...]:
+def _check_replacement_inputs(team: Team, departing: Team, net: SocialNetwork) -> tuple[int, ...]:
+    """The remaining members, once ``team`` fits ``net`` and ``departing`` is a strict subset."""
+    team.validate_for(net)
     dep = set(departing.members)
     if not dep <= set(team.members):
         raise ValidationError(f"departing members {sorted(dep)} not all in team")
@@ -104,8 +104,7 @@ def recommend(
     :class:`RefusalError`, before enumerating anything, when the product
     holds more than ``DEFAULT_SEARCH_BUDGET`` tuples.
     """
-    team.validate_for(net)
-    remaining = _check_replacement_inputs(team, departing)
+    remaining = _check_replacement_inputs(team, departing, net)
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
     clusters = model.hard.take(departing.members).tolist()
@@ -116,9 +115,6 @@ def recommend(
         )
     reference = team_embedding(remaining, model.embeddings)
 
-    start = time.perf_counter()
-    if total == 0:  # a departing member's cluster is empty, so no tuple exists
-        return ReplacementResult(None, None, 0, (time.perf_counter() - start) * 1e3)
     # Departing members that share a cluster draw from one pool. Pools hold
     # global node ids into ``model.padded``, whose zero row ``blank = n``
     # stands for team members and repeats.
@@ -168,13 +164,9 @@ def recommend(
         if scores[first] > best_score:
             best_score = scores[first]
             best_row = [int(col[first]) for col in cols]
-    found = best_row is not None
-    return ReplacementResult(
-        subteam=tuple(v for v in best_row if v < blank) if found else None,
-        similarity=float(best_score) if found else None,
-        candidates_examined=examined,
-        elapsed_ms=(time.perf_counter() - start) * 1e3,
-    )
+    if best_row is None:
+        return ReplacementResult(None, None, examined)
+    return ReplacementResult(tuple(v for v in best_row if v < blank), float(best_score), examined)
 
 
 def _canonical_pieces(pools: list[np.ndarray], clusters: list[int]):

@@ -152,7 +152,7 @@ class _LossModel:
         """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
         w_contra, b1, b2, b3 = wvec
         z, c = fwd.z, fwd.c
-        contra, dz = contrastive_term(pairs, z, w_contra) if pairs else (0.0, np.zeros_like(z))
+        contra, dz = contrastive_term(pairs, z, w_contra)
         skill, g_skill = skill_term(self.feature_side, c, b1)
         structural, g_structural = structural_term(self.adjacency, c, b2, self.adjacency_fro2)
         clustering, g_clustering = clustering_term(c, b3)

@@ -23,7 +23,6 @@ chain rule, not the loss values.
 
 import itertools
 import math
-import time
 
 import numpy as np
 import scipy.sparse as sp
@@ -341,8 +340,6 @@ def exhaustive_oracle(
         raise RefusalError(f"exhaustive search over {total} subsets exceeds budget {budget}")
     z = model.embeddings
     reference = team_embedding(remaining, z)
-
-    start = time.perf_counter()
     best_members = None
     best_score = -np.inf
     examined = 0
@@ -353,12 +350,10 @@ def exhaustive_oracle(
             if score > best_score or (score == best_score and combo < best_members):
                 best_score = score
                 best_members = combo
-    elapsed_ms = (time.perf_counter() - start) * 1e3
     return ReplacementResult(
         subteam=best_members,
         similarity=None if best_members is None else float(best_score),
         candidates_examined=examined,
-        elapsed_ms=elapsed_ms,
     )
 
 

@@ -44,6 +44,13 @@ def report(num: int, name: str, ok: bool, detail: str) -> None:
     assert ok, f"criterion {num} ({name}): {detail}"
 
 
+def timed_ms(fn, *args) -> float:
+    """Wall milliseconds of the whole call ``fn(*args)``; searches do not time themselves."""
+    start = time.perf_counter()
+    fn(*args)
+    return (time.perf_counter() - start) * 1e3
+
+
 def rig_model(z, hard, clusters) -> ClusterModel:
     hard = np.asarray(hard, dtype=int)
     soft = np.zeros((len(hard), clusters))
@@ -208,9 +215,9 @@ def test_criterion_4_within_cluster_speedup():
         )
         team = Team(members)
         departing = Team((members[0], members[3]))
-        within_ms += recommend(team, departing, model, net).elapsed_ms
+        within_ms += timed_ms(recommend, team, departing, model, net)
         space = [v for v in range(net.n) if v not in team.members]
-        exhaustive_ms += exhaustive_oracle(team, departing, model, net, space, 2).elapsed_ms
+        exhaustive_ms += timed_ms(exhaustive_oracle, team, departing, model, net, space, 2)
     elapsed = time.perf_counter() - start
     ratio = exhaustive_ms / within_ms
     ok = ratio >= 20 and elapsed < 300
@@ -356,13 +363,13 @@ def test_criterion_8_feature_scaling_trend():
             # untimed warm call and then counts the best of three warm calls,
             # so one call slowed by the host does not set a grid point's mean
             for d in grid:
-                kernel_sums[d] += kernel_baseline_replace(
-                    team, departing, subs[d], cfg, 10_000
-                ).elapsed_ms
+                kernel_sums[d] += timed_ms(
+                    kernel_baseline_replace, team, departing, subs[d], cfg, 10_000
+                )
             for d in grid:
                 recommend(team, departing, models[d], subs[d])
                 genius_sums[d] += min(
-                    recommend(team, departing, models[d], subs[d]).elapsed_ms for _ in range(3)
+                    timed_ms(recommend, team, departing, models[d], subs[d]) for _ in range(3)
                 )
     finally:
         gc.enable()

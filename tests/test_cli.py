@@ -1,9 +1,11 @@
 import hashlib
 import json
+import math
 import re
 import shutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from subteam import cli, graph, recommender
@@ -204,9 +206,12 @@ class TestRecommend:
                 str(team[0]),
             ]
         )
-        out = capsys.readouterr().out
+        lines = capsys.readouterr().out.splitlines()
         assert code == 0
-        assert "members:" in out and "similarity:" in out and "candidates examined:" in out
+        assert [line.split(":")[0] for line in lines] == [
+            "members", "similarity", "candidates examined", "elapsed"
+        ]
+        assert re.fullmatch(r"elapsed: \d+\.\d{3} ms", lines[3])
 
     def test_json_output_deterministic_with_masked_timing(self, trained, capsys):
         team = self.team_of(trained)
@@ -228,7 +233,8 @@ class TestRecommend:
         second = capsys.readouterr().out
         assert mask_timing(first) == mask_timing(second)
         doc = json.loads(first)
-        assert doc["members"] and "similarity" in doc
+        assert list(doc) == ["members", "similarity", "candidates_examined", "elapsed_ms"]
+        assert doc["members"] and math.isfinite(doc["elapsed_ms"]) and doc["elapsed_ms"] >= 0
 
     def test_departing_not_subset_exits_2(self, trained, capsys):
         team = self.team_of(trained)
@@ -249,13 +255,19 @@ class TestRecommend:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("defect", ["bad-json", "missing-key", "ragged-arrays"])
+    @pytest.mark.parametrize(
+        "defect", ["bad-json", "missing-key", "ragged-arrays", "layer-not-2d", "version-true"]
+    )
     def test_malformed_checkpoint_exits_2(self, trained, tmp_path, capsys, defect):
         doc = json.loads((trained / "checkpoint.json").read_text())
         if defect == "missing-key":
             del doc["layer_weights"]
         elif defect == "ragged-arrays":
             doc["cluster_weight"][0].append(0.0)
+        elif defect == "layer-not-2d":  # loaded, then failed inside forward with exit 1
+            doc["layer_weights"][0] = [[[v] for v in row] for row in doc["layer_weights"][0]]
+        elif defect == "version-true":  # loaded as version 1, since True == 1
+            doc["format_version"] = True
         ck = tmp_path / "bad.json"
         ck.write_text("{format_version: 1" if defect == "bad-json" else json.dumps(doc))
         team = self.team_of(trained)
@@ -274,7 +286,31 @@ class TestRecommend:
         )
         err = capsys.readouterr().err
         assert code == 2
-        assert "bad.json" in err and "internal" not in err
+        assert "malformed checkpoint" in err and "bad.json" in err and "internal" not in err
+
+    @pytest.mark.parametrize("command", ["recommend", "evaluate"])
+    def test_features_whose_embeddings_overflow_exit_2(self, trained, tmp_path, capsys, command):
+        # every entry stays finite, but the search's cosines would overflow to NaN,
+        # and a NaN score never wins: recommend reported no candidate, and evaluate
+        # recorded most cases as no-candidate
+        data = tmp_path / "data"
+        shutil.copytree(trained, data)
+        features = data / "features.tsv"
+        lines = features.read_text().splitlines()
+        row = next(i for i, line in enumerate(lines) if line.split("\t")[0] == "0")
+        lines[row] = "\t".join(lines[row].split("\t")[:2] + ["1e300"])
+        features.write_text("\n".join(lines) + "\n")
+        flags = ["--data", str(data), "--checkpoint", str(trained / "checkpoint.json")]
+        if command == "recommend":
+            team = self.team_of(trained)
+            flags += ["--team", *map(str, team), "--departing", str(team[0])]
+        else:
+            flags += ["--methods", "genius", "--percent", "50", "--seed", "1"]
+        with np.errstate(all="ignore"):  # the encoder overflows on purpose
+            code = main([command, *flags])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "sum of squares is not finite" in err and "internal" not in err
 
     def test_missing_checkpoint_exits_2(self, trained, tmp_path, capsys):
         team = self.team_of(trained)
@@ -608,6 +644,17 @@ def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert code == 2
     assert "training split" in err and "internal" not in err
+    assert not (data / "checkpoint.json").exists()
+    assert not (data / "train.log").exists()
+
+
+def test_diverging_training_exits_2_without_output(tmp_path, capsys):
+    data = run_synth(tmp_path)
+    with np.errstate(all="ignore"):  # the run overflows on purpose
+        code = main(TRAIN_FAST + ["--data", str(data), "--lr", "1e300"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(r"error: non-finite \w+ loss at epoch \d+", err) and "internal" not in err
     assert not (data / "checkpoint.json").exists()
     assert not (data / "train.log").exists()
 

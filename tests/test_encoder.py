@@ -1,4 +1,6 @@
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -245,6 +247,26 @@ class TestCheckpoint:
         with pytest.raises(ValidationError, match="version"):
             load_checkpoint(path)
 
+    def test_version_true_rejected(self, tmp_path):
+        # JSON true loads as True, and True == 1
+        params = init_params(3, (2,), 2, np.random.default_rng(0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        path.write_text(path.read_text().replace('"format_version": 1', '"format_version": true'))
+        with pytest.raises(ValidationError, match="version True"):
+            load_checkpoint(path)
+
+    def test_layer_weight_not_2d_reported_as_malformed(self, tmp_path):
+        params = init_params(3, (2,), 2, np.random.default_rng(0))
+        path = tmp_path / "ckpt.json"
+        save_checkpoint(params, path)
+        doc = json.loads(path.read_text())
+        doc["layer_weights"][0] = np.reshape(doc["layer_weights"][0], (3, 2, 1)).tolist()
+        path.write_text(json.dumps(doc))
+        message = "malformed checkpoint .*layer 0 weight must be 2-D"
+        with pytest.raises(ValidationError, match=message):
+            load_checkpoint(path)
+
     def test_dims_mismatch_rejected(self, tmp_path):
         params = init_params(3, (2,), 2, np.random.default_rng(0))
         path = tmp_path / "ckpt.json"
@@ -268,6 +290,13 @@ class TestEncoderParamsValidation:
         w[0, 0] = np.nan
         with pytest.raises(ValidationError):
             EncoderParams(layer_weights=(w,), cluster_weight=np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (2,)], ids=["3-D", "1-D"])
+    def test_layer_weight_not_2d_rejected(self, shape):
+        # a 3-D weight chains and sums like a 2-D one, then fails inside forward
+        message = f"layer 0 weight must be 2-D, got shape {shape}"
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            EncoderParams(layer_weights=(np.zeros(shape),), cluster_weight=np.zeros((2, 2)))
 
     def test_single_cluster_rejected(self):
         with pytest.raises(ValidationError):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import tracemalloc
@@ -101,6 +102,11 @@ def random_pool_instance(seed: int):
 
 
 class TestRecommend:
+    def test_result_holds_no_timing(self):
+        # callers time a search; the result carries its outcome alone
+        names = [f.name for f in dataclasses.fields(recommender.ReplacementResult)]
+        assert names == ["subteam", "similarity", "candidates_examined"]
+
     def test_forced_unique_candidate(self):
         # each departing member's cluster holds exactly one non-team node
         z = np.array([[1.0, 0], [0, 1], [1, 1], [2, 2], [0.5, 0.5]])
@@ -182,6 +188,15 @@ class TestRecommend:
         containers = {1: [0, 1], 2: pool}
         with pytest.raises(ValidationError, match=match):
             ClusterModel(np.eye(4), np.tile([1.0, 0.0], (soft_rows, 1)), hard, containers)
+
+    @pytest.mark.parametrize("big", [1e155, 1e300, np.inf, np.nan])
+    def test_embeddings_whose_sum_of_squares_is_not_finite_rejected(self, big):
+        # a finite entry whose square overflows made every cosine NaN, and a NaN
+        # score never beats the best, so the search reported no candidate
+        z = np.eye(4)
+        z[0, 0] = big
+        with pytest.raises(ValidationError, match="sum of squares is not finite"):
+            ClusterModel(z, np.tile([1.0, 0.0], (4, 1)), np.ones(4, dtype=int), {1: [0, 1, 2, 3]})
 
     def test_containers_cannot_be_edited_after_construction(self):
         # node 4 would read the zero row that stands for team members
