@@ -143,7 +143,8 @@ def cmd_train(args) -> int:
 
 
 def cmd_recommend(args) -> int:
-    net, _ = _load_data(args.data)
+    paths = _data_paths(args.data)  # the teams file is not read
+    net = load_network(*(_input_file(paths[key], "--data") for key in ("edges", "features")))
     params = load_checkpoint(_input_file(args.checkpoint, "--checkpoint"))
     model = ClusterModel.build(net, params)
     start = time.perf_counter()
@@ -169,13 +170,15 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    caps = EvalCaps(ged_max_nodes=args.ged_cap, baseline_budget=args.budget)
+    caps = EvalCaps(baseline_budget=args.budget)
     kernel_cfg = KernelConfig(decay=args.decay, termination=args.termination)
+    methods = normalize_methods(args.methods.split(","))
+    if args.features is not None and "genius" in methods:
+        raise ValidationError("--features cannot run with genius: its checkpoint saw every feature")
     out = _output_file(args.out, "--out") if args.out else None
     net, teams = _load_data(args.data)
     if args.features is not None:
         net = feature_subsample(net, args.features, args.seed)
-    methods = normalize_methods(args.methods.split(","))
     _, _, test_teams = split_teams(teams, tuple(args.split), args.seed)
     if not test_teams:
         print("empty test split", file=sys.stderr)
@@ -276,7 +279,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--decay", type=float, default=kernel_cfg.decay)
     p.add_argument("--termination", type=float, default=kernel_cfg.termination)
-    p.add_argument("--ged-cap", type=int, default=caps.ged_max_nodes)
     p.add_argument("--budget", type=int, default=caps.baseline_budget)
     p.add_argument("--train-log", default=None, help="training log for amortized total time")
     p.add_argument("--out", default=None, help="report output path (default stdout)")

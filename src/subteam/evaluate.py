@@ -8,8 +8,10 @@ once, and the marginalized kernels of all its rebuilt teams are solved with
 its self-kernel in one stacked solve. Each kernel disparity is
 |k(T0, T1) - k(T0, T0)| / k(T0, T0) under one skip rule: a refused self-kernel
 skips every case of the team, a zero one skips every case next, and a refused
-cross kernel skips its own case. Refusals and undefined metrics are counted,
-never silently dropped.
+cross kernel skips its own case. A refused exact GED (past either limit of
+:func:`~subteam.kernels.graph_edit_distance`) skips its case as a refused
+shortest-path kernel does, as ``"RefusalError"``. Refusals and undefined
+metrics are counted, never silently dropped.
 
 ``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
 edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
@@ -39,7 +41,6 @@ from .graph import LabeledGraph, SocialNetwork, Team, check_seed, draw_subset, i
 # perfbench/tracing.py wraps marginalized_kernel under this module's name, so
 # the name stays here although the comparison solves through _marginalized_scores
 from .kernels import (
-    GED_MAX_NODES,
     KernelConfig,
     _marginalized_scores,
     graph_edit_distance,
@@ -56,21 +57,17 @@ _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "k
 
 @dataclass(frozen=True)
 class EvalCaps:
-    ged_max_nodes: int = GED_MAX_NODES
     baseline_budget: int = 200_000
 
     def __post_init__(self):
-        if not 0 <= self.ged_max_nodes <= GED_MAX_NODES:
-            raise ValidationError(
-                f"ged_max_nodes must be in [0, {GED_MAX_NODES}], got {self.ged_max_nodes}"
-            )
         if self.baseline_budget < 0:
             raise ValidationError(f"baseline_budget must be >= 0, got {self.baseline_budget}")
 
 
-def _shortest_path_or_nan(g1: LabeledGraph, g2: LabeledGraph) -> float:
+def _or_nan(metric, g1: LabeledGraph, g2: LabeledGraph) -> float:
+    """``metric(g1, g2)``, or NaN where it raises :class:`RefusalError`."""
     try:
-        return shortest_path_kernel(g1, g2)
+        return metric(g1, g2)
     except RefusalError:
         return np.nan
 
@@ -96,7 +93,6 @@ def evaluate_team_metrics(
     team: Team,
     new_teams: list[Team],
     kernel_cfg: KernelConfig,
-    caps: EvalCaps,
 ) -> list[dict[str, float | str]]:
     """GED, D1 and D2 between the original ``team`` and each new team.
 
@@ -107,11 +103,10 @@ def evaluate_team_metrics(
     t0 = induced_subgraph(net, team)
     stack = [t0, *(induced_subgraph(net, new_team) for new_team in new_teams)]
     marg, _ = _marginalized_scores(t0, stack, kernel_cfg)
-    ged = [
-        graph_edit_distance(t0, t1) if max(t0.size, t1.size) <= caps.ged_max_nodes else "size-cap"
-        for t1 in stack[1:]
-    ]
-    d1 = _disparities([_shortest_path_or_nan(t0, g) for g in stack], RefusalError.__name__)
+    refused = RefusalError.__name__
+    ged = [_or_nan(graph_edit_distance, t0, t1) for t1 in stack[1:]]
+    ged = [refused if np.isnan(distance) else distance for distance in ged]
+    d1 = _disparities([_or_nan(shortest_path_kernel, t0, g) for g in stack], refused)
     d2 = _disparities(marg.tolist(), ConvergenceError.__name__)
     return [dict(zip(METRICS, row)) for row in zip(ged, d1, d2)]
 
@@ -121,10 +116,9 @@ def evaluate_case_metrics(
     team: Team,
     new_team: Team,
     kernel_cfg: KernelConfig,
-    caps: EvalCaps,
 ) -> dict[str, float | str]:
     """The metrics of one new team: the one-team case of :func:`evaluate_team_metrics`."""
-    return evaluate_team_metrics(net, team, [new_team], kernel_cfg, caps)[0]
+    return evaluate_team_metrics(net, team, [new_team], kernel_cfg)[0]
 
 
 @dataclass
@@ -331,14 +325,13 @@ def run_comparison(
             completed.append(outcome)
             new_teams.append(Team(kept + result.subteam))
         if completed:
-            metrics = evaluate_team_metrics(net, team, new_teams, kernel_cfg, caps)
+            metrics = evaluate_team_metrics(net, team, new_teams, kernel_cfg)
             for outcome, case_metrics in zip(completed, metrics):
                 outcome.metrics = case_metrics
     config = {
         "methods": method_names,
         "percentages": [float(p) for p in percentages],
         "seed": seed,
-        "ged_max_nodes": caps.ged_max_nodes,
         "baseline_budget": caps.baseline_budget,
         "decay": kernel_cfg.decay,
         "termination": kernel_cfg.termination,

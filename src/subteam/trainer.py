@@ -148,6 +148,13 @@ class _LossModel:
         self.adjacency = net.adjacency
         self.adjacency_fro2 = float(np.vdot(net.adjacency.data, net.adjacency.data))
 
+    def checked_forward(self, params: EncoderParams, epoch: int) -> Forward:
+        """The encoder pass; refuses embeddings that a ``ClusterModel`` would refuse."""
+        fwd = forward(self.norm_adj, self.ax, params)
+        if not np.isfinite(squares := np.einsum("ij,ij->", fwd.z, fwd.z)):
+            raise NonFiniteLossError("embeddings' sum of squares", epoch, float(squares))
+        return fwd
+
     def terms(self, fwd: Forward, pairs, wvec):
         """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
         w_contra, b1, b2, b3 = wvec
@@ -183,13 +190,15 @@ class _LossModel:
         return grads, d_wc
 
 
+@np.errstate(over="ignore", invalid="ignore")  # every non-finite outcome is refused below
 def train(net: SocialNetwork, teams, cfg: TrainConfig):
     """Full-batch gradient descent on the combined objective.
 
     Subteams are resampled every epoch. Returns the parameters of the epoch
     with the best (lowest) validation contrastive loss, falling back to the
     final parameters when there is no usable validation split, together with
-    the per-epoch statistics.
+    the per-epoch statistics. A non-finite loss term, parameter or embeddings'
+    sum of squares raises :class:`NonFiniteLossError`: what it returns builds a model.
     """
     if not teams:
         raise ValidationError("cannot train without teams")
@@ -218,12 +227,10 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     log: list[EpochStats] = []
     best_val = np.inf
     best_params = None
-    fwd = None
+    fwd = model.checked_forward(params, 1)
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         pairs = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
-        if fwd is None:
-            fwd = forward(model.norm_adj, model.ax, params)
         parts, dz, dc = model.terms(fwd, pairs, wvec)
         report = total_loss(**parts, weights=weights)
         for name, value in asdict(report).items():
@@ -240,7 +247,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
                 raise NonFiniteLossError("parameter update", epoch, float(np.max(np.abs(w))))
         params = EncoderParams(layer_weights=new_layers, cluster_weight=new_head)
         # one pass on the updated parameters serves validation and the next epoch
-        fwd = forward(model.norm_adj, model.ax, params)
+        fwd = model.checked_forward(params, epoch)
 
         val_pairs = _sample_batch(val_teams, cfg.subteam_fraction_range, sampler)
         val_contra = None

@@ -399,7 +399,8 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
     Each case rebuilds its original team graph and both self-kernels, and every
     kernel is one single-pair call. Returns one dict per outcome with every
     field of a ``CaseOutcome`` except the timings; ``metrics`` maps each metric
-    to its value or the reason it was skipped.
+    to its value or the reason it was skipped, and a refused edit distance
+    skips as ``"RefusalError"``.
     """
     rows = []
     for case_id, team, pct, departing in draw_cases(teams, percentages, seed):
@@ -419,10 +420,10 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
             t1 = induced_subgraph(net, Team(kept + result.subteam))
             metrics = {}
             ged, d1, d2 = METRICS
-            if max(original.size, t1.size) <= caps.ged_max_nodes:
+            try:
                 metrics[ged] = graph_edit_distance(original, t1)
-            else:
-                metrics[ged] = "size-cap"
+            except RefusalError as exc:
+                metrics[ged] = type(exc).__name__
             kernels = {
                 d1: lambda a, b: shortest_path_kernel(a, b),
                 d2: lambda a, b: marginalized_kernel(a, b, kernel_cfg),

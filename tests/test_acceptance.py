@@ -29,7 +29,7 @@ from subteam.encoder import (
     init_params,
     row_softmax,
 )
-from subteam.evaluate import EvalCaps, evaluate_case_metrics, feature_subsample
+from subteam.evaluate import evaluate_case_metrics, feature_subsample
 from subteam.graph import Team, generate_synthetic, planted_blocks
 from subteam.kernels import KernelConfig, kernel_baseline_replace, random_walk_kernel
 from subteam.objectives import clustering_loss, structural_loss
@@ -275,7 +275,7 @@ def test_criterion_6_loss_analytics():
         n=24, d=8, k_planted=4, p_in=0.9, p_out=0.1, teams=8, seed=21
     )
     team = next(t for t in teams if len(t) >= 3)
-    metrics = evaluate_case_metrics(net, team, team, SYNTH_KERNEL_CFG, EvalCaps())
+    metrics = evaluate_case_metrics(net, team, team, SYNTH_KERNEL_CFG)
     if any(metrics[m] != 0.0 for m in ("ged", "d1", "d2")):
         failures.append(f"identity replacement disparities {metrics}")
 

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from subteam import cli, graph, recommender
+from subteam import cli, graph, kernels, recommender
 from subteam.cli import build_parser, main
 from subteam.evaluate import EvalCaps
 from subteam.kernels import KernelConfig
@@ -235,6 +235,19 @@ class TestRecommend:
         doc = json.loads(first)
         assert list(doc) == ["members", "similarity", "candidates_examined", "elapsed_ms"]
         assert doc["members"] and math.isfinite(doc["elapsed_ms"]) and doc["elapsed_ms"] >= 0
+
+    def test_reads_no_teams_file(self, trained, tmp_path, capsys):
+        data = tmp_path / "data"
+        shutil.copytree(trained, data)
+        (data / "teams.txt").unlink()
+        team = self.team_of(trained)
+        outputs = []
+        for source in (trained, data):
+            argv = ["recommend", "--data", str(source), "--team", *map(str, team)]
+            argv += ["--checkpoint", str(trained / "checkpoint.json"), "--departing", str(team[0])]
+            assert main(argv + ["--json"]) == 0
+            outputs.append(mask_timing(capsys.readouterr().out))
+        assert outputs[0] == outputs[1]
 
     def test_departing_not_subset_exits_2(self, trained, capsys):
         team = self.team_of(trained)
@@ -493,13 +506,28 @@ class TestEvaluate:
         )
         assert code == 4
 
-    def test_ged_cap_above_exact_limit_exits_2(self, trained, tmp_path, capsys):
-        out = tmp_path / "report.json"
+    def test_ged_over_its_node_budget_skips_each_case(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", 0)
         args = ["--data", str(trained), "--checkpoint", str(trained / "checkpoint.json")]
-        code = main(EVAL_FAST + args + ["--ged-cap", "13", "--out", str(out)])
+        assert main(EVAL_FAST + args + ["--format", "table"]) == 0
+        rows = [line.split("\t") for line in capsys.readouterr().out.splitlines()]
+        column = {name: i for i, name in enumerate(rows[0])}
+        ok = [row for row in rows[1:] if row[column["status"]] == "ok"]
+        assert ok and all(row[column["ged"]] == "" and row[column["d1"]] for row in ok)
+        assert main(EVAL_FAST + args) == 0
+        for doc in json.loads(capsys.readouterr().out)["methods"].values():
+            assert doc["cases"] > 0 and doc["ged_cases"] == 0
+            assert doc["ged_skipped"] == {"RefusalError": doc["cases"]}
+
+    def test_feature_subset_with_the_trained_method_exits_2_before_reading(
+        self, tmp_path, capsys
+    ):
+        absent = tmp_path / "absent"
+        code = main(EVAL_FAST + ["--data", str(absent), "--features", "4"])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "ged_max_nodes" in capsys.readouterr().err
-        assert not out.exists()
+        assert "--features" in err and "genius" in err and "internal" not in err
+        assert "no such file" not in err  # refused before any file was looked at
 
     def test_missing_train_log_exits_2(self, trained, tmp_path, capsys):
         out = tmp_path / "report.json"
@@ -585,7 +613,7 @@ BAD_NUMBERS = [
     ("train", "--clusters -2"),
     ("train", "--seed -1"),
     ("evaluate", "--seed -1"),
-    ("evaluate", "--features 4 --seed -1"),
+    ("evaluate", "--methods kernel --features 4 --seed -1"),
 ]
 
 
@@ -648,13 +676,17 @@ def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
     assert not (data / "train.log").exists()
 
 
-def test_diverging_training_exits_2_without_output(tmp_path, capsys):
+@pytest.mark.parametrize("epochs", ["1", "2"])
+@pytest.mark.parametrize("lr", ["1e100", "1e300"])
+def test_diverging_training_exits_2_without_output(tmp_path, capsys, lr, epochs):
     data = run_synth(tmp_path)
-    with np.errstate(all="ignore"):  # the run overflows on purpose
-        code = main(TRAIN_FAST + ["--data", str(data), "--lr", "1e300"])
+    # no errstate here: the run must overflow without a warning
+    code = main(TRAIN_FAST + ["--data", str(data), "--lr", lr, "--epochs", epochs])
     err = capsys.readouterr().err
     assert code == 2
-    assert re.search(r"error: non-finite \w+ loss at epoch \d+", err) and "internal" not in err
+    term = r"(embeddings' sum of squares|parameter update|\w+ loss)"
+    assert re.fullmatch(rf"error: non-finite {term} at epoch [12]: \S+\n", err), err
+    assert "Warning" not in err
     assert not (data / "checkpoint.json").exists()
     assert not (data / "train.log").exists()
 
@@ -679,7 +711,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     assert tuple(train.hidden) == cfg.hidden
     assert tuple(train.split) == tuple(evaluate.split) == cfg.split
     assert (evaluate.decay, evaluate.termination) == (kernel_cfg.decay, kernel_cfg.termination)
-    assert (evaluate.ged_cap, evaluate.budget) == (caps.ged_max_nodes, caps.baseline_budget)
+    assert evaluate.budget == caps.baseline_budget
 
 
 class TestConfigFile:

@@ -41,7 +41,7 @@ class TestDisparities:
     def test_identity_team_gives_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
+        metrics = evaluate_case_metrics(net, team, team, KCFG)
         assert metrics["d1"] == 0.0
         assert metrics["d2"] == 0.0
 
@@ -55,18 +55,18 @@ class TestDisparities:
         t1 = induced_subgraph(net, team_b)
         self_k = shortest_path_kernel(t0, t0)
         cross = shortest_path_kernel(t0, t1)
-        metrics = evaluate_case_metrics(net, team_a, team_b, KCFG, EvalCaps())
+        metrics = evaluate_case_metrics(net, team_a, team_b, KCFG)
         assert metrics["d1"] == pytest.approx(abs(cross - self_k) / self_k)
 
     def test_zero_self_kernel_skips_d1(self):
         net = net_from_dense(np.zeros((4, 4)), np.eye(4))
         team = Team((0, 1))
-        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
+        metrics = evaluate_case_metrics(net, team, team, KCFG)
         assert metrics["d1"] == "ZeroSelfKernelError"
 
     def test_zero_marginalized_self_kernel_skips_d2(self):
         net = net_from_dense(np.ones((3, 3)) - np.eye(3), [[0.0], [0.0], [1.0]])
-        metrics = evaluate_case_metrics(net, Team((0, 1)), Team((1, 2)), KCFG, EvalCaps())
+        metrics = evaluate_case_metrics(net, Team((0, 1)), Team((1, 2)), KCFG)
         assert metrics["d2"] == "ZeroSelfKernelError"
 
 
@@ -74,14 +74,20 @@ class TestEvaluateCaseMetrics:
     def test_identity_replacement_all_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps())
+        metrics = evaluate_case_metrics(net, team, team, KCFG)
         assert metrics == {"ged": 0.0, "d1": 0.0, "d2": 0.0}
 
-    def test_ged_size_cap_counted(self, eval_instance):
+    @pytest.mark.parametrize("limit", ["node-budget", "size"])
+    def test_ged_refusal_skips_as_refusal_error(self, eval_instance, monkeypatch, limit):
         net, teams, _ = eval_instance
-        team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, KCFG, EvalCaps(ged_max_nodes=1))
-        assert metrics["ged"] == "size-cap"
+        if limit == "node-budget":
+            monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", 0)
+            team = next(t for t in teams if len(t) >= 3)
+        else:
+            team = Team(tuple(range(GED_MAX_NODES + 1)))
+        metrics = evaluate_case_metrics(net, team, team, KCFG)
+        assert metrics["ged"] == "RefusalError"
+        assert metrics["d1"] == 0.0
 
 
 class TestFeatureSubsample:
@@ -236,22 +242,22 @@ class TestRunComparison:
         assert len(rows) == len(report.cases)
 
 
-def test_document_counts_why_metrics_were_skipped(eval_instance):
+def test_document_counts_why_metrics_were_skipped(eval_instance, monkeypatch):
     net, teams, model = eval_instance
     held_out = teams[:3]
+    monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", 0)  # every edit distance refuses
     report = run_comparison(
         net,
         held_out,
         ["genius"],
         [25.0, 50.0],
         seed=4,
-        caps=EvalCaps(ged_max_nodes=0),
         model=model,
         kernel_cfg=KernelConfig(decay=0.005, termination=0.1),  # D2 diverges on these labels
     )
     doc = report.to_document()["methods"]["genius"]
     assert doc["cases"] > 0
-    assert doc["ged_skipped"] == {"size-cap": doc["cases"]}
+    assert doc["ged_skipped"] == {"RefusalError": doc["cases"]}
     assert doc["d2_skipped"] == {"ConvergenceError": doc["cases"]}
     for metric in ("ged", "d1", "d2"):
         assert doc[f"{metric}_cases"] + sum(doc[f"{metric}_skipped"].values()) == doc["cases"]
@@ -292,25 +298,35 @@ def test_self_kernels_computed_once_per_team(eval_instance, monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "termination, max_iters, sp_max_nodes",
-    [(0.95, None, None), (0.6, None, None), (0.1, None, None), (0.95, 12, None), (0.95, None, 4)],
+    "termination, max_iters, sp_max_nodes, ged_budget",
+    [
+        (0.95, None, None, None),
+        (0.6, None, None, None),
+        (0.1, None, None, None),
+        (0.95, 12, None, None),
+        (0.95, None, 4, None),
+        (0.95, None, None, 30),
+    ],
     ids=[
         "d2-converges",
         "d2-refuses-some",
         "d2-refuses-all",
         "solves-stop-at-12-steps",
         "d1-refuses-some",
+        "ged-refuses-some",
     ],
 )
 def test_outcomes_equal_the_per_case_oracle(
-    eval_instance, monkeypatch, termination, max_iters, sp_max_nodes
+    eval_instance, monkeypatch, termination, max_iters, sp_max_nodes, ged_budget
 ):
     net, teams, model = eval_instance
     if max_iters is not None:  # slices that need more steps refuse, each on its own
         monkeypatch.setattr(kernels, "_SOLVE_MAX_ITERS", max_iters)
     if sp_max_nodes is not None:  # the larger teams' shortest-path self-kernels refuse
         monkeypatch.setattr(kernels, "SHORTEST_PATH_MAX_NODES", sp_max_nodes)
-    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2, EvalCaps(ged_max_nodes=4))
+    if ged_budget is not None:  # the searches that expand more nodes refuse
+        monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", ged_budget)
+    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2, EvalCaps())
     cfg = KernelConfig(decay=0.005, termination=termination)
     report = run_comparison(*args, model=model, kernel_cfg=cfg)
     got = [
@@ -332,16 +348,15 @@ def test_outcomes_equal_the_per_case_oracle(
     assert set(d1) <= {None, "RefusalError"}
     assert (d1["RefusalError"] > 0) == (sp_max_nodes is not None)
     assert d1[None] > 0
+    ged = Counter(m["ged"] if isinstance(m["ged"], str) else None for m in completed)
+    assert set(ged) <= {None, "RefusalError"}
+    assert (ged["RefusalError"] > 0) == (ged_budget is not None)
+    assert ged[None] > 0
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [{"ged_max_nodes": GED_MAX_NODES + 1}, {"ged_max_nodes": -1}, {"baseline_budget": -1}],
-)
-def test_caps_outside_their_range_rejected(kwargs):
-    # a GED cap above GED_MAX_NODES would reach graph_edit_distance's own refusal mid-run
+def test_caps_outside_their_range_rejected():
     with pytest.raises(ValidationError):
-        EvalCaps(**kwargs)
+        EvalCaps(baseline_budget=-1)
 
 
 def hand_outcome(case_id, method, status, metrics=None, inference_ms=0.0, total_ms=0.0):
@@ -360,9 +375,10 @@ def test_means_cover_only_cases_every_method_completed():
         hand_outcome(1, "genius", "ok", {"ged": 1.0, "d1": 0.25, "d2": 0.5}, 3, 5),
         hand_outcome(1, "kernel", "refused", inference_ms=0.5),
         hand_outcome(2, "genius", "no-candidate", inference_ms=0.5),
-        hand_outcome(2, "kernel", "ok", {"ged": "size-cap", "d1": 0.75, "d2": 0.125}, 7, 7),
-        hand_outcome(3, "genius", "ok", {"ged": "size-cap", "d1": "ZeroSelfKernelError", "d2": 0.5},
-                     2, 4),
+        hand_outcome(2, "kernel", "ok", {"ged": "RefusalError", "d1": 0.75, "d2": 0.125}, 7, 7),
+        hand_outcome(
+            3, "genius", "ok", {"ged": "RefusalError", "d1": "ZeroSelfKernelError", "d2": 0.5}, 2, 4
+        ),
         hand_outcome(3, "kernel", "ok", {"ged": 1.0, "d1": 0.25, "d2": "ConvergenceError"}, 6, 6),
     ]
     report = EvalReport(config={"methods": ["kernel", "genius"]}, cases=cases)
@@ -373,7 +389,7 @@ def test_means_cover_only_cases_every_method_completed():
         "no_candidates": 1,
         "mean_ged": 2.0,
         "ged_cases": 1,
-        "ged_skipped": {"size-cap": 1},
+        "ged_skipped": {"RefusalError": 1},
         "mean_d1": 0.5,
         "d1_cases": 1,
         "d1_skipped": {"ZeroSelfKernelError": 1},

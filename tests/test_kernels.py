@@ -396,6 +396,28 @@ class TestGraphEditDistance:
         with pytest.raises(RefusalError):
             graph_edit_distance(big, big)
 
+    def test_refuses_past_its_node_budget(self, monkeypatch):
+        monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", 1000)
+        with pytest.raises(RefusalError, match="1000 search nodes"):
+            graph_edit_distance(*edited_pair(15))
+
+    def test_largest_pinned_pair_needs_under_half_the_budget(self, monkeypatch):
+        # pair 15 expands the most of the pinned pairs (113,146 nodes)
+        monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", kernels.GED_MAX_EXPANDED // 2)
+        assert graph_edit_distance(*edited_pair(15)) == 11.0
+
+    def test_ten_node_random_pair_refuses(self):
+        # two random graphs, edge probability 0.5, one of 3 label classes per
+        # node, seed 0: the search needs about 1.7 million nodes to finish
+        rng = np.random.default_rng(0)
+
+        def draw(n):
+            upper = np.triu((rng.random((n, n)) < 0.5).astype(float), 1)
+            return LabeledGraph(adjacency=upper + upper.T, labels=np.eye(3)[rng.integers(0, 3, n)])
+
+        with pytest.raises(RefusalError, match="search nodes"):
+            graph_edit_distance(draw(10), draw(10))
+
 
 class TestKernelBaseline:
     @staticmethod

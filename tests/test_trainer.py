@@ -166,16 +166,17 @@ class TestTrain:
         assert all(np.all(np.isfinite(w)) for w in params.layer_weights)
 
     def test_nonfinite_loss_aborts_with_term_name(self):
-        # overflow-scale features drive the first loss evaluation to nan
+        # overflow-scale features drive the first pass's embeddings past the
+        # float maximum; training refuses them without a warning
         from conftest import net_from_dense
 
         feats = np.array([[1e200, 0.0], [0.0, 1e200], [1e200, 1e200]])
         net = net_from_dense([[0, 1, 0], [1, 0, 1], [0, 1, 0]], feats)
         teams = [Team((0, 1, 2)), Team((0, 2))]
         cfg = TrainConfig(epochs=3, hidden=(4,), clusters=2, split=(1.0, 0, 0), seed=0)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteLossError) as err:
+        with pytest.raises(NonFiniteLossError) as err:
             train(net, teams, cfg)
-        assert "loss" in err.value.term
+        assert err.value.term == "embeddings' sum of squares"
         assert err.value.epoch == 1
 
     def test_returns_best_validation_params(self, small_instance):
