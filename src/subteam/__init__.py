@@ -20,7 +20,6 @@ from .errors import (
     ValidationError,
 )
 from .evaluate import (
-    EvalCaps,
     EvalReport,
     evaluate_case_metrics,
     feature_subsample,

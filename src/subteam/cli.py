@@ -1,9 +1,11 @@
 """Command-line pipeline: synthesize data, train, recommend, evaluate.
 
 Exit codes: 0 success, 1 internal error, 2 validation/parse failure (a missing
-input file and a data file that is not UTF-8 included), a search refused by
-its budget or a diverged training run, 3 no candidate found, 4 empty
-evaluation. ``recommend``'s ``elapsed_ms`` is the wall time of its whole search
+input file, a data file that is not UTF-8 and ``evaluate`` on a network without
+features included), a ``recommend`` search refused by its budget or a diverged
+training run, 3 no candidate found, 4 empty evaluation. Search budgets are
+module constants, not flags; ``evaluate`` records a refused search as a refused
+case. ``recommend``'s ``elapsed_ms`` is the wall time of its whole search
 call. The optional JSON config file (``--config``) holds flag values keyed by
 flag name with dashes replaced by underscores; they are parsed as flags placed
 before the command line's own, so explicit flags win. Unknown keys are rejected.
@@ -19,7 +21,7 @@ from pathlib import Path
 
 from .encoder import ClusterModel, load_checkpoint, save_checkpoint
 from .errors import NonFiniteLossError, ParseError, RefusalError, ValidationError
-from .evaluate import EvalCaps, feature_subsample, normalize_methods, run_comparison
+from .evaluate import feature_subsample, normalize_methods, run_comparison
 from .graph import (
     Team,
     generate_synthetic,
@@ -170,7 +172,6 @@ def cmd_recommend(args) -> int:
 
 
 def cmd_evaluate(args) -> int:
-    caps = EvalCaps(baseline_budget=args.budget)
     kernel_cfg = KernelConfig(decay=args.decay, termination=args.termination)
     methods = normalize_methods(args.methods.split(","))
     if args.features is not None and "genius" in methods:
@@ -196,7 +197,6 @@ def cmd_evaluate(args) -> int:
         methods,
         args.percent,
         args.seed,
-        caps,
         model=model,
         kernel_cfg=kernel_cfg,
         training_time_ms=training_time_ms,
@@ -222,7 +222,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     )
     sub = parser.add_subparsers(dest="command", required=True)
     commands: dict[str, argparse.ArgumentParser] = {}
-    train_cfg, kernel_cfg, caps = TrainConfig(), KernelConfig(), EvalCaps()
+    train_cfg, kernel_cfg = TrainConfig(), KernelConfig()
     weights = train_cfg.weights
 
     p = sub.add_parser("synth", help="generate a synthetic planted-partition dataset")
@@ -279,7 +279,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--decay", type=float, default=kernel_cfg.decay)
     p.add_argument("--termination", type=float, default=kernel_cfg.termination)
-    p.add_argument("--budget", type=int, default=caps.baseline_budget)
     p.add_argument("--train-log", default=None, help="training log for amortized total time")
     p.add_argument("--out", default=None, help="report output path (default stdout)")
     p.add_argument("--format", choices=("json", "table"), default="json")

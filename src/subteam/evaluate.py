@@ -55,15 +55,6 @@ METRICS = ("ged", "d1", "d2")
 _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "kernel"}
 
 
-@dataclass(frozen=True)
-class EvalCaps:
-    baseline_budget: int = 200_000
-
-    def __post_init__(self):
-        if self.baseline_budget < 0:
-            raise ValidationError(f"baseline_budget must be >= 0, got {self.baseline_budget}")
-
-
 def _or_nan(metric, g1: LabeledGraph, g2: LabeledGraph) -> float:
     """``metric(g1, g2)``, or NaN where it raises :class:`RefusalError`."""
     try:
@@ -251,13 +242,12 @@ def _run_method(
     departing: Team,
     model: ClusterModel | None,
     kernel_cfg: KernelConfig,
-    caps: EvalCaps,
 ):
     if method == "genius":
         if model is None:
             raise ValidationError("the embedding method needs a trained model")
         return recommend(team, departing, model, net)
-    return kernel_baseline_replace(team, departing, net, kernel_cfg, caps.baseline_budget)
+    return kernel_baseline_replace(team, departing, net, kernel_cfg)
 
 
 def normalize_methods(methods) -> list[str]:
@@ -281,7 +271,6 @@ def run_comparison(
     methods,
     percentages,
     seed: int,
-    caps: EvalCaps | None = None,
     *,
     model: ClusterModel | None = None,
     kernel_cfg: KernelConfig | None = None,
@@ -293,12 +282,14 @@ def run_comparison(
     call, refused or not. Training time is amortized over the test teams and
     added to the trained method's total time. Means are over the cases all
     methods completed; refusals and no-candidate outcomes are counted per method.
+    A network without features is refused: every kernel on it is 0.
     """
-    caps = caps or EvalCaps()
     kernel_cfg = kernel_cfg or KernelConfig()
     method_names = normalize_methods(methods)
     if not teams:
         raise ValidationError("empty test split")
+    if net.d == 0:
+        raise ValidationError("cannot evaluate on a network without features (d = 0)")
     cases = draw_cases(teams, percentages, seed)
     amortized_ms = training_time_ms / len(teams)
     outcomes: list[CaseOutcome] = []
@@ -310,7 +301,7 @@ def run_comparison(
             outcomes.append(outcome)
             start = time.perf_counter()
             try:
-                result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
+                result = _run_method(method, net, team, Team(departing), model, kernel_cfg)
             except (RefusalError, ConvergenceError):
                 continue
             finally:
@@ -332,7 +323,6 @@ def run_comparison(
         "methods": method_names,
         "percentages": [float(p) for p in percentages],
         "seed": seed,
-        "baseline_budget": caps.baseline_budget,
         "decay": kernel_cfg.decay,
         "termination": kernel_cfg.termination,
         "n": net.n,

@@ -48,6 +48,11 @@ def _csr_equal(a: sp.csr_array, b: sp.csr_array) -> bool:
     return a.shape == b.shape and (a != b).nnz == 0
 
 
+def _finite_nonnegative(values: np.ndarray) -> bool:
+    """Whether every entry is finite and >= 0: ``min`` fails a NaN or a negative, ``max`` inf."""
+    return values.size == 0 or (values.min() >= 0 and values.max() < np.inf)
+
+
 @dataclass(frozen=True, eq=False)
 class SocialNetwork:
     """Whole-graph view: symmetric weighted adjacency plus sparse node features.
@@ -70,12 +75,12 @@ class SocialNetwork:
             raise ValidationError(
                 f"feature rows ({feats.shape[0]}) != node count ({adj.shape[0]})"
             )
+        if not _finite_nonnegative(adj.data):
+            raise ValidationError("edge weights must be finite and non-negative")
+        if not _finite_nonnegative(feats.data):
+            raise ValidationError("feature values must be finite and non-negative")
         if (adj != adj.T).nnz != 0:
             raise ValidationError("adjacency must be symmetric")
-        if adj.nnz and adj.data.min() < 0:
-            raise ValidationError("edge weights must be non-negative")
-        if feats.nnz and feats.data.min() < 0:
-            raise ValidationError("feature values must be non-negative")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "features", feats)
 
@@ -132,7 +137,7 @@ class Team:
 
 @dataclass(frozen=True, eq=False)
 class LabeledGraph:
-    """Dense team graph: symmetric weighted adjacency plus a non-negative label row per node.
+    """Dense team graph: symmetric adjacency plus a label row per node, all finite and >= 0.
 
     :func:`induced_subgraph` returns one for a team, with the team's feature
     rows as labels, and every kernel and the edit distance take it.
@@ -150,10 +155,10 @@ class LabeledGraph:
             raise ValidationError(
                 f"labels must have one row per node, got {labels.shape} for n={adj.shape[0]}"
             )
+        if not (_finite_nonnegative(adj) and _finite_nonnegative(labels)):
+            raise ValidationError("adjacency and labels must be finite and non-negative")
         if adj.size and not np.array_equal(adj, adj.T):
             raise ValidationError("adjacency must be symmetric")
-        if (adj.size and adj.min() < 0) or (labels.size and labels.min() < 0):
-            raise ValidationError("adjacency and labels must be non-negative")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "labels", labels)
 

@@ -16,17 +16,19 @@ buffers it allocates once per call. The single-pair kernels are the one-graph
 cases of stacked solves. The marginalized kernel of one graph against several
 (a held-out team's original graph against itself and against each of its
 rebuilt teams, in the evaluation) is one solve per graph size, and a pair that
-breaks the spectral guard is refused alone. The whole-network baseline gathers its candidate teams as stacked arrays
-and scores each chunk of them in one solve. Its label products are formed once
-per query, one row per network node, straight from the sparse feature rows, and
-each chunk gathers its stack from them; the random-walk kernel forms its
-products the same way, so every baseline score equals the single-pair kernel
-bit for bit. A chunk holds as many candidates as keep each array it allocates
-within ``BASELINE_ENTRIES`` entries, so at team sizes of a few members one
-query's candidates form a single stack at any feature width. A dense direct
-solve was measured and rejected: at team size 26 the product space has 676
-unknowns, and one dense ``np.linalg.solve`` costs over a hundred times what a
-candidate costs in a batched fixed-point solve.
+breaks the spectral guard is refused alone. The whole-network baseline refuses
+(``RefusalError``) a query over more than ``BASELINE_BUDGET`` candidate teams.
+It gathers the candidates as stacked arrays and scores each chunk of them in
+one solve. Its label products are formed once per query, one row per network
+node, straight from the sparse feature rows, and each chunk gathers its stack
+from them; the random-walk kernel forms its products the same way, so every
+baseline score equals the single-pair kernel bit for bit. A chunk holds as
+many candidates as keep each array it allocates within ``BASELINE_ENTRIES``
+entries, so at team sizes of a few members one query's candidates form a
+single stack at any feature width. A dense direct solve was measured and
+rejected: at team size 26 the product space has 676 unknowns, and one dense
+``np.linalg.solve`` costs over a hundred times what a candidate costs in a
+batched fixed-point solve.
 
 The exact edit distance assigns g1's nodes in order by depth-first branch and
 bound. One extra target stands for deleting a node: a zero row and column
@@ -58,6 +60,7 @@ GED_MAX_NODES = 12
 GED_MAX_EXPANDED = 300_000  # about a second at the 190-290k nodes/s measured on 2 cores
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITERS = 500_000
+BASELINE_BUDGET = 200_000  # candidates per query: about 0.6 s at team size 4, 1 s at 6, on 2 cores
 BASELINE_ENTRIES = 1 << 16  # float64 entries per array one baseline chunk allocates
 # the solver screens for converged slices on stacks at least this deep whose
 # slices hold at most this many entries (see _screens)
@@ -191,11 +194,11 @@ def _random_walk_scores(
     # stack at or over it (or holding a NaN) is reduced per slice to name the slice
     if not cfg.decay * walk.max() < 1:
         bound = cfg.decay * walk.max(axis=(1, 2))
-        broken = bound >= 1
+        broken = ~(bound < 1)  # a NaN bound breaks the guard too
         if broken.any():
             raise ConvergenceError(
-                f"decay * max row sum of the walk matrix is {bound[np.argmax(broken)]:.6g} >= 1; "
-                f"lower the decay (currently {cfg.decay})"
+                f"decay * max row sum of the walk matrix is {bound[np.argmax(broken)]:.6g}, "
+                f"not below 1; lower the decay (currently {cfg.decay})"
             )
     del walk  # not held through the solve
     mass = 1.0 / (g1.size * adjacency.shape[1])
@@ -263,10 +266,11 @@ def _marginalized_scores(
     """Marginalized kernel of ``g1`` against each graph, and each pair's spectral bound.
 
     The graphs of one size are stacked and solved in one call that shares g1's
-    transition matrix. A pair whose bound is 1 or more is left out of its
-    stack and scores NaN, as does one whose solve does not converge. Each
-    pair's label products are formed as the single-pair kernel forms them, so
-    every score equals that pair's ``marginalized_kernel`` bit for bit.
+    transition matrix. A pair whose bound is not below 1 (NaN included) is
+    left out of its stack and scores NaN, as does one whose solve does not
+    converge. Each pair's label products are formed as the single-pair kernel
+    forms them, so every score equals that pair's ``marginalized_kernel`` bit
+    for bit.
     """
     for g2 in graphs:
         _require_compatible(g1, g2)
@@ -284,7 +288,7 @@ def _marginalized_scores(
         live = live1[:, None] & (adjacency.sum(axis=2) > 0)[:, None, :]
         bound = damping * (k * live).max(axis=(1, 2))
         bounds[group] = bound
-        solved = ~(bound >= 1)
+        solved = bound < 1
         if solved.any():
             k = k[solved]
             # the transposed view is what the single-pair kernel passes; the
@@ -306,9 +310,9 @@ def marginalized_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) -
     one-graph case of the stacked solve.
     """
     scores, bounds = _marginalized_scores(g1, [g2], cfg)
-    if bounds[0] >= 1:
+    if not bounds[0] < 1:
         raise ConvergenceError(
-            f"spectral radius bound {bounds[0]:.6g} >= 1 after termination damping "
+            f"spectral radius bound {bounds[0]:.6g} is not below 1 after termination damping "
             f"(gamma={cfg.termination}); walk values would diverge"
         )
     return float(_require_converged(scores)[0])  # uniform start over node pairs
@@ -405,7 +409,6 @@ def kernel_baseline_replace(
     departing: Team,
     net: SocialNetwork,
     cfg: KernelConfig,
-    budget: int,
 ) -> ReplacementResult:
     """Whole-network baseline: best fixed-size replacement by random-walk kernel.
 
@@ -418,6 +421,7 @@ def kernel_baseline_replace(
     allocates stays within ``BASELINE_ENTRIES`` entries; each score equals
     ``random_walk_kernel`` of the original and the candidate team graph. The
     result holds no timing; a caller that wants one times the whole call.
+    Raises :class:`RefusalError` before scoring past ``BASELINE_BUDGET`` combinations.
     """
     remaining = _check_replacement_inputs(team, departing, net)
     in_team = np.zeros(net.n, dtype=bool)
@@ -425,9 +429,9 @@ def kernel_baseline_replace(
     outside = np.flatnonzero(~in_team).tolist()
     r = len(departing)
     total = comb(len(outside), r)
-    if total > budget:
+    if total > BASELINE_BUDGET:
         raise RefusalError(
-            f"kernel baseline over {total} combinations exceeds budget {budget}"
+            f"kernel baseline over {total} combinations exceeds budget {BASELINE_BUDGET}"
         )
     original = induced_subgraph(net, team)
     best_members: tuple[int, ...] | None = None

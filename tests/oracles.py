@@ -393,7 +393,7 @@ def marginalized_kernel_reference(g1: LabeledGraph, g2: LabeledGraph, terminatio
     return float(r[0].mean())
 
 
-def per_case_comparison(net, teams, methods, percentages, seed, caps, model, kernel_cfg):
+def per_case_comparison(net, teams, methods, percentages, seed, model, kernel_cfg):
     """Every outcome of the comparison, each case's metrics computed on their own.
 
     Each case rebuilds its original team graph and both self-kernels, and every
@@ -410,7 +410,7 @@ def per_case_comparison(net, teams, methods, percentages, seed, caps, model, ker
                        method=method, status="refused", subteam=None, metrics=None)
             rows.append(row)
             try:
-                result = _run_method(method, net, team, Team(departing), model, kernel_cfg, caps)
+                result = _run_method(method, net, team, Team(departing), model, kernel_cfg)
             except (RefusalError, ConvergenceError):
                 continue
             if not result.found:

@@ -349,7 +349,7 @@ def test_criterion_8_feature_scaling_trend():
         return Team((team.members[0], cross))
 
     for d in grid:  # warmup
-        kernel_baseline_replace(teams[0], departing_of(teams[0]), subs[d], cfg, 10_000)
+        kernel_baseline_replace(teams[0], departing_of(teams[0]), subs[d], cfg)
         recommend(teams[0], departing_of(teams[0]), models[d], subs[d])
 
     kernel_sums = {d: 0.0 for d in grid}
@@ -363,9 +363,7 @@ def test_criterion_8_feature_scaling_trend():
             # untimed warm call and then counts the best of three warm calls,
             # so one call slowed by the host does not set a grid point's mean
             for d in grid:
-                kernel_sums[d] += timed_ms(
-                    kernel_baseline_replace, team, departing, subs[d], cfg, 10_000
-                )
+                kernel_sums[d] += timed_ms(kernel_baseline_replace, team, departing, subs[d], cfg)
             for d in grid:
                 recommend(team, departing, models[d], subs[d])
                 genius_sums[d] += min(

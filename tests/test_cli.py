@@ -10,7 +10,6 @@ import pytest
 
 from subteam import cli, graph, kernels, recommender
 from subteam.cli import build_parser, main
-from subteam.evaluate import EvalCaps
 from subteam.kernels import KernelConfig
 from subteam.objectives import LossWeights
 from subteam.trainer import TrainConfig
@@ -519,6 +518,31 @@ class TestEvaluate:
             assert doc["cases"] > 0 and doc["ged_cases"] == 0
             assert doc["ged_skipped"] == {"RefusalError": doc["cases"]}
 
+    def test_baseline_over_its_budget_refuses_every_case(self, trained, monkeypatch, capsys):
+        monkeypatch.setattr(kernels, "BASELINE_BUDGET", 0)
+        args = ["--data", str(trained), "--methods", "kernel", "--format", "table"]
+        assert main(EVAL_FAST + args) == 4
+        out, err = capsys.readouterr()
+        rows = [line.split("\t") for line in out.splitlines()]
+        status = rows[0].index("status")
+        assert len(rows) > 1 and {row[status] for row in rows[1:]} == {"refused"}
+        assert "no case completed" in err
+
+    @pytest.mark.parametrize("featureless", ["subset-of-0", "header-only-file"])
+    def test_network_without_features_exits_2(self, trained, tmp_path, capsys, featureless):
+        data = tmp_path / "data"
+        shutil.copytree(trained, data)
+        flags = ["--features", "0"] if featureless == "subset-of-0" else []
+        if featureless == "header-only-file":
+            (data / "features.tsv").write_text("# node\tfeature\tvalue\n")
+        out = tmp_path / "report.json"
+        args = ["--data", str(data), "--methods", "kernel", "--out", str(out)]
+        code = main(EVAL_FAST + args + flags)
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "without features (d = 0)" in err and "internal" not in err
+        assert not out.exists()
+
     def test_feature_subset_with_the_trained_method_exits_2_before_reading(
         self, tmp_path, capsys
     ):
@@ -695,7 +719,7 @@ def test_parser_defaults_are_the_dataclass_defaults():
     _, commands = build_parser()
     train = commands["train"].parse_args(["--data", "d"])
     evaluate = commands["evaluate"].parse_args(["--data", "d"])
-    cfg, weights, kernel_cfg, caps = TrainConfig(), LossWeights(), KernelConfig(), EvalCaps()
+    cfg, weights, kernel_cfg = TrainConfig(), LossWeights(), KernelConfig()
     assert (train.epochs, train.lr, train.seed, train.clusters) == (
         cfg.epochs,
         cfg.learning_rate,
@@ -711,7 +735,6 @@ def test_parser_defaults_are_the_dataclass_defaults():
     assert tuple(train.hidden) == cfg.hidden
     assert tuple(train.split) == tuple(evaluate.split) == cfg.split
     assert (evaluate.decay, evaluate.termination) == (kernel_cfg.decay, kernel_cfg.termination)
-    assert evaluate.budget == caps.baseline_budget
 
 
 class TestConfigFile:
@@ -730,12 +753,18 @@ class TestConfigFile:
         )
         assert json.loads((out2 / "manifest.json").read_text())["n"] == 20
 
-    def test_unknown_config_key_rejected(self, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "command, key, required",
+        [("synth", "mystery_knob", "--out"), ("evaluate", "budget", "--data")],
+        ids=["synth", "evaluate"],
+    )
+    def test_unknown_config_key_rejected(self, tmp_path, capsys, command, key, required):
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"mystery_knob": 1}))
-        code = main(["synth", "--config", str(cfg), "--out", str(tmp_path / "x")])
+        cfg.write_text(json.dumps({key: 1}))
+        code = main([command, "--config", str(cfg), required, str(tmp_path / "x")])
+        err = capsys.readouterr().err
         assert code == 2
-        assert "mystery_knob" in capsys.readouterr().err
+        assert key in err and "internal" not in err
 
     def test_missing_config_exits_2(self, tmp_path, capsys):
         out = tmp_path / "x"
@@ -847,10 +876,11 @@ class TestConfigTypes:
     [
         (["train", "--data", "x", "--epochs", "2.5"], 2),
         (["evaluate"], 2),
+        (["evaluate", "--data", "x", "--budget", "5"], 2),
         (["nosuch"], 2),
         (["--help"], 0),
     ],
-    ids=["unconvertible-value", "missing-required", "unknown-command", "help"],
+    ids=["unconvertible-value", "missing-required", "removed-flag", "unknown-command", "help"],
 )
 def test_argparse_exit_is_returned_not_raised(capsys, argv, code):
     # called without exit_code's guard: a SystemExit escaping main fails the test

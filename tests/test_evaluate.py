@@ -10,7 +10,6 @@ from subteam.encoder import ClusterModel, init_params
 from subteam.errors import ValidationError
 from subteam.evaluate import (
     CaseOutcome,
-    EvalCaps,
     EvalReport,
     draw_cases,
     evaluate_case_metrics,
@@ -203,18 +202,12 @@ class TestRunComparison:
             assert fwd.methods[name]["mean_d1"] == rev.methods[name]["mean_d1"]
             assert fwd.methods[name]["mean_d2"] == rev.methods[name]["mean_d2"]
 
-    def test_refusals_recorded_not_dropped(self, eval_instance):
+    def test_refusals_recorded_not_dropped(self, eval_instance, monkeypatch):
         net, teams, model = eval_instance
         held_out = teams[:3]
+        monkeypatch.setattr(kernels, "BASELINE_BUDGET", 0)
         report = run_comparison(
-            net,
-            held_out,
-            ["kernel"],
-            [50.0],
-            seed=2,
-            caps=EvalCaps(baseline_budget=0),
-            model=model,
-            kernel_cfg=KCFG,
+            net, held_out, ["kernel"], [50.0], seed=2, model=model, kernel_cfg=KCFG
         )
         kernel = report.methods["kernel"]
         assert kernel["refusals"] == len([c for c in report.cases if c.method == "kernel"])
@@ -326,7 +319,7 @@ def test_outcomes_equal_the_per_case_oracle(
         monkeypatch.setattr(kernels, "SHORTEST_PATH_MAX_NODES", sp_max_nodes)
     if ged_budget is not None:  # the searches that expand more nodes refuse
         monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", ged_budget)
-    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2, EvalCaps())
+    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2)
     cfg = KernelConfig(decay=0.005, termination=termination)
     report = run_comparison(*args, model=model, kernel_cfg=cfg)
     got = [
@@ -352,11 +345,6 @@ def test_outcomes_equal_the_per_case_oracle(
     assert set(ged) <= {None, "RefusalError"}
     assert (ged["RefusalError"] > 0) == (ged_budget is not None)
     assert ged[None] > 0
-
-
-def test_caps_outside_their_range_rejected():
-    with pytest.raises(ValidationError):
-        EvalCaps(baseline_budget=-1)
 
 
 def hand_outcome(case_id, method, status, metrics=None, inference_ms=0.0, total_ms=0.0):

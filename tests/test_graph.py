@@ -12,6 +12,7 @@ from subteam import graph
 from subteam.errors import ParseError, ValidationError
 from subteam.graph import (
     MAX_SYNTH_PAIRS,
+    LabeledGraph,
     SocialNetwork,
     Team,
     generate_synthetic,
@@ -324,6 +325,26 @@ class TestSocialNetworkValidation:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             net_from_dense(np.zeros((2, 2)), np.eye(3))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda adjacency, labels: net_from_dense(adjacency, labels),
+        lambda adjacency, labels: LabeledGraph(adjacency=adjacency, labels=labels),
+    ],
+    ids=["SocialNetwork", "LabeledGraph"],
+)
+@pytest.mark.parametrize("matrix", ["adjacency", "labels"])
+def test_non_finite_entry_rejected_as_the_file_loader_rejects_it(build, matrix, value):
+    adjacency, labels = np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 2))
+    if matrix == "adjacency":
+        adjacency[0, 1] = adjacency[1, 0] = value
+    else:
+        labels[1, 0] = value
+    with pytest.raises(ValidationError, match="finite"):
+        build(adjacency, labels)
 
 
 class TestGenerateSynthetic:

@@ -432,7 +432,7 @@ class TestKernelBaseline:
         net = self.small_net()
         cfg = KernelConfig(decay=0.01)
         team = Team(tuple(range(7)))  # outside pool = {7}
-        result = kernel_baseline_replace(team, Team((0,)), net, cfg, budget=100)
+        result = kernel_baseline_replace(team, Team((0,)), net, cfg)
         assert result.subteam == (7,)
         assert result.candidates_examined == 1
 
@@ -443,7 +443,7 @@ class TestKernelBaseline:
         departing = Team((3,))
         original = induced_subgraph(net, team)
         self_kernel = random_walk_kernel(original, original, cfg)
-        result = kernel_baseline_replace(team, departing, net, cfg, budget=100)
+        result = kernel_baseline_replace(team, departing, net, cfg)
         # scoring the original team against itself bounds nothing in general,
         # but re-scoring the winner must reproduce its reported similarity
         rebuilt = Team((0, 1, 2) + result.subteam)
@@ -457,7 +457,7 @@ class TestKernelBaseline:
         cfg = KernelConfig(decay=0.01)
         team = Team((0, 1, 2))
         departing = Team((1,))
-        result = kernel_baseline_replace(team, departing, net, cfg, budget=100)
+        result = kernel_baseline_replace(team, departing, net, cfg)
         original = induced_subgraph(net, team)
         best, best_score = None, -math.inf
         for v in range(net.n):
@@ -470,12 +470,14 @@ class TestKernelBaseline:
         assert result.subteam == best
         assert result.similarity == best_score
 
-    def test_budget_refusal(self):
+    def test_budget_refusal(self, monkeypatch):
         net = self.small_net()
-        with pytest.raises(RefusalError):
-            kernel_baseline_replace(
-                Team((0, 1)), Team((0,)), net, KernelConfig(decay=0.01), budget=2
-            )
+        args = (Team((0, 1)), Team((0,)), net, KernelConfig(decay=0.01))  # 6 combinations
+        monkeypatch.setattr(kernels, "BASELINE_BUDGET", 5)
+        with pytest.raises(RefusalError, match="6 combinations exceeds budget 5"):
+            kernel_baseline_replace(*args)
+        monkeypatch.setattr(kernels, "BASELINE_BUDGET", 6)
+        assert kernel_baseline_replace(*args).candidates_examined == 6
 
 
 class TestBatchedBaseline:
@@ -513,12 +515,12 @@ class TestBatchedBaseline:
         best = int(np.argmax(singles))
         batch = _baseline_batch(len(team), len(departing), len(outside))
         assert batch >= len(combos)  # the baseline scores them in one stack
-        one_stack = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
+        one_stack = kernel_baseline_replace(team, Team(departing), net, self.CFG)
         monkeypatch.setattr(kernels, "BASELINE_ENTRIES", 400)
         if len(departing) == 3:
             batch = _baseline_batch(len(team), 3, len(outside))
             assert math.ceil(len(combos) / batch) >= 3
-        chunked = kernel_baseline_replace(team, Team(departing), net, self.CFG, budget=1000)
+        chunked = kernel_baseline_replace(team, Team(departing), net, self.CFG)
         for result in (one_stack, chunked):
             assert result.subteam == combos[best]
             assert result.similarity == singles[best]
@@ -546,7 +548,7 @@ class TestBatchedBaseline:
         batch = _baseline_batch(3, 1, n - 3)
         # 5 and 6 are the outside nodes at positions 2 and 3
         assert (2 // batch != 3 // batch) == (entries == 27)
-        result = kernel_baseline_replace(team, departing, net, self.CFG, budget=100)
+        result = kernel_baseline_replace(team, departing, net, self.CFG)
         assert result.subteam == (5,)
         assert result.similarity == singles[5]
 
@@ -554,7 +556,7 @@ class TestBatchedBaseline:
         net = SocialNetwork(
             adjacency=sp.csr_array(np.ones((6, 6)) - np.eye(6)), features=sp.csr_array((6, 0))
         )
-        result = kernel_baseline_replace(Team((0, 1, 2)), Team((2,)), net, self.CFG, budget=10)
+        result = kernel_baseline_replace(Team((0, 1, 2)), Team((2,)), net, self.CFG)
         assert result.subteam == (3,)
         assert result.similarity == 0.0
 
@@ -587,7 +589,7 @@ class TestBatchedBaseline:
         else:
             assert 72 < batch
         with pytest.raises(ConvergenceError) as batched:
-            kernel_baseline_replace(team, Team((2,)), net, self.CFG, budget=1000)
+            kernel_baseline_replace(team, Team((2,)), net, self.CFG)
         assert str(batched.value) == messages[0]
 
     def test_guard_failure_is_refused_by_the_comparison(self):
@@ -596,6 +598,32 @@ class TestBatchedBaseline:
         report = run_comparison(net, teams, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
         assert [case.status for case in report.cases] == ["refused"]
         assert report.methods["kernel"]["refusals"] == 1
+
+
+def overflowing_label_net() -> SocialNetwork:
+    """Path 0-1-2 and edge 3-4, every feature 1 but node 0's first, 1e160.
+
+    Every input is finite, but node 0's label product with itself overflows to
+    inf, and inf times a zero row sum puts a NaN into a spectral bound.
+    """
+    adjacency = np.zeros((5, 5))
+    for u, v in ((0, 1), (1, 2), (3, 4)):
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    features = np.ones((5, 2))
+    features[0, 0] = 1e160
+    return net_from_dense(adjacency, features)
+
+
+@pytest.mark.parametrize("kernel", ["baseline", "marginalized"])
+def test_nan_spectral_bound_is_refused_by_the_guard(kernel):
+    net = overflowing_label_net()
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as refused:
+        if kernel == "baseline":  # node 3 has no edge inside the team
+            kernel_baseline_replace(Team((0, 1, 3)), Team((1,)), net, CFG)
+        else:  # neither node has an edge inside the team
+            team_graph = induced_subgraph(net, Team((0, 3)))
+            marginalized_kernel(team_graph, team_graph, KernelConfig())
+    assert "nan" in str(refused.value) and "did not converge" not in str(refused.value)
 
 
 def test_baseline_allocates_no_n_by_n_array():
@@ -612,7 +640,7 @@ def test_baseline_allocates_no_n_by_n_array():
     )
     tracemalloc.start()
     try:
-        result = kernel_baseline_replace(Team((0, 1, 2)), Team((1,)), net, CFG, budget=n)
+        result = kernel_baseline_replace(Team((0, 1, 2)), Team((1,)), net, CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -655,7 +683,7 @@ def test_baseline_label_stack_is_bounded_for_wide_features():
     team = Team(tuple(range(8)))
     tracemalloc.start()
     try:
-        result = kernel_baseline_replace(team, Team((3,)), net, CFG, budget=net.n)
+        result = kernel_baseline_replace(team, Team((3,)), net, CFG)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -674,7 +702,7 @@ def test_baseline_chunks_do_not_depend_on_feature_width(monkeypatch):
     chunks = []
     for d in (16, MAX_FEATURES):
         solves.clear()
-        result = kernel_baseline_replace(Team(tuple(range(8))), Team((3,)), wide_ring(d), CFG, 500)
+        result = kernel_baseline_replace(Team(tuple(range(8))), Team((3,)), wide_ring(d), CFG)
         assert sum(solves) == result.candidates_examined == 492
         chunks.append(len(solves))
     assert chunks[0] == chunks[1]

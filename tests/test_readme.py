@@ -8,7 +8,7 @@ import shlex
 from pathlib import Path
 
 import subteam
-from subteam.cli import main
+from subteam.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -53,3 +53,13 @@ def test_cited_dotted_names_resolve():
     assert {"kernels.GED_MAX_NODES", "subteam.recommender.CHUNK", "ClusterModel.build"} <= set(
         resolved
     )
+
+
+def test_cited_flags_exist():
+    """Every ``--flag`` the README cites, outside its pip commands, is a ``subteam`` command's."""
+    _, commands = build_parser()
+    flags = {flag for p in commands.values() for a in p._actions for flag in a.option_strings}
+    text = re.sub(r"pip install[^`\n]*", "", README.read_text(encoding="utf-8"))
+    cited = set(re.findall(r"(?<![\w-])--[a-z][\w-]*", text))
+    assert {"--data", "--features", "--config"} <= cited
+    assert cited <= flags, f"not a flag of any command: {sorted(cited - flags)}"
