@@ -29,10 +29,13 @@ from .errors import ParseError, ValidationError
 # these caps are refused instead.
 MAX_NODES = 1_000_000
 MAX_FEATURES = 100_000
-# generate_synthetic draws every node pair at once: 33 bytes per pair at its
-# traced peak, up to 221 when every pair becomes an edge (p_in = 1, one block).
-# This cap (n <= 4000) holds that peak under 1.8 GB; larger n is refused.
+# generate_synthetic draws the node pairs a row block at a time, so its scratch
+# stays small (traced peak 8.2 MB, 1.0 byte per pair, at n = 4000, p_in = 0.05,
+# p_out = 0.0005) and its output sets the peak: 213 bytes per pair when every pair
+# becomes an edge (p_in = 1, one block). This cap (n <= 4000) holds that under
+# 1.8 GB; larger n is refused. Raising it needs a bound on the expected edge count.
 MAX_SYNTH_PAIRS = 8_000_000
+SYNTH_BLOCK_PAIRS = 1 << 16  # pairs per row block, or one whole row if longer
 
 
 def _canonical_csr(m) -> sp.csr_array:
@@ -377,13 +380,16 @@ def generate_synthetic(
     """Planted-partition network with block-banded features and block-local teams.
 
     Nodes are split into ``k_planted`` equal blocks; within-block pairs get an
-    edge with probability ``p_in``, cross-block pairs with ``p_out``. Each
-    block owns a disjoint band of feature columns; every node activates a few
-    in-band features plus occasional low-value cross-band noise. Teams draw
-    members from a home block, with each seat having a 10% chance of being
-    filled cross-block. Output is a pure function of the arguments. More than
-    ``MAX_SYNTH_PAIRS`` node pairs, or more than ``MAX_FEATURES`` features, are
-    refused before anything is allocated.
+    edge with probability ``p_in``, cross-block pairs with ``p_out``. The pairs
+    are drawn in blocks of whole rows, each at most ``SYNTH_BLOCK_PAIRS`` pairs
+    or one row, and the block size does not change the output. Each block owns
+    a disjoint band of feature columns; every node activates a few in-band
+    features plus occasional low-value cross-band noise. Teams draw members
+    from a home block: each seat is marked cross-block with probability 0.1,
+    and up to ``size // 3`` of the marked seats are filled from other blocks.
+    Output is a pure function of the arguments. More than ``MAX_SYNTH_PAIRS``
+    node pairs, or more than ``MAX_FEATURES`` features, are refused before
+    anything is allocated.
     """
     if not (0 <= p_out < p_in <= 1):
         raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
@@ -407,15 +413,31 @@ def generate_synthetic(
     block = planted_blocks(n, k_planted)
     rng = np.random.default_rng(seed)
 
-    iu, ju = np.triu_indices(n, k=1)
-    prob = np.where(block[iu] == block[ju], p_in, p_out)
-    keep = rng.random(iu.size) < prob
-    ei, ej = iu[keep], ju[keep]
+    # pairs (i, j > i) in row-major order, whole rows at a time: one row, or as many
+    # as fit SYNTH_BLOCK_PAIRS; rng.random gives the same doubles called in pieces
+    row_end = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..i
+    ei_parts, ej_parts = [], []
+    r0 = 0
+    while r0 < n - 1:
+        drawn = int(row_end[r0 - 1]) if r0 else 0
+        r1 = max(r0 + 1, int(np.searchsorted(row_end, drawn + SYNTH_BLOCK_PAIRS, side="right")))
+        lens = n - 1 - np.arange(r0, r1)
+        iu = np.repeat(np.arange(r0, r1), lens)
+        ju = iu + 1 + np.arange(iu.size) - np.repeat(np.cumsum(lens) - lens, lens)
+        keep = rng.random(iu.size) < np.where(block[iu] == block[ju], p_in, p_out)
+        ei_parts.append(iu[keep])
+        ej_parts.append(ju[keep])
+        r0 = r1
+    ei, ej = np.concatenate(ei_parts), np.concatenate(ej_parts)
     rows = np.concatenate([ei, ej])
     cols = np.concatenate([ej, ei])
     vals = np.ones(rows.size)
     adjacency = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
 
+    # a node's own features are its block's band [lo, hi) and its foreign ones the
+    # other d - width columns; a team's members are its home block's nodes and its
+    # cross-block ones the other n - block_size. Each draw picks a position in such
+    # a range and maps it to an id, the id rng.choice on the range's array returns.
     band_lo = np.array([b * d // k_planted for b in range(k_planted)])
     band_hi = np.array([(b + 1) * d // k_planted for b in range(k_planted)])
     frows: list[int] = []
@@ -425,33 +447,31 @@ def generate_synthetic(
         lo, hi = band_lo[block[v]], band_hi[block[v]]
         width = hi - lo
         count = 1 + int(rng.binomial(min(width - 1, 4), 0.6)) if width > 1 else 1
-        own = rng.choice(np.arange(lo, hi), size=count, replace=False)
+        own = lo + rng.choice(width, size=count, replace=False)
         for f in own:
             frows.append(v)
             fcols.append(int(f))
             fvals.append(float(rng.uniform(0.5, 1.5)))
-        if rng.random() < 0.3:
-            foreign = np.setdiff1d(np.arange(d), np.arange(lo, hi))
-            if foreign.size:
-                f = int(rng.choice(foreign))
-                frows.append(v)
-                fcols.append(f)
-                fvals.append(float(rng.uniform(0.02, 0.1)))
+        if rng.random() < 0.3 and d > width:
+            f = int(rng.choice(d - width))
+            frows.append(v)
+            fcols.append(f if f < lo else f + width)
+            fvals.append(float(rng.uniform(0.02, 0.1)))
     features = sp.coo_array((fvals, (frows, fcols)), shape=(n, d)).tocsr()
 
     size_lo, size_hi = min(3, block_size), min(6, block_size)
+    others = n - block_size
     team_list = []
     for _ in range(teams):
         home = int(rng.integers(k_planted))
         size = int(rng.integers(size_lo, size_hi + 1))
         cross = rng.random(size) < 0.1
-        in_pool = np.flatnonzero(block == home)
-        out_pool = np.flatnonzero(block != home)
-        m_out = int(cross.sum()) if out_pool.size else 0
-        m_out = min(m_out, size // 3, out_pool.size) if m_out > 0 else 0
+        m_out = min(int(cross.sum()), size // 3, others)
         m_in = size - m_out
-        chosen = list(rng.choice(in_pool, size=m_in, replace=False))
+        start = home * block_size
+        chosen = (start + rng.choice(block_size, size=m_in, replace=False)).tolist()
         if m_out:
-            chosen.extend(rng.choice(out_pool, size=m_out, replace=False))
-        team_list.append(Team(tuple(int(v) for v in chosen)))
+            picks = rng.choice(others, size=m_out, replace=False)
+            chosen.extend(np.where(picks < start, picks, picks + block_size).tolist())
+        team_list.append(Team(tuple(chosen)))
     return SocialNetwork(adjacency=adjacency, features=features), team_list

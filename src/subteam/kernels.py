@@ -193,12 +193,19 @@ def _random_walk_scores(
     # rounding is monotone, so decay * max is the largest slice's bound; only a
     # stack at or over it (or holding a NaN) is reduced per slice to name the slice
     if not cfg.decay * walk.max() < 1:
-        bound = cfg.decay * walk.max(axis=(1, 2))
+        peak = walk.max(axis=(1, 2))
+        bound = cfg.decay * peak
         broken = ~(bound < 1)  # a NaN bound breaks the guard too
         if broken.any():
+            at = np.argmax(broken)
+            advice = (
+                f"lower the decay (currently {cfg.decay})"
+                if np.isfinite(peak[at])
+                else "its label products times row sums overflow float64, so no decay can help"
+            )
             raise ConvergenceError(
-                f"decay * max row sum of the walk matrix is {bound[np.argmax(broken)]:.6g}, "
-                f"not below 1; lower the decay (currently {cfg.decay})"
+                f"decay * max row sum of the walk matrix is {bound[at]:.6g}, "
+                f"not below 1; {advice}"
             )
     del walk  # not held through the solve
     mass = 1.0 / (g1.size * adjacency.shape[1])
@@ -311,10 +318,13 @@ def marginalized_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) -
     """
     scores, bounds = _marginalized_scores(g1, [g2], cfg)
     if not bounds[0] < 1:
-        raise ConvergenceError(
-            f"spectral radius bound {bounds[0]:.6g} is not below 1 after termination damping "
-            f"(gamma={cfg.termination}); walk values would diverge"
+        # damping is in (0, 1), so the bound is finite exactly when the undamped one is
+        advice = (
+            f" after termination damping (gamma={cfg.termination}); walk values would diverge"
+            if np.isfinite(bounds[0])
+            else "; the label products overflow float64, so no termination can help"
         )
+        raise ConvergenceError(f"spectral radius bound {bounds[0]:.6g} is not below 1{advice}")
     return float(_require_converged(scores)[0])  # uniform start over node pairs
 
 

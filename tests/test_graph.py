@@ -1,3 +1,4 @@
+import hashlib
 import tracemalloc
 
 import numpy as np
@@ -400,3 +401,69 @@ class TestGenerateSynthetic:
             assert 2 <= len(team) <= 6
             home_counts = np.bincount([blocks[v] for v in team], minlength=4)
             assert home_counts.max() >= len(team) - len(team) // 3
+
+    # perfbench's train and recommend networks, whose refs depend on these bytes
+    PINNED = [
+        (
+            dict(n=1600, d=64, k_planted=16, p_in=0.3, p_out=0.005, teams=400, seed=0),
+            "500ea8343543174f59d3f276050188d48cd47d973482fe53bbceab807f5fd96b",
+            "393607cfac710f45f66373adc1d7158c387dde93fa9d5e1f6e96f0a43179ecfc",
+            "41929f8c2548b91bc8e27696b4ff18f0c06aa0174db47ca76d502941d82bf4f0",
+        ),
+        (
+            dict(n=1200, d=120, k_planted=60, p_in=0.5, p_out=0.01, teams=1200, seed=0),
+            "03194a6ee2103561a5fd6e3aae961af9bf8152f02fa772d0d51de491e64f5a75",
+            "ca30dac0e1f3dfada46fbdd1adb7caf6c582610e9e9046b8b6545bd6cc580938",
+            "1810220802924633fcce9a442b5799fa8fd87d29066c0745b5646382ab6765d1",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs, adjacency, features, teams", PINNED, ids=["train", "recommend"]
+    )
+    def test_perfbench_networks_are_pinned(self, kwargs, adjacency, features, teams):
+        def digest(csr):
+            h = hashlib.sha256()
+            for a in (csr.indptr, csr.indices, csr.data):
+                h.update(a.dtype.str.encode())
+                h.update(np.ascontiguousarray(a).tobytes())
+            return h.hexdigest()
+
+        net, team_list = generate_synthetic(**kwargs)
+        assert digest(net.adjacency) == adjacency
+        assert digest(net.features) == features
+        members = repr([t.members for t in team_list]).encode()
+        assert hashlib.sha256(members).hexdigest() == teams
+
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n=2, d=1, k_planted=1, p_in=0.5, p_out=0.0, teams=2, seed=0),
+            dict(n=3, d=2, k_planted=1, p_in=0.5, p_out=0.0, teams=2, seed=1),
+            dict(n=24, d=4, k_planted=1, p_in=1.0, p_out=0.0, teams=5, seed=2),
+            dict(n=60, d=12, k_planted=5, p_in=0.6, p_out=0.1, teams=40, seed=3),
+        ],
+        ids=["n2", "n3", "one-full-block", "five-blocks"],
+    )
+    @pytest.mark.parametrize("block_pairs", [1, 7, 10**9])
+    def test_output_does_not_depend_on_the_row_block_size(self, monkeypatch, kwargs, block_pairs):
+        default_net, default_teams = generate_synthetic(**kwargs)
+        monkeypatch.setattr(graph, "SYNTH_BLOCK_PAIRS", block_pairs)
+        net, teams = generate_synthetic(**kwargs)
+        for matrix in ("adjacency", "features"):
+            got, want = getattr(net, matrix), getattr(default_net, matrix)
+            for name in ("indptr", "indices", "data"):
+                assert np.array_equal(getattr(got, name), getattr(want, name))
+        assert teams == default_teams
+
+    def test_traced_peak_does_not_grow_with_the_pair_count(self):
+        # drawn all at once, the pairs held 33 bytes each at the traced peak: 95 MB
+        # here, 264 MB at n = 4000; in row blocks the peak is 3.6 MB here, 8.2 MB at 4000
+        n = 2400
+        tracemalloc.start()
+        try:
+            generate_synthetic(n=n, d=64, k_planted=16, p_in=0.05, p_out=0.0005, teams=100, seed=0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * (n * (n - 1) // 2), f"traced peak {peak / 1e6:.1f} MB"

@@ -626,6 +626,27 @@ def test_nan_spectral_bound_is_refused_by_the_guard(kernel):
     assert "nan" in str(refused.value) and "did not converge" not in str(refused.value)
 
 
+@pytest.mark.parametrize("kernel", ["baseline", "random-walk", "marginalized"])
+def test_overflowing_label_products_get_no_decay_advice(kernel):
+    # a 5-cycle, every feature 1 but node 0's first, 1e160: node 0's label product
+    # with itself is inf before any decay or damping applies, so none can help
+    cycle = np.roll(np.eye(5), 1, axis=1)
+    features = np.ones((5, 2))
+    features[0, 0] = 1e160
+    net = net_from_dense(cycle + cycle.T, features)
+    team_graph = induced_subgraph(net, Team((0, 1, 2)))
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(ConvergenceError) as refused:
+        if kernel == "baseline":
+            kernel_baseline_replace(Team((0, 1, 2)), Team((2,)), net, KernelConfig(decay=0.005))
+        elif kernel == "random-walk":
+            random_walk_kernel(team_graph, team_graph, KernelConfig(decay=1e-300))
+        else:
+            marginalized_kernel(team_graph, team_graph, KernelConfig(termination=0.999999))
+    message = str(refused.value)
+    assert "inf" in message and "label products" in message and "overflow" in message
+    assert "lower the decay" not in message and "termination damping" not in message
+
+
 def test_baseline_allocates_no_n_by_n_array():
     n = 20_000
     ring = np.arange(n)
