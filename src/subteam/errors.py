@@ -15,7 +15,7 @@ class ValidationError(ValueError):
 
 
 class RefusalError(RuntimeError):
-    """An exact computation refused to run because a size or budget cap was exceeded."""
+    """An exact computation refused: past a size or budget cap, or its sum overflows float64."""
 
 
 class ConvergenceError(RuntimeError):

@@ -4,25 +4,25 @@ Each test case (team, percentage, drawn departing subteam) is generated once
 and fed to every method, so all methods see identical inputs. The cases come
 grouped by held-out team, and each team is evaluated in one pass straight
 after its cases run: its original graph and both self-kernels are computed
-once, and the marginalized kernels of all its rebuilt teams are solved with
-its self-kernel in one stacked solve. Each kernel disparity is
-|k(T0, T1) - k(T0, T0)| / k(T0, T0) under one skip rule: a refused self-kernel
-skips every case of the team, a zero one skips every case next, and a refused
-cross kernel skips its own case. A refused exact GED (past either limit of
-:func:`~subteam.kernels.graph_edit_distance`) skips its case as a refused
-shortest-path kernel does, as ``"RefusalError"``. Refusals and undefined
-metrics are counted, never silently dropped.
+once, and the marginalized kernels of its rebuilt teams are one stacked solve.
+
+Every result is a value or the class name of the error that refused it
+(``RefusalError`` or ``ConvergenceError``), from the search to the report: a
+refused search is a ``refused`` outcome with that name as its ``reason``, and
+a refused metric is skipped under it. Each kernel disparity is
+|k(T0, T1) - k(T0, T0)| / k(T0, T0): a refused self-kernel skips every case of
+the team, a zero one skips every case next (``ZeroSelfKernelError``), and a
+refused cross kernel skips its own case.
 
 ``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
 edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
-A report holds its config and one outcome per case and method; an ok
-outcome's ``metrics`` maps each metric to its value or the reason it was
-skipped. Each method's JSON entry is computed from the outcomes: ``cases``,
-``refusals`` and ``no_candidates``, then ``mean_<m>``, ``<m>_cases`` and
-``<m>_skipped`` for each metric ``m``, then ``mean_inference_ms`` and
-``mean_total_ms``. Metrics and times cover only the cases every method
-completed; refusals and no-candidate outcomes count on every outcome. The
-table has one column per metric.
+A report holds its config and one outcome per case and method. Each method's
+JSON entry is computed from the outcomes: ``cases``, ``refusals`` and
+``no_candidates``, then ``mean_<m>``, ``<m>_cases`` and ``<m>_skipped`` for
+each metric ``m``, then ``mean_inference_ms`` and ``mean_total_ms``; ``refusals``
+and ``<m>_skipped`` count the names. Metrics and times cover only the cases
+every method completed; refusals and no-candidate outcomes count on every
+outcome. The table has one column per metric.
 """
 
 from __future__ import annotations
@@ -55,28 +55,26 @@ METRICS = ("ged", "d1", "d2")
 _METHOD_ALIASES = {"genius": "genius", "kernel": "kernel", "kernel_baseline": "kernel"}
 
 
-def _or_nan(metric, g1: LabeledGraph, g2: LabeledGraph) -> float:
-    """``metric(g1, g2)``, or NaN where it raises :class:`RefusalError`."""
+def _value_or_refusal(call, *args):
+    """``call(*args)``, or the class name of the RefusalError or ConvergenceError it raises."""
     try:
-        return metric(g1, g2)
-    except RefusalError:
-        return np.nan
+        return call(*args)
+    except (RefusalError, ConvergenceError) as exc:
+        return type(exc).__name__
 
 
-def _disparities(kernels: list[float], refused: str) -> list[float | str]:
+def _disparities(kernels: list[float | str]) -> list[float | str]:
     """|k(T0, T1) - k(T0, T0)| / k(T0, T0) for each cross kernel, or why it is skipped.
 
-    ``kernels`` holds the self-kernel k(T0, T0), then one cross kernel per new
-    team; NaN stands for a kernel that refused, skipped as ``refused``. A
-    refused self-kernel skips every team, a zero one skips every team next,
-    and then each refused cross kernel skips its own team only.
+    ``kernels`` holds k(T0, T0), then one cross kernel per new team, each a value
+    or the name of what refused it; skips follow the module docstring's precedence.
     """
     self_kernel, *cross = kernels
-    if np.isnan(self_kernel):
-        return [refused] * len(cross)
+    if isinstance(self_kernel, str):
+        return [self_kernel] * len(cross)
     if self_kernel <= 0:
         return ["ZeroSelfKernelError"] * len(cross)
-    return [refused if np.isnan(k) else abs(k - self_kernel) / self_kernel for k in cross]
+    return [k if isinstance(k, str) else abs(k - self_kernel) / self_kernel for k in cross]
 
 
 def evaluate_team_metrics(
@@ -93,12 +91,10 @@ def evaluate_team_metrics(
     """
     t0 = induced_subgraph(net, team)
     stack = [t0, *(induced_subgraph(net, new_team) for new_team in new_teams)]
-    marg, _ = _marginalized_scores(t0, stack, kernel_cfg)
-    refused = RefusalError.__name__
-    ged = [_or_nan(graph_edit_distance, t0, t1) for t1 in stack[1:]]
-    ged = [refused if np.isnan(distance) else distance for distance in ged]
-    d1 = _disparities([_or_nan(shortest_path_kernel, t0, g) for g in stack], refused)
-    d2 = _disparities(marg.tolist(), ConvergenceError.__name__)
+    marg, _ = _marginalized_scores(t0, stack, kernel_cfg)  # NaN where a pair refused
+    ged = [_value_or_refusal(graph_edit_distance, t0, t1) for t1 in stack[1:]]
+    d1 = _disparities([_value_or_refusal(shortest_path_kernel, t0, g) for g in stack])
+    d2 = _disparities([ConvergenceError.__name__ if np.isnan(k) else k for k in marg.tolist()])
     return [dict(zip(METRICS, row)) for row in zip(ged, d1, d2)]
 
 
@@ -124,6 +120,7 @@ class CaseOutcome:
     metrics: dict[str, float | str] | None = None  # each metric's value or skip reason
     inference_ms: float = 0.0
     total_ms: float = 0.0
+    reason: str | None = None  # on a refused outcome, the name of the error that refused it
 
 
 def _mean(values: list[float], empty: float | None) -> float | None:
@@ -133,12 +130,12 @@ def _mean(values: list[float], empty: float | None) -> float | None:
 
 def _method_entry(outcomes: list[CaseOutcome], incomplete: set[int]) -> dict:
     """One method's JSON entry; only cases outside ``incomplete`` add metrics and times."""
-    statuses = Counter(o.status for o in outcomes)
+    refusals = Counter(o.reason for o in outcomes if o.status == "refused")
     kept = [o for o in outcomes if o.status == "ok" and o.case_id not in incomplete]
     entry = {
         "cases": len(kept),
-        "refusals": statuses["refused"],
-        "no_candidates": statuses["no-candidate"],
+        "refusals": dict(sorted(refusals.items())),
+        "no_candidates": sum(o.status == "no-candidate" for o in outcomes),
     }
     for name in METRICS:
         outcomes_of_metric = [o.metrics[name] for o in kept]
@@ -170,7 +167,7 @@ class EvalReport:
         return {"config": self.config, "methods": self.methods}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_document(), indent=2) + "\n"
+        return json.dumps(self.to_document(), indent=2, allow_nan=False) + "\n"
 
     TABLE_COLUMNS = (
         "case_id",
@@ -297,15 +294,16 @@ def run_comparison(
         completed: list[CaseOutcome] = []
         new_teams: list[Team] = []  # the rebuilt team of each completed outcome
         for (case_id, _, pct, departing), method in itertools.product(team_cases, method_names):
-            outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
-            outcomes.append(outcome)
             start = time.perf_counter()
-            try:
-                result = _run_method(method, net, team, Team(departing), model, kernel_cfg)
-            except (RefusalError, ConvergenceError):
+            result = _value_or_refusal(
+                _run_method, method, net, team, Team(departing), model, kernel_cfg
+            )
+            outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
+            outcome.inference_ms = (time.perf_counter() - start) * 1e3
+            outcomes.append(outcome)
+            if isinstance(result, str):
+                outcome.reason = result
                 continue
-            finally:
-                outcome.inference_ms = (time.perf_counter() - start) * 1e3
             if not result.found:
                 outcome.status = "no-candidate"
                 continue

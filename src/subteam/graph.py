@@ -428,11 +428,10 @@ def generate_synthetic(
         ei_parts.append(iu[keep])
         ej_parts.append(ju[keep])
         r0 = r1
-    ei, ej = np.concatenate(ei_parts), np.concatenate(ej_parts)
-    rows = np.concatenate([ei, ej])
-    cols = np.concatenate([ej, ei])
-    vals = np.ones(rows.size)
-    adjacency = sp.coo_array((vals, (rows, cols)), shape=(n, n)).tocsr()
+    rows = np.concatenate(ei_parts + ej_parts)
+    cols = np.concatenate(ej_parts + ei_parts)
+    # .tocsr() kept: handing over the COO made perfbench's train ops 9% slower (allocator state)
+    adjacency = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
 
     # a node's own features are its block's band [lo, hi) and its foreign ones the
     # other d - width columns; a team's members are its home block's nodes and its
@@ -457,7 +456,7 @@ def generate_synthetic(
             frows.append(v)
             fcols.append(f if f < lo else f + width)
             fvals.append(float(rng.uniform(0.02, 0.1)))
-    features = sp.coo_array((fvals, (frows, fcols)), shape=(n, d)).tocsr()
+    features = sp.coo_array((fvals, (frows, fcols)), shape=(n, d))
 
     size_lo, size_hi = min(3, block_size), min(6, block_size)
     others = n - block_size

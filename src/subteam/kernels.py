@@ -239,7 +239,7 @@ def shortest_path_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
 
     Paths are ordered node pairs (u, v), u != v, with finite Floyd-Warshall
     distance over edge weights; a matching pair contributes
-    (l1[u].l2[u']) * (l1[v].l2[v']).
+    (l1[u].l2[u']) * (l1[v].l2[v']). Refuses past the node cap or on a float64 overflow.
     """
     _require_compatible(g1, g2)
     if g1.size > SHORTEST_PATH_MAX_NODES or g2.size > SHORTEST_PATH_MAX_NODES:
@@ -251,13 +251,16 @@ def shortest_path_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
     d2 = _floyd_warshall(g2.adjacency)
     off1 = ~np.eye(g1.size, dtype=bool) & np.isfinite(d1)
     off2 = ~np.eye(g2.size, dtype=bool) & np.isfinite(d2)
-    lab = g1.labels @ g2.labels.T
     lengths = np.intersect1d(d1[off1], d2[off2])
     total = 0.0
-    for value in lengths:
-        p1 = (d1 == value) & off1
-        p2 = (d2 == value) & off2
-        total += float((lab * (p1.astype(np.float64) @ lab @ p2.astype(np.float64).T)).sum())
+    with np.errstate(over="ignore", invalid="ignore"):
+        lab = g1.labels @ g2.labels.T
+        for value in lengths:
+            p1 = (d1 == value) & off1
+            p2 = (d2 == value) & off2
+            total += float((lab * (p1.astype(np.float64) @ lab @ p2.astype(np.float64).T)).sum())
+    if not isfinite(total):
+        raise RefusalError(f"shortest-path kernel is {total}: the label products overflow float64")
     return total
 
 

@@ -1,8 +1,19 @@
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from subteam.graph import SocialNetwork
+
+
+def strict_json(text: str):
+    """``json.loads`` that fails on NaN and ±Infinity, which are not JSON."""
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not a JSON value")
+
+    return json.loads(text, parse_constant=reject)
 
 
 def net_from_dense(adjacency, features) -> SocialNetwork:

@@ -399,19 +399,21 @@ def per_case_comparison(net, teams, methods, percentages, seed, model, kernel_cf
     Each case rebuilds its original team graph and both self-kernels, and every
     kernel is one single-pair call. Returns one dict per outcome with every
     field of a ``CaseOutcome`` except the timings; ``metrics`` maps each metric
-    to its value or the reason it was skipped, and a refused edit distance
-    skips as ``"RefusalError"``.
+    to its value or the reason it was skipped, a refused edit distance skips
+    as ``"RefusalError"``, and a refused search keeps its error's class name
+    as ``reason``.
     """
     rows = []
     for case_id, team, pct, departing in draw_cases(teams, percentages, seed):
         original = induced_subgraph(net, team)
         for method in normalize_methods(methods):
             row = dict(case_id=case_id, team=team.members, departing=departing, percent=pct,
-                       method=method, status="refused", subteam=None, metrics=None)
+                       method=method, status="refused", subteam=None, metrics=None, reason=None)
             rows.append(row)
             try:
                 result = _run_method(method, net, team, Team(departing), model, kernel_cfg)
-            except (RefusalError, ConvergenceError):
+            except (RefusalError, ConvergenceError) as exc:
+                row["reason"] = type(exc).__name__
                 continue
             if not result.found:
                 row["status"] = "no-candidate"

@@ -3,11 +3,13 @@ import json
 import math
 import re
 import shutil
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from conftest import strict_json
 from subteam import cli, graph, kernels, recommender
 from subteam.cli import build_parser, main
 from subteam.kernels import KernelConfig
@@ -620,6 +622,77 @@ class TestEvaluate:
             )
             texts.append(out.read_text())
         assert mask_timing(texts[0]) == mask_timing(texts[1])
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """The README Quickstart's data directory, trained."""
+    data = tmp_path_factory.mktemp("quickstart") / "data"
+    synth = ["synth", "--n", "48", "--d", "16", "--clusters", "4", "--teams", "40", "--seed", "11"]
+    assert main(synth + ["--out", str(data)]) == 0
+    train = ["train", "--data", str(data), "--epochs", "200", "--hidden", "16", "16"]
+    assert main(train + ["--seed", "11"]) == 0
+    return data
+
+
+class TestRefusalsByName:
+    """Each refused search and skipped metric is counted under the error that refused it."""
+
+    FLAGS = ["--percent", "25", "50", "--decay", "0.005", "--termination", "0.95", "--seed", "11"]
+
+    def evaluate(self, quickstart, tmp_path, capsys, methods, rewrite=None):
+        """The Quickstart's JSON report, each feature value rewritten by ``rewrite(line, value)``."""
+        data = tmp_path / "data"
+        shutil.copytree(quickstart, data)
+        if rewrite:
+            features = data / "features.tsv"
+            lines = features.read_text().splitlines()
+            for i, line in enumerate(lines):
+                if line and not line.startswith("#"):
+                    node, column, value = line.split("\t")
+                    lines[i] = "\t".join((node, column, rewrite(i, float(value))))
+            features.write_text("\n".join(lines) + "\n")
+        flags = ["--data", str(data), "--checkpoint", str(data / "checkpoint.json")]
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["evaluate", *flags, "--methods", methods, *self.FLAGS])
+        assert not [str(w.message) for w in caught]
+        return code, strict_json(capsys.readouterr().out)
+
+    def test_overflowing_label_products_refuse_as_convergence_errors(
+        self, quickstart, tmp_path, capsys
+    ):
+        # one value of 1e160 (the first data line): the walk kernels' label
+        # products overflow, and the baseline's guard refuses its search
+        def one_huge(i, value):
+            return "1e160" if i == 1 else repr(value)
+
+        code, doc = self.evaluate(quickstart, tmp_path, capsys, "kernel", one_huge)
+        assert code == 0
+        assert doc["methods"]["kernel"]["refusals"] == {"ConvergenceError": 8}
+        assert doc["methods"]["kernel"]["cases"] == 8
+
+    def test_baseline_over_its_budget_refuses_as_refusal_errors(
+        self, quickstart, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(kernels, "BASELINE_BUDGET", 0)
+        code, doc = self.evaluate(quickstart, tmp_path, capsys, "kernel")
+        assert code == 4
+        assert doc["methods"]["kernel"]["refusals"] == {"RefusalError": doc["config"]["cases"]}
+
+    def test_overflowing_shortest_path_kernel_skips_d1_in_valid_json(
+        self, quickstart, tmp_path, capsys
+    ):
+        # every value times 1e100 stays finite, but the shortest-path kernel's
+        # sums of label products overflow float64
+        code, doc = self.evaluate(
+            quickstart, tmp_path, capsys, "genius", lambda i, value: repr(value * 1e100)
+        )
+        assert code == 0
+        genius = doc["methods"]["genius"]
+        assert genius["cases"] == 16 and genius["refusals"] == {}
+        assert genius["d1_skipped"] == {"RefusalError": 16}
+        assert genius["d1_cases"] == 0 and genius["mean_d1"] is None
 
 
 BAD_NUMBERS = [

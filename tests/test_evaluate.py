@@ -210,7 +210,9 @@ class TestRunComparison:
             net, held_out, ["kernel"], [50.0], seed=2, model=model, kernel_cfg=KCFG
         )
         kernel = report.methods["kernel"]
-        assert kernel["refusals"] == len([c for c in report.cases if c.method == "kernel"])
+        assert kernel["refusals"] == {
+            "RefusalError": len([c for c in report.cases if c.method == "kernel"])
+        }
         assert kernel["cases"] == 0
         assert all(c.status == "refused" for c in report.cases)
 
@@ -326,6 +328,7 @@ def test_outcomes_equal_the_per_case_oracle(
         dict(
             case_id=o.case_id, team=o.team, departing=o.departing, percent=o.percent,
             method=o.method, status=o.status, subteam=o.subteam, metrics=o.metrics,
+            reason=o.reason,
         )
         for o in report.cases
     ]
@@ -347,10 +350,27 @@ def test_outcomes_equal_the_per_case_oracle(
     assert ged[None] > 0
 
 
-def hand_outcome(case_id, method, status, metrics=None, inference_ms=0.0, total_ms=0.0):
+def test_refused_searches_keep_the_reason_the_oracle_records(eval_instance, monkeypatch):
+    net, teams, model = eval_instance
+    monkeypatch.setattr(kernels, "BASELINE_BUDGET", 100)  # the larger departing sets refuse
+    args = (net, teams[:6], ["genius", "kernel"], [25.0, 50.0], 2)
+    report = run_comparison(*args, model=model, kernel_cfg=KCFG)
+    got = [(o.case_id, o.method, o.status, o.reason) for o in report.cases]
+    expected = per_case_comparison(*args, model, KCFG)
+    assert got == [(r["case_id"], r["method"], r["status"], r["reason"]) for r in expected]
+    reasons = Counter((status, reason) for _, _, status, reason in got)
+    assert set(reasons) == {("ok", None), ("refused", "RefusalError")}
+    refused = reasons["refused", "RefusalError"]
+    assert report.methods["kernel"]["refusals"] == {"RefusalError": refused}
+
+
+def hand_outcome(
+    case_id, method, status, metrics=None, inference_ms=0.0, total_ms=0.0, reason=None
+):
     subteam = (9,) if status == "ok" else None
     return CaseOutcome(
-        case_id, (1, 2, 3), (2,), 50.0, method, status, subteam, metrics, inference_ms, total_ms
+        case_id, (1, 2, 3), (2,), 50.0, method, status, subteam, metrics, inference_ms, total_ms,
+        reason,
     )
 
 
@@ -361,7 +381,7 @@ def test_means_cover_only_cases_every_method_completed():
         # kernel refused case 1 and genius found nothing in case 2: neither case
         # adds to the other method's cases, means or skip counts
         hand_outcome(1, "genius", "ok", {"ged": 1.0, "d1": 0.25, "d2": 0.5}, 3, 5),
-        hand_outcome(1, "kernel", "refused", inference_ms=0.5),
+        hand_outcome(1, "kernel", "refused", inference_ms=0.5, reason="RefusalError"),
         hand_outcome(2, "genius", "no-candidate", inference_ms=0.5),
         hand_outcome(2, "kernel", "ok", {"ged": "RefusalError", "d1": 0.75, "d2": 0.125}, 7, 7),
         hand_outcome(
@@ -373,7 +393,7 @@ def test_means_cover_only_cases_every_method_completed():
     assert list(report.methods) == ["genius", "kernel"]
     assert report.methods["genius"] == {
         "cases": 2,
-        "refusals": 0,
+        "refusals": {},
         "no_candidates": 1,
         "mean_ged": 2.0,
         "ged_cases": 1,
@@ -389,7 +409,7 @@ def test_means_cover_only_cases_every_method_completed():
     }
     assert report.methods["kernel"] == {
         "cases": 2,
-        "refusals": 1,
+        "refusals": {"RefusalError": 1},
         "no_candidates": 0,
         "mean_ged": 2.5,
         "ged_cases": 2,

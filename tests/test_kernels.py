@@ -597,7 +597,7 @@ class TestBatchedBaseline:
         teams = (Team((0, 1, 2)),)
         report = run_comparison(net, teams, ["kernel"], [34.0], seed=0, kernel_cfg=self.CFG)
         assert [case.status for case in report.cases] == ["refused"]
-        assert report.methods["kernel"]["refusals"] == 1
+        assert report.methods["kernel"]["refusals"] == {"ConvergenceError": 1}
 
 
 def overflowing_label_net() -> SocialNetwork:

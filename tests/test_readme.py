@@ -8,6 +8,7 @@ import shlex
 from pathlib import Path
 
 import subteam
+from conftest import strict_json
 from subteam.cli import build_parser, main
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -27,7 +28,7 @@ def test_quickstart_runs(tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for argv in commands:
         assert main(argv) == 0, " ".join(argv)
-    report = json.loads((tmp_path / "data" / "report.json").read_text())
+    report = strict_json((tmp_path / "data" / "report.json").read_text())
     assert set(report["methods"]) == {"genius", "kernel"}
     for method, doc in report["methods"].items():
         assert doc["d2_cases"] > 0, method
