@@ -21,11 +21,18 @@ breaks the spectral guard is refused alone. The whole-network baseline refuses
 It gathers the candidates as stacked arrays and scores each chunk of them in
 one solve. Its label products are formed once per query, one row per network
 node, straight from the sparse feature rows, and each chunk gathers its stack
-from them; the random-walk kernel forms its products the same way, so every
-baseline score equals the single-pair kernel bit for bit. A chunk holds as
-many candidates as keep each array it allocates within ``BASELINE_ENTRIES``
-entries, so at team sizes of a few members one query's candidates form a
-single stack at any feature width. A dense direct solve was measured and
+from them; the random-walk kernel forms its products the same way. Each solve
+is a branch and bound for the best candidate: weights and features are
+nonnegative, so every iterate bounds its candidate's score from below and the
+spectral guard's bound caps what the steps still to come can add. A candidate
+whose upper bound falls below the best lower bound so far, in its chunk or an
+earlier one, stops iterating and scores -inf. Every other candidate's score equals the
+single-pair kernel bit for bit, so the winner is the exhaustive search's. At
+teams of 4 replacing 2 of 44 outside nodes, all but a few of the 946
+candidates stop before the second step. A chunk holds as many candidates as
+keep each array it allocates within ``BASELINE_ENTRIES`` entries, so at team
+sizes of a few members one query's candidates form a single stack at any
+feature width. A dense direct solve was measured and
 rejected: at team size 26 the product space has 676 unknowns, and one dense
 ``np.linalg.solve`` costs over a hundred times what a candidate costs in a
 batched fixed-point solve.
@@ -44,7 +51,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb, isfinite, isqrt
+from math import comb, isfinite, isqrt, log
 
 import numpy as np
 import scipy.sparse as sp
@@ -91,7 +98,9 @@ def _require_compatible(g1: LabeledGraph, g2: LabeledGraph) -> None:
         raise ValidationError("kernels are undefined for empty graphs")
 
 
-def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndarray:
+def _product_space_solve(
+    rhs: np.ndarray, scale: np.ndarray, m1, m2t, bound=None, floor: float = -np.inf
+) -> np.ndarray:
     """Fixed-point solve of W_b = rhs_b + scale_b * (m1 @ W_b @ m2t_b) for every slice b.
 
     ``rhs``, ``scale`` and ``m2t`` are stacked along a leading batch axis and
@@ -101,9 +110,28 @@ def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndar
     geometrically whenever the max row sum of the implied iteration matrix is
     below 1 (checked by callers); a slice still moving after
     ``_SOLVE_MAX_ITERS`` steps is returned as NaN.
+
+    ``bound``, each slice's bound on that row sum, asks only for the slice of
+    largest sum, if it beats ``floor``: a slice that provably ends below the
+    largest sum some slice reaches (or below ``floor``) stops and comes back as
+    -inf. A slice that goes on iterates exactly as it would alone, so the slice
+    of largest sum, and the first of several tied, keeps its bits. See
+    ``_beaten`` for the rule and ``_pruning`` for the stacks it applies to.
     """
     out = np.empty_like(rhs)
     live = np.arange(len(rhs))
+    tail, margin = _pruning(rhs, m1, bound)
+    if tail is not None:
+        # before the first step the iterate is rhs, and so is its move from zero. The stack
+        # is cut here only if at least half of it is beaten: then the copies of the rest
+        # hold no more than the step buffers they save. Otherwise the first step cuts it.
+        beaten, floor = _beaten(rhs, rhs, tail, margin, floor)
+        if 2 * np.count_nonzero(beaten) >= len(rhs):
+            out[beaten] = -np.inf
+            live = np.flatnonzero(~beaten)
+            if not len(live):
+                return out
+            rhs, scale, m2t, tail = rhs[live], scale[live], m2t[live], tail[live]
     w = rhs.copy()
     step, w_next = np.empty_like(rhs), np.empty_like(rhs)
     screen = _screens(step)
@@ -122,17 +150,77 @@ def _product_space_solve(rhs: np.ndarray, scale: np.ndarray, m1, m2t) -> np.ndar
             done = step.max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
                 1.0, np.abs(w, w_next).max(axis=(1, 2))
             )
-        if done.any():
+        leaving = done
+        if tail is not None and len(live) > 1:  # a lone slice costs as much to bound as to step
+            beaten, floor = _beaten(w, step, tail, margin, floor)
+            out[live[beaten]] = -np.inf
+            done &= ~beaten
+            leaving = done | beaten
+        if leaving.any():
             out[live[done]] = w[done]
-            if done.all():
+            if leaving.all():
                 return out
-            going = ~done
+            going = ~leaving
             live, rhs, scale, m2t = live[going], rhs[going], scale[going], m2t[going]
             w, w_next = np.compress(going, w, axis=0, out=w_next[: len(live)]), w[: len(live)]
             step = step[: len(live)]
             screen = _screens(step)
+            if tail is not None:
+                tail = tail[going]
     out[live] = np.nan
     return out
+
+
+def _pruning(rhs: np.ndarray, m1: np.ndarray, bound) -> tuple[np.ndarray | None, float]:
+    """Each slice's tail factor and the relative margin ``_beaten`` uses, or (None, 0).
+
+    The solver prunes only a stack at least ``_SCREEN_MIN_DEPTH`` deep: on a
+    shallower one the bounds cost more than the steps they save. It prunes
+    only where no slice can reach the step cap either, so that a pruned slice
+    never hides a refusal: with every row-sum bound at most q, the k-th step
+    moves no entry more than q ** (k + 1) times the largest entry of rhs,
+    which passes the stop rule once k + 1 >= log(tol) / log(q); two steps
+    more leave room for rounding.
+
+    The tail factor of a slice with bound q_b and S entries is S q_b / (1 - q_b).
+    The margin covers rounding. Every entry of a step is a sum of nonnegative
+    terms through m1 (m1 of them), then m2t (m2), a product and a sum, so it is
+    within g = (m1 + m2 + 2) eps of its exact value (relative). Iterating the
+    map inflated by 1 + g, a monotone contraction of factor (1 + g) q, bounds
+    every later iterate; it adds at most about 3 g S / (1 - q) to a slice's
+    upper bound, relative, and the sums that compare bounds round by less than
+    S eps. A margin of 4 g S / (1 - q) covers both, and ``_beaten`` adds it
+    times the smallest normal number for sums in the subnormal range. With the
+    stop rule's tolerance and the default step cap, 1 - q is at least about
+    6e-5, so at teams of 4 (S = 16) the margin is at most about 2e-9.
+    """
+    if bound is None or len(rhs) < _SCREEN_MIN_DEPTH:
+        return None, 0.0
+    q = float(bound.max())
+    if q > 0 and log(_SOLVE_TOL) / log(q) + 2 > _SOLVE_MAX_ITERS:
+        return None, 0.0
+    size = rhs[0].size
+    rounding = (m1.shape[0] + rhs.shape[2] + 2) * np.finfo(rhs.dtype).eps
+    return size * bound / (1 - bound), 4 * rounding * size / (1 - q)
+
+
+def _beaten(w: np.ndarray, moved: np.ndarray, tail: np.ndarray, margin: float, floor: float):
+    """Which slices provably end below the largest sum, and that sum's lower bound.
+
+    ``w`` holds each slice's iterate and ``moved`` its last step. Inputs are
+    nonnegative, so iterates never decrease and a slice's sum is a lower bound
+    on its final sum; ``floor`` is raised to the largest. The iteration map T
+    of a slice with row-sum bound q_b has |T(X)|_max <= q_b |X|_max, so the
+    steps still to come add at most q_b / (1 - q_b) times the largest entry of
+    the last step to each entry, and the sum's upper bound is its sum plus the
+    tail factor times that entry. A slice whose upper bound, raised by the
+    relative ``margin`` of ``_pruning``, is below the floor cannot win or tie.
+    """
+    flat = w.reshape(len(w), -1)
+    sums = flat @ np.ones(flat.shape[1])
+    floor = max(floor, float(sums.max()))
+    reach = sums + tail * moved.reshape(len(moved), -1).max(axis=1)
+    return reach * (1 + margin) + margin * np.finfo(w.dtype).tiny < floor, floor
 
 
 def _screens(stack: np.ndarray) -> bool:
@@ -179,20 +267,25 @@ def _label_products(features: sp.csr_array, g1: LabeledGraph) -> np.ndarray:
 
 
 def _random_walk_scores(
-    g1: LabeledGraph, adjacency: np.ndarray, lx: np.ndarray, cfg: KernelConfig
+    g1: LabeledGraph, adjacency: np.ndarray, lx: np.ndarray, cfg: KernelConfig, best=None
 ) -> np.ndarray:
     """Random-walk kernel of ``g1`` against each graph of a stack.
 
     ``adjacency`` is (B, m, m) and ``lx`` (B, m1, m) holds each graph's label
     products from ``_label_products``. The spectral guard is checked for the
-    whole stack first; the error names the first graph that breaks it.
+    whole stack first; the error names the first graph that breaks it. Given
+    ``best``, the best score found so far (-inf for none), only the largest
+    score is asked for: a graph that provably scores below ``best`` or below
+    another graph of the stack is pruned and scores -inf.
     """
     rs1 = g1.adjacency.sum(axis=1)
     rs2 = adjacency.sum(axis=2)
     walk = lx * (rs1[:, None] * rs2[:, None, :])
     # rounding is monotone, so decay * max is the largest slice's bound; only a
-    # stack at or over it (or holding a NaN) is reduced per slice to name the slice
-    if not cfg.decay * walk.max() < 1:
+    # stack at or over it (or holding a NaN), or one the solver prunes, which
+    # needs every slice's bound, is reduced per slice
+    bound = None
+    if best is not None or not cfg.decay * walk.max() < 1:
         peak = walk.max(axis=(1, 2))
         bound = cfg.decay * peak
         broken = ~(bound < 1)  # a NaN bound breaks the guard too
@@ -210,7 +303,8 @@ def _random_walk_scores(
     del walk  # not held through the solve
     mass = 1.0 / (g1.size * adjacency.shape[1])
     rhs = lx * mass  # Lx @ x in matrix form
-    w = _product_space_solve(rhs, cfg.decay * lx, g1.adjacency, adjacency)
+    floor = -np.inf if best is None else best / mass
+    w = _product_space_solve(rhs, cfg.decay * lx, g1.adjacency, adjacency, bound, floor)
     return _require_converged(w.reshape(len(w), -1).sum(axis=1) * mass)  # y . w with uniform y
 
 
@@ -431,9 +525,13 @@ def kernel_baseline_replace(
     combination in lexicographic order. ``similarity`` holds the raw kernel
     value, which is not bounded by 1. Candidates are scored in chunks sized by
     ``_baseline_batch``, each in one batched solve, and every array a chunk
-    allocates stays within ``BASELINE_ENTRIES`` entries; each score equals
-    ``random_walk_kernel`` of the original and the candidate team graph. The
-    result holds no timing; a caller that wants one times the whole call.
+    allocates stays within ``BASELINE_ENTRIES`` entries. Each solve carries the
+    best score of the chunks before it and stops a candidate once bounds show it
+    cannot reach the best; the winner's score, and that of every candidate that
+    could still tie it, equals ``random_walk_kernel`` of the original and the
+    candidate team graph, and a candidate that would reach the solver's step
+    cap still refuses the query. The result holds no timing; a caller that
+    wants one times the whole call.
     Raises :class:`RefusalError` before scoring past ``BASELINE_BUDGET`` combinations.
     """
     remaining = _check_replacement_inputs(team, departing, net)
@@ -454,7 +552,8 @@ def kernel_baseline_replace(
     combos = itertools.combinations(outside, r)
     while chunk := list(itertools.islice(combos, batch)):
         members = np.sort(np.hstack([np.tile(remaining, (len(chunk), 1)), chunk]), axis=1)
-        scores = _random_walk_scores(original, *_candidate_graphs(net, members, products), cfg)
+        graphs = _candidate_graphs(net, members, products)
+        scores = _random_walk_scores(original, *graphs, cfg, best_score)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_score = float(scores[top])

@@ -3,8 +3,14 @@ import json
 import numpy as np
 import pytest
 import scipy.sparse as sp
+from hypothesis import settings
 
 from subteam.graph import SocialNetwork
+
+# the active profile ("ci" when the CI variable is set), printing each failure's
+# @reproduce_failure blob, so a failed property can be replayed exactly
+settings.register_profile("blob", settings(), print_blob=True)
+settings.load_profile("blob")
 
 
 def strict_json(text: str):

@@ -23,7 +23,14 @@ from oracles import (
 from subteam import kernels
 from subteam.errors import ConvergenceError, RefusalError, ValidationError
 from subteam.evaluate import run_comparison
-from subteam.graph import MAX_FEATURES, LabeledGraph, SocialNetwork, Team, induced_subgraph
+from subteam.graph import (
+    MAX_FEATURES,
+    LabeledGraph,
+    SocialNetwork,
+    Team,
+    generate_synthetic,
+    induced_subgraph,
+)
 from subteam.kernels import (
     BASELINE_ENTRIES,
     KernelConfig,
@@ -727,3 +734,190 @@ def test_baseline_chunks_do_not_depend_on_feature_width(monkeypatch):
         assert sum(solves) == result.candidates_examined == 492
         chunks.append(len(solves))
     assert chunks[0] == chunks[1]
+
+
+def candidate_graphs(net: SocialNetwork, team: Team, departing: Team):
+    """The original team graph, and each combination of outside nodes with its team graph,
+    in the baseline's order."""
+    remaining = tuple(v for v in team.members if v not in departing.members)
+    outside = [v for v in range(net.n) if v not in team.members]
+    combos = list(itertools.combinations(outside, len(departing)))
+    graphs = [induced_subgraph(net, Team(remaining + c)) for c in combos]
+    return induced_subgraph(net, team), combos, graphs
+
+
+def walk_peak(original: LabeledGraph, graphs) -> float:
+    """The largest label product times row sums over the candidates: decay times it is the
+    spectral guard's bound."""
+    rs1 = original.adjacency.sum(axis=1)
+    return max(
+        float((original.labels @ g.labels.T * np.outer(rs1, g.adjacency.sum(axis=1))).max())
+        for g in graphs
+    )
+
+
+@st.composite
+def baseline_queries(draw):
+    """A nonnegative network, a team of 2-4 and 1-3 departing members, a decay as a share
+    of the spectral guard's limit, and a chunk count.
+
+    The outside nodes give a stack above or below the screened depth. With two or three
+    departing members a deep stack split in two gives two deep chunks; with one, the
+    baseline's node-block rule splits it into shallow ones. The last 0-2 outside
+    nodes are twins: they copy a departing member's edges and triple its features, so they
+    are likely to win and their candidates tie exactly. Features are scaled from 1e-9, where
+    every step is under the stop rule's absolute floor, to 1e2, and the decay runs from far
+    below the guard's limit to close to it."""
+    m = draw(st.integers(2, 4))
+    r = draw(st.integers(1, min(3, m - 1)))
+    deep = draw(st.booleans())
+    outside = {1: (136, 30), 2: (24, 9), 3: (14, 7)}[r][0 if deep else 1]
+    twins = draw(st.integers(0, 2))
+    n = m + outside
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    integral = draw(st.booleans())
+    weights = rng.choice([1.0, 2.0], (n, n)) if integral else rng.uniform(0.5, 1.5, (n, n))
+    upper = np.triu((rng.random((n, n)) < draw(st.sampled_from([0.4, 0.1, 0.9]))) * weights, 1)
+    adjacency = upper + upper.T
+    features = (rng.random((n, 3)) < 0.7) * rng.uniform(0.1, 1.0, (n, 3))
+    team = Team(tuple(rng.choice(n - twins, m, replace=False).tolist()))
+    for a, b in zip(team.members, team.members[1:]):  # the team is connected, so walks count
+        adjacency[a, b] = adjacency[b, a] = 1.0
+    departing = Team(tuple(rng.choice(team.members, r, replace=False).tolist()))
+    gone = departing.members[0]
+    for twin in range(n - twins, n):  # the largest ids, so twins sort alike in every team
+        adjacency[twin, :] = adjacency[:, twin] = adjacency[gone, :]
+        features[twin] = 3 * features[gone]
+    adjacency[n - twins :, n - twins :] = 0.0
+    features *= 10.0 ** draw(st.sampled_from([0, -9, -4, 2]))
+    net = net_from_dense(adjacency, features)
+    guard = draw(st.sampled_from([0.3, 1e-3, 0.05, 0.7, 0.9]))
+    return net, team, departing, guard, draw(st.integers(1, 2))
+
+
+@given(baseline_queries())
+@settings(max_examples=100, deadline=None)
+def test_pruned_baseline_equals_the_first_best_single_pair_kernel(query):
+    net, team, departing, guard, chunks = query
+    original, combos, graphs = candidate_graphs(net, team, departing)
+    peak = walk_peak(original, graphs)
+    cfg = KernelConfig(decay=guard / peak if peak > 0 else 0.1)
+    singles = [random_walk_kernel(original, g, cfg) for g in graphs]
+    best = int(np.argmax(singles))
+    # two chunks of equal size: the second is pruned by the first one's best
+    entries = math.ceil(len(combos) / chunks) * len(team) ** 2 if chunks > 1 else BASELINE_ENTRIES
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(kernels, "BASELINE_ENTRIES", entries)
+        result = kernel_baseline_replace(team, departing, net, cfg)
+    assert result.subteam == combos[best]
+    assert result.similarity == singles[best]
+
+
+def parity_net() -> tuple[SocialNetwork, Team, Team]:
+    """Teams of 4 among 18 outside nodes, 2 departing: 153 candidates, one stack."""
+    rng = np.random.default_rng(4)
+    n = 22
+    upper = np.triu((rng.random((n, n)) < 0.5) * rng.uniform(0.5, 1.5, (n, n)), 1)
+    net = net_from_dense(upper + upper.T, rng.uniform(0.1, 1.0, (n, 3)))
+    return net, Team((2, 7, 11, 16)), Team((7, 16))
+
+
+def test_pruned_baseline_is_refused_exactly_when_a_single_pair_kernel_is(monkeypatch):
+    net, team, departing = parity_net()
+    original, combos, graphs = candidate_graphs(net, team, departing)
+    assert len(combos) >= kernels._SCREEN_MIN_DEPTH
+    cfg = KernelConfig(decay=0.4 / walk_peak(original, graphs))
+    winner = int(np.argmax([random_walk_kernel(original, g, cfg) for g in graphs]))
+    outcomes = set()
+    for cap in range(4, 41):
+        monkeypatch.setattr(kernels, "_SOLVE_MAX_ITERS", cap)
+        refused = set()
+        for i, g in enumerate(graphs):
+            try:
+                random_walk_kernel(original, g, cfg)
+            except ConvergenceError:
+                refused.add(i)
+        if refused:
+            with pytest.raises(ConvergenceError, match="did not converge"):
+                kernel_baseline_replace(team, departing, net, cfg)
+        else:
+            assert kernel_baseline_replace(team, departing, net, cfg).subteam == combos[winner]
+        outcomes.add("none" if not refused else "winner" if winner in refused else "losers only")
+    # at caps 12-16 only candidates that pruning stops reach the cap; the step-cap rule keeps
+    # them iterating. From cap 38 the rule lets the solver prune.
+    assert outcomes == {"none", "winner", "losers only"}
+
+
+class SolverSteps:
+    """numpy as ``kernels`` sees it: records, for each solve, how many slices each step
+    iterates."""
+
+    def __init__(self):
+        self.solves = []
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def matmul(self, a, b, *out):
+        if a.ndim == 2 and b.ndim == 3:  # the step's first product, m1 @ W
+            self.solves[-1].append(len(b))
+        return np.matmul(a, b, *out)
+
+
+@pytest.mark.parametrize("entries", [BASELINE_ENTRIES, 473 * 16], ids=["one-stack", "two-chunks"])
+def test_baseline_iterates_only_candidates_that_can_win(entries, monkeypatch):
+    """The eval-kernel benchmark's shape: teams of 4 in a 48-node network of four complete
+    blocks, 2 members replaced from 44 outside nodes, 946 candidates."""
+    net = generate_synthetic(48, 16, 4, 1.0, 0.05, 40, seed=0)[0]
+    cfg = KernelConfig(decay=0.005)
+    steps = SolverSteps()
+    solve = kernels._product_space_solve
+
+    def recorded(*args):
+        steps.solves.append([])
+        return solve(*args)
+
+    monkeypatch.setattr(kernels, "BASELINE_ENTRIES", entries)
+    monkeypatch.setattr(kernels, "_product_space_solve", recorded)
+    stopped_chunk = False
+    for block in range(4):
+        team = Team(tuple(range(12 * block, 12 * block + 12, 3)))
+        departing = Team(team.members[1:3])
+        original, combos, _ = candidate_graphs(net, team, departing)
+        members = np.sort(np.hstack([np.tile(team.members[::3], (946, 1)), combos]), axis=1)
+        stacks = _candidate_graphs(net, members, _label_products(net.features, original))
+        unpruned = _random_walk_scores(original, *stacks, cfg)
+        steps.solves.clear()
+        with monkeypatch.context() as spied:
+            spied.setattr(kernels, "np", steps)
+            result = kernel_baseline_replace(team, departing, net, cfg)
+        best = int(np.argmax(unpruned))
+        assert (result.subteam, result.similarity) == (combos[best], unpruned[best])
+        assert len(steps.solves) == (1 if entries == BASELINE_ENTRIES else 2)
+        for depths in steps.solves:
+            first, *later = depths or [0]
+            assert first < 946 // 4 and max(later, default=0) <= 10, depths
+        stopped_chunk |= [] in steps.solves
+    # the first chunk's best stops every candidate of a later one before its first step
+    assert stopped_chunk == (entries != BASELINE_ENTRIES)
+
+
+def test_pruning_keeps_a_winner_whose_upper_bound_is_exact():
+    """Team (0, 1, 2) is a triangle and outside node 3 closes another with 0 and 1. With
+    every label 1, each step of that candidate moves every entry by the same factor, so its
+    upper bound equals its score from the start. Isolated node 4, with label 4.5, converges
+    faster to just below it, and 130 isolated nodes with small labels deepen the stack."""
+    n = 135
+    adjacency = np.zeros((n, n))
+    for u, v in ((0, 1), (0, 2), (1, 2), (3, 0), (3, 1)):
+        adjacency[u, v] = adjacency[v, u] = 1.0
+    features = np.full((n, 1), 0.01)
+    features[:4], features[4] = 1.0, 4.5
+    net = net_from_dense(adjacency, features)
+    team, cfg = Team((0, 1, 2)), KernelConfig(decay=0.15)
+    original, combos, graphs = candidate_graphs(net, team, Team((2,)))
+    singles = [random_walk_kernel(original, g, cfg) for g in graphs]
+    assert len(combos) >= kernels._SCREEN_MIN_DEPTH
+    assert 0.98 * singles[0] < singles[1] < singles[0] == max(singles)
+    result = kernel_baseline_replace(team, Team((2,)), net, cfg)
+    assert (result.subteam, result.similarity) == ((3,), singles[0])
