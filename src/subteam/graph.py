@@ -12,12 +12,21 @@ The on-disk formats are plain UTF-8 text:
 Indices are 0-based decimal integers; ``#``-prefixed and blank lines are
 skipped in all three formats. Fields may be separated by any whitespace. A
 byte that is not UTF-8 raises :class:`ParseError` naming its file and line.
+
+The edge and feature files are read by numpy in one pass when every data
+line is plain (:func:`_plain_lines`: ASCII numbers, spaces, tabs and
+whole-line comments), numpy parses it without a warning, and the arrays pass
+every check. Any other file goes to the line parser, which reads the same
+files to the same arrays and is the only source of error messages, so an
+error names the same file and line whichever path saw the file first.
 """
 
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import scipy.sparse as sp
@@ -51,6 +60,16 @@ def _csr_equal(a: sp.csr_array, b: sp.csr_array) -> bool:
     return a.shape == b.shape and (a != b).nnz == 0
 
 
+def _symmetric(csr: sp.csr_array) -> bool:
+    """Whether a canonical CSR equals its transpose, whose sorted CSR holds the same arrays."""
+    t = csr.T.tocsr()
+    t.sort_indices()
+    return all(
+        np.array_equal(a, b)
+        for a, b in ((csr.indptr, t.indptr), (csr.indices, t.indices), (csr.data, t.data))
+    )
+
+
 def _finite_nonnegative(values: np.ndarray) -> bool:
     """Whether every entry is finite and >= 0: ``min`` fails a NaN or a negative, ``max`` inf."""
     return values.size == 0 or (values.min() >= 0 and values.max() < np.inf)
@@ -82,7 +101,7 @@ class SocialNetwork:
             raise ValidationError("edge weights must be finite and non-negative")
         if not _finite_nonnegative(feats.data):
             raise ValidationError("feature values must be finite and non-negative")
-        if (adj != adj.T).nnz != 0:
+        if not _symmetric(adj):
             raise ValidationError("adjacency must be symmetric")
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "features", feats)
@@ -150,8 +169,9 @@ class LabeledGraph:
     labels: np.ndarray
 
     def __post_init__(self):
-        adj = np.asarray(self.adjacency, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.float64)
+        # private read-only copies, so the cached distances cannot go stale
+        adj = np.array(self.adjacency, dtype=np.float64)
+        labels = np.array(self.labels, dtype=np.float64)
         if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
             raise ValidationError(f"adjacency must be square, got {adj.shape}")
         if labels.ndim != 2 or labels.shape[0] != adj.shape[0]:
@@ -162,12 +182,23 @@ class LabeledGraph:
             raise ValidationError("adjacency and labels must be finite and non-negative")
         if adj.size and not np.array_equal(adj, adj.T):
             raise ValidationError("adjacency must be symmetric")
+        adj.flags.writeable = labels.flags.writeable = False
         object.__setattr__(self, "adjacency", adj)
         object.__setattr__(self, "labels", labels)
 
     @property
     def size(self) -> int:
         return self.adjacency.shape[0]
+
+    @cached_property
+    def distances(self) -> np.ndarray:
+        """Read-only Floyd-Warshall path lengths over edge weights, inf where no path; computed once."""
+        dist = np.where(self.adjacency > 0, self.adjacency, np.inf)
+        np.fill_diagonal(dist, 0.0)
+        for k in range(self.size):
+            dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
+        dist.flags.writeable = False
+        return dist
 
 
 def _data_lines(path):
@@ -184,6 +215,39 @@ def _data_lines(path):
             if not line or line.startswith("#"):
                 continue
             yield line_no, line
+
+
+# what numpy and the line parser both read alike on a data line: numbers in
+# ASCII digits, signs, points and exponent letters, between spaces and tabs
+_PLAIN_BYTES = b"0123456789+-.eE \t\n"
+
+
+def _plain_lines(path) -> list[str] | None:
+    r"""The lines of ``path``, comment lines emptied, if there is data and all of it is plain.
+
+    Plain data lines hold only ``_PLAIN_BYTES``, which ``np.loadtxt`` splits and
+    parses as the line parser does. A ``\r\n`` ends a line as ``\n`` does. None
+    (the caller's cue to run the line parser) for a file with a byte outside
+    ASCII, a lone ``\r`` (a line break to file iteration), a ``#`` after a
+    field, any other byte on a data line, or no data line at all. Lines split
+    at ``\n`` only: ``str.splitlines`` also splits where file iteration does not.
+    """
+    with open(path, "rb") as fh:
+        data = fh.read().replace(b"\r\n", b"\n")
+    if not data.isascii() or b"\r" in data:
+        return None
+    kept, at = [], 0
+    while (mark := data.find(b"#", at)) >= 0:
+        start = data.rfind(b"\n", 0, mark) + 1
+        if data[start:mark].strip(b" \t"):
+            return None
+        kept.append(data[at:start])
+        end = data.find(b"\n", mark)
+        at = len(data) if end < 0 else end
+    data = b"".join([*kept, data[at:]])
+    if data.translate(None, _PLAIN_BYTES) or not data.strip():
+        return None
+    return data.decode("ascii").split("\n")
 
 
 def check_seed(seed: int) -> None:
@@ -207,8 +271,12 @@ def _read_triples(path, usage: str, ids, value_name: str, default: float | None 
 
     ``ids`` holds each id's (kind, cap): it must lie in ``[0, cap)``. Values must be
     finite and non-negative and may be left out only if there is a ``default``;
-    ``usage`` shows the line's shape. Errors name the file and line.
+    ``usage`` shows the line's shape. Errors name the file and line. A file that
+    ``_fast_triples`` cannot read is read line by line, which raises every error.
     """
+    fast = _fast_triples(path, ids, default)
+    if fast is not None:
+        return fast
     pairs: list[tuple[int, int]] = []
     vals: list[float] = []
     min_fields = 3 if default is None else 2
@@ -230,6 +298,36 @@ def _read_triples(path, usage: str, ids, value_name: str, default: float | None 
         vals.append(value)
     pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
     return pairs[:, 0], pairs[:, 1], np.array(vals)
+
+
+def _fast_triples(path, ids, default):
+    """``_read_triples``' arrays from one ``np.loadtxt`` pass, or None for the line parser.
+
+    Every line must have the first data line's field count, numpy must parse
+    it without a warning, and the arrays must pass the line parser's checks, as
+    masks over whole columns. A warning declines the file whatever the caller's
+    warning filters: a numpy that parses an id such as ``1.5`` through a float
+    warns and truncates it, where the line parser refuses it.
+    """
+    lines = _plain_lines(path)
+    if lines is None:
+        return None
+    width = len(next(line for line in lines if line.strip()).split())
+    if not (3 if default is None else 2) <= width <= 3:
+        return None
+    fields = [("i", np.int64), ("j", np.int64), ("value", np.float64)][:width]
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            table = np.loadtxt(lines, dtype=fields, comments=None, ndmin=1)
+    except (ValueError, Warning):  # a line of another width, a field that is not a number
+        return None
+    values = table["value"] if width == 3 else np.full(len(table), default)
+    pair = table["i"], table["j"]
+    for (_, cap), col in zip(ids, pair):
+        if col.min() < 0 or col.max() >= cap:
+            return None
+    return (*pair, values) if _finite_nonnegative(values) else None
 
 
 def load_network(edge_path, feature_path) -> SocialNetwork:

@@ -319,21 +319,13 @@ def random_walk_kernel(g1: LabeledGraph, g2: LabeledGraph, cfg: KernelConfig) ->
     return float(_random_walk_scores(g1, g2.adjacency[None], lx, cfg)[0])
 
 
-def _floyd_warshall(adjacency: np.ndarray) -> np.ndarray:
-    n = adjacency.shape[0]
-    dist = np.where(adjacency > 0, adjacency.astype(np.float64), np.inf)
-    np.fill_diagonal(dist, 0.0)
-    for k in range(n):
-        dist = np.minimum(dist, dist[:, [k]] + dist[[k], :])
-    return dist
-
-
 def shortest_path_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
     """Sum over pairs of equal-length shortest paths of endpoint label products.
 
     Paths are ordered node pairs (u, v), u != v, with finite Floyd-Warshall
     distance over edge weights; a matching pair contributes
     (l1[u].l2[u']) * (l1[v].l2[v']). Refuses past the node cap or on a float64 overflow.
+    Each graph's distances are computed once, on its first call (``LabeledGraph.distances``).
     """
     _require_compatible(g1, g2)
     if g1.size > SHORTEST_PATH_MAX_NODES or g2.size > SHORTEST_PATH_MAX_NODES:
@@ -341,8 +333,7 @@ def shortest_path_kernel(g1: LabeledGraph, g2: LabeledGraph) -> float:
             f"shortest-path kernel capped at {SHORTEST_PATH_MAX_NODES} nodes, "
             f"got {g1.size} and {g2.size}"
         )
-    d1 = _floyd_warshall(g1.adjacency)
-    d2 = _floyd_warshall(g2.adjacency)
+    d1, d2 = g1.distances, g2.distances
     off1 = ~np.eye(g1.size, dtype=bool) & np.isfinite(d1)
     off2 = ~np.eye(g2.size, dtype=bool) & np.isfinite(d2)
     lengths = np.intersect1d(d1[off1], d2[off2])
@@ -441,7 +432,12 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     a1 = g1.adjacency.tolist()
     # target n2 deletes a node: a zero row and column of g2 that is never used up
     a2 = [row + [0.0] for row in g2.adjacency.tolist()] + [[0.0] * (n2 + 1)]
-    same = [[np.array_equal(x, y) for y in g2.labels] for x in g1.labels]
+    # label rows of different widths are never equal, as np.array_equal has it
+    same = (
+        (g1.labels[:, None] == g2.labels).all(axis=2).tolist()
+        if g1.labels.shape[1] == g2.labels.shape[1]
+        else [[False] * n2] * n1
+    )
     # e1[d]: edges of g1 with both endpoints >= d
     edges1 = [u for u in range(n1) for v in range(u + 1, n1) if a1[u][v] > 0]
     e1 = [sum(u >= d for u in edges1) for d in range(n1 + 1)]
@@ -537,7 +533,7 @@ def kernel_baseline_replace(
     remaining = _check_replacement_inputs(team, departing, net)
     in_team = np.zeros(net.n, dtype=bool)
     in_team[list(team.members)] = True
-    outside = np.flatnonzero(~in_team).tolist()
+    outside = np.flatnonzero(~in_team)
     r = len(departing)
     total = comb(len(outside), r)
     if total > BASELINE_BUDGET:
@@ -549,15 +545,19 @@ def kernel_baseline_replace(
     best_score = -np.inf
     products = _label_products(net.features, original)
     batch = _baseline_batch(len(team), r, len(outside))
-    combos = itertools.combinations(outside, r)
-    while chunk := list(itertools.islice(combos, batch)):
+    # each combination as a row of positions in outside, a chunk of rows at a time;
+    # fromiter over the flat positions, as a subarray dtype fills rows 2.5x slower
+    combos = itertools.combinations(range(len(outside)), r)
+    flat = itertools.chain.from_iterable
+    while len(picks := np.fromiter(flat(itertools.islice(combos, batch)), np.intp)):
+        chunk = outside[picks.reshape(-1, r)]
         members = np.sort(np.hstack([np.tile(remaining, (len(chunk), 1)), chunk]), axis=1)
         graphs = _candidate_graphs(net, members, products)
         scores = _random_walk_scores(original, *graphs, cfg, best_score)
         top = int(np.argmax(scores))
         if scores[top] > best_score:
             best_score = float(scores[top])
-            best_members = chunk[top]
+            best_members = tuple(chunk[top].tolist())
     return ReplacementResult(
         subteam=best_members,
         similarity=None if best_members is None else best_score,

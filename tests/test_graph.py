@@ -1,5 +1,9 @@
 import hashlib
+import os
+import tempfile
 import tracemalloc
+import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -185,6 +189,157 @@ class TestLoadErrors:
         assert str(err.value) == f"{paths[name]}:3: {message}"
 
 
+def _load_outcome(edge_path, feature_path):
+    """The loaded network's CSR arrays, or the exception's type and text."""
+    try:
+        net = load_network(edge_path, feature_path)
+    except (ParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+    return [
+        (a.dtype.str, a.shape, a.tobytes())
+        for m in (net.adjacency, net.features)
+        for a in (m.data, m.indices, m.indptr)
+    ] + [net.adjacency.shape, net.features.shape]
+
+
+_IDS = ["0", "1", "2", "3", "03", "+1"]  # all below the test's caps of 6 nodes and 4 features
+_VALUES = ["1", "0", "0.0", "-0.0", ".5", "1.", "1e-3", "2.5E+2"]
+_SEPARATORS = ["\t", " ", "\t \t"]
+_SKIPPED = ["", "  ", "\t", "# c", "  # c # d", "#"]
+# one of these at a random place, or none, makes each drawn file
+_ODD = {
+    "id": ["1_0", "1.0", "-1", "6", "99999999999999999999"],
+    "value": ["nan", "inf", "1e400", "-1", "x", "1_0"],
+    "separator": ["\x0b", "\x0c", "\x1c", "\x85", "\u2028"],
+    "line": ["0 1 2 # c", "0 1 2#", "0", "0 1", "0 1 2 3", "\x0c", "\x0b# c"],
+    "end": ["\r"],
+    "byte": [b"\xff"],
+}
+
+
+@st.composite
+def _data_file(draw, widths):
+    """File bytes of data lines, comments and blank lines, with at most one odd part."""
+    width = draw(st.sampled_from(widths))
+    value = st.one_of(st.floats(0, 10).map(repr), st.sampled_from(_VALUES))
+    lines = []  # (fields, separators before fields 1..) or a skipped line
+    for _ in range(draw(st.integers(0, 8))):
+        if draw(st.integers(0, 4)):
+            fields = [draw(st.sampled_from(_IDS)), draw(st.sampled_from(_IDS)), draw(value)]
+            lines.append((fields[:width], [draw(st.sampled_from(_SEPARATORS)) for _ in fields]))
+        else:
+            lines.append(draw(st.sampled_from(_SKIPPED)))
+    ends = [draw(st.sampled_from(["\n", "\n", "\r\n"])) for _ in lines]
+    odd = draw(st.sampled_from([None, None, None, *_ODD]))
+    at = draw(st.integers(0, max(len(lines) - 1, 0)))
+    if odd and lines:
+        part = draw(st.sampled_from(_ODD[odd]))
+        if odd == "line":
+            lines[at] = part
+        elif odd == "end":
+            ends[at] = part
+        elif isinstance(lines[at], tuple):
+            fields, seps = lines[at]
+            if odd == "id":
+                fields[draw(st.integers(0, 1))] = part
+            elif odd == "value" and width == 3:
+                fields[2] = part
+            elif odd == "separator":
+                seps[draw(st.integers(0, width - 2))] = part
+    if lines and not draw(st.integers(0, 3)):
+        ends[-1] = ""
+    data = []
+    for line, end in zip(lines, ends):
+        if isinstance(line, tuple):
+            fields, seps = line
+            line = fields[0] + "".join(sep + field for sep, field in zip(seps, fields[1:]))
+        data.append((line + end).encode("utf-8"))
+    if odd == "byte" and data:
+        cut = draw(st.integers(0, len(data[at])))
+        data[at] = data[at][:cut] + b"\xff" + data[at][cut:]
+    return b"".join(data)
+
+
+class TestFastReader:
+    """The numpy reader and the line parser read every file alike."""
+
+    @given(_data_file([2, 3]), _data_file([3, 3, 3, 2]))
+    @settings(max_examples=300, deadline=None)
+    def test_fast_reader_equals_the_line_parser(self, edge_bytes, feature_bytes):
+        with tempfile.TemporaryDirectory() as tmp, mock.patch.multiple(
+            graph, MAX_NODES=6, MAX_FEATURES=4
+        ):
+            paths = [os.path.join(tmp, name) for name in ("e.tsv", "f.tsv")]
+            for path, data in zip(paths, (edge_bytes, feature_bytes)):
+                with open(path, "wb") as fh:
+                    fh.write(data)
+            fast = _load_outcome(*paths)
+            with mock.patch.object(graph, "_fast_triples", lambda *args: None):
+                assert _load_outcome(*paths) == fast
+
+    def test_written_files_take_the_fast_path(self, tmp_path):
+        net, _ = generate_synthetic(n=40, d=8, k_planted=4, p_in=0.7, p_out=0.1, teams=0, seed=5)
+        save_network(net, tmp_path / "e.tsv", tmp_path / "f.tsv")
+        with mock.patch.object(graph, "_data_lines", side_effect=AssertionError("line parser")):
+            assert load_network(tmp_path / "e.tsv", tmp_path / "f.tsv") == net
+
+    @pytest.mark.parametrize(
+        "text", ["0 1 2\r\n1 2 3\r\n", "# a # b\n  # c\n\n0\t1\t2\n", "0 1\n1 2\n"]
+    )
+    def test_fast_path_reads(self, tmp_path, text):
+        path = write(tmp_path / "e.tsv", text)
+        node = ("node", 10)
+        fast = graph._fast_triples(path, (node, node), 1.0)
+        with mock.patch.object(graph, "_fast_triples", lambda *args: None):
+            slow = graph._read_triples(path, "src dst [weight]", (node, node), "w", 1.0)
+        assert [a.tolist() for a in fast] == [a.tolist() for a in slow]
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "",
+            "# only\n",
+            "0 1 2 # c\n",
+            "0 1 2\r1 2 3\n",
+            "# c\r0 1 2\n1 2 3\n",  # to file iteration the \r ends the comment
+            "0 1\x0b2\n",
+            "# caf\u00e9\n0 1 2\n",
+            "0 1\n1 2 3\n",
+            "0 1 1e400\n",
+            "0 10 2\n",
+        ],
+    )
+    def test_fast_path_declines(self, tmp_path, text):
+        path = write(tmp_path / "e.tsv", text)
+        node = ("node", 10)
+        assert graph._fast_triples(path, (node, node), 1.0) is None
+
+    @pytest.mark.parametrize("field", ["1.5", "1.0", "1e3"])
+    def test_float_form_id_is_refused_whatever_the_warning_filters(self, tmp_path, field):
+        edges = write(tmp_path / "e.tsv", f"0 {field} 2\n")
+        features = write(tmp_path / "f.tsv", "0\t0\t1.0\n")
+        node = ("node", 10_000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            assert graph._fast_triples(edges, (node, node), 1.0) is None
+            with pytest.raises(ParseError, match=f"e.tsv:1: .*'{field}'"):
+                load_network(edges, features)
+
+    def test_a_numpy_warning_declines_the_file(self, tmp_path):
+        """A numpy that parses an id through a float warns, then returns the truncated id."""
+        path = write(tmp_path / "e.tsv", "0 1.5 2\n")
+        fields = [("i", np.int64), ("j", np.int64), ("value", np.float64)]
+
+        def truncating_loadtxt(*args, **kwargs):
+            warnings.warn("Parsing an integer via a float is deprecated", DeprecationWarning)
+            return np.array([(0, 1, 2.0)], dtype=fields)
+
+        node = ("node", 10)
+        with warnings.catch_warnings(), mock.patch.object(graph.np, "loadtxt", truncating_loadtxt):
+            warnings.simplefilter("ignore")
+            assert graph._fast_triples(path, (node, node), 1.0) is None
+
+
 class TestRoundTrip:
     def test_save_load_identical(self, tmp_path):
         net, _ = generate_synthetic(n=20, d=8, k_planted=4, p_in=0.7, p_out=0.1, teams=5, seed=3)
@@ -271,6 +426,18 @@ class TestInducedSubgraph:
                 assert tg.adjacency[a, b] == net.adjacency[ga, gb]
             assert np.array_equal(tg.labels[a], net.features.toarray()[ga])
 
+    def test_graph_holds_read_only_copies(self):
+        adjacency, labels = np.array([[0.0, 1.0], [1.0, 0.0]]), np.ones((2, 1))
+        g = LabeledGraph(adjacency=adjacency, labels=labels)
+        before = g.distances.copy()
+        adjacency[0, 1] = adjacency[1, 0] = 5.0
+        labels[0, 0] = 2.0
+        assert g.adjacency[0, 1] == 1.0 and g.labels[0, 0] == 1.0
+        assert np.array_equal(g.distances, before)
+        for array in (g.adjacency, g.labels):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0, 0] = 3.0
+
 
 class TestNormalizeAdjacency:
     def test_single_node(self):
@@ -318,6 +485,32 @@ class TestSocialNetworkValidation:
                 adjacency=sp.csr_array(np.array([[0.0, 1.0], [0.0, 0.0]])),
                 features=sp.csr_array(np.eye(2)),
             )
+
+    @pytest.mark.parametrize(
+        "entries, symmetric",
+        [
+            ([(0, 1, 1.0), (1, 0, 2.0)], False),  # asymmetric only in its values
+            ([(0, 1, 1.0), (0, 1, 1.0), (1, 0, 1.0)], False),  # duplicates sum to 2 one way
+            ([(0, 1, 1.0), (0, 1, 1.0), (1, 0, 2.0)], True),
+            ([(0, 1, 0.0), (1, 2, 1.0), (2, 1, 1.0)], True),  # an explicit zero at (0, 1) only
+            ([(0, 1, 0.0), (1, 0, 0.5), (1, 2, 1.0), (2, 1, 1.0)], False),
+        ],
+    )
+    @pytest.mark.parametrize("unsorted", [False, True], ids=["sorted", "unsorted"])
+    def test_symmetry_of_non_canonical_input(self, entries, symmetric, unsorted):
+        # a symmetric pair more gives row 0 two columns, which "unsorted" stores descending
+        rows, cols, vals = (np.array(a) for a in zip(*entries, (0, 2, 3.0), (2, 0, 3.0)))
+        order = np.lexsort((-cols if unsorted else cols, rows))
+        indptr = np.searchsorted(rows[order], np.arange(4))
+        adjacency = sp.csr_array((vals[order], cols[order], indptr), shape=(3, 3))
+        assert adjacency.has_sorted_indices != unsorted
+        features = sp.csr_array(np.eye(3))
+        if symmetric:
+            net = SocialNetwork(adjacency=adjacency, features=features)
+            assert (net.adjacency != net.adjacency.T).nnz == 0
+        else:
+            with pytest.raises(ValidationError, match="symmetric"):
+                SocialNetwork(adjacency=adjacency, features=features)
 
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError, match="non-negative"):

@@ -155,6 +155,15 @@ class TestShortestPathKernel:
         big = LabeledGraph(adjacency=np.zeros((65, 65)), labels=np.ones((65, 1)))
         with pytest.raises(RefusalError):
             shortest_path_kernel(big, big)
+        assert "distances" not in vars(big)  # refused before any path is computed
+
+    def test_distances_computed_once_and_read_only(self):
+        rng = np.random.default_rng(13)
+        g1, g2 = random_labeled_graph(rng, 4, 2, edge_p=0.5), random_labeled_graph(rng, 5, 2)
+        first = shortest_path_kernel(g1, g2)
+        distances = g1.distances
+        assert shortest_path_kernel(g1, g2) == first and g1.distances is distances
+        assert not distances.flags.writeable
 
 
 class TestMarginalizedKernel:
@@ -528,9 +537,11 @@ class TestBatchedBaseline:
             batch = _baseline_batch(len(team), 3, len(outside))
             assert math.ceil(len(combos) / batch) >= 3
         chunked = kernel_baseline_replace(team, Team(departing), net, self.CFG)
-        for result in (one_stack, chunked):
-            assert result.subteam == combos[best]
-            assert result.similarity == singles[best]
+        fields = lambda r: (r.subteam, r.similarity, r.candidates_examined)
+        assert fields(chunked) == fields(one_stack)
+        assert one_stack.subteam == combos[best]
+        assert one_stack.similarity == singles[best]
+        assert all(type(member) is int for member in one_stack.subteam)
 
     @pytest.mark.parametrize("entries", [27, BASELINE_ENTRIES], ids=["straddling", "one-stack"])
     def test_tie_keeps_the_first_combination(self, entries, monkeypatch):

@@ -234,3 +234,24 @@ def test_training_epoch_allocates_no_n_by_n_array():
     finally:
         tracemalloc.stop()
     assert peak < n * n * 8 / 2, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def _sequential_sum(values):
+    total = 0.0
+    for value in values:
+        total += value
+    return total
+
+
+def test_train_log_total_has_the_sequential_sums_bits(tmp_path):
+    rng = np.random.default_rng(3)
+    walls = rng.lognormal(3.0, 2.0, 200).tolist()
+    assert float(np.sum(walls)).hex() != _sequential_sum(walls).hex()  # the order shows
+    log = [trainer.EpochStats(e, *rng.random(5).tolist(), None, w) for e, w in enumerate(walls, 1)]
+    path = tmp_path / "train.log"
+    trainer.write_train_log(log, path)
+    assert trainer.read_total_wall_ms(path).hex() == _sequential_sum(walls).hex()
+    commented = tmp_path / "commented.log"
+    lines = path.read_text().splitlines(keepends=True)
+    commented.write_text("".join(lines[:50] + ["\n", "  # resumed\n"] + lines[50:]))
+    assert trainer.read_total_wall_ms(commented).hex() == _sequential_sum(walls).hex()
