@@ -11,7 +11,9 @@ The on-disk formats are plain UTF-8 text:
 
 Indices are 0-based decimal integers; ``#``-prefixed and blank lines are
 skipped in all three formats. Fields may be separated by any whitespace. A
-byte that is not UTF-8 raises :class:`ParseError` naming its file and line.
+byte that is not UTF-8, and an ``_`` or a non-ASCII digit on a data line
+(which Python's ``int`` and ``float`` would read as part of a number), raise
+:class:`ParseError` naming the file and line.
 
 The edge and feature files are read by numpy in one pass when every data
 line is plain (:func:`_plain_lines`: ASCII numbers, spaces, tabs and
@@ -24,6 +26,7 @@ error names the same file and line whichever path saw the file first.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
@@ -128,13 +131,16 @@ class Team:
     """A set of member node ids, stored as a strictly increasing tuple.
 
     The constructor deduplicates and sorts, so ``Team((3, 1, 2, 2))`` holds
-    ``(1, 2, 3)``.
+    ``(1, 2, 3)``. Ids must be integers (numpy's too); ``2.9`` is refused, not truncated.
     """
 
     members: tuple[int, ...]
 
     def __post_init__(self):
-        members = tuple(sorted({int(m) for m in self.members}))
+        try:
+            members = tuple(sorted({operator.index(m) for m in self.members}))
+        except TypeError as exc:
+            raise ValidationError(f"team holds a non-integer node id: {exc}") from exc
         if not members:
             raise ValidationError("team must be non-empty")
         if members[0] < 0:
@@ -205,7 +211,9 @@ def _data_lines(path):
     """(line number, stripped line) for each line that is neither blank nor a comment.
 
     Bytes that are not UTF-8 are decoded as escapes, which split lines as a valid
-    file would, and refused as a :class:`ParseError` naming their line.
+    file would, and refused as a :class:`ParseError` naming their line. So is a
+    data line holding an ``_`` or a non-ASCII digit: numbers are written in ASCII
+    digits, but ``int`` and ``float`` also read ``1_0`` as 10 and an Arabic-Indic 3 as 3.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, raw in enumerate(fh, start=1):
@@ -214,6 +222,9 @@ def _data_lines(path):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
+            if "_" in line or not line.isascii() and any(ch.isdecimal() for ch in line):
+                message = f"numbers are written in ASCII digits without '_', got {line!r}"
+                raise ParseError(path, line_no, message)
             yield line_no, line
 
 

@@ -67,12 +67,11 @@ GED_MAX_NODES = 12
 GED_MAX_EXPANDED = 300_000  # about a second at the 190-290k nodes/s measured on 2 cores
 _SOLVE_TOL = 1e-14
 _SOLVE_MAX_ITERS = 500_000
-BASELINE_BUDGET = 200_000  # candidates per query: about 0.6 s at team size 4, 1 s at 6, on 2 cores
+# candidates per query: 0.58-2.34 s at full budget on 2 cores (2.9-11.7 us a candidate),
+# more at larger teams and in denser networks (teams of 4 and 6, sparse and dense synthetic)
+BASELINE_BUDGET = 200_000
 BASELINE_ENTRIES = 1 << 16  # float64 entries per array one baseline chunk allocates
-# the solver screens for converged slices on stacks at least this deep whose
-# slices hold at most this many entries (see _screens)
-_SCREEN_MIN_DEPTH = 128
-_SCREEN_MAX_SIZE = 64
+_PRUNE_MIN_DEPTH = 128  # the solver prunes only stacks at least this deep (see _pruning)
 
 
 @dataclass(frozen=True)
@@ -134,7 +133,6 @@ def _product_space_solve(
             rhs, scale, m2t, tail = rhs[live], scale[live], m2t[live], tail[live]
     w = rhs.copy()
     step, w_next = np.empty_like(rhs), np.empty_like(rhs)
-    screen = _screens(step)
     for _ in range(_SOLVE_MAX_ITERS):
         # out passed by position: the keyword costs about 0.3 us a call, which tiny stacks notice
         np.matmul(m1, w, step)
@@ -144,12 +142,9 @@ def _product_space_solve(
         np.subtract(w_next, w, step)
         np.abs(step, step)
         w, w_next = w_next, w  # the old w is scratch from here on
-        if screen:
-            done = _screened_convergence(step, w, w_next)
-        else:
-            done = step.max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
-                1.0, np.abs(w, w_next).max(axis=(1, 2))
-            )
+        done = step.max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
+            1.0, np.abs(w, w_next).max(axis=(1, 2))
+        )
         leaving = done
         if tail is not None and len(live) > 1:  # a lone slice costs as much to bound as to step
             beaten, floor = _beaten(w, step, tail, margin, floor)
@@ -164,7 +159,6 @@ def _product_space_solve(
             live, rhs, scale, m2t = live[going], rhs[going], scale[going], m2t[going]
             w, w_next = np.compress(going, w, axis=0, out=w_next[: len(live)]), w[: len(live)]
             step = step[: len(live)]
-            screen = _screens(step)
             if tail is not None:
                 tail = tail[going]
     out[live] = np.nan
@@ -174,7 +168,7 @@ def _product_space_solve(
 def _pruning(rhs: np.ndarray, m1: np.ndarray, bound) -> tuple[np.ndarray | None, float]:
     """Each slice's tail factor and the relative margin ``_beaten`` uses, or (None, 0).
 
-    The solver prunes only a stack at least ``_SCREEN_MIN_DEPTH`` deep: on a
+    The solver prunes only a stack at least ``_PRUNE_MIN_DEPTH`` deep: on a
     shallower one the bounds cost more than the steps they save. It prunes
     only where no slice can reach the step cap either, so that a pruned slice
     never hides a refusal: with every row-sum bound at most q, the k-th step
@@ -194,7 +188,7 @@ def _pruning(rhs: np.ndarray, m1: np.ndarray, bound) -> tuple[np.ndarray | None,
     stop rule's tolerance and the default step cap, 1 - q is at least about
     6e-5, so at teams of 4 (S = 16) the margin is at most about 2e-9.
     """
-    if bound is None or len(rhs) < _SCREEN_MIN_DEPTH:
+    if bound is None or len(rhs) < _PRUNE_MIN_DEPTH:
         return None, 0.0
     q = float(bound.max())
     if q > 0 and log(_SOLVE_TOL) / log(q) + 2 > _SOLVE_MAX_ITERS:
@@ -221,34 +215,6 @@ def _beaten(w: np.ndarray, moved: np.ndarray, tail: np.ndarray, margin: float, f
     floor = max(floor, float(sums.max()))
     reach = sums + tail * moved.reshape(len(moved), -1).max(axis=1)
     return reach * (1 + margin) + margin * np.finfo(w.dtype).tiny < floor, floor
-
-
-def _screens(stack: np.ndarray) -> bool:
-    """Whether the solver screens ``stack``'s slices before reducing them.
-
-    numpy reduces a stack slice by slice at about 0.1 us each, so on a deep
-    stack of small slices the two per-slice maxima of a step cost more than
-    the step's arithmetic; elsewhere the screen costs more than it saves.
-    """
-    return len(stack) >= _SCREEN_MIN_DEPTH and stack[0].size <= _SCREEN_MAX_SIZE
-
-
-def _screened_convergence(moved: np.ndarray, w: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """The solver's convergence test, reducing only the slices that can pass it.
-
-    ``moved`` holds each entry's absolute step and ``w`` the new iterate;
-    ``scratch`` is overwritten. A slice can pass only if every entry moved at
-    most the tolerance of the stack's largest magnitude, and whole-stack
-    operations find those slices. The result equals the unscreened test.
-    """
-    depth, size = len(moved), moved[0].size
-    np.less_equal(moved, _SOLVE_TOL * max(1.0, np.abs(w, scratch).max()), scratch)
-    could = np.flatnonzero(scratch.reshape(depth, size) @ np.ones(size) == size)
-    done = np.zeros(depth, dtype=bool)
-    done[could] = moved[could].max(axis=(1, 2)) <= _SOLVE_TOL * np.maximum(
-        1.0, np.abs(w[could]).max(axis=(1, 2))
-    )
-    return done
 
 
 def _require_converged(scores: np.ndarray) -> np.ndarray:
@@ -281,29 +247,24 @@ def _random_walk_scores(
     rs1 = g1.adjacency.sum(axis=1)
     rs2 = adjacency.sum(axis=2)
     walk = lx * (rs1[:, None] * rs2[:, None, :])
-    # rounding is monotone, so decay * max is the largest slice's bound; only a
-    # stack at or over it (or holding a NaN), or one the solver prunes, which
-    # needs every slice's bound, is reduced per slice
-    bound = None
-    if best is not None or not cfg.decay * walk.max() < 1:
-        peak = walk.max(axis=(1, 2))
-        bound = cfg.decay * peak
-        broken = ~(bound < 1)  # a NaN bound breaks the guard too
-        if broken.any():
-            at = np.argmax(broken)
-            advice = (
-                f"lower the decay (currently {cfg.decay})"
-                if np.isfinite(peak[at])
-                else "its label products times row sums overflow float64, so no decay can help"
-            )
-            raise ConvergenceError(
-                f"decay * max row sum of the walk matrix is {bound[at]:.6g}, "
-                f"not below 1; {advice}"
-            )
+    peak = walk.max(axis=(1, 2))
     del walk  # not held through the solve
+    bound = cfg.decay * peak
+    broken = ~(bound < 1)  # a NaN bound breaks the guard too
+    if broken.any():
+        at = np.argmax(broken)
+        advice = (
+            f"lower the decay (currently {cfg.decay})"
+            if np.isfinite(peak[at])
+            else "its label products times row sums overflow float64, so no decay can help"
+        )
+        raise ConvergenceError(
+            f"decay * max row sum of the walk matrix is {bound[at]:.6g}, not below 1; {advice}"
+        )
     mass = 1.0 / (g1.size * adjacency.shape[1])
     rhs = lx * mass  # Lx @ x in matrix form
     floor = -np.inf if best is None else best / mass
+    bound = None if best is None else bound  # the solver prunes only given a best to beat
     w = _product_space_solve(rhs, cfg.decay * lx, g1.adjacency, adjacency, bound, floor)
     return _require_converged(w.reshape(len(w), -1).sum(axis=1) * mass)  # y . w with uniform y
 

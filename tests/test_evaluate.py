@@ -292,6 +292,27 @@ def test_self_kernels_computed_once_per_team(eval_instance, monkeypatch):
     assert not single
 
 
+def test_every_deep_solve_in_an_evaluation_is_pruned(eval_instance, monkeypatch):
+    """The solver has one convergence test, which reduces every slice of every step;
+    a deep stack stays cheap only because the baseline prunes it. A caller that
+    solves a deep stack without a bound to prune by fails here."""
+    net, teams, model = eval_instance
+    solves = []
+    solve = kernels._product_space_solve
+
+    def spied(rhs, scale, m1, m2t, bound=None, floor=-np.inf):
+        solves.append((len(rhs), bound is not None))
+        return solve(rhs, scale, m1, m2t, bound, floor)
+
+    monkeypatch.setattr(kernels, "_product_space_solve", spied)
+    report = run_comparison(
+        net, teams[:4], ["genius", "kernel"], [25.0, 50.0], seed=2, model=model, kernel_cfg=KCFG
+    )
+    assert {case.status for case in report.cases} == {"ok"}
+    deep = [bounded for depth, bounded in solves if depth >= kernels._PRUNE_MIN_DEPTH]
+    assert len(deep) >= 2 and all(deep)
+
+
 @pytest.mark.parametrize(
     "termination, max_iters, sp_max_nodes, ged_budget",
     [

@@ -141,6 +141,9 @@ class TestLoadNetwork:
         assert (net.adjacency != net.adjacency.T).nnz == 0
 
 
+ASCII_ONLY = "numbers are written in ASCII digits without '_', got "
+
+
 class TestLoadErrors:
     """Each refused data line: the exception type and the full ``path:line: ...`` text.
 
@@ -171,6 +174,10 @@ class TestLoadErrors:
             ("f.tsv", "50\t0\t1", ValidationError, "node id 50 out of range [0, 50)"),
             ("f.tsv", "0\t9\t1", ValidationError, "feature id 9 out of range [0, 9)"),
             ("f.tsv", "0\t9\t-1", ValidationError, "feature id 9 out of range [0, 9)"),
+            ("e.tsv", "0\t1_0\t1.0", ParseError, f"{ASCII_ONLY}'0\\t1_0\\t1.0'"),
+            ("e.tsv", "0\t1\t1_0.5", ParseError, f"{ASCII_ONLY}'0\\t1\\t1_0.5'"),
+            ("f.tsv", "\u0663\t1\t0.5", ParseError, f"{ASCII_ONLY}'\u0663\\t1\\t0.5'"),
+            ("f.tsv", "0\t1\t\uff15", ParseError, f"{ASCII_ONLY}'0\\t1\\t\uff15'"),
         ],
     )
     def test_message(self, tmp_path, monkeypatch, name, line, error, message):
@@ -379,6 +386,14 @@ class TestLoadTeams:
         with pytest.raises(ValidationError, match="t.txt:2"):
             load_teams(path, net)
 
+    @pytest.mark.parametrize("line", ["1_0 2", "1 \u0663", "\uff11 2"])
+    def test_non_ascii_or_underscored_id_is_refused(self, tmp_path, line):
+        net = net_from_dense(np.zeros((12, 12)), np.eye(12))
+        path = write(tmp_path / "t.txt", f"0 1\n{line}\n")
+        with pytest.raises(ParseError) as err:
+            load_teams(path, net)
+        assert str(err.value) == f"{path}:2: {ASCII_ONLY}{line!r}"
+
     def test_many_team_lines(self, tmp_path):
         net = net_from_dense(np.zeros((10, 10)), np.eye(10))
         path = write(tmp_path / "t.txt", "\n".join("0 1" for _ in range(818)) + "\n")
@@ -392,6 +407,15 @@ class TestTeam:
     def test_empty_rejected(self):
         with pytest.raises(ValidationError):
             Team(())
+
+    @pytest.mark.parametrize("ids", [(0.7, 2.9), (1, 2.0), (np.float64(3.0),), ("1",)])
+    def test_non_integer_id_is_refused(self, ids):
+        with pytest.raises(ValidationError, match="non-integer node id"):
+            Team(ids)
+
+    def test_numpy_integer_ids_are_kept_as_ints(self):
+        members = Team(tuple(np.array([5, 2, 5], dtype=np.int32))).members
+        assert members == (2, 5) and all(type(m) is int for m in members)
 
     @given(st.lists(st.integers(0, 50), min_size=1, max_size=12))
     @settings(max_examples=100)

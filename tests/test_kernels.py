@@ -307,7 +307,7 @@ def test_solver_equals_the_allocating_reference(batch, m, kind):
     assert np.array_equal(kernels._product_space_solve(*args), product_space_solve_reference(*args))
 
 
-@pytest.mark.parametrize("batch", [20, 130])  # below and above the screened depth
+@pytest.mark.parametrize("batch", [20, 130])  # below and above the pruning depth
 def test_solver_returns_nan_for_each_slice_still_moving_at_the_step_cap(batch, monkeypatch):
     rhs, scale, m1, m2t = solver_inputs(batch, 4, "random-walk", seed=1)
     mixed = 0
@@ -772,7 +772,7 @@ def baseline_queries(draw):
     """A nonnegative network, a team of 2-4 and 1-3 departing members, a decay as a share
     of the spectral guard's limit, and a chunk count.
 
-    The outside nodes give a stack above or below the screened depth. With two or three
+    The outside nodes give a stack above or below the pruning depth. With two or three
     departing members a deep stack split in two gives two deep chunks; with one, the
     baseline's node-block rule splits it into shallow ones. The last 0-2 outside
     nodes are twins: they copy a departing member's edges and triple its features, so they
@@ -836,7 +836,7 @@ def parity_net() -> tuple[SocialNetwork, Team, Team]:
 def test_pruned_baseline_is_refused_exactly_when_a_single_pair_kernel_is(monkeypatch):
     net, team, departing = parity_net()
     original, combos, graphs = candidate_graphs(net, team, departing)
-    assert len(combos) >= kernels._SCREEN_MIN_DEPTH
+    assert len(combos) >= kernels._PRUNE_MIN_DEPTH
     cfg = KernelConfig(decay=0.4 / walk_peak(original, graphs))
     winner = int(np.argmax([random_walk_kernel(original, g, cfg) for g in graphs]))
     outcomes = set()
@@ -928,7 +928,7 @@ def test_pruning_keeps_a_winner_whose_upper_bound_is_exact():
     team, cfg = Team((0, 1, 2)), KernelConfig(decay=0.15)
     original, combos, graphs = candidate_graphs(net, team, Team((2,)))
     singles = [random_walk_kernel(original, g, cfg) for g in graphs]
-    assert len(combos) >= kernels._SCREEN_MIN_DEPTH
+    assert len(combos) >= kernels._PRUNE_MIN_DEPTH
     assert 0.98 * singles[0] < singles[1] < singles[0] == max(singles)
     result = kernel_baseline_replace(team, Team((2,)), net, cfg)
     assert (result.subteam, result.similarity) == ((3,), singles[0])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from oracles import gradient_check_report
 from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
-from subteam.errors import NonFiniteLossError, ValidationError
+from subteam.errors import NonFiniteLossError, ParseError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
 from subteam.trainer import TrainConfig, sample_subteam, split_teams, train
 
@@ -255,3 +255,11 @@ def test_train_log_total_has_the_sequential_sums_bits(tmp_path):
     lines = path.read_text().splitlines(keepends=True)
     commented.write_text("".join(lines[:50] + ["\n", "  # resumed\n"] + lines[50:]))
     assert trainer.read_total_wall_ms(commented).hex() == _sequential_sum(walls).hex()
+
+
+@pytest.mark.parametrize("wall", ["1_0.5", "\u0661.5", "2e\u0661"])
+def test_train_log_refuses_a_wall_ms_that_is_not_in_ascii_digits(tmp_path, wall):
+    path = tmp_path / "train.log"
+    path.write_text(f"# epoch\twall_ms\n1\t2.0\n2\t{wall}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"train\.log:3: numbers are written in ASCII digits"):
+        trainer.read_total_wall_ms(path)
