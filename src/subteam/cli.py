@@ -8,7 +8,8 @@ module constants, not flags; ``evaluate`` records a refused search as a refused
 case. ``recommend``'s ``elapsed_ms`` is the wall time of its whole search
 call. The optional JSON config file (``--config``) holds flag values keyed by
 flag name with dashes replaced by underscores; they are parsed as flags placed
-before the command line's own, so explicit flags win. Unknown keys are rejected.
+before the command line's own, so explicit flags win, and may supply required
+flags. Unknown keys are rejected.
 """
 
 from __future__ import annotations
@@ -294,17 +295,20 @@ def _config_value(key: str, value) -> str:
     return str(value)
 
 
-def _with_config(argv, parser, commands) -> list[str]:
+def _with_config(argv, commands) -> list[str]:
     """``argv`` with the ``--config`` file's values as flags before the command's own.
 
     argparse then converts config values as it converts flags, and a flag
-    given on the command line comes later, so it wins.
+    given on the command line comes later, so it wins. ``--config`` is found
+    by a parser that knows no other option, so a flag the config supplies is
+    not yet required.
     """
     if not argv or argv[0] not in commands:
         return argv
     command = argv[0]
-    ns, _ = parser.parse_known_args(argv)
-    config_path = getattr(ns, "config", None)
+    finder = argparse.ArgumentParser(prog=f"subteam {command}", add_help=False)
+    finder.add_argument("--config")
+    config_path = finder.parse_known_args(argv[1:])[0].config
     if not config_path:
         return argv
     _input_file(config_path, "--config")
@@ -344,7 +348,7 @@ def main(argv=None) -> int:
     parser, commands = build_parser()
     try:
         try:
-            args = parser.parse_args(_with_config(argv, parser, commands))
+            args = parser.parse_args(_with_config(argv, commands))
         except SystemExit as exc:  # argparse's own exit: 0 after --help, 2 on a bad flag
             return exc.code
         return args.func(args)

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 from collections.abc import Mapping
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -146,14 +145,16 @@ def hard_assign(c_mat: np.ndarray) -> np.ndarray:
     return np.argmax(np.asarray(c_mat), axis=1) + 1
 
 
-def build_containers(h: np.ndarray, c: int) -> dict[int, list[int]]:
-    """Group node ids by hard cluster; every cluster id 1..c maps to a sorted list."""
-    containers: dict[int, list[int]] = {m: [] for m in range(1, c + 1)}
-    for node, cluster in enumerate(np.asarray(h).tolist()):
-        if not 1 <= cluster <= c:
-            raise ValidationError(f"cluster id {cluster} for node {node} outside 1..{c}")
-        containers[int(cluster)].append(node)
-    return containers
+def build_containers(h: np.ndarray, c: int) -> dict[int, np.ndarray]:
+    """Each cluster id 1..c mapped to the read-only ascending ``intp`` array of its
+    nodes in ``h``: slices of one stable argsort."""
+    h = np.asarray(h)
+    if h.size and not 1 <= h.min() <= h.max() <= c:
+        raise ValidationError(f"cluster ids {h.min()}..{h.max()} outside 1..{c}")
+    order = np.argsort(h, kind="stable")
+    order.flags.writeable = False
+    ends = np.cumsum(np.bincount(h, minlength=c + 1))  # ends[m]: the nodes in clusters 1..m
+    return {m: order[ends[m - 1] : ends[m]] for m in range(1, c + 1)}
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,23 +165,20 @@ class ClusterModel:
     array whose last row, at id n, is zeros. ``embeddings`` is the view of its
     first n rows, so the two cannot disagree, and the search indexes
     ``padded`` by global node id with id n standing for team members and
-    repeats. The search pools are built once, at construction: ``pools``
-    maps each cluster id to a read-only ``intp`` array of the container's
-    node ids in container order, and ``containers`` becomes a read-only
-    mapping of the same ids as tuples, so the two cannot disagree and a later
-    edit to the caller's lists does not reach the model. ``hard`` is kept as
-    a read-only copy. Construction raises :class:`ValidationError` unless the
-    embeddings' sum of squares is finite, every container holds integer node
-    ids in 0..n-1, ``hard`` is a 1-D integer array of length n whose every id
-    is a container key, and ``soft`` has n rows; containers need not be sorted.
+    repeats. The search pools are the hard clusters, built once:
+    ``containers`` is :func:`build_containers` of ``hard`` and the width c of
+    ``soft``, and ``hard`` is kept as a read-only copy. Construction raises
+    :class:`ValidationError` unless the embeddings' sum of squares is finite,
+    ``hard`` is a 1-D integer array of length n with ids in 1..c, ``soft`` has
+    n rows, and the ``containers`` passed in equal that grouping: integer ids
+    in ascending order under every cluster id 1..c.
     """
 
     embeddings: np.ndarray
     soft: np.ndarray
     hard: np.ndarray
-    containers: Mapping[int, tuple[int, ...]]
+    containers: Mapping[int, np.ndarray]
     padded: np.ndarray = field(init=False, repr=False)
-    pools: Mapping[int, np.ndarray] = field(init=False, repr=False)
 
     def __post_init__(self):
         z = np.asarray(self.embeddings, dtype=np.float64)
@@ -190,31 +188,22 @@ class ClusterModel:
         if not np.isfinite(np.einsum("ij,ij->", z, z)):
             raise ValidationError("embeddings' sum of squares is not finite")
         n = z.shape[0]
-        pools = {}
-        for cluster, nodes in self.containers.items():
-            try:
-                pool = np.array([operator.index(v) for v in nodes], dtype=np.intp)
-            except TypeError as exc:
-                raise ValidationError(f"cluster {cluster} holds a non-integer node id: {exc}") from exc
-            outside = pool[(pool < 0) | (pool >= n)]
-            if outside.size:
-                raise ValidationError(
-                    f"cluster {cluster} holds node ids {outside.tolist()} outside 0..{n - 1}"
-                )
-            pool.flags.writeable = False
-            pools[cluster] = pool
         hard = np.array(self.hard)
         if hard.shape != (n,) or not np.issubdtype(hard.dtype, np.integer):
             raise ValidationError(
                 f"hard must be a 1-D integer array of length {n}, got {hard.dtype} of shape {hard.shape}"
             )
-        unknown = set(np.unique(hard).tolist()).difference(pools)
-        if unknown:
-            raise ValidationError(f"hard assigns cluster ids {sorted(unknown)} that no container holds")
         hard.flags.writeable = False
         soft = np.asarray(self.soft)
         if soft.ndim != 2 or soft.shape[0] != n:
             raise ValidationError(f"soft must have {n} rows, got shape {soft.shape}")
+        containers = build_containers(hard, soft.shape[1])
+        given = {c: np.asarray(ids) for c, ids in self.containers.items()}
+        if given.keys() != containers.keys() or not all(  # an empty list reads as float64
+            (ids.dtype.kind in "iu" or not ids.size) and np.array_equal(ids, containers[c])
+            for c, ids in given.items()
+        ):
+            raise ValidationError(f"containers differ from the hard clusters 1..{soft.shape[1]}, ascending")
         padded = np.zeros((n + 1, z.shape[1]))
         padded[:n] = z
         padded.flags.writeable = False
@@ -222,10 +211,7 @@ class ClusterModel:
         object.__setattr__(self, "embeddings", padded[:n])
         object.__setattr__(self, "soft", soft)
         object.__setattr__(self, "hard", hard)
-        object.__setattr__(self, "pools", MappingProxyType(pools))
-        object.__setattr__(
-            self, "containers", MappingProxyType({c: tuple(p.tolist()) for c, p in pools.items()})
-        )
+        object.__setattr__(self, "containers", MappingProxyType(containers))
 
     @classmethod
     def build(cls, net: SocialNetwork, params: EncoderParams) -> "ClusterModel":

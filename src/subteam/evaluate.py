@@ -12,7 +12,11 @@ refused search is a ``refused`` outcome with that name as its ``reason``, and
 a refused metric is skipped under it. Each kernel disparity is
 |k(T0, T1) - k(T0, T0)| / k(T0, T0): a refused self-kernel skips every case of
 the team, a zero one skips every case next (``ZeroSelfKernelError``), and a
-refused cross kernel skips its own case.
+refused cross kernel skips its own case. A disparity that overflows float64
+(a tiny self-kernel against a large cross kernel) is skipped as
+``RefusalError``, the name the shortest-path kernel gives its own overflow,
+and a mean whose sum overflows is summed again from the values divided by
+their count, so the report holds no non-finite number.
 
 ``METRICS`` names the disparities once, in report order: ``ged`` (exact graph
 edit distance), ``d1`` (shortest-path kernel) and ``d2`` (marginalized kernel).
@@ -32,6 +36,7 @@ import json
 import time
 from collections import Counter
 from dataclasses import dataclass
+from math import isfinite
 
 import numpy as np
 
@@ -74,7 +79,8 @@ def _disparities(kernels: list[float | str]) -> list[float | str]:
         return [self_kernel] * len(cross)
     if self_kernel <= 0:
         return ["ZeroSelfKernelError"] * len(cross)
-    return [k if isinstance(k, str) else abs(k - self_kernel) / self_kernel for k in cross]
+    ratios = [k if isinstance(k, str) else abs(k - self_kernel) / self_kernel for k in cross]
+    return [r if isinstance(r, str) or isfinite(r) else RefusalError.__name__ for r in ratios]
 
 
 def evaluate_team_metrics(
@@ -124,8 +130,18 @@ class CaseOutcome:
 
 
 def _mean(values: list[float], empty: float | None) -> float | None:
-    """Summed in order from 0.0; the built-in ``sum`` compensates from Python 3.12 on."""
-    return ordered_sum([0.0, *values]) / len(values) if values else empty
+    """Summed in order from 0.0; the built-in ``sum`` compensates from Python 3.12 on.
+
+    The values are finite and non-negative. When their sum overflows, the mean
+    is summed from the values divided by their count, and capped at their
+    largest, so it stays finite.
+    """
+    if not values:
+        return empty
+    mean = ordered_sum([0.0, *values]) / len(values)
+    if not isfinite(mean):
+        mean = min(ordered_sum([0.0, *(v / len(values) for v in values)]), max(values))
+    return mean
 
 
 def _method_entry(outcomes: list[CaseOutcome], incomplete: set[int]) -> dict:

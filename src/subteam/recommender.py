@@ -12,16 +12,15 @@ the product of every position but the last is walked in numpy blocks of
 indices, and the runs are scored in pieces of ``CHUNK`` rows, so memory
 stays bounded whatever the tuple count. Tuples hold global node ids and are
 scored against the model's zero-padded embeddings (``ClusterModel.padded``),
-whose zero row at id n stands for team members and repeats, so a query
-builds no table of its own. Each cluster's pool is the read-only id array
-``ClusterModel.pools`` built once with the model (its ``containers`` are a
-read-only mapping of the same ids), and a query only blanks the team members
-in a copy. Every piece gathers its rows into two buffers the query allocates
-once, at ``min(CHUNK, product size)`` rows, and sums them in place; a piece
-of one-member tuples is scored on its rows as they are, since dividing a row
-by 1 is exact. The count of product tuples that keep a member is the
-product's size minus the tuples drawn only from team members, so it is known
-before the walk. A search over more than
+whose zero row at id n stands for team members and repeats, so a query builds
+no table of its own. Each pool is a hard cluster's read-only ascending id
+array in ``ClusterModel.containers``, built once with the model, and a query
+only blanks the team members in a copy. Every piece gathers its rows into two
+buffers the query allocates once, at ``min(CHUNK, product size)`` rows, and
+sums them in place; a piece of one-member tuples is scored on its rows as they
+are, since dividing a row by 1 is exact. The count of product tuples that keep
+a member is the product's size minus the tuples drawn only from team members,
+so it is known before the walk. A search over more than
 ``DEFAULT_SEARCH_BUDGET`` product tuples refuses before it starts instead of
 running for hours.
 """
@@ -88,7 +87,7 @@ def recommend(
     """Best replacement set from the departing members' clusters.
 
     Enumerates the Cartesian product of the clusters the departing members are
-    hard-assigned to (lexicographically over the pools in container order), drops
+    hard-assigned to (lexicographically over the pools in ascending id order), drops
     original-team members from each tuple, and scores each tuple's remaining
     member set by cosine against the remaining-team embedding. Ties keep the
     first candidate in enumeration order. Within a cluster that several
@@ -108,7 +107,7 @@ def recommend(
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
     clusters = model.hard.take(departing.members).tolist()
-    total = prod(len(model.pools[c]) for c in clusters)
+    total = prod(len(model.containers[c]) for c in clusters)
     if total > DEFAULT_SEARCH_BUDGET:
         raise RefusalError(
             f"within-cluster search over {total} tuples exceeds budget {DEFAULT_SEARCH_BUDGET}"
@@ -122,7 +121,7 @@ def recommend(
     members = np.asarray(team.members, dtype=np.intp)
     pools, in_team = {}, {}
     for c in dict.fromkeys(clusters):
-        pool = model.pools[c]
+        pool = model.containers[c]
         # the sorted members hold a pool id exactly where it would be inserted
         hit = members.take(members.searchsorted(pool), mode="clip") == pool
         pools[c] = np.where(hit, blank, pool)

@@ -35,6 +35,12 @@ from .objectives import (
     total_loss,
 )
 
+# training holds dense n x d feature rows and the skill term a d x d Gram, so
+# n*d + d*d entries above this (2**27 float64 entries, 1,073,741,824 bytes) are
+# refused before anything is allocated: the node and feature caps bound each
+# side, not the product
+MAX_DENSE_ENTRIES = 2**27
+
 
 def _split_fractions(fractions) -> tuple[float, ...]:
     """The (train, val, test) fractions as floats: three, each >= 0, summing to 1."""
@@ -199,6 +205,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     final parameters when there is no usable validation split, together with
     the per-epoch statistics. A non-finite loss term, parameter or embeddings'
     sum of squares raises :class:`NonFiniteLossError`: what it returns builds a model.
+    A network past ``MAX_DENSE_ENTRIES`` raises :class:`ValidationError` first.
     """
     if not teams:
         raise ValidationError("cannot train without teams")
@@ -206,6 +213,11 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         team.validate_for(net)
     if net.d == 0:
         raise ValidationError("cannot train on a network without features (d = 0)")
+    if net.n * net.d + net.d**2 > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            f"n={net.n} nodes and d={net.d} features need n*d + d*d dense entries, "
+            f"over the cap of {MAX_DENSE_ENTRIES}"
+        )
     # the head holds sum(hidden) x clusters weights and the skill term a
     # clusters x clusters Gram, so an explicit count is capped at n
     if cfg.clusters is not None and cfg.clusters > net.n:

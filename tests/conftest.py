@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -11,6 +12,18 @@ from subteam.graph import SocialNetwork
 # @reproduce_failure blob, so a failed property can be replayed exactly
 settings.register_profile("blob", settings(), print_blob=True)
 settings.load_profile("blob")
+
+# On a failing property Hypothesis' pytest plugin imports this module to suggest
+# an @example; where libcst is installed that import warns DeprecationWarning,
+# which the suite's filters turn into an error the plugin does not catch, and
+# the run ends in INTERNALERROR. Importing it once here, warnings ignored, keeps
+# a failing property one failed test.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:
+        pass
 
 
 def strict_json(text: str):

@@ -436,7 +436,9 @@ def per_case_comparison(net, teams, methods, percentages, seed, model, kernel_cf
                     if self_kernel <= 0:
                         metrics[name] = "ZeroSelfKernelError"
                     else:
-                        metrics[name] = abs(kernel(original, t1) - self_kernel) / self_kernel
+                        ratio = abs(kernel(original, t1) - self_kernel) / self_kernel
+                        # an overflowing ratio is skipped as the kernel's own overflow is
+                        metrics[name] = ratio if math.isfinite(ratio) else "RefusalError"
                 except (ConvergenceError, RefusalError) as exc:
                     metrics[name] = type(exc).__name__
             row.update(status="ok", subteam=result.subteam, metrics=metrics)

@@ -300,7 +300,7 @@ def test_criterion_7_training_descent_and_purity():
     matched = sum(
         collections.Counter(blocks[v] for v in nodes).most_common(1)[0][1]
         for nodes in model.containers.values()
-        if nodes
+        if nodes.size
     )
     purity = matched / net.n
     elapsed = time.perf_counter() - start

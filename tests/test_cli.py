@@ -175,6 +175,19 @@ class TestTrain:
         assert f"edges.tsv:{line_no}: node id 5000 out of range" in capsys.readouterr().err
         assert not (data / "checkpoint.json").exists()
 
+    def test_huge_dense_size_exits_2_before_allocating(self, tmp_path, capsys):
+        # each id is under its cap, but 10^6 x 10^5 dense feature rows made
+        # numpy fail to allocate 745 GiB, which exited 1 as an internal error
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "edges.tsv").write_text("0 1 1.0\n")
+        (data / "features.tsv").write_text("0 0 1.0\n1 1 1.0\n999999 99999 1.0\n")
+        (data / "teams.txt").write_text("0 1\n" * 5)
+        assert main(["train", "--data", str(data), "--epochs", "1", "--hidden", "4"]) == 2
+        err = capsys.readouterr().err
+        assert "n=1000000 nodes and d=100000 features" in err and "internal" not in err
+        assert sorted(p.name for p in data.iterdir()) == ["edges.tsv", "features.tsv", "teams.txt"]
+
 
 @pytest.fixture(scope="module")
 def trained(tmp_path_factory):
@@ -694,6 +707,23 @@ class TestRefusalsByName:
         assert genius["d1_skipped"] == {"RefusalError": 16}
         assert genius["d1_cases"] == 0 and genius["mean_d1"] is None
 
+    def test_overflowing_disparity_skips_d1_in_valid_json(self, tmp_path, capsys):
+        # nodes 0-2 carry 1e-80 and nodes 3-5 1e75: the team's shortest-path
+        # self-kernel is about 3.6e-319, the baseline's disparity overflowed to
+        # inf, and writing the report exited 1 as an internal error
+        data = tmp_path / "data"
+        data.mkdir()
+        edges = [f"{u} {v}" for u in range(6) for v in range(u + 1, 6)]
+        (data / "edges.tsv").write_text("\n".join(edges) + "\n")
+        (data / "features.tsv").write_text("".join(f"{v} 0 {1e-80 if v < 3 else 1e75}\n" for v in range(6)))
+        (data / "teams.txt").write_text("0 1 2\n")
+        flags = ["--methods", "kernel", "--percent", "67", "--split", "0", "0", "1"]
+        flags += ["--decay", "0.005", "--termination", "0.95", "--format", "json"]
+        assert main(["evaluate", "--data", str(data), *flags]) == 0
+        kernel = strict_json(capsys.readouterr().out)["methods"]["kernel"]
+        assert kernel["cases"] == 1 and kernel["d1_skipped"] == {"RefusalError": 1}
+        assert kernel["mean_d1"] is None and kernel["d2_cases"] == 1
+
 
 BAD_NUMBERS = [
     ("evaluate", "--percent nan"),
@@ -846,6 +876,33 @@ class TestConfigFile:
         assert code == 2
         assert "absent.json" in err and "internal" not in err
         assert not out.exists()
+
+    def test_config_supplies_a_required_flag(self, tmp_path):
+        # --config was found by parsing the whole command, which demanded --out first
+        out = tmp_path / "from_config"
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"out": str(out), "n": 8, "clusters": 2, "teams": 2}))
+        assert main(["synth", "--config", str(cfg)]) == 0
+        assert json.loads((out / "manifest.json").read_text())["n"] == 8
+
+    def test_config_supplies_every_required_recommend_flag(self, trained, tmp_path, capsys):
+        team = [str(v) for v in TestRecommend().team_of(trained)]
+        checkpoint = str(trained / "checkpoint.json")
+        cfg = tmp_path / "cfg.json"
+        values = {"data": str(trained), "checkpoint": checkpoint, "team": team, "departing": team[0]}
+        cfg.write_text(json.dumps(values))
+
+        def answer(*argv):
+            assert main(["recommend", *argv, "--json"]) == 0
+            doc = json.loads(capsys.readouterr().out)
+            return doc["members"], doc["similarity"], doc["candidates_examined"]
+
+        flags = ["--data", str(trained), "--checkpoint", checkpoint, "--team", *team]
+        by_config = answer("--config", str(cfg))
+        assert by_config == answer(*flags, "--departing", team[0])
+        # an explicit flag still wins over the config's value
+        overridden = answer("--config", str(cfg), "--departing", *team[:2])
+        assert overridden == answer(*flags, "--departing", *team[:2]) != by_config
 
     def test_bad_json_config_exits_2(self, tmp_path, capsys):
         data = run_synth(tmp_path)

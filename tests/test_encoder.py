@@ -152,17 +152,24 @@ class TestHardAssign:
         assert hard_assign(np.array([[0.1, 0.1, 0.8]])).tolist() == [3]
 
 
+def assert_containers(containers, expected: dict[int, list[int]]):
+    """Each cluster's pool is a read-only ``intp`` array holding the expected ids."""
+    assert containers.keys() == expected.keys()
+    for c, ids in expected.items():
+        pool = containers[c]
+        assert pool.dtype == np.intp and not pool.flags.writeable
+        assert np.array_equal(pool, ids)
+
+
 class TestBuildContainers:
     def test_direct_grouping(self):
-        containers = build_containers(np.array([1, 2, 1]), 2)
-        assert containers == {1: [0, 2], 2: [1]}
+        assert_containers(build_containers(np.array([1, 2, 1]), 2), {1: [0, 2], 2: [1]})
 
     def test_empty_clusters_present(self):
-        containers = build_containers(np.array([1, 1, 1]), 3)
-        assert containers == {1: [0, 1, 2], 2: [], 3: []}
+        assert_containers(build_containers(np.array([1, 1, 1]), 3), {1: [0, 1, 2], 2: [], 3: []})
 
     def test_no_nodes(self):
-        assert build_containers(np.array([], dtype=int), 2) == {1: [], 2: []}
+        assert_containers(build_containers(np.array([], dtype=int), 2), {1: [], 2: []})
 
     def test_out_of_range_rejected(self):
         with pytest.raises(ValidationError):
@@ -175,6 +182,7 @@ class TestBuildContainers:
         seen = [v for nodes in containers.values() for v in nodes]
         assert sorted(seen) == list(range(len(h)))
         assert sum(len(v) for v in containers.values()) == len(h)
+        assert_containers(containers, {c: np.flatnonzero(np.equal(h, c)) for c in range(1, 5)})
 
 
 class TestClusterModel:
@@ -192,7 +200,7 @@ class TestClusterModel:
         z = np.arange(6, dtype=np.int64).reshape(3, 2)
         model = ClusterModel(
             embeddings=z, soft=np.tile([1.0, 0.0], (3, 1)), hard=np.ones(3, dtype=int),
-            containers={1: [2, 0, 1], 2: []},
+            containers={1: [0, 1, 2], 2: []},
         )
         assert model.padded.shape == (4, 2) and model.padded.dtype == np.float64
         assert np.shares_memory(model.embeddings, model.padded)
@@ -202,20 +210,17 @@ class TestClusterModel:
         with pytest.raises(ValidationError, match="2-D"):
             ClusterModel(embeddings=np.zeros(3), soft=model.soft, hard=model.hard, containers={})
 
-    def test_pools_are_built_once_in_container_order_and_read_only(self):
-        hard = np.ones(3, dtype=int)
-        containers = {1: (2, 0, 1), 2: np.array([], dtype=np.int32)}
-        model = ClusterModel(np.eye(3), np.tile([1.0, 0.0], (3, 1)), hard, containers)
-        assert model.pools[1].dtype == np.intp and model.pools[1].tolist() == [2, 0, 1]
-        assert model.pools[2].dtype == np.intp and model.pools[2].size == 0
-        assert model.containers == {1: (2, 0, 1), 2: ()}
-        for frozen in (model.pools[1], model.hard):
-            with pytest.raises(ValueError):
-                frozen[0] = 2
+    def test_containers_are_the_hard_clusters_built_once(self):
+        hard = np.array([2, 1, 2])
+        containers = {1: (1,), 2: [0, 2], 3: np.array([], dtype=np.int32)}
+        model = ClusterModel(np.eye(3), np.tile([1.0, 0.0, 0.0], (3, 1)), hard, containers)
+        assert_containers(model.containers, {1: [1], 2: [0, 2], 3: []})
+        with pytest.raises(ValueError):
+            model.hard[0] = 1
         with pytest.raises(TypeError):
-            model.pools[3] = np.array([0])
+            model.containers[4] = np.array([0])
         hard[0] = 9  # the model keeps its own copy
-        assert model.hard.tolist() == [1, 1, 1]
+        assert model.hard.tolist() == [2, 1, 2]
 
 
 class TestDefaultClusterCount:

@@ -1,9 +1,11 @@
 from collections import Counter
 
+import sys
+
 import numpy as np
 import pytest
 
-from conftest import net_from_dense
+from conftest import net_from_dense, strict_json
 from oracles import per_case_comparison
 from subteam import evaluate, kernels
 from subteam.encoder import ClusterModel, init_params
@@ -445,6 +447,39 @@ def test_means_cover_only_cases_every_method_completed():
         "mean_total_ms": 8.0,
     }
     assert report.to_document() == {"config": report.config, "methods": report.methods}
+
+
+def overflow_net():
+    """Six linked nodes with one feature: 1e-80 on nodes 0-2, 1e75 on nodes 3-5."""
+    return net_from_dense(np.ones((6, 6)) - np.eye(6), [[1e-80]] * 3 + [[1e75]] * 3)
+
+
+def test_an_overflowing_disparity_is_skipped_as_refusal_error():
+    # the shortest-path self-kernel of {0, 1, 2} is about 3.6e-319, so the
+    # baseline's (3, 4) made d1 inf and the strict JSON writer raised
+    args = (overflow_net(), [Team((0, 1, 2))], ["kernel"], [67.0], 0)
+    report = run_comparison(*args, kernel_cfg=KCFG)
+    [outcome] = report.cases
+    assert outcome.subteam == (3, 4)
+    assert outcome.metrics["d1"] == "RefusalError" and np.isfinite(outcome.metrics["d2"])
+    [expected] = per_case_comparison(*args, None, KCFG)
+    assert outcome.metrics == expected["metrics"]
+    entry = strict_json(report.to_json())["methods"]["kernel"]
+    assert entry["mean_d1"] is None and entry["d1_skipped"] == {"RefusalError": 1}
+
+
+@pytest.mark.parametrize(
+    "values, mean",
+    [([1e308, 1e308], 1e308), ([sys.float_info.max] * 3, sys.float_info.max), ([0.5, 0.25], 0.375)],
+    ids=["sum-overflows", "divided-sum-overflows", "finite-sum"],
+)
+def test_a_mean_of_finite_values_is_finite(values, mean):
+    # an overflowing sum made the mean inf, which the strict JSON writer refuses
+    assert evaluate._mean(values, None) == mean
+    metrics = [{"ged": v, "d1": v, "d2": v} for v in values]
+    cases = [hand_outcome(i, "m", "ok", m) for i, m in enumerate(metrics)]
+    doc = strict_json(EvalReport(config={"methods": ["m"]}, cases=cases).to_json())
+    assert doc["methods"]["m"]["mean_ged"] == mean
 
 
 def test_report_layout_is_pinned():

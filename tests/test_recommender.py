@@ -74,9 +74,9 @@ def product_search_oracle(team, departing, model):
 
 
 def random_pool_instance(seed: int):
-    """Random pools for 1-4 departing members: shared and overlapping clusters,
-    team members inside the pools, tied and zero embedding rows, and in about
-    half the draws unsorted containers."""
+    """Random hard clusters for 1-4 departing members: departing members that
+    share a cluster, cluster ids that hold no node, team members inside the
+    pools, and tied and zero embedding rows."""
     rng = np.random.default_rng(seed)
     n = int(rng.integers(6, 16))
     z = rng.normal(size=(n, int(rng.integers(1, 5))))
@@ -86,19 +86,12 @@ def random_pool_instance(seed: int):
     team = Team(tuple(rng.choice(n, size=int(rng.integers(2, 7)), replace=False)))
     r = int(rng.integers(1, min(4, len(team) - 1) + 1))
     departing = Team(tuple(rng.choice(team.members, size=r, replace=False)))
-    clusters = int(rng.integers(1, r + 1))  # fewer clusters than members: some share one
-    hard = rng.integers(1, clusters + 1, size=n)
-    containers = {
-        c: sorted(int(v) for v in rng.choice(n, size=int(rng.integers(1, 7)), replace=False))
-        for c in range(1, clusters + 1)
-    }
-    if rng.random() < 0.5:  # a hand-built model need not sort its containers
-        for pool in containers.values():
-            rng.shuffle(pool)
-    soft = np.zeros((n, clusters))
-    soft[np.arange(n), hard - 1] = 1.0
-    model = ClusterModel(embeddings=z, soft=soft, hard=hard, containers=containers)
-    return team, departing, model, blank_net(n)
+    used = r + int(rng.integers(0, 3))  # at least r ids spread over the nodes keep pools small
+    hard = rng.integers(1, used + 1, size=n)
+    # the departing members draw from fewer clusters than they number: some share one
+    hard[list(departing.members)] = rng.integers(1, int(rng.integers(1, r + 1)) + 1, size=r)
+    clusters = used + int(rng.integers(0, 3))  # ids above the drawn ones hold no node
+    return team, departing, rig_model(z, hard, clusters), blank_net(n)
 
 
 class TestRecommend:
@@ -136,18 +129,6 @@ class TestRecommend:
         assert result.subteam is None and result.similarity is None
         assert result.candidates_examined == 0
 
-    @pytest.mark.parametrize(
-        "departing", [(0,), (0, 1)], ids=["every-pool-empty", "one-pool-empty"]
-    )
-    def test_no_candidate_when_a_departing_cluster_is_empty(self, departing):
-        # a hand-built model may hold an empty container: node 0's cluster has no nodes
-        hard = np.array([1, 2, 2, 2])
-        containers = {1: [], 2: [1, 2, 3]}
-        model = ClusterModel(np.eye(4), np.eye(2)[hard - 1], hard, containers)
-        result = recommend(Team((0, 1, 2)), Team(departing), model, blank_net(4))
-        assert result.subteam is None and result.similarity is None
-        assert result.candidates_examined == 0
-
     def test_candidate_count_accounting(self):
         # pools: cluster1 = {0,1,4,5}, cluster2 = {2,6}; team = {0,1,2,3}
         z = np.random.default_rng(0).normal(size=(7, 3))
@@ -163,28 +144,44 @@ class TestRecommend:
         )
         assert result.candidates_examined == total - skipped
 
-    @pytest.mark.parametrize("node", [7, 4, -1], ids=["beyond-n", "equal-to-n", "negative"])
-    def test_container_node_outside_the_network_rejected(self, node):
-        # id n would read the zero row that stands for team members
-        z = np.eye(4)
-        soft = np.tile([1.0, 0.0], (4, 1))
-        with pytest.raises(ValidationError, match=f"cluster 1 holds node ids \\[{node}\\] outside 0..3"):
-            ClusterModel(embeddings=z, soft=soft, hard=np.ones(4, dtype=int), containers={1: [0, 1, 2, node]})
+    @pytest.mark.parametrize(
+        "containers",
+        [
+            {1: [1, 0], 2: [2, 3]},
+            {1: [0, 1, 2], 2: [3]},
+            {1: [0, 1], 2: [2, 3, 4]},
+            {1: [-1, 0, 1], 2: [2, 3]},
+            {1: [0, 1], 2: [2, 3.0]},
+            {1: [0, 1], 2: [2, 2.5]},
+            {1: [0, 1], 2: ["2", "3"]},
+            {1: [0, 1]},
+            {1: [0, 1], 2: [2, 3], 3: []},
+        ],
+        ids=[
+            "unsorted", "wrong-cluster", "node-n", "negative-node", "float-node",
+            "fractional-node", "string-node", "missing-cluster", "extra-cluster",
+        ],
+    )
+    def test_containers_other_than_the_hard_clusters_rejected(self, containers):
+        # id n would read the zero row that stands for team members, and a pool
+        # that left out a member's own node would hide it from the search
+        with pytest.raises(ValidationError, match="containers differ from the hard clusters 1..2"):
+            ClusterModel(np.eye(4), np.eye(2)[[0, 0, 1, 1]], [1, 1, 2, 2], containers)
 
     @pytest.mark.parametrize(
         "hard, soft_rows, pool, match",
         [
-            ([1, 1, 3, 2], 4, [2, 3], "hard assigns cluster ids \\[3\\] that no container holds"),
+            ([1, 1, 3, 2], 4, [2, 3], "cluster ids 1..3 outside 1..2"),
             ([1, 2], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
             ([[1, 1, 2, 2]], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
             ([1.0, 1.0, 2.0, 2.0], 4, [2, 3], "hard must be a 1-D integer array of length 4"),
             ([1, 1, 2, 2], 3, [2, 3], "soft must have 4 rows"),
-            ([1, 1, 2, 2], 4, [2, 2.5], "cluster 2 holds a non-integer node id"),
         ],
-        ids=["unknown-cluster", "too-short", "2-D", "float", "soft-rows", "float-node"],
+        ids=["unknown-cluster", "too-short", "2-D", "float", "soft-rows"],
     )
     def test_model_parts_that_do_not_fit_rejected(self, hard, soft_rows, pool, match):
-        # an unknown cluster id made recommend raise KeyError, a short hard IndexError
+        # a cluster id past soft's width would have no pool, and a short hard made
+        # recommend raise IndexError
         containers = {1: [0, 1], 2: pool}
         with pytest.raises(ValidationError, match=match):
             ClusterModel(np.eye(4), np.tile([1.0, 0.0], (soft_rows, 1)), hard, containers)
@@ -205,12 +202,12 @@ class TestRecommend:
         team, departing, net = Team((0, 2)), Team((2,)), blank_net(4)
         before = recommend(team, departing, model, net)
         containers[2].append(4)
-        with pytest.raises(AttributeError):
-            model.containers[2].append(4)
+        with pytest.raises(ValueError):
+            model.containers[2][0] = 4
         with pytest.raises(TypeError):
-            model.containers[2] = [2, 3, 4]
+            model.containers[2] = np.array([2, 3, 4])
         after = recommend(team, departing, model, net)
-        assert model.containers[2] == (2, 3)
+        assert model.containers[2].tolist() == [2, 3]
         assert (after.subteam, after.candidates_examined) == (before.subteam, before.candidates_examined) == ((3,), 1)
 
     def test_departing_must_be_strict_subset(self):
@@ -413,17 +410,14 @@ class TestRecommend:
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=100, deadline=None)
     def test_container_type_does_not_change_the_answer(self, seed):
-        # lists, tuples and numpy arrays in one shuffled order give identical answers
+        # lists, tuples and int32 arrays equal to the hard clusters give identical answers
         team, departing, model, net = random_pool_instance(seed)
-        rng = np.random.default_rng([seed, 1])
-        order = {c: rng.permutation(nodes).tolist() for c, nodes in model.containers.items()}
         answers = set()
         for kind in (list, tuple, lambda nodes: np.array(nodes, dtype=np.int32)):
-            shuffled = ClusterModel(
-                model.embeddings, model.soft, model.hard, {c: kind(nodes) for c, nodes in order.items()}
-            )
-            result = recommend(team, departing, shuffled, net)
-            members, score, examined = product_search_oracle(team, departing, shuffled)
+            containers = {c: kind(nodes.tolist()) for c, nodes in model.containers.items()}
+            rebuilt = ClusterModel(model.embeddings, model.soft, model.hard, containers)
+            result = recommend(team, departing, rebuilt, net)
+            members, score, examined = product_search_oracle(team, departing, rebuilt)
             assert result.subteam == members
             assert result.similarity == (None if members is None else score)
             assert result.candidates_examined == examined
