@@ -3,7 +3,8 @@
 Each test case (team, percentage, drawn departing subteam) is generated once
 and fed to every method, so all methods see identical inputs. The cases come
 grouped by held-out team, and each team is evaluated in one pass straight
-after its cases run: its original graph and both self-kernels are computed
+after its cases run, one :func:`evaluate_case_metrics` call that returns a
+dict per rebuilt team: its original graph and both self-kernels are computed
 once, and the marginalized kernels of its rebuilt teams are one stacked solve.
 
 Every result is a value or the class name of the error that refused it
@@ -83,7 +84,7 @@ def _disparities(kernels: list[float | str]) -> list[float | str]:
     return [r if isinstance(r, str) or isfinite(r) else RefusalError.__name__ for r in ratios]
 
 
-def evaluate_team_metrics(
+def evaluate_case_metrics(
     net: SocialNetwork,
     team: Team,
     new_teams: list[Team],
@@ -102,16 +103,6 @@ def evaluate_team_metrics(
     d1 = _disparities([_value_or_refusal(shortest_path_kernel, t0, g) for g in stack])
     d2 = _disparities([ConvergenceError.__name__ if np.isnan(k) else k for k in marg.tolist()])
     return [dict(zip(METRICS, row)) for row in zip(ged, d1, d2)]
-
-
-def evaluate_case_metrics(
-    net: SocialNetwork,
-    team: Team,
-    new_team: Team,
-    kernel_cfg: KernelConfig,
-) -> dict[str, float | str]:
-    """The metrics of one new team: the one-team case of :func:`evaluate_team_metrics`."""
-    return evaluate_team_metrics(net, team, [new_team], kernel_cfg)[0]
 
 
 @dataclass
@@ -330,7 +321,7 @@ def run_comparison(
             completed.append(outcome)
             new_teams.append(Team(kept + result.subteam))
         if completed:
-            metrics = evaluate_team_metrics(net, team, new_teams, kernel_cfg)
+            metrics = evaluate_case_metrics(net, team, new_teams, kernel_cfg)
             for outcome, case_metrics in zip(completed, metrics):
                 outcome.metrics = case_metrics
     config = {

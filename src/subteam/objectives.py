@@ -1,10 +1,10 @@
 """Team embeddings, cosine similarity, and the training losses.
 
-Each loss term has one ``*_term`` function that returns its value and its
-gradient with respect to the soft assignments C (or the embeddings z for the
-contrastive term); the trainer backpropagates that gradient through the
-encoder, and the test suite's ``gradient_check_report`` oracle checks it
-against central finite differences. The ``*_loss`` functions return the value alone.
+Each loss term has one ``*_loss`` function that returns ``(value, gradient)``,
+the gradient taken with respect to the soft assignments C (or the embeddings z
+for the contrastive term); take ``[0]`` for the value alone. The trainer
+backpropagates that gradient through the encoder, and the test suite's
+``gradient_check_report`` oracle checks it against central finite differences.
 All operations are pure. The skill and structural terms never build an n x n
 array: they use dense n x d features, n x k assignments, k x k and d x k Grams,
 and the adjacency as given, dense or sparse.
@@ -112,12 +112,13 @@ def _row_normalize(m: np.ndarray) -> np.ndarray:
     return np.divide(m, norms, out=np.zeros_like(m, dtype=np.float64), where=norms > 0)
 
 
-def contrastive_term(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
+def contrastive_loss(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Contrastive loss and the gradient of ``scale`` times it with respect to z.
 
     The loss is the negated mean cosine between each subteam and its remaining
-    team. ``batch`` is a sequence of (team, subteam) pairs; the subteam must be
-    a strict, non-empty subset of its team so the remainder is non-empty.
+    team, so minimizing it maximizes their agreement. ``batch`` is a sequence
+    of (team, subteam) pairs; the subteam must be a strict, non-empty subset of
+    its team so the remainder is non-empty.
     A pair whose cosine is 0 by the norm-floor convention adds no gradient.
 
     The pairs share one CSR incidence, rows interleaved as subteam, remainder.
@@ -171,15 +172,6 @@ def contrastive_term(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, n
     return -total / len(batch), inc.T @ rows
 
 
-def contrastive_loss(batch, z: np.ndarray) -> float:
-    """Negated mean cosine between each subteam and its remaining team.
-
-    Minimizing this term maximizes subteam/remainder agreement; see
-    :func:`contrastive_term` for the batch contract.
-    """
-    return contrastive_term(batch, z)[0]
-
-
 def _inverse_row_norms(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
     """1/||(m m^T)_i|| = 1/sqrt(m_i (m^T m) m_i^T) from the thin Gram, 0 for zero rows."""
     sq = ((m @ gram) * m).sum(axis=1)
@@ -192,7 +184,7 @@ def feature_factor(x) -> tuple[np.ndarray, np.ndarray]:
     return xh, _inverse_row_norms(xh, xh.T @ xh)
 
 
-def skill_term(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
+def skill_loss(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
     """Skill loss and the gradient of ``scale`` times it with respect to C.
 
     The loss is -sum_i <y1h_i, y2h_i> with y1h = rownorm(Xh Xh^T) and
@@ -222,12 +214,7 @@ def skill_term(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[flo
     return -float(dots.sum()), grad
 
 
-def skill_loss(x, c_mat: np.ndarray) -> float:
-    """Negated trace of the similarity between feature-space and cluster-space cosines."""
-    return skill_term(feature_factor(x), c_mat)[0]
-
-
-def structural_term(
+def structural_loss(
     a, c_mat: np.ndarray, scale: float = 1.0, a_fro2: float | None = None
 ) -> tuple[float, np.ndarray]:
     """||A - C C^T||_F on the raw adjacency, and the gradient of ``scale`` times it wrt C.
@@ -253,13 +240,8 @@ def structural_term(
     return fro, scale * (-2.0 / fro) * (ac - c_mat @ cc)
 
 
-def structural_loss(a, c_mat: np.ndarray) -> float:
-    """Frobenius norm of (adjacency - C C^T), on the raw unnormalized adjacency."""
-    return structural_term(a, c_mat)[0]
-
-
-def clustering_term(c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
-    """Mean row entropy of C and the gradient of ``scale`` times it with respect to C."""
+def clustering_loss(c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
+    """Mean row entropy of C (natural log, 0 log 0 = 0), and the gradient of ``scale`` times it."""
     c_mat = np.asarray(c_mat, dtype=np.float64)
     if c_mat.shape[0] == 0:
         return 0.0, np.zeros_like(c_mat)
@@ -267,11 +249,6 @@ def clustering_term(c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.nd
     np.log(c_mat, out=logs, where=c_mat > 0)
     value = float(-(c_mat * logs).sum(axis=1).mean())
     return value, np.where(c_mat > 0, -scale * (logs + 1.0) / c_mat.shape[0], 0.0)
-
-
-def clustering_loss(c_mat: np.ndarray) -> float:
-    """Mean row entropy (natural log) of the soft assignments; 0*log0 counts as 0."""
-    return clustering_term(c_mat)[0]
 
 
 def total_loss(contra, skill, structural, clustering, weights: LossWeights) -> LossReport:

@@ -19,26 +19,21 @@ import numpy as np
 from .encoder import EncoderParams, Forward, default_cluster_count, forward, init_params
 from .errors import NonFiniteLossError, ValidationError
 from .graph import SocialNetwork, Team, _data_lines, check_seed, draw_subset, normalize_adjacency
-# skill_loss, structural_loss and clustering_loss are not called here, but stay
-# importable as subteam.trainer.* because perfbench/tracing.py wraps them there.
 from .objectives import (
     LossWeights,
     clustering_loss,
-    clustering_term,
     contrastive_loss,
-    contrastive_term,
     feature_factor,
     skill_loss,
-    skill_term,
     structural_loss,
-    structural_term,
     total_loss,
 )
 
-# training holds dense n x d feature rows and the skill term a d x d Gram, so
-# n*d + d*d entries above this (2**27 float64 entries, 1,073,741,824 bytes) are
-# refused before anything is allocated: the node and feature caps bound each
-# side, not the product
+# training holds dense n x d feature rows, the skill term's d x d Gram, the
+# encoder's n x sum(hidden) activations and n x clusters head outputs, and its
+# layer and head weights; past this many entries (2**27 float64 entries,
+# 1,073,741,824 bytes) a run is refused before anything is allocated: the node
+# and feature caps bound each side, not the product, and no width is capped
 MAX_DENSE_ENTRIES = 2**27
 
 
@@ -165,10 +160,12 @@ class _LossModel:
         """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
         w_contra, b1, b2, b3 = wvec
         z, c = fwd.z, fwd.c
-        contra, dz = contrastive_term(pairs, z, w_contra)
-        skill, g_skill = skill_term(self.feature_side, c, b1)
-        structural, g_structural = structural_term(self.adjacency, c, b2, self.adjacency_fro2)
-        clustering, g_clustering = clustering_term(c, b3)
+        # the four terms are looked up as this module's globals, where perfbench/tracing.py
+        # swaps in its timing wrappers
+        contra, dz = contrastive_loss(pairs, z, w_contra)
+        skill, g_skill = skill_loss(self.feature_side, c, b1)
+        structural, g_structural = structural_loss(self.adjacency, c, b2, self.adjacency_fro2)
+        clustering, g_clustering = clustering_loss(c, b3)
         parts = dict(contra=contra, skill=skill, structural=structural, clustering=clustering)
         return parts, dz, g_skill + g_structural + g_clustering
 
@@ -205,7 +202,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     final parameters when there is no usable validation split, together with
     the per-epoch statistics. A non-finite loss term, parameter or embeddings'
     sum of squares raises :class:`NonFiniteLossError`: what it returns builds a model.
-    A network past ``MAX_DENSE_ENTRIES`` raises :class:`ValidationError` first.
+    A shape past ``MAX_DENSE_ENTRIES`` raises :class:`ValidationError` first.
     """
     if not teams:
         raise ValidationError("cannot train without teams")
@@ -213,15 +210,23 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         team.validate_for(net)
     if net.d == 0:
         raise ValidationError("cannot train on a network without features (d = 0)")
-    if net.n * net.d + net.d**2 > MAX_DENSE_ENTRIES:
-        raise ValidationError(
-            f"n={net.n} nodes and d={net.d} features need n*d + d*d dense entries, "
-            f"over the cap of {MAX_DENSE_ENTRIES}"
-        )
     # the head holds sum(hidden) x clusters weights and the skill term a
     # clusters x clusters Gram, so an explicit count is capped at n
     if cfg.clusters is not None and cfg.clusters > net.n:
         raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
+    clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
+    widths = (net.d, *cfg.hidden)
+    dense = (
+        net.n * (net.d + sum(cfg.hidden) + clusters)
+        + net.d**2
+        + sum(a * b for a, b in zip(widths, widths[1:]))
+        + sum(cfg.hidden) * clusters
+    )
+    if dense > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            f"n={net.n} nodes and d={net.d} features with hidden widths {cfg.hidden} and "
+            f"{clusters} clusters need {dense} dense entries, over the cap of {MAX_DENSE_ENTRIES}"
+        )
     train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
     if all(len(team) < 2 for team in train_teams):
         raise ValidationError(
@@ -229,7 +234,6 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
             f"({len(train_teams)} teams)"
         )
     train_teams, val_teams = _member_arrays(train_teams), _member_arrays(val_teams)
-    clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))
     sampler = np.random.default_rng([cfg.seed, 1])
     model = _LossModel(net)
@@ -264,7 +268,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         val_pairs = _sample_batch(val_teams, cfg.subteam_fraction_range, sampler)
         val_contra = None
         if val_pairs:
-            val_contra = contrastive_loss(val_pairs, fwd.z)
+            val_contra = contrastive_loss(val_pairs, fwd.z)[0]
             if val_contra < best_val:
                 best_val = val_contra
                 best_params = params

@@ -260,22 +260,22 @@ def test_criterion_6_loss_analytics():
 
     one_hot = np.zeros((6, 4))
     one_hot[np.arange(6), rng.integers(0, 4, size=6)] = 1.0
-    if abs(clustering_loss(one_hot)) > 1e-12:
+    if abs(clustering_loss(one_hot)[0]) > 1e-12:
         failures.append("clustering loss at one-hot")
     uniform = np.full((5, 4), 0.25)
-    if abs(clustering_loss(uniform) - math.log(4)) > 1e-12:
+    if abs(clustering_loss(uniform)[0] - math.log(4)) > 1e-12:
         failures.append("clustering loss at uniform")
 
-    if structural_loss(np.eye(4), np.eye(4)) != 0.0:
+    if structural_loss(np.eye(4), np.eye(4))[0] != 0.0:
         failures.append("structural loss on identity one-hot fixture")
-    if structural_loss(np.ones((2, 2)), np.array([[1.0], [1.0]])) != 0.0:
+    if structural_loss(np.ones((2, 2)), np.array([[1.0], [1.0]]))[0] != 0.0:
         failures.append("structural loss on single-block fixture")
 
     net, teams = generate_synthetic(
         n=24, d=8, k_planted=4, p_in=0.9, p_out=0.1, teams=8, seed=21
     )
     team = next(t for t in teams if len(t) >= 3)
-    metrics = evaluate_case_metrics(net, team, team, SYNTH_KERNEL_CFG)
+    metrics = evaluate_case_metrics(net, team, [team], SYNTH_KERNEL_CFG)[0]
     if any(metrics[m] != 0.0 for m in ("ged", "d1", "d2")):
         failures.append(f"identity replacement disparities {metrics}")
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from conftest import strict_json
-from subteam import cli, graph, kernels, recommender
+from subteam import cli, graph, kernels, recommender, trainer
 from subteam.cli import build_parser, main
 from subteam.kernels import KernelConfig
 from subteam.objectives import LossWeights
@@ -187,6 +187,22 @@ class TestTrain:
         err = capsys.readouterr().err
         assert "n=1000000 nodes and d=100000 features" in err and "internal" not in err
         assert sorted(p.name for p in data.iterdir()) == ["edges.tsv", "features.tsv", "teams.txt"]
+
+    @pytest.mark.parametrize(
+        "hidden", [["100000000000"], ["20000", "20000"]], ids=["activations", "layer-weights"]
+    )
+    def test_huge_hidden_width_exits_2_before_allocating(
+        self, tmp_path, monkeypatch, capsys, hidden
+    ):
+        # one 10^11-wide layer made numpy fail to allocate 11.6 TiB, which exited 1
+        monkeypatch.setattr(trainer, "init_params", lambda *args: pytest.fail("initialised"))
+        data = run_synth(tmp_path)
+        ckpt = tmp_path / "ck.json"
+        args = ["train", "--data", str(data), "--epochs", "1", "--checkpoint", str(ckpt)]
+        assert main(args + ["--hidden", *hidden]) == 2
+        err = capsys.readouterr().err
+        assert f"hidden widths {tuple(map(int, hidden))}" in err and "internal" not in err
+        assert not ckpt.exists()
 
 
 @pytest.fixture(scope="module")

@@ -42,7 +42,7 @@ class TestDisparities:
     def test_identity_team_gives_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, KCFG)
+        metrics = evaluate_case_metrics(net, team, [team], KCFG)[0]
         assert metrics["d1"] == 0.0
         assert metrics["d2"] == 0.0
 
@@ -56,18 +56,18 @@ class TestDisparities:
         t1 = induced_subgraph(net, team_b)
         self_k = shortest_path_kernel(t0, t0)
         cross = shortest_path_kernel(t0, t1)
-        metrics = evaluate_case_metrics(net, team_a, team_b, KCFG)
+        metrics = evaluate_case_metrics(net, team_a, [team_b], KCFG)[0]
         assert metrics["d1"] == pytest.approx(abs(cross - self_k) / self_k)
 
     def test_zero_self_kernel_skips_d1(self):
         net = net_from_dense(np.zeros((4, 4)), np.eye(4))
         team = Team((0, 1))
-        metrics = evaluate_case_metrics(net, team, team, KCFG)
+        metrics = evaluate_case_metrics(net, team, [team], KCFG)[0]
         assert metrics["d1"] == "ZeroSelfKernelError"
 
     def test_zero_marginalized_self_kernel_skips_d2(self):
         net = net_from_dense(np.ones((3, 3)) - np.eye(3), [[0.0], [0.0], [1.0]])
-        metrics = evaluate_case_metrics(net, Team((0, 1)), Team((1, 2)), KCFG)
+        metrics = evaluate_case_metrics(net, Team((0, 1)), [Team((1, 2))], KCFG)[0]
         assert metrics["d2"] == "ZeroSelfKernelError"
 
 
@@ -75,7 +75,7 @@ class TestEvaluateCaseMetrics:
     def test_identity_replacement_all_zero(self, eval_instance):
         net, teams, _ = eval_instance
         team = next(t for t in teams if len(t) >= 3)
-        metrics = evaluate_case_metrics(net, team, team, KCFG)
+        metrics = evaluate_case_metrics(net, team, [team], KCFG)[0]
         assert metrics == {"ged": 0.0, "d1": 0.0, "d2": 0.0}
 
     @pytest.mark.parametrize("limit", ["node-budget", "size"])
@@ -86,7 +86,7 @@ class TestEvaluateCaseMetrics:
             team = next(t for t in teams if len(t) >= 3)
         else:
             team = Team(tuple(range(GED_MAX_NODES + 1)))
-        metrics = evaluate_case_metrics(net, team, team, KCFG)
+        metrics = evaluate_case_metrics(net, team, [team], KCFG)[0]
         assert metrics["ged"] == "RefusalError"
         assert metrics["d1"] == 0.0
 

@@ -24,14 +24,11 @@ from subteam.objectives import (
     LossWeights,
     clustering_loss,
     contrastive_loss,
-    contrastive_term,
     cosine,
     cosine_rows,
     feature_factor,
     skill_loss,
-    skill_term,
     structural_loss,
-    structural_term,
     team_embedding,
     total_loss,
 )
@@ -141,17 +138,17 @@ class TestContrastiveLoss:
     def test_identical_embeddings_give_minus_one(self):
         z = np.tile([1.0, 1.0], (4, 1))
         batch = [(Team((0, 1, 2, 3)), (0, 1))]
-        assert contrastive_loss(batch, z) == pytest.approx(-1.0)
+        assert contrastive_loss(batch, z)[0] == pytest.approx(-1.0)
 
     def test_orthogonal_gives_zero(self):
         z = np.array([[1.0, 0.0], [0.0, 1.0]])
-        assert contrastive_loss([((0, 1), (0,))], z) == pytest.approx(0.0)
+        assert contrastive_loss([((0, 1), (0,))], z)[0] == pytest.approx(0.0)
 
     def test_mean_of_two_pairs(self):
         # pair 1 similarity 1, pair 2 similarity 0 -> loss -0.5
         z = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         batch = [((0, 1), (0,)), ((2, 3), (2,))]
-        assert contrastive_loss(batch, z) == pytest.approx(-0.5)
+        assert contrastive_loss(batch, z)[0] == pytest.approx(-0.5)
 
     def test_subteam_equal_team_rejected(self):
         with pytest.raises(ValidationError):
@@ -161,7 +158,8 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(0)
         z = rng.normal(size=(8, 5))
         batch = [((0, 1, 2), (1,)), ((3, 4, 5, 6), (3, 6)), ((2, 7), (7,))]
-        assert contrastive_loss(batch, z) == pytest.approx(naive_contrastive(batch, z), abs=1e-12)
+        want = naive_contrastive(batch, z)
+        assert contrastive_loss(batch, z)[0] == pytest.approx(want, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
     @settings(max_examples=50)
@@ -169,7 +167,7 @@ class TestContrastiveLoss:
         rng = np.random.default_rng(seed)
         z = rng.normal(size=(6, 4))
         batch = [((0, 1, 2), (0,)), ((3, 4, 5), (3, 4))]
-        assert -1 - 1e-12 <= contrastive_loss(batch, z) <= 1 + 1e-12
+        assert -1 - 1e-12 <= contrastive_loss(batch, z)[0] <= 1 + 1e-12
 
 
 def random_contrastive_batch(rng, n: int, pairs: int, max_team: int):
@@ -205,7 +203,7 @@ class TestContrastiveTermMatchesPairLoop:
         batch = random_contrastive_batch(rng, n, pairs, max_team=min(n, 9))
         if zero_pair:  # one pair's subteam mean is 0, below the norm floor
             z[list(batch[0][1])] = 0.0
-        value, grad = contrastive_term(batch, z, scale)
+        value, grad = contrastive_loss(batch, z, scale)
         want_value, want_grad = contrastive_term_oracle(batch, z, scale)
         assert value == want_value
         assert np.array_equal(grad, want_grad)
@@ -219,7 +217,7 @@ class TestContrastiveTermMatchesPairLoop:
             (Team((0, 3, 4)), (4, 0)),  # subteam in drawn order
         ]
         for scale in (1.0, -0.75):
-            value, grad = contrastive_term(batch, z, scale)
+            value, grad = contrastive_loss(batch, z, scale)
             want_value, want_grad = contrastive_term_oracle(batch, z, scale)
             assert value == want_value
             assert np.array_equal(grad, want_grad)
@@ -237,23 +235,25 @@ class TestContrastiveTermMatchesPairLoop:
     )
     def test_invalid_batches_rejected(self, batch):
         with pytest.raises(ValidationError):
-            contrastive_term(batch, np.ones((4, 3)))
+            contrastive_loss(batch, np.ones((4, 3)))
 
 
 class TestSkillLoss:
     def test_matching_similarity_patterns_give_minus_n(self):
         # C = X makes Y1 == Y2, so every diagonal entry of Y3 is 1
         x = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-        assert skill_loss(x, x.copy()) == pytest.approx(-3.0)
+        assert skill_loss(feature_factor(x), x.copy())[0] == pytest.approx(-3.0)
 
     def test_single_node(self):
-        assert skill_loss(np.array([[2.0, 1.0]]), np.array([[1.0]])) == pytest.approx(-1.0)
+        x = np.array([[2.0, 1.0]])
+        assert skill_loss(feature_factor(x), np.array([[1.0]]))[0] == pytest.approx(-1.0)
 
     def test_matches_naive_oracle_on_random_instance(self):
         rng = np.random.default_rng(4)
         x = rng.uniform(0, 2, size=(4, 6))
         c = row_softmax(rng.normal(size=(4, 3)))
-        assert skill_loss(x, c) == pytest.approx(naive_skill_loss(x, c), abs=1e-10)
+        want = naive_skill_loss(x, c)
+        assert skill_loss(feature_factor(x), c)[0] == pytest.approx(want, abs=1e-10)
 
     def test_bounds(self):
         rng = np.random.default_rng(5)
@@ -261,33 +261,33 @@ class TestSkillLoss:
             n = int(rng.integers(1, 6))
             x = rng.uniform(0, 1, size=(n, 4))
             c = row_softmax(rng.normal(size=(n, 3)))
-            val = skill_loss(x, c)
+            val = skill_loss(feature_factor(x), c)[0]
             assert -n <= val <= n
 
 
 class TestStructuralLoss:
     def test_identity_matching_one_hot(self):
-        assert structural_loss(np.eye(3), np.eye(3)) == 0.0
+        assert structural_loss(np.eye(3), np.eye(3))[0] == 0.0
 
     def test_all_ones_single_cluster(self):
-        assert structural_loss(np.ones((2, 2)), np.array([[1.0], [1.0]])) == 0.0
+        assert structural_loss(np.ones((2, 2)), np.array([[1.0], [1.0]]))[0] == 0.0
 
     def test_hand_computed_residual(self):
         c = np.array([[0.5, 0.5], [0.5, 0.5]])
-        assert structural_loss(np.zeros((2, 2)), c) == pytest.approx(1.0)
+        assert structural_loss(np.zeros((2, 2)), c)[0] == pytest.approx(1.0)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(6)
         upper = np.triu(rng.integers(0, 2, (5, 5)).astype(float), 1)
         a = upper + upper.T
         c = row_softmax(rng.normal(size=(5, 3)))
-        assert structural_loss(a, c) == pytest.approx(naive_structural_loss(a, c), abs=1e-10)
+        assert structural_loss(a, c)[0] == pytest.approx(naive_structural_loss(a, c), abs=1e-10)
 
     def test_non_negative(self):
         rng = np.random.default_rng(7)
         a = np.zeros((4, 4))
         c = row_softmax(rng.normal(size=(4, 2)))
-        assert structural_loss(a, c) >= 0
+        assert structural_loss(a, c)[0] >= 0
 
 
 def assert_term_matches(got, want):
@@ -314,26 +314,30 @@ class TestLowRankTermsMatchDenseOracle:
         x, _, c = random_instance(seed)
         assert not x.any(axis=1).all()
         side = feature_factor(sp.csr_array(x) if sparse else x)
-        assert_term_matches(skill_term(side, c, 0.7), dense_skill_term(x, c, 0.7))
+        assert_term_matches(skill_loss(side, c, 0.7), dense_skill_term(x, c, 0.7))
 
     @pytest.mark.parametrize("seed", range(5))
     def test_structural_term(self, sparse, seed):
         _, a, c = random_instance(seed)
-        got = structural_term(sp.csr_array(a) if sparse else a, c, 3.0)
+        got = structural_loss(sp.csr_array(a) if sparse else a, c, 3.0)
         assert_term_matches(got, dense_structural_term(a, c, 3.0))
 
-    def test_skill_loss_and_structural_loss_use_the_terms(self, sparse):
+    def test_sparse_inputs_give_the_dense_bits(self, sparse):
         x, a, c = random_instance(11)
         wrap = sp.csr_array if sparse else np.asarray
-        assert skill_loss(wrap(x), c) == skill_term(feature_factor(x), c)[0]
-        assert structural_loss(wrap(a), c) == structural_term(a, c)[0]
+        for got, want in [
+            (skill_loss(feature_factor(wrap(x)), c), skill_loss(feature_factor(x), c)),
+            (structural_loss(wrap(a), c), structural_loss(a, c)),
+        ]:
+            assert got[0] == want[0]
+            assert np.array_equal(got[1], want[1])
 
     @pytest.mark.parametrize("seed", range(12, 20))
     def test_exact_fit_gives_zero_value_and_gradient(self, sparse, seed):
         # the three terms of the identity cancel to a rounding residue of either sign
         c = row_softmax(np.random.default_rng(seed).normal(size=(25, 4)))
         a = c @ c.T
-        value, grad = structural_term(sp.csr_array(a) if sparse else a, c, 5.0)
+        value, grad = structural_loss(sp.csr_array(a) if sparse else a, c, 5.0)
         assert value == 0.0
         assert not grad.any()
         assert dense_structural_term(a, c, 5.0)[0] == 0.0
@@ -342,27 +346,27 @@ class TestLowRankTermsMatchDenseOracle:
 class TestClusteringLoss:
     def test_one_hot_rows_give_zero(self):
         c = np.array([[1.0, 0.0], [0.0, 1.0], [1.0, 0.0]])
-        assert clustering_loss(c) == 0.0
+        assert clustering_loss(c)[0] == 0.0
 
     def test_uniform_rows_give_log_c(self):
         c = np.full((3, 2), 0.5)
-        assert clustering_loss(c) == pytest.approx(math.log(2), abs=1e-12)
+        assert clustering_loss(c)[0] == pytest.approx(math.log(2), abs=1e-12)
 
     def test_mixed_rows(self):
         c = np.array([[1.0, 0.0], [0.5, 0.5]])
-        assert clustering_loss(c) == pytest.approx(math.log(2) / 2, abs=1e-12)
+        assert clustering_loss(c)[0] == pytest.approx(math.log(2) / 2, abs=1e-12)
 
     def test_matches_naive_oracle(self):
         rng = np.random.default_rng(8)
         c = row_softmax(rng.normal(size=(6, 4)))
-        assert clustering_loss(c) == pytest.approx(naive_clustering_loss(c), abs=1e-12)
+        assert clustering_loss(c)[0] == pytest.approx(naive_clustering_loss(c), abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
     @settings(max_examples=50)
     def test_bounds(self, seed, c_count):
         rng = np.random.default_rng(seed)
         c = row_softmax(rng.normal(size=(5, c_count)))
-        val = clustering_loss(c)
+        val = clustering_loss(c)[0]
         assert -1e-12 <= val <= math.log(c_count) + 1e-12
 
 
