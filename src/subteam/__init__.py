@@ -55,12 +55,10 @@ from .objectives import (
     skill_loss,
     structural_loss,
     team_embedding,
-    total_loss,
 )
 from .recommender import ReplacementResult, recommend
 from .trainer import (
     TrainConfig,
-    sample_subteam,
     split_teams,
     train,
     write_train_log,

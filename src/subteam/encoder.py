@@ -3,8 +3,9 @@
 :func:`forward` is the one encoder pass: :func:`encode` and the trainer call
 it, and the trainer's backpropagation (checked against finite differences in
 the test suite) reads the intermediates it returns. :meth:`ClusterModel.build`
-takes its embeddings from :func:`encode` and its soft assignments from the
-cluster head that ends :func:`forward`. All forward operations are pure
+takes its embeddings from :func:`encode` and its hard assignments from the
+cluster head that ends :func:`forward`. Checkpoints record ``EncoderParams.dims``,
+the ``(d, hidden, clusters)`` of the weight shapes. All forward operations are pure
 functions of immutable inputs; parameter objects are never mutated in place.
 Cluster ids are 1-based throughout, matching the hard-assignment convention
 used by the recommender.
@@ -15,7 +16,7 @@ from __future__ import annotations
 import json
 import math
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 
 import numpy as np
@@ -24,15 +25,6 @@ from .errors import ValidationError
 from .graph import SocialNetwork, normalize_adjacency
 
 CHECKPOINT_VERSION = 1
-
-
-@dataclass(frozen=True)
-class EncoderDims:
-    """Shape record: input feature width, per-layer output widths, cluster count."""
-
-    d: int
-    hidden: tuple[int, ...]
-    clusters: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -69,12 +61,10 @@ class EncoderParams:
         object.__setattr__(self, "cluster_weight", head)
 
     @property
-    def dims(self) -> EncoderDims:
-        return EncoderDims(
-            d=self.layer_weights[0].shape[0],
-            hidden=tuple(w.shape[1] for w in self.layer_weights),
-            clusters=self.cluster_weight.shape[1],
-        )
+    def dims(self) -> tuple[int, tuple[int, ...], int]:
+        """``(d, hidden, clusters)``: input width, per-layer output widths, cluster count."""
+        hidden = tuple(w.shape[1] for w in self.layer_weights)
+        return self.layer_weights[0].shape[0], hidden, self.cluster_weight.shape[1]
 
 
 def default_cluster_count(n: int) -> int:
@@ -112,8 +102,8 @@ def forward(norm_adj, ax, params: EncoderParams) -> Forward:
     ``ax`` is ``norm_adj @ features`` (sparse when the features are), computed
     once by the caller since no weight enters it; later layers aggregate here.
     """
-    if params.dims.d != ax.shape[1]:
-        raise ValidationError(f"params expect d={params.dims.d}, features have d={ax.shape[1]}")
+    if params.dims[0] != ax.shape[1]:
+        raise ValidationError(f"params expect d={params.dims[0]}, features have d={ax.shape[1]}")
     aggregated, activations = [], []
     m = ax
     for w in params.layer_weights:
@@ -164,7 +154,7 @@ def build_containers(h: np.ndarray, c: int) -> dict[int, np.ndarray]:
 
 @dataclass(frozen=True, eq=False)
 class ClusterModel:
-    """Inference-time bundle: embeddings, soft/hard assignments, cluster containers.
+    """Inference-time bundle: embeddings, hard assignments, cluster containers.
 
     The model holds its embeddings once, as ``padded``: an (n+1)×w float64
     array whose last row, at id n, is zeros. ``embeddings`` is the view of its
@@ -172,20 +162,21 @@ class ClusterModel:
     ``padded`` by global node id with id n standing for team members and
     repeats. The search pools are the hard clusters, built once:
     ``containers`` is :func:`build_containers` of ``hard`` and the width c of
-    ``soft``, and ``hard`` is kept as a read-only copy. Construction raises
-    :class:`ValidationError` unless the embeddings' sum of squares is finite,
-    ``hard`` is a 1-D integer array of length n with ids in 1..c, ``soft`` has
-    n rows, and the ``containers`` passed in equal that grouping: integer ids
-    in ascending order under every cluster id 1..c.
+    ``soft``, which the model does not keep, and ``hard`` is kept as a
+    read-only copy. Construction raises :class:`ValidationError` unless the
+    embeddings' sum of squares is finite, ``hard`` is a 1-D integer array of
+    length n with ids in 1..c, ``soft`` has n rows, and the ``containers``
+    passed in equal that grouping: integer ids in ascending order under every
+    cluster id 1..c.
     """
 
     embeddings: np.ndarray
-    soft: np.ndarray
+    soft: InitVar[np.ndarray]
     hard: np.ndarray
     containers: Mapping[int, np.ndarray]
     padded: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
+    def __post_init__(self, soft):
         z = np.asarray(self.embeddings, dtype=np.float64)
         if z.ndim != 2:
             raise ValidationError(f"embeddings must be 2-D, got shape {z.shape}")
@@ -199,7 +190,7 @@ class ClusterModel:
                 f"hard must be a 1-D integer array of length {n}, got {hard.dtype} of shape {hard.shape}"
             )
         hard.flags.writeable = False
-        soft = np.asarray(self.soft)
+        soft = np.asarray(soft)
         if soft.ndim != 2 or soft.shape[0] != n:
             raise ValidationError(f"soft must have {n} rows, got shape {soft.shape}")
         containers = build_containers(hard, soft.shape[1])
@@ -214,7 +205,6 @@ class ClusterModel:
         padded.flags.writeable = False
         object.__setattr__(self, "padded", padded)
         object.__setattr__(self, "embeddings", padded[:n])
-        object.__setattr__(self, "soft", soft)
         object.__setattr__(self, "hard", hard)
         object.__setattr__(self, "containers", MappingProxyType(containers))
 
@@ -223,24 +213,19 @@ class ClusterModel:
         z = encode(net, params)
         _, soft = _cluster_head(z, params)
         hard = hard_assign(soft)
-        containers = build_containers(hard, params.dims.clusters)
+        containers = build_containers(hard, params.dims[2])
         return cls(embeddings=z, soft=soft, hard=hard, containers=containers)
 
     @property
     def n(self) -> int:
         return self.embeddings.shape[0]
 
-    @property
-    def clusters(self) -> int:
-        return self.soft.shape[1]
-
 
 def save_checkpoint(params: EncoderParams, path) -> None:
     """Write weights as a versioned JSON document with row-major float arrays."""
-    dims = params.dims
     doc = {
         "format_version": CHECKPOINT_VERSION,
-        "dims": {"d": dims.d, "hidden": list(dims.hidden), "clusters": dims.clusters},
+        "dims": dict(zip(("d", "hidden", "clusters"), params.dims)),  # hidden writes as a list
         "layer_weights": [w.tolist() for w in params.layer_weights],
         "cluster_weight": params.cluster_weight.tolist(),
     }
@@ -270,10 +255,8 @@ def load_checkpoint(path) -> EncoderParams:
     except (ValueError, KeyError, TypeError, AttributeError, IndexError) as exc:
         cause = f"missing key {exc}" if isinstance(exc, KeyError) else str(exc)
         raise ValidationError(f"malformed checkpoint {path}: {cause}") from exc
-    expected = params.dims
-    if declared != (expected.d, expected.hidden, expected.clusters):
+    if declared != params.dims:
         raise ValidationError(
-            f"checkpoint dims record {declared} does not match weight shapes "
-            f"({expected.d}, {expected.hidden}, {expected.clusters})"
+            f"checkpoint dims record {declared} does not match weight shapes {params.dims}"
         )
     return params

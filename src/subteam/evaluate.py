@@ -45,7 +45,7 @@ import numpy as np
 
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .graph import LabeledGraph, SocialNetwork, Team, check_seed, draw_subset, induced_subgraph
+from .graph import SocialNetwork, Team, check_seed, draw_subset, induced_subgraph
 from .kernels import (
     KernelConfig,
     graph_edit_distance,

@@ -245,8 +245,17 @@ def random_walk_kernel(
     moving at the solver's step cap raises :class:`ConvergenceError`. Given
     ``best``, the best score found so far (-inf for none), only the largest
     score is asked for: a graph that provably scores below ``best`` or below
-    another graph of the stack is pruned and scores -inf.
+    another graph of the stack is pruned and scores -inf. Other shapes, or
+    empty graphs, raise :class:`ValidationError`; an empty stack scores nothing.
     """
+    m = adjacency.shape[-1] if adjacency.ndim == 3 else 0
+    if not (g1.size and m and adjacency.shape[1] == m and lx.shape == (len(adjacency), g1.size, m)):
+        raise ValidationError(
+            f"need a non-empty g1, adjacency (B, m, m) and label products (B, {g1.size}, m) "
+            f"with m >= 1, got adjacency {adjacency.shape} and label products {lx.shape}"
+        )
+    if not len(adjacency):
+        return np.zeros(0)
     rs1 = g1.adjacency.sum(axis=1)
     rs2 = adjacency.sum(axis=2)
     walk = lx * (rs1[:, None] * rs2[:, None, :])

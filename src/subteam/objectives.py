@@ -5,9 +5,10 @@ the gradient taken with respect to the soft assignments C (or the embeddings z
 for the contrastive term); take ``[0]`` for the value alone. The trainer
 backpropagates that gradient through the encoder, and the test suite's
 ``gradient_check_report`` oracle checks it against central finite differences.
-All operations are pure. The skill and structural terms never build an n x n
-array: they use dense n x d features, n x k assignments, k x k and d x k Grams,
-and the adjacency as given, dense or sparse.
+The trainer weighs the values by :class:`LossWeights`, and one ``EpochStats``
+records an epoch's values and total. All operations are pure. The skill and
+structural terms never build an n x n array: they use dense n x d features,
+n x k assignments, k x k and d x k Grams, and the adjacency, dense or sparse.
 """
 
 from __future__ import annotations
@@ -38,15 +39,6 @@ class LossWeights:
             val = getattr(self, name)
             if not math.isfinite(val) or val < 0:
                 raise ValidationError(f"loss weight {name} must be finite and >= 0, got {val}")
-
-
-@dataclass(frozen=True)
-class LossReport:
-    contra: float
-    skill: float
-    structural: float
-    clustering: float
-    total: float
 
 
 def _members_of(team) -> tuple[int, ...]:
@@ -249,14 +241,3 @@ def clustering_loss(c_mat: np.ndarray, scale: float = 1.0) -> tuple[float, np.nd
     np.log(c_mat, out=logs, where=c_mat > 0)
     value = float(-(c_mat * logs).sum(axis=1).mean())
     return value, np.where(c_mat > 0, -scale * (logs + 1.0) / c_mat.shape[0], 0.0)
-
-
-def total_loss(contra, skill, structural, clustering, weights: LossWeights) -> LossReport:
-    """Weighted sum of the four terms."""
-    total = (
-        contra
-        + weights.skill * skill
-        + weights.structural * structural
-        + weights.clustering * clustering
-    )
-    return LossReport(*(float(v) for v in (contra, skill, structural, clustering, total)))

@@ -4,6 +4,8 @@ The encoder forward pass is :func:`subteam.encoder.forward`, and each loss
 term's value and gradient come from one function in :mod:`subteam.objectives`.
 This module adds the chain rule through the cluster head and the layers; an
 oracle in the test suite checks it against central finite differences.
+:func:`subteam.graph.draw_subset` draws each epoch's subteams, and one
+:class:`EpochStats` records an epoch's four loss values and their weighted total.
 The whole loop is deterministic for a fixed seed: identical configuration and
 data reproduce bit-identical parameters.
 """
@@ -12,7 +14,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import asdict, astuple, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,7 +28,6 @@ from .objectives import (
     feature_factor,
     skill_loss,
     structural_loss,
-    total_loss,
 )
 
 # training holds dense n x d feature rows, the skill term's d x d Gram, the
@@ -112,31 +113,19 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
     )
 
 
-def sample_subteam(team, fraction_range, rng: np.random.Generator):
-    """Uniform subteam of fractional size; None for teams too small to split.
-
-    ``team`` is a :class:`Team` or an array of its members; the size fraction is
-    drawn uniformly from ``fraction_range``, then :func:`subteam.graph.draw_subset` draws.
-    """
-    members = np.asarray(getattr(team, "members", team))
-    if len(members) < 2:
-        return None
-    return draw_subset(members, rng.uniform(*fraction_range), rng)
-
-
 def _member_arrays(teams) -> list[tuple[tuple[int, ...], np.ndarray]]:
     """Each team's members as a tuple and as an array, built once per run for the sampler."""
     return [(team.members, np.asarray(team.members)) for team in teams]
 
 
 def _sample_batch(teams, fraction_range, rng) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(team members, sampled subteam) for each :func:`_member_arrays` entry that can split."""
-    pairs = []
-    for members, array in teams:
-        sub = sample_subteam(array, fraction_range, rng)
-        if sub is not None:
-            pairs.append((members, sub))
-    return pairs
+    """(team members, subteam) for each :func:`_member_arrays` entry of 2 or more members;
+    each draws its fraction uniformly from ``fraction_range``, then :func:`draw_subset` draws."""
+    return [
+        (members, draw_subset(array, rng.uniform(*fraction_range), rng))
+        for members, array in teams
+        if len(array) >= 2
+    ]
 
 
 class _LossModel:
@@ -157,7 +146,7 @@ class _LossModel:
         return fwd
 
     def terms(self, fwd: Forward, pairs, wvec):
-        """Each term's value, and the gradients of the wvec-weighted sum wrt z and C."""
+        """Each term's value, their wvec-weighted total, and the total's gradients wrt z and C."""
         w_contra, b1, b2, b3 = wvec
         z, c = fwd.z, fwd.c
         # the four terms are looked up as this module's globals, where perfbench/tracing.py
@@ -166,8 +155,9 @@ class _LossModel:
         skill, g_skill = skill_loss(self.feature_side, c, b1)
         structural, g_structural = structural_loss(self.adjacency, c, b2, self.adjacency_fro2)
         clustering, g_clustering = clustering_loss(c, b3)
-        parts = dict(contra=contra, skill=skill, structural=structural, clustering=clustering)
-        return parts, dz, g_skill + g_structural + g_clustering
+        losses = dict(contra=contra, skill=skill, structural=structural, clustering=clustering)
+        losses["total"] = w_contra * contra + b1 * skill + b2 * structural + b3 * clustering
+        return losses, dz, g_skill + g_structural + g_clustering
 
     def backward(self, params: EncoderParams, fwd: Forward, dz: np.ndarray, dc: np.ndarray):
         """Gradients wrt every layer weight and the head, given dL/dz and dL/dC."""
@@ -237,8 +227,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))
     sampler = np.random.default_rng([cfg.seed, 1])
     model = _LossModel(net)
-    weights = cfg.weights
-    wvec = (1.0, weights.skill, weights.structural, weights.clustering)
+    wvec = (1.0, cfg.weights.skill, cfg.weights.structural, cfg.weights.clustering)
 
     log: list[EpochStats] = []
     best_val = np.inf
@@ -247,9 +236,8 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         pairs = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
-        parts, dz, dc = model.terms(fwd, pairs, wvec)
-        report = total_loss(**parts, weights=weights)
-        for name, value in asdict(report).items():
+        losses, dz, dc = model.terms(fwd, pairs, wvec)
+        for name, value in losses.items():
             if not np.isfinite(value):
                 raise NonFiniteLossError(f"{name} loss", epoch, value)
 
@@ -274,7 +262,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
                 best_params = params
 
         wall_ms = (time.perf_counter() - t0) * 1e3
-        log.append(EpochStats(epoch, *astuple(report), val_contra, wall_ms))
+        log.append(EpochStats(epoch, **losses, val_contra=val_contra, wall_ms=wall_ms))
     return (best_params if best_params is not None else params), log
 
 

@@ -497,9 +497,11 @@ def gradient_check_report(
     head = params.cluster_weight.copy()
     matrices = [*work, head]
 
-    def values() -> dict[str, float]:
+    def values() -> list[float]:
+        """The four term values, in ``wvec`` order; the oracle weighs them itself."""
         perturbed = EncoderParams(layer_weights=tuple(work), cluster_weight=head)
-        return model.terms(forward(model.norm_adj, model.ax, perturbed), pairs, wvecs["total"])[0]
+        losses = model.terms(forward(model.norm_adj, model.ax, perturbed), pairs, wvecs["total"])[0]
+        return [losses[name] for name in ("contra", "skill", "structural", "clustering")]
 
     fwd = forward(model.norm_adj, model.ax, params)
     analytic = {}
@@ -520,8 +522,8 @@ def gradient_check_report(
             mat[idx] = orig
             for name, wvec in wvecs.items():
                 numeric[name][mat_idx][idx] = (
-                    sum(w * v for w, v in zip(wvec, plus.values()))
-                    - sum(w * v for w, v in zip(wvec, minus.values()))
+                    sum(w * v for w, v in zip(wvec, plus))
+                    - sum(w * v for w, v in zip(wvec, minus))
                 ) / (2 * eps)
 
     report = {}

@@ -12,6 +12,7 @@ import pytest
 from conftest import strict_json
 from subteam import cli, graph, kernels, recommender, trainer
 from subteam.cli import build_parser, main
+from subteam.errors import ParseError
 from subteam.kernels import KernelConfig
 from subteam.objectives import LossWeights
 from subteam.trainer import TrainConfig
@@ -834,6 +835,37 @@ def test_diverging_training_exits_2_without_output(tmp_path, capsys, lr, epochs)
     assert not (data / "train.log").exists()
 
 
+def test_overflowing_total_loss_exits_2_naming_it(tmp_path, capsys):
+    # the README quickstart's data: every term is finite, and 1e308 times the
+    # structural term is not
+    data = tmp_path / "data"
+    synth = ["synth", "--n", "48", "--d", "16", "--clusters", "4", "--teams", "40", "--seed", "11"]
+    assert main(synth + ["--out", str(data)]) == 0
+    capsys.readouterr()
+    train = ["train", "--data", str(data), "--epochs", "200", "--hidden", "16", "16"]
+    code = main(train + ["--seed", "11", "--b2", "1e308"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: non-finite total loss at epoch 1: inf\n"
+    assert not (data / "checkpoint.json").exists()
+    assert not (data / "train.log").exists()
+
+
+def test_team_file_with_a_non_integer_token_exits_2(tmp_path, capsys):
+    data = run_synth(tmp_path)
+    lines = (data / "teams.txt").read_text().splitlines()
+    lines[2] = lines[2] + " x7"
+    (data / "teams.txt").write_text("\n".join(lines) + "\n")
+    net = graph.load_network(data / "edges.tsv", data / "features.tsv")
+    with pytest.raises(ParseError, match=r"teams\.txt:3: .*'x7'"):
+        graph.load_teams(data / "teams.txt", net)
+    code = main(TRAIN_FAST + ["--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.fullmatch(r"error: \S*teams\.txt:3: .*'x7'\n", err), err
+    assert not (data / "checkpoint.json").exists()
+
+
 def test_parser_defaults_are_the_dataclass_defaults():
     _, commands = build_parser()
     train = commands["train"].parse_args(["--data", "d"])
@@ -919,6 +951,15 @@ class TestConfigFile:
         # an explicit flag still wins over the config's value
         overridden = answer("--config", str(cfg), "--departing", *team[:2])
         assert overridden == answer(*flags, "--departing", *team[:2]) != by_config
+
+    def test_config_holding_a_json_array_exits_2(self, tmp_path, capsys):
+        data = run_synth(tmp_path)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text('[["epochs", 2]]')
+        assert main(["train", "--data", str(data), "--config", str(cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: config {cfg} must hold a JSON object\n"
+        assert not (data / "checkpoint.json").exists()
 
     def test_bad_json_config_exits_2(self, tmp_path, capsys):
         data = run_synth(tmp_path)

@@ -193,15 +193,15 @@ class TestClusterModel:
         for hidden in ((6,), (6, 5)):
             params = init_params(8, hidden, 4, np.random.default_rng(3))
             model = ClusterModel.build(net, params)
-            assert model.n == 20 and model.clusters == 4
-            assert np.allclose(model.soft.sum(axis=1), 1.0)
-            for node, cluster in enumerate(model.hard):
-                assert node in model.containers[int(cluster)]
-                assert model.soft[node].argmax() + 1 == cluster
+            assert model.n == 20 and list(model.containers) == [1, 2, 3, 4]
+            assert not hasattr(model, "soft")  # read for its width, not kept
             # build computes the head from encode's embeddings: the same bits as one pass
             fwd = forward(norm_adj, norm_adj @ net.features, params)
+            assert np.allclose(fwd.c.sum(axis=1), 1.0)
+            for node, cluster in enumerate(model.hard):
+                assert node in model.containers[int(cluster)]
+                assert fwd.c[node].argmax() + 1 == cluster
             assert np.array_equal(model.embeddings, fwd.z)
-            assert np.array_equal(model.soft, fwd.c)
             assert np.array_equal(model.hard, hard_assign(fwd.c))
 
     def test_embeddings_are_the_padded_rows_above_a_zero_row(self):
@@ -216,7 +216,9 @@ class TestClusterModel:
         with pytest.raises(ValueError):
             model.embeddings[0, 0] = 1.0
         with pytest.raises(ValidationError, match="2-D"):
-            ClusterModel(embeddings=np.zeros(3), soft=model.soft, hard=model.hard, containers={})
+            ClusterModel(
+                embeddings=np.zeros(3), soft=np.ones((3, 2)), hard=model.hard, containers={}
+            )
 
     def test_containers_are_the_hard_clusters_built_once(self):
         hard = np.array([2, 1, 2])
@@ -282,12 +284,16 @@ class TestCheckpoint:
 
     def test_dims_mismatch_rejected(self, tmp_path):
         params = init_params(3, (2,), 2, np.random.default_rng(0))
+        assert params.dims == (3, (2,), 2)
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         doc = path.read_text().replace('"d": 3', '"d": 7')
         path.write_text(doc)
-        with pytest.raises(ValidationError, match="dims"):
+        with pytest.raises(ValidationError) as err:
             load_checkpoint(path)
+        assert str(err.value) == (
+            "checkpoint dims record (7, (2,), 2) does not match weight shapes (3, (2,), 2)"
+        )
 
 
 class TestEncoderParamsValidation:

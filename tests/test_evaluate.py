@@ -8,7 +8,7 @@ import pytest
 from conftest import net_from_dense, strict_json
 from oracles import per_case_comparison
 from subteam import evaluate, kernels
-from subteam.encoder import ClusterModel, init_params
+from subteam.encoder import ClusterModel, build_containers, init_params
 from subteam.errors import ValidationError
 from subteam.evaluate import (
     CaseOutcome,
@@ -383,6 +383,45 @@ def test_refused_searches_keep_the_reason_the_oracle_records(eval_instance, monk
     assert set(reasons) == {("ok", None), ("refused", "RefusalError")}
     refused = reasons["refused", "RefusalError"]
     assert report.methods["kernel"]["refusals"] == {"RefusalError": refused}
+
+
+def test_a_team_that_is_its_own_cluster_has_no_candidate(eval_instance):
+    # team (0, 1, 2) is all of cluster 1, so the within-cluster search finds no
+    # one to bring in; the kernel baseline searches the whole network and does
+    net, teams, _ = eval_instance
+    closed, open_team = Team((0, 1, 2)), Team((3, 5, 8, 13))
+    hard = np.full(net.n, 2)
+    hard[list(closed.members)] = 1
+    z = np.random.default_rng(4).normal(size=(net.n, 5))
+    model = ClusterModel(
+        embeddings=z, soft=np.ones((net.n, 2)), hard=hard, containers=build_containers(hard, 2)
+    )
+    args = (net, [closed, open_team], ["genius", "kernel"], [25.0, 50.0], 3)
+    report = run_comparison(*args, model=model, kernel_cfg=KCFG)
+    closed_cases = {o.case_id for o in report.cases if o.team == closed.members}
+    assert len(closed_cases) == 2
+    for o in report.cases:
+        if o.case_id in closed_cases and o.method == "genius":
+            assert (o.status, o.subteam, o.metrics) == ("no-candidate", None, None)
+        else:
+            assert o.status == "ok" and o.metrics is not None
+    methods = report.methods
+    assert methods["genius"]["no_candidates"] == 2 and methods["kernel"]["no_candidates"] == 0
+    # the closed team's cases add to no method's means: the entries equal those
+    # of a report without them
+    rest = EvalReport(report.config, [o for o in report.cases if o.case_id not in closed_cases])
+    for name, entry in methods.items():
+        assert entry["cases"] == 2
+        assert {**entry, "no_candidates": 0} == rest.methods[name]
+    got = [
+        dict(
+            case_id=o.case_id, team=o.team, departing=o.departing, percent=o.percent,
+            method=o.method, status=o.status, subteam=o.subteam, metrics=o.metrics,
+            reason=o.reason,
+        )
+        for o in report.cases
+    ]
+    assert got == per_case_comparison(*args, model, KCFG)
 
 
 def hand_outcome(

@@ -608,6 +608,19 @@ class TestGenerateSynthetic:
         with pytest.raises(ValidationError):
             generate_synthetic(n=20, d=8, k_planted=3, p_in=0.5, p_out=0.1, teams=1, seed=0)
 
+    @pytest.mark.parametrize(
+        "n, d, k, teams, message",
+        [
+            (8, 8, 8, 1, "blocks need at least 2 nodes to host teams"),
+            (20, 3, 4, 1, r"need at least one feature per block \(d=3, k=4\)"),
+            (20, 8, 4, -1, "team count must be non-negative"),
+        ],
+        ids=["one-node-blocks", "fewer-features-than-blocks", "negative-team-count"],
+    )
+    def test_shapes_that_cannot_host_the_blocks_rejected(self, n, d, k, teams, message):
+        with pytest.raises(ValidationError, match=message):
+            generate_synthetic(n=n, d=d, k_planted=k, p_in=0.5, p_out=0.1, teams=teams, seed=0)
+
     def test_teams_are_valid_and_mostly_block_local(self):
         net, teams = generate_synthetic(
             n=40, d=16, k_planted=4, p_in=0.8, p_out=0.05, teams=25, seed=9

@@ -1,5 +1,6 @@
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -109,6 +110,31 @@ class TestRandomWalkKernel:
         # a NaN decay would pass the spectral guard and spin the solver to its step cap
         with pytest.raises(ValidationError, match="decay"):
             KernelConfig(decay=decay)
+
+
+    @pytest.mark.parametrize(
+        "g1_size, adjacency, lx",
+        [
+            (3, (2, 4, 4), (2, 2, 4)),
+            (3, (2, 4, 3), (2, 3, 3)),
+            (3, (2, 4, 4), (1, 3, 4)),
+            (3, (4, 4), (3, 4)),
+            (3, (2, 0, 0), (2, 3, 0)),
+            (0, (2, 4, 4), (2, 0, 4)),
+        ],
+        ids=["label-rows", "square", "depth", "unstacked", "empty-graphs", "empty-g1"],
+    )
+    def test_stack_shapes_that_do_not_fit_rejected(self, g1_size, adjacency, lx):
+        g1 = LabeledGraph(adjacency=np.zeros((g1_size, g1_size)), labels=np.ones((g1_size, 2)))
+        shapes = f"got adjacency {adjacency} and label products {lx}"
+        with pytest.raises(ValidationError, match=re.escape(shapes)):
+            random_walk_kernel(g1, np.ones(adjacency), np.ones(lx), CFG)
+
+    def test_empty_stack_scores_nothing_without_a_solve(self, monkeypatch):
+        monkeypatch.setattr(kernels, "_product_space_solve", lambda *a: pytest.fail("solved"))
+        g1 = random_labeled_graph(np.random.default_rng(0), 3, 2)
+        scores = random_walk_kernel(g1, np.zeros((0, 4, 4)), np.zeros((0, 3, 4)), CFG, -np.inf)
+        assert scores.shape == (0,) and scores.dtype == np.float64
 
 
 class TestShortestPathKernel:

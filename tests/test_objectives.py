@@ -30,7 +30,6 @@ from subteam.objectives import (
     skill_loss,
     structural_loss,
     team_embedding,
-    total_loss,
 )
 
 
@@ -370,30 +369,7 @@ class TestClusteringLoss:
         assert -1e-12 <= val <= math.log(c_count) + 1e-12
 
 
-class TestTotalLoss:
-    def test_weighted_sum_with_standard_weights(self):
-        report = total_loss(-0.9, -3.0, 0.5, 0.1, LossWeights(1, 100, 1))
-        assert report.total == pytest.approx(-0.9 + 1 * -3.0 + 100 * 0.5 + 1 * 0.1)
-        assert report.contra == -0.9 and report.skill == -3.0
-
-    def test_all_zero(self):
-        assert total_loss(0, 0, 0, 0, LossWeights(1, 1, 1)).total == 0.0
-
-    def test_alternate_weight_preset(self):
-        report = total_loss(1.0, 1.0, 1.0, 1.0, LossWeights(100, 100, 10))
-        assert report.total == pytest.approx(1 + 100 + 100 + 10)
-
-    def test_report_identity(self):
-        w = LossWeights(2, 3, 4)
-        report = total_loss(0.5, -1.0, 2.0, 0.25, w)
-        recomputed = (
-            report.contra
-            + w.skill * report.skill
-            + w.structural * report.structural
-            + w.clustering * report.clustering
-        )
-        assert report.total == pytest.approx(recomputed, abs=1e-9)
-
+class TestLossWeights:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValidationError):
             LossWeights(-1, 0, 0)

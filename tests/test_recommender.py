@@ -415,7 +415,8 @@ class TestRecommend:
         answers = set()
         for kind in (list, tuple, lambda nodes: np.array(nodes, dtype=np.int32)):
             containers = {c: kind(nodes.tolist()) for c, nodes in model.containers.items()}
-            rebuilt = ClusterModel(model.embeddings, model.soft, model.hard, containers)
+            soft = np.ones((model.n, len(containers)))  # read only for its width
+            rebuilt = ClusterModel(model.embeddings, soft, model.hard, containers)
             result = recommend(team, departing, rebuilt, net)
             members, score, examined = product_search_oracle(team, departing, rebuilt)
             assert result.subteam == members

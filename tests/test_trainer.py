@@ -10,7 +10,8 @@ from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ParseError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
-from subteam.trainer import TrainConfig, sample_subteam, split_teams, train
+from subteam.objectives import LossWeights
+from subteam.trainer import TrainConfig, split_teams, train
 
 
 def make_teams(count, size=4, n=20, seed=0):
@@ -49,40 +50,50 @@ class TestSplitTeams:
             split_teams([], (0.6, 0.2, 0.2), 0)
 
 
-class TestSampleSubteam:
+def sample_batch(teams, fraction_range, rng):
+    """The trainer's (team members, subteam) draw over ``teams``."""
+    return trainer._sample_batch(trainer._member_arrays(teams), fraction_range, rng)
+
+
+class TestSampleBatch:
     def test_pair_team_always_single(self):
         rng = np.random.default_rng(0)
         team = Team((3, 9))
         for _ in range(20):
-            assert len(sample_subteam(team, (0.1, 0.9), rng)) == 1
+            [(members, sub)] = sample_batch([team], (0.1, 0.9), rng)
+            assert members == (3, 9) and len(sub) == 1
 
     def test_fixed_fraction_fixed_size(self):
         rng = np.random.default_rng(1)
         team = Team((0, 1, 2, 3))
         for _ in range(20):
-            assert len(sample_subteam(team, (0.5, 0.5), rng)) == 2
+            assert len(sample_batch([team], (0.5, 0.5), rng)[0][1]) == 2
 
-    def test_singleton_team_skipped(self):
+    def test_singleton_team_skipped_without_a_draw(self):
         rng = np.random.default_rng(2)
-        assert sample_subteam(Team((4,)), (0.2, 0.8), rng) is None
+        state = rng.bit_generator.state
+        assert sample_batch([Team((4,))], (0.2, 0.8), rng) == []
+        assert rng.bit_generator.state == state
 
     @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2**31 + 5])
     def test_same_draws_as_choosing_from_the_members(self, seed):
-        # drawing positions and indexing a member array built once takes the
-        # same random stream as rng.choice over the members, so subteams repeat
+        # per team of 2 or more, the fraction is drawn and then positions index a
+        # member array built once: the same random stream as rng.choice over the
+        # members, so subteams repeat
         teams = [Team(tuple(range(3 * i, 3 * i + size))) for i, size in enumerate(range(1, 40))]
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        arrays = [np.asarray(team.members) for team in teams]
+        members = trainer._member_arrays(teams)
         for _ in range(3):
-            for team, members in zip(teams, arrays):
-                got = sample_subteam(members, (0.25, 0.75), fast)
+            got = trainer._sample_batch(members, (0.25, 0.75), fast)
+            expected = []
+            for team in teams:
                 if len(team) < 2:
-                    assert got is None
                     continue
                 k = int(round(slow.uniform(0.25, 0.75) * len(team)))
                 k = min(max(k, 1), len(team) - 1)
                 chosen = slow.choice(np.asarray(team.members), size=k, replace=False)
-                assert got == tuple(sorted(int(v) for v in chosen))
+                expected.append((team.members, tuple(sorted(int(v) for v in chosen))))
+            assert got == expected
         assert fast.bit_generator.state == slow.bit_generator.state
 
     @given(st.integers(2, 10), st.integers(0, 2**32 - 1))
@@ -90,7 +101,7 @@ class TestSampleSubteam:
     def test_strict_nonempty_subset(self, size, seed):
         rng = np.random.default_rng(seed)
         team = Team(tuple(range(0, 3 * size, 3)))
-        sub = sample_subteam(team, (0.05, 0.95), rng)
+        [(_, sub)] = sample_batch([team], (0.05, 0.95), rng)
         assert 1 <= len(sub) <= len(team) - 1
         assert set(sub) < set(team.members)
 
@@ -178,6 +189,42 @@ class TestTrain:
             train(net, teams, cfg)
         assert err.value.term == "embeddings' sum of squares"
         assert err.value.epoch == 1
+
+    def test_overflowing_update_names_the_parameter_update(self, small_instance, monkeypatch):
+        # every loss term stays finite; only the step off the 1e308-sized gradients overflows
+        net, teams = small_instance
+        backward = trainer._LossModel.backward
+
+        def huge(self, *args):
+            grads, d_wc = backward(self, *args)
+            return [np.full_like(g, 1e308) for g in grads], np.full_like(d_wc, 1e308)
+
+        monkeypatch.setattr(trainer._LossModel, "backward", huge)
+        cfg = TrainConfig(epochs=2, hidden=(6,), clusters=3, seed=4, learning_rate=10.0)
+        with pytest.raises(NonFiniteLossError) as err:
+            train(net, teams, cfg)
+        assert (err.value.term, err.value.epoch, err.value.value) == ("parameter update", 1, np.inf)
+        assert str(err.value) == "non-finite parameter update at epoch 1: inf"
+
+    @pytest.mark.parametrize(
+        "weights",
+        [LossWeights(), LossWeights(100, 100, 10), LossWeights(2, 3, 4), LossWeights(0, 0, 0)],
+        ids=["standard", "preset", "distinct", "zero"],
+    )
+    def test_epoch_total_is_the_weighted_sum_of_its_terms(self, small_instance, weights):
+        net, teams = small_instance
+        cfg = TrainConfig(epochs=3, hidden=(6,), clusters=3, seed=5, weights=weights)
+        _, log = train(net, teams, cfg)
+        for e in log:
+            total = (
+                e.contra
+                + weights.skill * e.skill
+                + weights.structural * e.structural
+                + weights.clustering * e.clustering
+            )
+            assert e.total.hex() == total.hex()
+        if weights == LossWeights(0, 0, 0):
+            assert [e.total for e in log] == [e.contra for e in log]
 
     def test_returns_best_validation_params(self, small_instance):
         net, teams = small_instance
