@@ -50,7 +50,6 @@ from .objectives import (
     LossWeights,
     clustering_loss,
     contrastive_loss,
-    cosine,
     cosine_rows,
     skill_loss,
     structural_loss,

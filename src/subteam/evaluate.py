@@ -1,12 +1,14 @@
 """Multi-metric comparison of replacement methods on a held-out test split.
 
 Each test case (team, percentage, drawn departing subteam) is generated once
-and fed to every method, so all methods see identical inputs. The cases come
-grouped by held-out team, and each team is evaluated in one pass straight
-after its cases run, one :func:`evaluate_case_metrics` call that returns a
-dict per rebuilt team: its original graph and both self-kernels are computed
-once, and one :func:`~subteam.kernels.marginalized_kernel` call scores the
-self-kernel and every rebuilt team, NaN where the kernel refuses a pair.
+and fed to every method (``genius`` calls :func:`~subteam.recommender.recommend`,
+``kernel`` :func:`~subteam.kernels.kernel_baseline_replace`), so all methods see
+identical inputs. The cases come grouped by held-out team, and each team is
+evaluated in one pass straight after its cases run, one
+:func:`evaluate_case_metrics` call that returns a dict per rebuilt team: its
+original graph and both self-kernels are computed once, and one
+:func:`~subteam.kernels.marginalized_kernel` call scores the self-kernel and
+every rebuilt team, NaN where the kernel refuses a pair.
 
 Every result is a value or the class name of the error that refused it
 (``RefusalError`` or ``ConvergenceError``), from the search to the report: a
@@ -238,21 +240,6 @@ def draw_cases(teams, percentages, seed: int):
     return cases
 
 
-def _run_method(
-    method: str,
-    net: SocialNetwork,
-    team: Team,
-    departing: Team,
-    model: ClusterModel | None,
-    kernel_cfg: KernelConfig,
-):
-    if method == "genius":
-        if model is None:
-            raise ValidationError("the embedding method needs a trained model")
-        return recommend(team, departing, model, net)
-    return kernel_baseline_replace(team, departing, net, kernel_cfg)
-
-
 def normalize_methods(methods) -> list[str]:
     out = []
     for raw in methods:
@@ -285,10 +272,13 @@ def run_comparison(
     call, refused or not. Training time is amortized over the test teams and
     added to the trained method's total time. Means are over the cases all
     methods completed; refusals and no-candidate outcomes are counted per method.
-    A network without features is refused: every kernel on it is 0.
+    ``genius`` without a ``model``, no ``teams``, and a network without features
+    (every kernel on it is 0) are refused before any case runs.
     """
     kernel_cfg = kernel_cfg or KernelConfig()
     method_names = normalize_methods(methods)
+    if "genius" in method_names and model is None:
+        raise ValidationError("the embedding method needs a trained model")
     if not teams:
         raise ValidationError("empty test split")
     if net.d == 0:
@@ -300,9 +290,12 @@ def run_comparison(
         completed: list[CaseOutcome] = []
         new_teams: list[Team] = []  # the rebuilt team of each completed outcome
         for (case_id, _, pct, departing), method in itertools.product(team_cases, method_names):
+            lost = Team(departing)
             start = time.perf_counter()
             result = _value_or_refusal(
-                _run_method, method, net, team, Team(departing), model, kernel_cfg
+                *(recommend, team, lost, model, net)
+                if method == "genius"
+                else (kernel_baseline_replace, team, lost, net, kernel_cfg)
             )
             outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
             outcome.inference_ms = (time.perf_counter() - start) * 1e3

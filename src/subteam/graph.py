@@ -153,9 +153,6 @@ class Team:
     def __iter__(self):
         return iter(self.members)
 
-    def __contains__(self, node) -> bool:
-        return node in self.members
-
     def validate_for(self, net: SocialNetwork) -> None:
         if self.members[-1] >= net.n:
             raise ValidationError(

@@ -20,12 +20,12 @@ solves once per graph size, and scores NaN for a pair that its spectral guard
 or the step cap refuses. The whole-network baseline refuses (``RefusalError``)
 a query over more than ``BASELINE_BUDGET`` candidate teams. It gathers the
 candidates as stacked arrays and scores each chunk of them in one random-walk
-solve. Its label products are formed once per query, one row per network
-node, straight from the sparse feature rows, and each chunk gathers its stack
-from them. Each solve is a branch and bound for the best candidate: weights
-and features are nonnegative, so every iterate bounds its candidate's score
-from below and the spectral guard's bound caps what the steps still to come
-can add. A candidate whose upper bound falls below the best lower bound so
+solve. Its label products, the sparse feature rows times the original team's
+labels, are formed once per query, and each chunk gathers its stack from
+them. Each solve is a branch and bound for the best candidate: weights and
+features are nonnegative, so every iterate bounds its candidate's score from
+below and the spectral guard's bound caps what the steps still to come can
+add. A candidate whose upper bound falls below the best lower bound so
 far, in its chunk or an earlier one, stops iterating and scores -inf. Every
 other candidate's score equals its score alone bit for bit, so the winner is
 the exhaustive search's. At teams of 4 replacing 2 of 44 outside nodes, all
@@ -54,7 +54,6 @@ from dataclasses import dataclass
 from math import comb, isfinite, isqrt, log
 
 import numpy as np
-import scipy.sparse as sp
 
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
@@ -222,15 +221,6 @@ def _beaten(w: np.ndarray, moved: np.ndarray, tail: np.ndarray, margin: float, f
     return reach * (1 + margin) + margin * np.finfo(w.dtype).tiny < floor, floor
 
 
-def _label_products(features: sp.csr_array, g1: LabeledGraph) -> np.ndarray:
-    """(n, m1) label dot products of each CSR feature row with ``g1``'s labels.
-
-    Each entry sums over the row's nonzeros in column order, so equal rows give
-    equal bits wherever they come from, whatever the BLAS build.
-    """
-    return features @ g1.labels.T
-
-
 def random_walk_kernel(
     g1: LabeledGraph, adjacency: np.ndarray, lx: np.ndarray, cfg: KernelConfig, best=None
 ) -> np.ndarray:
@@ -239,8 +229,8 @@ def random_walk_kernel(
     With uniform start and stop vectors, each graph's score solves
     (I - decay * Lx (A1 (x) A2)) w = Lx x iteratively, where Lx is the diagonal
     of pairwise label dot products, and is y . w. ``adjacency`` is (B, m, m)
-    and ``lx`` (B, m1, m) holds each graph's label products from
-    ``_label_products``. The spectral guard is checked for the whole stack
+    and ``lx`` (B, m1, m) holds each graph's label products with ``g1``'s,
+    ``g1.labels @ labels.T``. The spectral guard is checked for the whole stack
     first; the error names the first graph that breaks it. A graph still
     moving at the solver's step cap raises :class:`ConvergenceError`. Given
     ``best``, the best score found so far (-inf for none), only the largest
@@ -438,8 +428,8 @@ def _candidate_graphs(
 
     Each row must be sorted, as a ``Team`` is. The adjacency stack is gathered
     from the dense restriction of the network to the nodes the rows use, and
-    the label stack from ``products``, the (n, m1) ``_label_products`` of the
-    network's feature rows.
+    the label stack from ``products``, the (n, m1) label products
+    ``net.features @ g1.labels.T`` of the network's feature rows.
     """
     nodes = np.unique(members)
     local = np.searchsorted(nodes, members)
@@ -484,7 +474,9 @@ def kernel_baseline_replace(
     original = induced_subgraph(net, team)
     best_members: tuple[int, ...] | None = None
     best_score = -np.inf
-    products = _label_products(net.features, original)
+    # (n, m1); each CSR entry sums its row's nonzeros in column order, so equal rows
+    # give equal bits wherever they come from, whatever the BLAS build
+    products = net.features @ original.labels.T
     batch = _baseline_batch(len(team), r, len(outside))
     # each combination as a row of positions in outside, a chunk of rows at a time;
     # fromiter over the flat positions, as a subarray dtype fills rows 2.5x slower

@@ -1,4 +1,7 @@
-"""Team embeddings, cosine similarity, and the training losses.
+"""Team embeddings, the cosine scorer, and the training losses.
+
+A team is any iterable of member ids, a ``Team`` or a tuple. :func:`cosine_rows`
+is the one scorer; one pair is a stack of one, ``cosine_rows(u, v[None])[0]``.
 
 Each loss term has one ``*_loss`` function that returns ``(value, gradient)``,
 the gradient taken with respect to the soft assignments C (or the embeddings z
@@ -41,10 +44,6 @@ class LossWeights:
                 raise ValidationError(f"loss weight {name} must be finite and >= 0, got {val}")
 
 
-def _members_of(team) -> tuple[int, ...]:
-    return tuple(getattr(team, "members", team))
-
-
 def ordered_sum(terms) -> np.ndarray:
     """Sum of the arrays in ``terms``, added one after another into the first.
 
@@ -63,7 +62,7 @@ def ordered_sum(terms) -> np.ndarray:
 
 def team_embedding(members, z: np.ndarray) -> np.ndarray:
     """Mean of the members' embedding rows (uniform aggregation weights)."""
-    ids = _members_of(members)
+    ids = tuple(members)
     if not ids:
         raise ValidationError("cannot embed an empty team")
     return ordered_sum(z[np.asarray(ids, dtype=np.intp)]) / len(ids)  # sums into a copy
@@ -74,8 +73,8 @@ def cosine_rows(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
 
     Dot products and norms are row-wise ``einsum`` reductions over contiguous
     copies, so a row's score depends neither on the other rows of ``vs`` nor on
-    its memory layout: it equals :func:`cosine` of that row bit for bit (a BLAS
-    matrix-vector product would not).
+    its memory layout: it equals ``cosine_rows(u, row[None])`` bit for bit (a
+    BLAS matrix-vector product would not).
     """
     u = np.ascontiguousarray(u, dtype=np.float64)
     vs = np.ascontiguousarray(vs, dtype=np.float64)
@@ -88,15 +87,6 @@ def cosine_rows(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
     nv = np.sqrt(np.einsum("ij,ij->i", vs, vs))
     dots = np.einsum("ij,j->i", vs, u)
     return np.divide(dots, nu * nv, out=out, where=~(nv < COSINE_NORM_FLOOR))
-
-
-def cosine(u: np.ndarray, v: np.ndarray) -> float:
-    """Cosine similarity; 0 by convention when either vector is (near-)zero."""
-    u = np.asarray(u, dtype=np.float64)
-    v = np.asarray(v, dtype=np.float64)
-    if u.shape != v.shape:
-        raise ValidationError(f"length mismatch: {u.shape} vs {v.shape}")
-    return float(cosine_rows(u, v[None])[0])
 
 
 def _row_normalize(m: np.ndarray) -> np.ndarray:
@@ -125,8 +115,8 @@ def contrastive_loss(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, n
     ids: list[int] = []
     counts: list[int] = []
     for team, subteam in batch:
-        team_ids = set(_members_of(team))
-        sub_ids = _members_of(subteam)
+        team_ids = set(team)
+        sub_ids = tuple(subteam)
         if not sub_ids:
             raise ValidationError("subteam must be non-empty")
         if not team_ids.issuperset(sub_ids):

@@ -96,9 +96,7 @@ class EpochStats:
 
 
 def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], list[Team]]:
-    """Deterministic shuffled partition; floor-sized val/test, remainder to train."""
-    if not teams:
-        raise ValidationError("cannot split an empty team list")
+    """Deterministic shuffled partition, empty for no teams; floor-sized val/test, rest to train."""
     check_seed(seed)
     _, f_val, f_test = _split_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(teams))

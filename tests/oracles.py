@@ -4,8 +4,8 @@ Everything here is written the slow, obvious way (explicit loops, explicit
 Kronecker products, full enumerations) and deliberately shares no code with
 the library beyond its public data types. The one exception is
 :func:`exhaustive_oracle`: it scores subsets with the library's
-``team_embedding`` and ``cosine``, so its similarity can be compared with the
-search's by ``==``, and it checks the search space, not the arithmetic.
+``team_embedding`` and ``cosine_rows``, so its similarity can be compared
+with the search's by ``==``, and it checks the search space, not the arithmetic.
 :func:`contrastive_term_oracle` and :func:`normalize_adjacency_oracle` are the
 earlier per-pair loop and diagonal-product forms of two library functions,
 kept so that the vectorized forms can be compared with them bit for bit.
@@ -32,17 +32,17 @@ import scipy.sparse as sp
 
 from subteam.encoder import EncoderParams, forward
 from subteam.errors import ConvergenceError, RefusalError
-from subteam.evaluate import METRICS, _run_method, draw_cases, normalize_methods
+from subteam.evaluate import METRICS, draw_cases, normalize_methods
 from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
 from subteam.kernels import (
-    _label_products,
     graph_edit_distance,
+    kernel_baseline_replace,
     marginalized_kernel,
     random_walk_kernel,
     shortest_path_kernel,
 )
-from subteam.objectives import COSINE_NORM_FLOOR, LossWeights, cosine, team_embedding
-from subteam.recommender import ReplacementResult
+from subteam.objectives import COSINE_NORM_FLOOR, LossWeights, cosine_rows, team_embedding
+from subteam.recommender import ReplacementResult, recommend
 from subteam.trainer import _LossModel, _member_arrays, _sample_batch
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
@@ -355,7 +355,7 @@ def exhaustive_oracle(
     for size in range(1, min(max_size, len(space)) + 1):
         for combo in itertools.combinations(space, size):
             examined += 1
-            score = cosine(reference, team_embedding(combo, z))
+            score = cosine_rows(reference, team_embedding(combo, z)[None])[0]
             if score > best_score or (score == best_score and combo < best_members):
                 best_score = score
                 best_members = combo
@@ -405,7 +405,7 @@ def marginalized_kernel_reference(g1: LabeledGraph, g2: LabeledGraph, terminatio
 def random_walk_pair(g1: LabeledGraph, g2: LabeledGraph, cfg) -> float:
     """``random_walk_kernel`` of one pair: a stack of one, unpruned, with the label
     products formed from ``g2``'s labels as a CSR matrix, as the baseline forms them."""
-    lx = np.ascontiguousarray(_label_products(sp.csr_array(g2.labels), g1).T[None])
+    lx = np.ascontiguousarray((sp.csr_array(g2.labels) @ g1.labels.T).T[None])
     return float(random_walk_kernel(g1, g2.adjacency[None], lx, cfg)[0])
 
 
@@ -435,7 +435,10 @@ def per_case_comparison(net, teams, methods, percentages, seed, model, kernel_cf
                        method=method, status="refused", subteam=None, metrics=None, reason=None)
             rows.append(row)
             try:
-                result = _run_method(method, net, team, Team(departing), model, kernel_cfg)
+                if method == "genius":
+                    result = recommend(team, Team(departing), model, net)
+                else:
+                    result = kernel_baseline_replace(team, Team(departing), net, kernel_cfg)
             except (RefusalError, ConvergenceError) as exc:
                 row["reason"] = type(exc).__name__
                 continue

@@ -172,12 +172,12 @@ def test_criterion_3_oracle_equivalence():
                 f"score mismatch {result.similarity!r} vs {oracle.similarity!r}",
             )
         # member sets must agree whenever the top score is unique
-        from subteam.objectives import cosine, team_embedding
+        from subteam.objectives import cosine_rows, team_embedding
 
         remaining = tuple(sorted(set(team.members) - set(departing.members)))
         reference = team_embedding(remaining, model.embeddings)
         scores = [
-            cosine(reference, team_embedding(combo, model.embeddings))
+            cosine_rows(reference, team_embedding(combo, model.embeddings)[None])[0]
             for size in (1, 2)
             for combo in itertools.combinations(union_space, size)
         ]

@@ -300,12 +300,20 @@ class TestRecommend:
         assert "error" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "defect", ["bad-json", "missing-key", "ragged-arrays", "layer-not-2d", "version-true"]
+        "defect",
+        [
+            "bad-json", "missing-key", "ragged-arrays", "layer-not-2d", "version-true",
+            "no-layers", "head-rows",
+        ],
     )
     def test_malformed_checkpoint_exits_2(self, trained, tmp_path, capsys, defect):
         doc = json.loads((trained / "checkpoint.json").read_text())
         if defect == "missing-key":
             del doc["layer_weights"]
+        elif defect == "no-layers":
+            doc["layer_weights"] = []
+        elif defect == "head-rows":  # one row fewer than the layer widths sum to
+            doc["cluster_weight"].pop()
         elif defect == "ragged-arrays":
             doc["cluster_weight"][0].append(0.0)
         elif defect == "layer-not-2d":  # loaded, then failed inside forward with exit 1
@@ -537,6 +545,16 @@ class TestEvaluate:
         )
         assert code == 4
 
+    def test_empty_team_file_is_an_empty_evaluation(self, tmp_path, capsys):
+        synth = list(SYNTH)
+        synth[synth.index("--teams") + 1] = "0"
+        data = tmp_path / "data"
+        assert main(synth + ["--out", str(data)]) == 0
+        code = main(["evaluate", "--data", str(data), "--methods", "kernel"])
+        err = capsys.readouterr().err
+        assert code == 4
+        assert "empty test split" in err and "error" not in err
+
     def test_ged_over_its_node_budget_skips_each_case(self, trained, monkeypatch, capsys):
         monkeypatch.setattr(kernels, "GED_MAX_EXPANDED", 0)
         args = ["--data", str(trained), "--checkpoint", str(trained / "checkpoint.json")]
@@ -748,6 +766,7 @@ BAD_NUMBERS = [
     ("evaluate", "--percent -5"),
     ("evaluate", "--percent 0"),
     ("evaluate", "--percent 250"),
+    ("evaluate", "--termination 1"),
     ("evaluate", "--split 0.5 nan 0.5"),
     ("train", "--split 0.5 nan 0.5"),
     ("train", "--lr nan"),
@@ -818,6 +837,19 @@ def test_train_on_an_empty_training_split_exits_2(tmp_path, capsys):
     assert "training split" in err and "internal" not in err
     assert not (data / "checkpoint.json").exists()
     assert not (data / "train.log").exists()
+
+
+def test_os_error_exits_1(tmp_path, monkeypatch, capsys):
+    data = run_synth(tmp_path)
+
+    def disk_full(*args):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(cli, "save_checkpoint", disk_full)
+    code = main(TRAIN_FAST + ["--data", str(data)])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert "error: disk full" in err and "internal" not in err
 
 
 @pytest.mark.parametrize("epochs", ["1", "2"])

@@ -164,6 +164,10 @@ class TestNormalizeMethods:
         with pytest.raises(ValidationError):
             normalize_methods(["genius", "mystery"])
 
+    def test_none_selected_rejected(self):
+        with pytest.raises(ValidationError, match="no methods selected"):
+            normalize_methods([])
+
 
 class TestRunComparison:
     def test_both_methods_share_cases_and_report(self, eval_instance):
@@ -217,6 +221,19 @@ class TestRunComparison:
         }
         assert kernel["cases"] == 0
         assert all(c.status == "refused" for c in report.cases)
+
+    def test_genius_without_a_model_is_refused_before_any_search(self, eval_instance, monkeypatch):
+        net, teams, _ = eval_instance
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return kernels.kernel_baseline_replace(*args)
+
+        monkeypatch.setattr(evaluate, "kernel_baseline_replace", counted)
+        with pytest.raises(ValidationError, match="needs a trained model"):
+            run_comparison(net, teams[:2], ["kernel", "genius"], [50.0], 0, model=None)
+        assert not calls
 
     def test_empty_split_rejected(self, eval_instance):
         net, _, model = eval_instance

@@ -413,6 +413,11 @@ class TestTeam:
         with pytest.raises(ValidationError, match="non-integer node id"):
             Team(ids)
 
+    def test_membership(self):
+        team = Team((7, 3, 5))
+        assert 3 in team and np.int64(5) in team and 7 in team
+        assert 0 not in team and 4 not in team and 8 not in team
+
     def test_numpy_integer_ids_are_kept_as_ints(self):
         members = Team(tuple(np.array([5, 2, 5], dtype=np.int32))).members
         assert members == (2, 5) and all(type(m) is int for m in members)
@@ -543,6 +548,32 @@ class TestSocialNetworkValidation:
     def test_row_count_mismatch_rejected(self):
         with pytest.raises(ValidationError):
             net_from_dense(np.zeros((2, 2)), np.eye(3))
+
+
+@pytest.mark.parametrize(
+    "build, match",
+    [
+        (lambda: net_from_dense(np.zeros((2, 3)), np.eye(2)), "adjacency must be square"),
+        (lambda: Team((-1, 2)), "negative node id in team: -1"),
+        (lambda: LabeledGraph(np.zeros((2, 3)), np.ones((2, 1))), "adjacency must be square"),
+        (lambda: LabeledGraph(np.zeros((2, 2)), np.ones((3, 1))), "labels must have one row"),
+        (lambda: LabeledGraph([[0.0, 1.0], [0.0, 0.0]], np.ones((2, 1))), "must be symmetric"),
+    ],
+    ids=["net-not-square", "negative-team-id", "graph-not-square", "label-rows", "asymmetric"],
+)
+def test_malformed_graph_rejected(build, match):
+    with pytest.raises(ValidationError, match=match):
+        build()
+
+
+@pytest.mark.parametrize(
+    "n, d, match",
+    [(2, 0, "isolated nodes in a network with d=0"), (0, 2, "dimension of an empty network")],
+)
+def test_save_network_refuses_what_no_marker_can_keep(tmp_path, n, d, match):
+    net = SocialNetwork(adjacency=sp.csr_array((n, n)), features=sp.csr_array((n, d)))
+    with pytest.raises(ValidationError, match=match):
+        save_network(net, tmp_path / "edges.tsv", tmp_path / "features.tsv")
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf], ids=["nan", "inf"])

@@ -39,7 +39,6 @@ from subteam.kernels import (
     KernelConfig,
     _baseline_batch,
     _candidate_graphs,
-    _label_products,
     graph_edit_distance,
     kernel_baseline_replace,
     marginalized_kernel,
@@ -552,7 +551,7 @@ class TestBatchedBaseline:
             for c in combos
         ]
         members = np.sort(np.hstack([np.tile(remaining, (len(combos), 1)), combos]), axis=1)
-        stacks = _candidate_graphs(net, members, _label_products(net.features, original))
+        stacks = _candidate_graphs(net, members, net.features @ original.labels.T)
         batched = random_walk_kernel(original, *stacks, self.CFG)
         assert all(b == s for b, s in zip(batched, singles))
         best = int(np.argmax(singles))
@@ -657,6 +656,25 @@ def overflowing_label_net() -> SocialNetwork:
     features = np.ones((5, 2))
     features[0, 0] = 1e160
     return net_from_dense(adjacency, features)
+
+
+EMPTY = LabeledGraph(adjacency=np.zeros((0, 0)), labels=np.zeros((0, 1)))
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: KernelConfig(termination=0.0), r"termination must be in \(0,1\)"),
+        (lambda: KernelConfig(termination=1.0), r"termination must be in \(0,1\)"),
+        (lambda: shortest_path_kernel(EMPTY, single_node([1.0])), "undefined for empty graphs"),
+        (lambda: shortest_path_kernel(single_node([1.0]), EMPTY), "undefined for empty graphs"),
+        (lambda: marginalized_kernel(single_node([1.0]), [EMPTY], CFG), "empty graphs"),
+    ],
+    ids=["termination-0", "termination-1", "sp-empty-g1", "sp-empty-g2", "marginalized-empty"],
+)
+def test_kernel_inputs_outside_their_domain_rejected(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 def test_nan_spectral_bound_is_refused_by_the_guard():
@@ -940,7 +958,7 @@ def test_baseline_iterates_only_candidates_that_can_win(entries, monkeypatch):
         departing = Team(team.members[1:3])
         original, combos, _ = candidate_graphs(net, team, departing)
         members = np.sort(np.hstack([np.tile(team.members[::3], (946, 1)), combos]), axis=1)
-        stacks = _candidate_graphs(net, members, _label_products(net.features, original))
+        stacks = _candidate_graphs(net, members, net.features @ original.labels.T)
         unpruned = random_walk_kernel(original, *stacks, cfg)
         steps.solves.clear()
         with monkeypatch.context() as spied:

@@ -24,7 +24,6 @@ from subteam.objectives import (
     LossWeights,
     clustering_loss,
     contrastive_loss,
-    cosine,
     cosine_rows,
     feature_factor,
     skill_loss,
@@ -66,22 +65,31 @@ class TestTeamEmbedding:
         with pytest.raises(ValidationError):
             team_embedding((), np.eye(2))
 
+    def test_team_and_tuple_agree(self):
+        z = np.random.default_rng(4).normal(size=(6, 3))
+        assert np.array_equal(team_embedding(Team((4, 1, 2)), z), team_embedding((1, 2, 4), z))
+
+
+def pair_cosine(u, v):
+    """The score of one pair, a stack of one."""
+    return cosine_rows(u, v[None])[0]
+
 
 class TestCosine:
     def test_self_similarity(self):
         v = np.array([1.0, 2.0, -3.0])
-        assert cosine(v, v) == pytest.approx(1.0)
+        assert pair_cosine(v, v) == pytest.approx(1.0)
 
     def test_orthogonal(self):
-        assert cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
+        assert pair_cosine(np.array([1.0, 0.0]), np.array([0.0, 1.0])) == 0.0
 
     def test_analytic_value(self):
-        assert cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(
+        assert pair_cosine(np.array([1.0, 1.0]), np.array([1.0, 0.0])) == pytest.approx(
             0.70710678, abs=1e-8
         )
 
     def test_zero_vector_convention(self):
-        assert cosine(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
+        assert pair_cosine(np.zeros(3), np.array([1.0, 0.0, 0.0])) == 0.0
 
     @given(
         st.lists(st.floats(-10, 10), min_size=2, max_size=6),
@@ -95,17 +103,17 @@ class TestCosine:
         # the floor is absolute, so scaling may carry a vector across it (pinned below)
         norms = [np.linalg.norm(w) for w in (u, v, alpha * u, beta * v)]
         assume(min(norms) >= COSINE_NORM_FLOOR)
-        assert cosine(alpha * u, beta * v) == pytest.approx(cosine(u, v), abs=1e-12)
+        assert pair_cosine(alpha * u, beta * v) == pytest.approx(pair_cosine(u, v), abs=1e-12)
 
     def test_norm_floor_is_absolute(self):
-        # recommend scores through cosine, and the naive oracle keeps the same floor
+        # recommend scores through cosine_rows, and the naive oracle keeps the same floor
         u = np.array([0.0, 1.37e-12])
         v = np.array([1.0, 1.0])
         assert np.linalg.norm(0.5 * u) < COSINE_NORM_FLOOR <= np.linalg.norm(u)
-        assert cosine(u, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
+        assert pair_cosine(u, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
         assert naive_cosine(u, v) == pytest.approx(math.sqrt(0.5), abs=1e-12)
         for a, b in ((0.5 * u, v), (v, 0.5 * u)):
-            assert cosine(a, b) == 0.0
+            assert pair_cosine(a, b) == 0.0
             assert naive_cosine(a, b) == 0.0
 
     @given(st.integers(0, 2**32 - 1))
@@ -122,7 +130,7 @@ class TestCosine:
             scores = cosine_rows(u, vs)
             assert np.array_equal(cosine_rows(u, np.asfortranarray(vs)), scores)
             for row, score in zip(vs, scores):
-                assert score == cosine(u, row)
+                assert score == pair_cosine(u, row)
                 if np.linalg.norm(row) < COSINE_NORM_FLOOR or np.linalg.norm(u) < COSINE_NORM_FLOOR:
                     assert score == 0.0
 
@@ -148,6 +156,13 @@ class TestContrastiveLoss:
         z = np.array([[1.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
         batch = [((0, 1), (0,)), ((2, 3), (2,))]
         assert contrastive_loss(batch, z)[0] == pytest.approx(-0.5)
+
+    def test_teams_and_tuples_agree(self):
+        z = np.random.default_rng(5).normal(size=(8, 3))
+        pairs = [((0, 1, 2), (1,)), ((3, 4, 5, 6), (3, 6))]
+        value, grad = contrastive_loss(pairs, z)
+        as_teams = contrastive_loss([(Team(team), Team(sub)) for team, sub in pairs], z)
+        assert as_teams[0] == value and np.array_equal(as_teams[1], grad)
 
     def test_subteam_equal_team_rejected(self):
         with pytest.raises(ValidationError):
@@ -367,6 +382,25 @@ class TestClusteringLoss:
         c = row_softmax(rng.normal(size=(5, c_count)))
         val = clustering_loss(c)[0]
         assert -1e-12 <= val <= math.log(c_count) + 1e-12
+
+
+    def test_no_rows_give_zero(self):
+        value, grad = clustering_loss(np.zeros((0, 3)))
+        assert value == 0.0 and grad.shape == (0, 3)
+
+
+@pytest.mark.parametrize(
+    "call, match",
+    [
+        (lambda: skill_loss(feature_factor(np.ones((3, 2))), np.ones((4, 2))), "row mismatch"),
+        (lambda: structural_loss(np.ones((3, 3)), np.ones((4, 2))), "shape mismatch"),
+        (lambda: structural_loss(np.ones((3, 4)), np.ones((3, 2))), "shape mismatch"),
+    ],
+    ids=["skill-rows", "structural-rows", "structural-not-square"],
+)
+def test_loss_inputs_that_do_not_fit_rejected(call, match):
+    with pytest.raises(ValidationError, match=match):
+        call()
 
 
 class TestLossWeights:

@@ -16,7 +16,7 @@ from subteam import recommender
 from subteam.encoder import ClusterModel, build_containers, init_params
 from subteam.errors import RefusalError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
-from subteam.objectives import cosine
+from subteam.objectives import cosine_rows
 from subteam.recommender import recommend
 
 
@@ -67,7 +67,7 @@ def product_search_oracle(team, departing, model):
         if not members:
             continue
         examined += 1
-        score = cosine(r, z[list(members)].mean(axis=0))
+        score = cosine_rows(r, z[list(members)].mean(axis=0)[None])[0]
         if score > best_score:
             best, best_score = members, score
     return best, best_score, examined
@@ -218,6 +218,11 @@ class TestRecommend:
             recommend(Team((0, 1)), Team((0, 1)), model, net)
         with pytest.raises(ValidationError):
             recommend(Team((0, 1)), Team((2,)), model, net)
+
+    def test_model_of_another_network_rejected(self):
+        model = rig_model(np.eye(4), [1, 1, 2, 2], 2)
+        with pytest.raises(ValidationError, match="model covers 4 nodes, network has 5"):
+            recommend(Team((0, 1)), Team((0,)), model, blank_net(5))
 
     def test_result_never_intersects_team(self):
         rng = np.random.default_rng(3)

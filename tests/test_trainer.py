@@ -45,9 +45,8 @@ class TestSplitTeams:
         combined = sorted((t.members for t in tr + va + te))
         assert combined == sorted(t.members for t in teams)
 
-    def test_empty_rejected(self):
-        with pytest.raises(ValidationError):
-            split_teams([], (0.6, 0.2, 0.2), 0)
+    def test_no_teams_give_empty_splits(self):
+        assert split_teams([], (0.6, 0.2, 0.2), 0) == ([], [], [])
 
 
 def sample_batch(teams, fraction_range, rng):
