@@ -47,7 +47,6 @@ from .kernels import (
     shortest_path_kernel,
 )
 from .objectives import (
-    LossWeights,
     clustering_loss,
     contrastive_loss,
     cosine_rows,

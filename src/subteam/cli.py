@@ -32,7 +32,6 @@ from .graph import (
     save_teams,
 )
 from .kernels import KernelConfig
-from .objectives import LossWeights
 from .recommender import recommend
 from .trainer import TrainConfig, read_total_wall_ms, split_teams, train, write_train_log
 
@@ -102,16 +101,9 @@ def cmd_synth(args) -> int:
     paths = _data_paths(args.out)
     save_network(net, paths["edges"], paths["features"])
     save_teams(teams, paths["teams"])
-    manifest = {
-        "n": args.n,
-        "d": args.d,
-        "clusters": args.clusters,
-        "p_in": args.p_in,
-        "p_out": args.p_out,
-        "teams": args.teams,
-        "seed": args.seed,
-        "files": {key: path.name for key, path in paths.items()},
-    }
+    flags = ("n", "d", "clusters", "p_in", "p_out", "teams", "seed")
+    manifest = {key: getattr(args, key) for key in flags}
+    manifest["files"] = {key: path.name for key, path in paths.items()}
     with open(out / "manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2)
         fh.write("\n")
@@ -123,7 +115,7 @@ def cmd_train(args) -> int:
     cfg = TrainConfig(
         epochs=args.epochs,
         learning_rate=args.lr,
-        weights=LossWeights(skill=args.b1, structural=args.b2, clustering=args.b3),
+        weights=(args.b1, args.b2, args.b3),
         subteam_fraction_range=(args.subteam_low, args.subteam_high),
         seed=args.seed,
         split=tuple(args.split),
@@ -145,11 +137,15 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
+def _load_model(path, net) -> ClusterModel:
+    """The model that the ``--checkpoint`` file's weights build on ``net``."""
+    return ClusterModel.build(net, load_checkpoint(_input_file(path, "--checkpoint")))
+
+
 def cmd_recommend(args) -> int:
     paths = _data_paths(args.data)  # the teams file is not read
     net = load_network(*(_input_file(paths[key], "--data") for key in ("edges", "features")))
-    params = load_checkpoint(_input_file(args.checkpoint, "--checkpoint"))
-    model = ClusterModel.build(net, params)
+    model = _load_model(args.checkpoint, net)
     start = time.perf_counter()
     result = recommend(Team(tuple(args.team)), Team(tuple(args.departing)), model, net)
     elapsed_ms = (time.perf_counter() - start) * 1e3
@@ -185,10 +181,7 @@ def cmd_evaluate(args) -> int:
     if not test_teams:
         print("empty test split", file=sys.stderr)
         return EXIT_EMPTY_EVAL
-    model = None
-    if "genius" in methods:
-        params = load_checkpoint(_input_file(args.checkpoint, "--checkpoint"))
-        model = ClusterModel.build(net, params)
+    model = _load_model(args.checkpoint, net) if "genius" in methods else None
     training_time_ms = (
         read_total_wall_ms(_input_file(args.train_log, "--train-log")) if args.train_log else 0.0
     )
@@ -222,9 +215,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
         description="Clustering-based subteam replacement in attributed social networks.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    commands: dict[str, argparse.ArgumentParser] = {}
     train_cfg, kernel_cfg = TrainConfig(), KernelConfig()
-    weights = train_cfg.weights
+    skill, structural, clustering = train_cfg.weights
 
     p = sub.add_parser("synth", help="generate a synthetic planted-partition dataset")
     p.add_argument("--n", type=int, default=40)
@@ -237,15 +229,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
     p.set_defaults(func=cmd_synth)
-    commands["synth"] = p
 
     p = sub.add_parser("train", help="train the encoder on a dataset directory")
     p.add_argument("--data", required=True, help="directory with edges.tsv/features.tsv/teams.txt")
     p.add_argument("--epochs", type=int, default=train_cfg.epochs)
     p.add_argument("--lr", type=float, default=train_cfg.learning_rate)
-    p.add_argument("--b1", type=float, default=weights.skill, help="skill loss weight")
-    p.add_argument("--b2", type=float, default=weights.structural, help="structural loss weight")
-    p.add_argument("--b3", type=float, default=weights.clustering, help="clustering loss weight")
+    p.add_argument("--b1", type=float, default=skill, help="skill loss weight")
+    p.add_argument("--b2", type=float, default=structural, help="structural loss weight")
+    p.add_argument("--b3", type=float, default=clustering, help="clustering loss weight")
     p.add_argument("--subteam-low", type=float, default=train_cfg.subteam_fraction_range[0])
     p.add_argument("--subteam-high", type=float, default=train_cfg.subteam_fraction_range[1])
     p.add_argument("--split", type=float, nargs=3, default=train_cfg.split)
@@ -258,7 +249,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--log", default=None, help="training log path (default <data>/train.log)")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
-    commands["train"] = p
 
     p = sub.add_parser("recommend", help="recommend a replacement for departing members")
     p.add_argument("--data", required=True)
@@ -268,7 +258,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--json", action="store_true", help="emit structured output")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_recommend)
-    commands["recommend"] = p
 
     p = sub.add_parser("evaluate", help="compare methods on the held-out split")
     p.add_argument("--data", required=True)
@@ -285,8 +274,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--format", choices=("json", "table"), default="json")
     p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
-    commands["evaluate"] = p
-    return parser, commands
+    return parser, sub.choices
 
 
 def _config_value(key: str, value) -> str:
@@ -358,7 +346,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except Exception as exc:  # pragma: no cover - defensive
+    except Exception as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
 

@@ -8,7 +8,8 @@ cluster head that ends :func:`forward`. Checkpoints record ``EncoderParams.dims`
 the ``(d, hidden, clusters)`` of the weight shapes. All forward operations are pure
 functions of immutable inputs; parameter objects are never mutated in place.
 Cluster ids are 1-based throughout, matching the hard-assignment convention
-used by the recommender.
+used by the recommender. :func:`encode` refuses, before allocating, a shape whose
+arrays pass ``MAX_DENSE_ENTRIES``; training adds its own arrays to that count.
 """
 
 from __future__ import annotations
@@ -25,6 +26,9 @@ from .errors import ValidationError
 from .graph import SocialNetwork, normalize_adjacency
 
 CHECKPOINT_VERSION = 1
+# 2**27 float64 entries, 1,073,741,824 bytes: the node and feature caps bound
+# each side of a shape, not the product, and no width is capped
+MAX_DENSE_ENTRIES = 2**27
 
 
 @dataclass(frozen=True, eq=False)
@@ -70,6 +74,20 @@ class EncoderParams:
 def default_cluster_count(n: int) -> int:
     """ceil(sqrt(n)), clamped to [2, 256]."""
     return max(2, min(256, math.isqrt(max(n - 1, 0)) + 1))
+
+
+def check_dense_size(n: int, d: int, hidden, clusters: int, extra: int = 0) -> None:
+    """Refuse, as :class:`ValidationError`, a shape whose dense entries pass
+    ``MAX_DENSE_ENTRIES``: the encoder's n x sum(hidden) activations and n x clusters
+    head outputs, its layer and head weights, and the caller's ``extra`` entries."""
+    widths = (d, *hidden)
+    weights = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden) * clusters
+    dense = n * (sum(hidden) + clusters) + weights + extra
+    if dense > MAX_DENSE_ENTRIES:
+        raise ValidationError(
+            f"n={n} nodes and d={d} features with hidden widths {hidden} and "
+            f"{clusters} clusters need {dense} dense entries, over the cap of {MAX_DENSE_ENTRIES}"
+        )
 
 
 def init_params(d: int, hidden, clusters: int, rng: np.random.Generator) -> EncoderParams:
@@ -122,7 +140,9 @@ def _cluster_head(z: np.ndarray, params: EncoderParams) -> tuple[np.ndarray, np.
 
 
 def encode(net: SocialNetwork, params: EncoderParams) -> np.ndarray:
-    """Node embeddings: column-concatenation of every layer's activations."""
+    """Node embeddings: column-concatenation of every layer's activations; a shape
+    past ``MAX_DENSE_ENTRIES`` raises :class:`ValidationError` before any is allocated."""
+    check_dense_size(net.n, *params.dims)
     norm_adj = normalize_adjacency(net)
     return forward(norm_adj, norm_adj @ net.features, params).z
 

@@ -8,8 +8,9 @@ the gradient taken with respect to the soft assignments C (or the embeddings z
 for the contrastive term); take ``[0]`` for the value alone. The trainer
 backpropagates that gradient through the encoder, and the test suite's
 ``gradient_check_report`` oracle checks it against central finite differences.
-The trainer weighs the values by :class:`LossWeights`, and one ``EpochStats``
-records an epoch's values and total. All operations are pure. The skill and
+The trainer weighs the last three values by the ``(skill, structural, clustering)``
+tuple ``TrainConfig.weights``, and one ``EpochStats`` records an epoch's values
+and total. All operations are pure. The skill and
 structural terms never build an n x n array: they use dense n x d features,
 n x k assignments, k x k and d x k Grams, and the adjacency, dense or sparse.
 """
@@ -17,7 +18,6 @@ n x k assignments, k x k and d x k Grams, and the adjacency, dense or sparse.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
@@ -27,21 +27,6 @@ from .errors import ValidationError
 COSINE_NORM_FLOOR = 1e-12
 # relative rounding floor of the structural identity ||A||^2 - 2<C, AC> + ||C^T C||^2
 _CANCELLATION = 1e-13
-
-
-@dataclass(frozen=True)
-class LossWeights:
-    """Balancing coefficients for the skill, structural, and clustering terms."""
-
-    skill: float = 1.0
-    structural: float = 100.0
-    clustering: float = 1.0
-
-    def __post_init__(self):
-        for name in ("skill", "structural", "clustering"):
-            val = getattr(self, name)
-            if not math.isfinite(val) or val < 0:
-                raise ValidationError(f"loss weight {name} must be finite and >= 0, got {val}")
 
 
 def ordered_sum(terms) -> np.ndarray:

@@ -5,37 +5,39 @@ term's value and gradient come from one function in :mod:`subteam.objectives`.
 This module adds the chain rule through the cluster head and the layers; an
 oracle in the test suite checks it against central finite differences.
 :func:`subteam.graph.draw_subset` draws each epoch's subteams, and one
-:class:`EpochStats` records an epoch's four loss values and their weighted total.
-The whole loop is deterministic for a fixed seed: identical configuration and
-data reproduce bit-identical parameters.
+:class:`EpochStats` records an epoch's four loss values and their total, the
+last three weighted by ``TrainConfig.weights``. The dense-size check is the
+encoder's, with the trainer's feature rows and Gram added. The whole loop is
+deterministic for a fixed seed: identical configuration and data reproduce
+bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .encoder import EncoderParams, Forward, default_cluster_count, forward, init_params
+from .encoder import (
+    EncoderParams,
+    Forward,
+    check_dense_size,
+    default_cluster_count,
+    forward,
+    init_params,
+)
 from .errors import NonFiniteLossError, ValidationError
 from .graph import SocialNetwork, Team, _data_lines, check_seed, draw_subset, normalize_adjacency
 from .objectives import (
-    LossWeights,
     clustering_loss,
     contrastive_loss,
     feature_factor,
     skill_loss,
     structural_loss,
 )
-
-# training holds dense n x d feature rows, the skill term's d x d Gram, the
-# encoder's n x sum(hidden) activations and n x clusters head outputs, and its
-# layer and head weights; past this many entries (2**27 float64 entries,
-# 1,073,741,824 bytes) a run is refused before anything is allocated: the node
-# and feature caps bound each side, not the product, and no width is capped
-MAX_DENSE_ENTRIES = 2**27
 
 
 def _split_fractions(fractions) -> tuple[float, ...]:
@@ -53,7 +55,7 @@ def _split_fractions(fractions) -> tuple[float, ...]:
 class TrainConfig:
     epochs: int = 1000
     learning_rate: float = 0.01
-    weights: LossWeights = LossWeights()
+    weights: tuple[float, float, float] = (1.0, 100.0, 1.0)  # skill, structural, clustering
     subteam_fraction_range: tuple[float, float] = (0.25, 0.75)
     seed: int = 0
     split: tuple[float, float, float] = (0.6, 0.2, 0.2)
@@ -75,9 +77,16 @@ class TrainConfig:
             raise ValidationError(f"need at least one hidden layer, each >= 1 wide, got {hidden}")
         if self.clusters is not None and self.clusters < 2:
             raise ValidationError(f"need at least 2 clusters, got {self.clusters}")
+        if not hasattr(self.weights, "__len__") or len(self.weights) != 3:
+            raise ValidationError(f"need 3 loss weights, got {self.weights!r}")
+        for name, value in zip(("skill", "structural", "clustering"), self.weights):
+            # written so that a NaN, and anything but a real number, fails the test
+            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+                raise ValidationError(f"loss weight {name} must be finite and >= 0, got {value}")
         check_seed(self.seed)
         object.__setattr__(self, "hidden", hidden)
         object.__setattr__(self, "split", _split_fractions(self.split))
+        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
         object.__setattr__(
             self, "subteam_fraction_range", tuple(float(f) for f in self.subteam_fraction_range)
         )
@@ -190,7 +199,9 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     final parameters when there is no usable validation split, together with
     the per-epoch statistics. A non-finite loss term, parameter or embeddings'
     sum of squares raises :class:`NonFiniteLossError`: what it returns builds a model.
-    A shape past ``MAX_DENSE_ENTRIES`` raises :class:`ValidationError` first.
+    A shape past ``encoder.MAX_DENSE_ENTRIES``, counting the encoder's arrays, the
+    dense n x d feature rows and the skill term's d x d Gram, raises
+    :class:`ValidationError` first.
     """
     if not teams:
         raise ValidationError("cannot train without teams")
@@ -203,18 +214,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     if cfg.clusters is not None and cfg.clusters > net.n:
         raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
-    widths = (net.d, *cfg.hidden)
-    dense = (
-        net.n * (net.d + sum(cfg.hidden) + clusters)
-        + net.d**2
-        + sum(a * b for a, b in zip(widths, widths[1:]))
-        + sum(cfg.hidden) * clusters
-    )
-    if dense > MAX_DENSE_ENTRIES:
-        raise ValidationError(
-            f"n={net.n} nodes and d={net.d} features with hidden widths {cfg.hidden} and "
-            f"{clusters} clusters need {dense} dense entries, over the cap of {MAX_DENSE_ENTRIES}"
-        )
+    check_dense_size(net.n, net.d, cfg.hidden, clusters, extra=net.n * net.d + net.d**2)
     train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
     if all(len(team) < 2 for team in train_teams):
         raise ValidationError(
@@ -225,7 +225,6 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))
     sampler = np.random.default_rng([cfg.seed, 1])
     model = _LossModel(net)
-    wvec = (1.0, cfg.weights.skill, cfg.weights.structural, cfg.weights.clustering)
 
     log: list[EpochStats] = []
     best_val = np.inf
@@ -234,7 +233,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     for epoch in range(1, cfg.epochs + 1):
         t0 = time.perf_counter()
         pairs = _sample_batch(train_teams, cfg.subteam_fraction_range, sampler)
-        losses, dz, dc = model.terms(fwd, pairs, wvec)
+        losses, dz, dc = model.terms(fwd, pairs, (1.0, *cfg.weights))
         for name, value in losses.items():
             if not np.isfinite(value):
                 raise NonFiniteLossError(f"{name} loss", epoch, value)

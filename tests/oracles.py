@@ -41,9 +41,9 @@ from subteam.kernels import (
     random_walk_kernel,
     shortest_path_kernel,
 )
-from subteam.objectives import COSINE_NORM_FLOOR, LossWeights, cosine_rows, team_embedding
+from subteam.objectives import COSINE_NORM_FLOOR, cosine_rows, team_embedding
 from subteam.recommender import ReplacementResult, recommend
-from subteam.trainer import _LossModel, _member_arrays, _sample_batch
+from subteam.trainer import TrainConfig, _LossModel, _member_arrays, _sample_batch
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -477,15 +477,13 @@ def gradient_check_report(
     teams,
     params: EncoderParams,
     eps: float = 1e-4,
-    weights: LossWeights | None = None,
     seed: int = 0,
 ) -> dict[str, float]:
-    """Central-difference check of each loss term and the weighted total.
+    """Central-difference check of each loss term and the total at the default weights.
 
     The subteam batch is sampled once (deterministically from ``seed``) and
     held fixed across all evaluations. Returns the worst error per term.
     """
-    weights = weights or LossWeights()
     pairs = _sample_batch(_member_arrays(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
     model = _LossModel(net)
     wvecs = {
@@ -493,7 +491,7 @@ def gradient_check_report(
         "skill": (0.0, 1.0, 0.0, 0.0),
         "structural": (0.0, 0.0, 1.0, 0.0),
         "clustering": (0.0, 0.0, 0.0, 1.0),
-        "total": (1.0, weights.skill, weights.structural, weights.clustering),
+        "total": (1.0, *TrainConfig().weights),
     }
 
     work = [w.copy() for w in params.layer_weights]

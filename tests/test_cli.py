@@ -1,8 +1,11 @@
 import hashlib
 import json
 import math
+import os
 import re
 import shutil
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,11 +13,12 @@ import numpy as np
 import pytest
 
 from conftest import strict_json
-from subteam import cli, graph, kernels, recommender, trainer
+from subteam import cli, encoder, graph, kernels, recommender, trainer
 from subteam.cli import build_parser, main
-from subteam.errors import ParseError
+from subteam.encoder import encode, load_checkpoint
+from subteam.errors import ParseError, ValidationError
+from subteam.graph import load_network
 from subteam.kernels import KernelConfig
-from subteam.objectives import LossWeights
 from subteam.trainer import TrainConfig
 
 SYNTH = ["synth", "--n", "24", "--d", "8", "--clusters", "4", "--teams", "12", "--seed", "7"]
@@ -683,6 +687,51 @@ def quickstart(tmp_path_factory):
     return data
 
 
+class TestDenseSizeCap:
+    """``train`` counts its feature rows and Gram with the encoder's arrays, 3,632
+    entries on the Quickstart; building a model counts the encoder's alone, 2,608."""
+
+    SHAPE = "n=48 nodes and d=16 features with hidden widths (16, 16) and 7 clusters"
+
+    def recommend(self, quickstart, capsys):
+        ckpt = str(quickstart / "checkpoint.json")
+        argv = ["recommend", "--data", str(quickstart), "--checkpoint", ckpt, "--json"]
+        code = main(argv + ["--team", "1", "3", "7", "9", "--departing", "3"])
+        out, err = capsys.readouterr()
+        return code, json.loads(out) if code == 0 else None, err
+
+    def test_a_cap_between_the_two_refuses_training_but_not_the_model(
+        self, quickstart, tmp_path, monkeypatch, capsys
+    ):
+        _, before, _ = self.recommend(quickstart, capsys)
+        monkeypatch.setattr(encoder, "MAX_DENSE_ENTRIES", 3000)
+        ckpt, log = tmp_path / "ck.json", tmp_path / "train.log"
+        argv = ["train", "--data", str(quickstart), "--epochs", "1", "--hidden", "16", "16"]
+        assert main(argv + ["--checkpoint", str(ckpt), "--log", str(log)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: {self.SHAPE} need 3632 dense entries, over the cap of 3000\n"
+        assert not ckpt.exists() and not log.exists()
+        code, after, _ = self.recommend(quickstart, capsys)
+        before.pop("elapsed_ms"), after.pop("elapsed_ms")
+        assert code == 0 and after == before
+
+    def test_a_cap_below_the_encoder_refuses_the_model_before_any_forward_pass(
+        self, quickstart, monkeypatch, capsys
+    ):
+        monkeypatch.setattr(encoder, "MAX_DENSE_ENTRIES", 1000)
+        monkeypatch.setattr(encoder, "forward", lambda *args: pytest.fail("forward ran"))
+        refusal = f"{self.SHAPE} need 2608 dense entries, over the cap of 1000"
+        code, _, err = self.recommend(quickstart, capsys)
+        assert code == 2 and err == f"error: {refusal}\n"
+        ckpt = str(quickstart / "checkpoint.json")
+        argv = ["evaluate", "--data", str(quickstart), "--checkpoint", ckpt, "--seed", "11"]
+        assert main(argv + ["--methods", "genius,kernel"]) == 2
+        assert capsys.readouterr() == ("", f"error: {refusal}\n")
+        net = load_network(quickstart / "edges.tsv", quickstart / "features.tsv")
+        with pytest.raises(ValidationError, match=re.escape(refusal)):
+            encode(net, load_checkpoint(ckpt))
+
+
 class TestRefusalsByName:
     """Each refused search and skipped metric is counted under the error that refused it."""
 
@@ -852,6 +901,23 @@ def test_os_error_exits_1(tmp_path, monkeypatch, capsys):
     assert "error: disk full" in err and "internal" not in err
 
 
+def test_unexpected_exception_exits_1_as_internal_error(tmp_path, monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("broken command")
+
+    monkeypatch.setattr(cli, "cmd_synth", broken)
+    assert main(["synth", "--out", str(tmp_path / "data")]) == 1
+    assert capsys.readouterr().err == "internal error: broken command\n"
+
+
+def test_cli_module_runs_as_a_script():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parents[1] / "src")}
+    done = subprocess.run(
+        [sys.executable, "-m", "subteam.cli", "--help"], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0 and done.stdout.startswith("usage: subteam"), done.stderr
+
+
 @pytest.mark.parametrize("epochs", ["1", "2"])
 @pytest.mark.parametrize("lr", ["1e100", "1e300"])
 def test_diverging_training_exits_2_without_output(tmp_path, capsys, lr, epochs):
@@ -902,18 +968,14 @@ def test_parser_defaults_are_the_dataclass_defaults():
     _, commands = build_parser()
     train = commands["train"].parse_args(["--data", "d"])
     evaluate = commands["evaluate"].parse_args(["--data", "d"])
-    cfg, weights, kernel_cfg = TrainConfig(), LossWeights(), KernelConfig()
+    cfg, kernel_cfg = TrainConfig(), KernelConfig()
     assert (train.epochs, train.lr, train.seed, train.clusters) == (
         cfg.epochs,
         cfg.learning_rate,
         cfg.seed,
         cfg.clusters,
     )
-    assert (train.b1, train.b2, train.b3) == (
-        weights.skill,
-        weights.structural,
-        weights.clustering,
-    )
+    assert (train.b1, train.b2, train.b3) == cfg.weights
     assert (train.subteam_low, train.subteam_high) == cfg.subteam_fraction_range
     assert tuple(train.hidden) == cfg.hidden
     assert tuple(train.split) == tuple(evaluate.split) == cfg.split

@@ -353,6 +353,7 @@ class TestRoundTrip:
         save_network(net, tmp_path / "e.tsv", tmp_path / "f.tsv")
         again = load_network(tmp_path / "e.tsv", tmp_path / "f.tsv")
         assert again == net
+        assert (net == 3) is False  # another type is not equal, not an error
 
     def test_round_trip_with_isolated_featureless_node(self, tmp_path):
         adjacency = np.zeros((3, 3))

@@ -21,7 +21,6 @@ from subteam.errors import ValidationError
 from subteam.graph import Team
 from subteam.objectives import (
     COSINE_NORM_FLOOR,
-    LossWeights,
     clustering_loss,
     contrastive_loss,
     cosine_rows,
@@ -30,6 +29,7 @@ from subteam.objectives import (
     structural_loss,
     team_embedding,
 )
+from subteam.trainer import TrainConfig
 
 
 class TestTeamEmbedding:
@@ -404,6 +404,25 @@ def test_loss_inputs_that_do_not_fit_rejected(call, match):
 
 
 class TestLossWeights:
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValidationError):
-            LossWeights(-1, 0, 0)
+    @pytest.mark.parametrize(
+        "weights, match",
+        [
+            ((1, 2), r"need 3 loss weights, got \(1, 2\)"),
+            ((1, 2, 3, 4), "need 3 loss weights"),
+            (None, "need 3 loss weights, got None"),
+            (("a", 1, 1), "loss weight skill must be finite and >= 0, got a"),
+            ((1, math.nan, 1), "loss weight structural must be finite and >= 0, got nan"),
+            ((1, 1, math.inf), "loss weight clustering must be finite and >= 0, got inf"),
+            ((-1, 0, 0), "loss weight skill must be finite and >= 0, got -1"),
+        ],
+        ids=["two", "four", "none", "string", "nan", "inf", "negative"],
+    )
+    def test_negative_weight_rejected(self, weights, match):
+        # the library may pass anything; each is refused as a validation error, not a
+        # bare ValueError or TypeError that the CLI would report as an internal error
+        with pytest.raises(ValidationError, match=match):
+            TrainConfig(weights=weights)
+
+    def test_weights_are_held_as_floats(self):
+        weights = TrainConfig(weights=[2, 3, np.float32(4)]).weights
+        assert weights == (2.0, 3.0, 4.0) and all(type(w) is float for w in weights)

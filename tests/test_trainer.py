@@ -10,7 +10,6 @@ from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ParseError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
-from subteam.objectives import LossWeights
 from subteam.trainer import TrainConfig, split_teams, train
 
 
@@ -207,22 +206,18 @@ class TestTrain:
 
     @pytest.mark.parametrize(
         "weights",
-        [LossWeights(), LossWeights(100, 100, 10), LossWeights(2, 3, 4), LossWeights(0, 0, 0)],
+        [TrainConfig().weights, (100, 100, 10), (2, 3, 4), (0, 0, 0)],
         ids=["standard", "preset", "distinct", "zero"],
     )
     def test_epoch_total_is_the_weighted_sum_of_its_terms(self, small_instance, weights):
         net, teams = small_instance
         cfg = TrainConfig(epochs=3, hidden=(6,), clusters=3, seed=5, weights=weights)
         _, log = train(net, teams, cfg)
+        b1, b2, b3 = cfg.weights
         for e in log:
-            total = (
-                e.contra
-                + weights.skill * e.skill
-                + weights.structural * e.structural
-                + weights.clustering * e.clustering
-            )
+            total = e.contra + b1 * e.skill + b2 * e.structural + b3 * e.clustering
             assert e.total.hex() == total.hex()
-        if weights == LossWeights(0, 0, 0):
+        if weights == (0, 0, 0):
             assert [e.total for e in log] == [e.contra for e in log]
 
     def test_returns_best_validation_params(self, small_instance):
