@@ -227,7 +227,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--p-out", type=float, default=0.05)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", help="train the encoder on a dataset directory")
@@ -247,7 +246,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--seed", type=int, default=train_cfg.seed)
     p.add_argument("--checkpoint", default=None, help="output path (default <data>/checkpoint.json)")
     p.add_argument("--log", default=None, help="training log path (default <data>/train.log)")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("recommend", help="recommend a replacement for departing members")
@@ -256,7 +254,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--team", type=int, nargs="+", required=True, help="team member ids")
     p.add_argument("--departing", type=int, nargs="+", required=True)
     p.add_argument("--json", action="store_true", help="emit structured output")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_recommend)
 
     p = sub.add_parser("evaluate", help="compare methods on the held-out split")
@@ -272,8 +269,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     p.add_argument("--train-log", default=None, help="training log for amortized total time")
     p.add_argument("--out", default=None, help="report output path (default stdout)")
     p.add_argument("--format", choices=("json", "table"), default="json")
-    p.add_argument("--config", default=None)
     p.set_defaults(func=cmd_evaluate)
+    for p in sub.choices.values():
+        p.add_argument("--config", default=None, help="JSON file with defaults; flags win")
     return parser, sub.choices
 
 

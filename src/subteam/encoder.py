@@ -76,12 +76,17 @@ def default_cluster_count(n: int) -> int:
     return max(2, min(256, math.isqrt(max(n - 1, 0)) + 1))
 
 
+def _weight_shapes(d: int, hidden, clusters: int) -> list[tuple[int, int]]:
+    """(fan_in, fan_out) of each layer weight in order, then of the cluster head."""
+    widths = (d, *hidden)
+    return [*zip(widths, widths[1:]), (sum(hidden), clusters)]
+
+
 def check_dense_size(n: int, d: int, hidden, clusters: int, extra: int = 0) -> None:
     """Refuse, as :class:`ValidationError`, a shape whose dense entries pass
     ``MAX_DENSE_ENTRIES``: the encoder's n x sum(hidden) activations and n x clusters
     head outputs, its layer and head weights, and the caller's ``extra`` entries."""
-    widths = (d, *hidden)
-    weights = sum(a * b for a, b in zip(widths, widths[1:])) + sum(hidden) * clusters
+    weights = sum(fan_in * fan_out for fan_in, fan_out in _weight_shapes(d, hidden, clusters))
     dense = n * (sum(hidden) + clusters) + weights + extra
     if dense > MAX_DENSE_ENTRIES:
         raise ValidationError(
@@ -91,16 +96,13 @@ def check_dense_size(n: int, d: int, hidden, clusters: int, extra: int = 0) -> N
 
 
 def init_params(d: int, hidden, clusters: int, rng: np.random.Generator) -> EncoderParams:
-    """Symmetric uniform fan-in initialization for every weight matrix."""
-    sizes = [d, *hidden]
+    """Symmetric uniform fan-in initialization for every weight matrix, layers then head."""
     weights = []
-    for fan_in, fan_out in zip(sizes[:-1], sizes[1:]):
+    for fan_in, fan_out in _weight_shapes(d, hidden, clusters):
         bound = 1.0 / math.sqrt(fan_in)
         weights.append(rng.uniform(-bound, bound, size=(fan_in, fan_out)))
-    dz = sum(hidden)
-    bound = 1.0 / math.sqrt(dz)
-    head = rng.uniform(-bound, bound, size=(dz, clusters))
-    return EncoderParams(layer_weights=tuple(weights), cluster_weight=head)
+    *layers, head = weights
+    return EncoderParams(layer_weights=tuple(layers), cluster_weight=head)
 
 
 @dataclass(frozen=True, eq=False)

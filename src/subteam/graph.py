@@ -26,6 +26,7 @@ error names the same file and line whichever path saw the file first.
 from __future__ import annotations
 
 import math
+import numbers
 import operator
 import warnings
 from dataclasses import dataclass
@@ -259,9 +260,9 @@ def _plain_lines(path) -> list[str] | None:
 
 
 def check_seed(seed: int) -> None:
-    """Refuse a negative random seed, which numpy's generators reject."""
-    if seed < 0:
-        raise ValidationError(f"seed must be >= 0, got {seed}")
+    """Refuse a random seed that numpy's generators reject: one that is not an integer >= 0."""
+    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+        raise ValidationError(f"seed must be >= 0, got {seed!r}")
 
 
 def draw_subset(members: np.ndarray, fraction: float, rng: np.random.Generator):

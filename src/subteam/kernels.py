@@ -2,6 +2,8 @@
 
 Every kernel and the edit distance compare two :class:`~subteam.graph.LabeledGraph`
 values, the dense team graphs that :func:`~subteam.graph.induced_subgraph` returns.
+The shortest-path and marginalized kernels and the edit distance refuse
+(``ValidationError``) label rows of two different widths.
 
 The random-walk and marginalized kernels solve linear systems on the product
 space of the two graphs without ever materializing a Kronecker product: a
@@ -89,11 +91,15 @@ class KernelConfig:
             raise ValidationError(f"termination must be in (0,1), got {self.termination}")
 
 
-def _require_compatible(g1: LabeledGraph, g2: LabeledGraph) -> None:
+def _require_same_width(g1: LabeledGraph, g2: LabeledGraph) -> None:
     if g1.labels.shape[1] != g2.labels.shape[1]:
         raise ValidationError(
             f"label dimensions differ: {g1.labels.shape[1]} vs {g2.labels.shape[1]}"
         )
+
+
+def _require_compatible(g1: LabeledGraph, g2: LabeledGraph) -> None:
+    _require_same_width(g1, g2)
     if g1.size == 0 or g2.size == 0:
         raise ValidationError("kernels are undefined for empty graphs")
 
@@ -353,8 +359,10 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     Unit costs for node and edge insertion/deletion; substituting a node is
     free when the label rows are equal (1 otherwise), and substituting an edge
     is free when the weights are equal (1 otherwise). Self-loops are ignored.
+    Empty graphs are allowed; label rows of two widths raise :class:`ValidationError`.
     Raises :class:`RefusalError` past ``GED_MAX_NODES`` nodes or ``GED_MAX_EXPANDED`` expanded.
     """
+    _require_same_width(g1, g2)
     n1, n2 = g1.size, g2.size
     if n1 > GED_MAX_NODES or n2 > GED_MAX_NODES:
         raise RefusalError(
@@ -363,12 +371,7 @@ def graph_edit_distance(g1: LabeledGraph, g2: LabeledGraph) -> float:
     a1 = g1.adjacency.tolist()
     # target n2 deletes a node: a zero row and column of g2 that is never used up
     a2 = [row + [0.0] for row in g2.adjacency.tolist()] + [[0.0] * (n2 + 1)]
-    # label rows of different widths are never equal, as np.array_equal has it
-    same = (
-        (g1.labels[:, None] == g2.labels).all(axis=2).tolist()
-        if g1.labels.shape[1] == g2.labels.shape[1]
-        else [[False] * n2] * n1
-    )
+    same = (g1.labels[:, None] == g2.labels).all(axis=2).tolist()
     # e1[d]: edges of g1 with both endpoints >= d
     edges1 = [u for u in range(n1) for v in range(u + 1, n1) if a1[u][v] > 0]
     e1 = [sum(u >= d for u in edges1) for d in range(n1 + 1)]

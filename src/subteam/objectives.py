@@ -74,9 +74,10 @@ def cosine_rows(u: np.ndarray, vs: np.ndarray) -> np.ndarray:
     return np.divide(dots, nu * nv, out=out, where=~(nv < COSINE_NORM_FLOOR))
 
 
-def _row_normalize(m: np.ndarray) -> np.ndarray:
+def _row_normalize(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``m`` with each row divided by its norm (a zero row stays zero), and the (n, 1) norms."""
     norms = np.linalg.norm(m, axis=1, keepdims=True)
-    return np.divide(m, norms, out=np.zeros_like(m, dtype=np.float64), where=norms > 0)
+    return np.divide(m, norms, out=np.zeros_like(m, dtype=np.float64), where=norms > 0), norms
 
 
 def contrastive_loss(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, np.ndarray]:
@@ -147,7 +148,7 @@ def _inverse_row_norms(m: np.ndarray, gram: np.ndarray) -> np.ndarray:
 
 def feature_factor(x) -> tuple[np.ndarray, np.ndarray]:
     """The skill term's feature side: dense Xh = rownorm(X) and d1_i = 1/||(Xh Xh^T)_i||."""
-    xh = _row_normalize(x.toarray() if sp.issparse(x) else np.asarray(x, dtype=np.float64))
+    xh = _row_normalize(x.toarray() if sp.issparse(x) else np.asarray(x, dtype=np.float64))[0]
     return xh, _inverse_row_norms(xh, xh.T @ xh)
 
 
@@ -166,8 +167,7 @@ def skill_loss(feature_side, c_mat: np.ndarray, scale: float = 1.0) -> tuple[flo
         raise ValidationError(
             f"row mismatch: {xh.shape[0]} feature rows vs assignments {c_mat.shape}"
         )
-    cnorms = np.linalg.norm(c_mat, axis=1, keepdims=True)
-    chat = np.divide(c_mat, cnorms, out=np.zeros_like(c_mat), where=cnorms > 0)
+    chat, cnorms = _row_normalize(c_mat)
     h_gram = chat.T @ chat
     d2 = _inverse_row_norms(chat, h_gram)
     y1c = xh @ (xh.T @ chat)  # Y1 Ch

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,15 +41,35 @@ from .objectives import (
 )
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number that converts to a finite float; NaN does not."""
+    try:
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    except OverflowError:  # an integer past float64's range
+        return False
+
+
+def _integer_at_least(value, low: int) -> bool:
+    """Whether ``value`` is an integer (a float is not) of at least ``low``."""
+    return isinstance(value, numbers.Integral) and value >= low
+
+
+def _finite_floats(values, count: int) -> tuple[float, ...] | None:
+    """``values`` as floats when it holds ``count`` values that pass :func:`_finite`, else None."""
+    values = tuple(values) if isinstance(values, Iterable) else ()
+    if len(values) == count and all(_finite(v) for v in values):
+        return tuple(float(v) for v in values)
+    return None
+
+
 def _split_fractions(fractions) -> tuple[float, ...]:
-    """The (train, val, test) fractions as floats: three, each >= 0, summing to 1."""
-    fractions = tuple(float(f) for f in fractions)
-    # written so that a NaN fails the test
-    if len(fractions) != 3 or not (
-        all(f >= 0 for f in fractions) and abs(sum(fractions) - 1.0) <= 1e-9
-    ):
-        raise ValidationError(f"split fractions must be >= 0 and sum to 1, got {fractions}")
-    return fractions
+    """The (train, val, test) fractions as floats: three, each finite and >= 0, summing to 1."""
+    floats = _finite_floats(fractions, 3)
+    if floats is None or not (all(f >= 0 for f in floats) and abs(sum(floats) - 1.0) <= 1e-9):
+        raise ValidationError(
+            f"split fractions must be >= 0 and sum to 1, got {floats or fractions!r}"
+        )
+    return floats
 
 
 @dataclass(frozen=True)
@@ -63,33 +84,37 @@ class TrainConfig:
     clusters: int | None = None
 
     def __post_init__(self):
-        if self.epochs < 1:
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs}")
-        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+        # each test is written so that a NaN, and a value of another type, fails it
+        if not _integer_at_least(self.epochs, 1):
+            raise ValidationError(f"epochs must be >= 1, got {self.epochs!r}")
+        if not (_finite(self.learning_rate) and self.learning_rate > 0):
             raise ValidationError(
-                f"learning rate must be finite and positive, got {self.learning_rate}"
+                f"learning rate must be finite and positive, got {self.learning_rate!r}"
             )
-        lo, hi = self.subteam_fraction_range
-        if not (0 < lo <= hi < 1):
-            raise ValidationError(f"need 0 < low <= high < 1, got ({lo}, {hi})")
-        hidden = tuple(int(h) for h in self.hidden)
-        if not hidden or min(hidden) < 1:
-            raise ValidationError(f"need at least one hidden layer, each >= 1 wide, got {hidden}")
-        if self.clusters is not None and self.clusters < 2:
-            raise ValidationError(f"need at least 2 clusters, got {self.clusters}")
+        fraction_range = _finite_floats(self.subteam_fraction_range, 2)
+        if not (fraction_range and 0 < fraction_range[0] <= fraction_range[1] < 1):
+            raise ValidationError(
+                f"subteam fraction range: need 0 < low <= high < 1, "
+                f"got {self.subteam_fraction_range!r}"
+            )
+        hidden = tuple(self.hidden) if isinstance(self.hidden, Iterable) else ()
+        if not (hidden and all(_integer_at_least(h, 1) for h in hidden)):
+            raise ValidationError(f"need at least one hidden layer, each >= 1 wide, got {self.hidden!r}")
+        if not (self.clusters is None or _integer_at_least(self.clusters, 2)):
+            raise ValidationError(f"need at least 2 clusters, got {self.clusters!r}")
         if not hasattr(self.weights, "__len__") or len(self.weights) != 3:
             raise ValidationError(f"need 3 loss weights, got {self.weights!r}")
         for name, value in zip(("skill", "structural", "clustering"), self.weights):
-            # written so that a NaN, and anything but a real number, fails the test
-            if not (isinstance(value, numbers.Real) and math.isfinite(value) and value >= 0):
+            if not (_finite(value) and value >= 0):
                 raise ValidationError(f"loss weight {name} must be finite and >= 0, got {value}")
         check_seed(self.seed)
-        object.__setattr__(self, "hidden", hidden)
+        object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
         object.__setattr__(self, "split", _split_fractions(self.split))
         object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-        object.__setattr__(
-            self, "subteam_fraction_range", tuple(float(f) for f in self.subteam_fraction_range)
-        )
+        object.__setattr__(self, "subteam_fraction_range", fraction_range)
+
+
+_LOG_COLUMNS = ("epoch", "contra", "skill", "structural", "clustering", "total", "wall_ms")
 
 
 @dataclass(frozen=True)
@@ -121,17 +146,17 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
 
 
 def _member_arrays(teams) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """Each team's members as a tuple and as an array, built once per run for the sampler."""
-    return [(team.members, np.asarray(team.members)) for team in teams]
+    """The members of each team of 2 or more as a tuple and as an array, built once per
+    run for the sampler; a smaller team has no subteam to draw and is left out."""
+    return [(team.members, np.asarray(team.members)) for team in teams if len(team) >= 2]
 
 
 def _sample_batch(teams, fraction_range, rng) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(team members, subteam) for each :func:`_member_arrays` entry of 2 or more members;
-    each draws its fraction uniformly from ``fraction_range``, then :func:`draw_subset` draws."""
+    """(team members, subteam) for each :func:`_member_arrays` entry: each draws its
+    fraction uniformly from ``fraction_range``, then :func:`draw_subset` draws."""
     return [
         (members, draw_subset(array, rng.uniform(*fraction_range), rng))
         for members, array in teams
-        if len(array) >= 2
     ]
 
 
@@ -215,13 +240,13 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
         raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     check_dense_size(net.n, net.d, cfg.hidden, clusters, extra=net.n * net.d + net.d**2)
-    train_teams, val_teams, _ = split_teams(teams, cfg.split, cfg.seed)
-    if all(len(team) < 2 for team in train_teams):
+    train_split, val_split, _ = split_teams(teams, cfg.split, cfg.seed)
+    train_teams, val_teams = _member_arrays(train_split), _member_arrays(val_split)
+    if not train_teams:
         raise ValidationError(
             f"training split {cfg.split} holds no team of 2 or more members "
-            f"({len(train_teams)} teams)"
+            f"({len(train_split)} teams)"
         )
-    train_teams, val_teams = _member_arrays(train_teams), _member_arrays(val_teams)
     params = init_params(net.d, cfg.hidden, clusters, np.random.default_rng([cfg.seed, 0]))
     sampler = np.random.default_rng([cfg.seed, 1])
     model = _LossModel(net)
@@ -264,14 +289,12 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
 
 
 def write_train_log(log, path) -> None:
-    """One tab-separated line per epoch; the wall-ms column is the only timing field."""
+    """A ``#`` header naming the ``_LOG_COLUMNS``, then one tab-separated line per epoch
+    holding the ``repr`` of each; the wall-ms column, last, is the only timing field."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("# epoch\tcontra\tskill\tstructural\tclustering\ttotal\twall_ms\n")
+        fh.write("# " + "\t".join(_LOG_COLUMNS) + "\n")
         for entry in log:
-            fh.write(
-                f"{entry.epoch}\t{entry.contra!r}\t{entry.skill!r}\t{entry.structural!r}"
-                f"\t{entry.clustering!r}\t{entry.total!r}\t{entry.wall_ms!r}\n"
-            )
+            fh.write("\t".join(repr(getattr(entry, name)) for name in _LOG_COLUMNS) + "\n")
 
 
 def read_total_wall_ms(path) -> float:

@@ -6,6 +6,7 @@ import pytest
 import scipy.sparse as sp
 from hypothesis import settings
 
+from subteam.encoder import ClusterModel, build_containers
 from subteam.graph import SocialNetwork
 
 # the active profile ("ci" when the CI variable is set), printing each failure's
@@ -39,6 +40,19 @@ def net_from_dense(adjacency, features) -> SocialNetwork:
     return SocialNetwork(
         adjacency=sp.csr_array(np.asarray(adjacency, dtype=float)),
         features=sp.csr_array(np.asarray(features, dtype=float)),
+    )
+
+
+def rig_model(z: np.ndarray, hard, clusters: int) -> ClusterModel:
+    """Cluster model with prescribed hard assignments (soft rows one-hot)."""
+    hard = np.asarray(hard, dtype=int)
+    soft = np.zeros((len(hard), clusters))
+    soft[np.arange(len(hard)), hard - 1] = 1.0
+    return ClusterModel(
+        embeddings=np.asarray(z, dtype=float),
+        soft=soft,
+        hard=hard,
+        containers=build_containers(hard, clusters),
     )
 
 

@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from conftest import net_from_dense
+from conftest import net_from_dense, rig_model
 from oracles import (
     exhaustive_oracle,
     gradient_check_report,
@@ -25,7 +25,6 @@ from oracles import (
 from subteam.cli import main as cli_main
 from subteam.encoder import (
     ClusterModel,
-    build_containers,
     encode,
     init_params,
     row_softmax,
@@ -50,18 +49,6 @@ def timed_ms(fn, *args) -> float:
     start = time.perf_counter()
     fn(*args)
     return (time.perf_counter() - start) * 1e3
-
-
-def rig_model(z, hard, clusters) -> ClusterModel:
-    hard = np.asarray(hard, dtype=int)
-    soft = np.zeros((len(hard), clusters))
-    soft[np.arange(len(hard)), hard - 1] = 1.0
-    return ClusterModel(
-        embeddings=np.asarray(z, dtype=float),
-        soft=soft,
-        hard=hard,
-        containers=build_containers(hard, clusters),
-    )
 
 
 def test_criterion_1_gradient_correctness():

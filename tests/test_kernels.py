@@ -53,6 +53,17 @@ def single_node(label):
     return LabeledGraph(adjacency=np.zeros((1, 1)), labels=np.array([label], dtype=float))
 
 
+@pytest.mark.parametrize(
+    "measure",
+    [graph_edit_distance, shortest_path_kernel, lambda g1, g2: marginalized_kernel(g1, [g2], CFG)],
+    ids=["ged", "shortest_path", "marginalized"],
+)
+def test_label_rows_of_two_widths_are_refused(measure):
+    # one rule for every team-graph comparison that takes two label matrices
+    with pytest.raises(ValidationError, match="label dimensions differ: 1 vs 2"):
+        measure(single_node([1.0]), single_node([1.0, 0.0]))
+
+
 class TestRandomWalkKernel:
     def test_single_node_matching_labels(self):
         g = single_node([1.0, 0.0])

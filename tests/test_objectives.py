@@ -414,8 +414,9 @@ class TestLossWeights:
             ((1, math.nan, 1), "loss weight structural must be finite and >= 0, got nan"),
             ((1, 1, math.inf), "loss weight clustering must be finite and >= 0, got inf"),
             ((-1, 0, 0), "loss weight skill must be finite and >= 0, got -1"),
+            ((10**400, 1, 1), "loss weight skill must be finite and >= 0, got 1000"),
         ],
-        ids=["two", "four", "none", "string", "nan", "inf", "negative"],
+        ids=["two", "four", "none", "string", "nan", "inf", "negative", "past-float64"],
     )
     def test_negative_weight_rejected(self, weights, match):
         # the library may pass anything; each is refused as a validation error, not a

@@ -56,6 +56,31 @@ def test_cited_dotted_names_resolve():
     )
 
 
+def test_quoted_constants_hold_their_values():
+    """Each dotted name quoted as `name` = N, and each constant as `NAME` (N), is the code's N."""
+    modules = [
+        importlib.import_module(f"subteam.{info.name}")
+        for info in pkgutil.iter_modules(subteam.__path__)
+    ]
+    text = README.read_text(encoding="utf-8")
+    end = r"(\d[\d,]*)(?![\w^]|\.\d)"  # 2^27 and 1.5 are not quoted counts
+    quoted = re.findall(rf"`([A-Za-z_]\w*(?:\.\w+)+)` = {end}", text)
+    quoted += re.findall(rf"`([A-Z][A-Z\d_]*)` \({end}\)", text)
+    checked = set()
+    for name, value in quoted:
+        head, *rest = name.removeprefix("subteam.").split(".")
+        if rest:
+            obj = getattr(subteam, head)
+            for attr in rest:
+                obj = getattr(obj, attr)
+            found = {obj}
+        else:  # a bare name: the value every module that holds it agrees on
+            found = {getattr(module, name) for module in modules if hasattr(module, name)}
+        assert found == {int(value.replace(",", ""))}, f"README quotes {name} as {value}"
+        checked.add(name.rsplit(".", 1)[-1])
+    assert {"DEFAULT_SEARCH_BUDGET", "BASELINE_BUDGET", "GED_MAX_NODES", "GED_MAX_EXPANDED"} <= checked
+
+
 def test_cited_flags_exist():
     """Every ``--flag`` the README cites, outside its pip commands, is a ``subteam`` command's."""
     _, commands = build_parser()

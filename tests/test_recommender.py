@@ -10,27 +10,14 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import net_from_dense
+from conftest import net_from_dense, rig_model
 from oracles import exhaustive_oracle
 from subteam import recommender
-from subteam.encoder import ClusterModel, build_containers, init_params
+from subteam.encoder import ClusterModel, init_params
 from subteam.errors import RefusalError, ValidationError
 from subteam.graph import SocialNetwork, Team, generate_synthetic
 from subteam.objectives import cosine_rows
 from subteam.recommender import recommend
-
-
-def rig_model(z: np.ndarray, hard, clusters: int) -> ClusterModel:
-    """Cluster model with prescribed hard assignments (soft rows one-hot)."""
-    hard = np.asarray(hard, dtype=int)
-    soft = np.zeros((len(hard), clusters))
-    soft[np.arange(len(hard)), hard - 1] = 1.0
-    return ClusterModel(
-        embeddings=np.asarray(z, dtype=float),
-        soft=soft,
-        hard=hard,
-        containers=build_containers(hard, clusters),
-    )
 
 
 def blank_net(n, d=2):

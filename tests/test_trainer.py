@@ -47,6 +47,11 @@ class TestSplitTeams:
     def test_no_teams_give_empty_splits(self):
         assert split_teams([], (0.6, 0.2, 0.2), 0) == ([], [], [])
 
+    @pytest.mark.parametrize("fractions", [None, ("a", 1, 1)])
+    def test_malformed_fractions_rejected(self, fractions):
+        with pytest.raises(ValidationError, match="split fractions must be >= 0 and sum to 1"):
+            split_teams(make_teams(3), fractions, 0)
+
 
 def sample_batch(teams, fraction_range, rng):
     """The trainer's (team members, subteam) draw over ``teams``."""
@@ -105,9 +110,29 @@ class TestSampleBatch:
 
 
 class TestTrainConfigValidation:
-    def test_zero_epochs_rejected(self):
-        with pytest.raises(ValidationError):
-            TrainConfig(epochs=0)
+    @pytest.mark.parametrize(
+        "setting, match",
+        [
+            ({"epochs": 0}, "epochs must be >= 1, got 0"),
+            ({"epochs": "3"}, "epochs must be >= 1, got '3'"),
+            ({"epochs": 2.5}, r"epochs must be >= 1, got 2\.5"),
+            ({"seed": "1"}, "seed must be >= 0, got '1'"),
+            ({"clusters": "5"}, "need at least 2 clusters, got '5'"),
+            ({"hidden": None}, "hidden layer, each >= 1 wide, got None"),
+            ({"hidden": (2.9,)}, r"hidden layer, each >= 1 wide, got \(2\.9,\)"),
+            ({"split": None}, "split fractions must be >= 0 and sum to 1, got None"),
+            ({"split": ("a", 1, 1)}, r"split fractions must be .* got \('a', 1, 1\)"),
+            ({"subteam_fraction_range": None}, "subteam fraction range: .* got None"),
+            ({"learning_rate": 10**400}, "learning rate must be finite and positive"),
+        ],
+        ids=["zero-epochs", "str-epochs", "float-epochs", "str-seed", "str-clusters",
+             "no-hidden", "float-hidden", "no-split", "str-split", "no-range", "huge-rate"],
+    )
+    def test_malformed_setting_rejected(self, setting, match):
+        # the library may pass anything; each is refused as a validation error naming the
+        # setting, not a bare TypeError, ValueError or OverflowError, nor accepted and truncated
+        with pytest.raises(ValidationError, match=match):
+            TrainConfig(**setting)
 
     def test_bad_fraction_range_rejected(self):
         with pytest.raises(ValidationError):
