@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SocialNetwork, normalize_adjacency
+from .graph import SocialNetwork, _integer_at_least, normalize_adjacency
 
 CHECKPOINT_VERSION = 1
 # 2**27 float64 entries, 1,073,741,824 bytes: the node and feature caps bound
@@ -262,8 +262,7 @@ def load_checkpoint(path) -> EncoderParams:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
-        # type() and not ==: JSON true loads as True, and True == 1
-        if type(version) is not int or version != CHECKPOINT_VERSION:
+        if not (_integer_at_least(version, 0) and version == CHECKPOINT_VERSION):
             raise ValidationError(
                 f"unsupported checkpoint format version {version!r} "
                 f"(expected {CHECKPOINT_VERSION})"

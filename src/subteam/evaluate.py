@@ -47,7 +47,8 @@ import numpy as np
 
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .graph import SocialNetwork, Team, check_seed, draw_subset, induced_subgraph
+from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph
+from .graph import _finite, _integer_at_least, check_seed  # the setting checks
 from .kernels import (
     KernelConfig,
     graph_edit_distance,
@@ -212,8 +213,8 @@ class EvalReport:
 
 def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwork:
     """Keep a uniform random subset of feature columns (in ascending order)."""
-    if d_sub < 0 or d_sub > net.d:
-        raise ValidationError(f"d_sub={d_sub} outside [0, {net.d}]")
+    if not (_integer_at_least(d_sub, 0) and d_sub <= net.d):
+        raise ValidationError(f"d_sub={d_sub!r} outside [0, {net.d}]")
     check_seed(seed)
     cols = np.sort(np.random.default_rng(seed).choice(net.d, size=d_sub, replace=False))
     return SocialNetwork(adjacency=net.adjacency, features=net.features[:, cols])
@@ -222,18 +223,16 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
 def draw_cases(teams, percentages, seed: int):
     """Shared (team, percent, departing) cases: one draw per team and percentage.
 
-    Each percentage must lie in (0, 100]; :func:`subteam.graph.draw_subset` rounds
-    it to at least one member and at most all but one.
+    Each percentage must lie in (0, 100]; for each team of 2 or more, :func:`draw_subset`
+    rounds it to at least one member and at most all but one.
     """
     for pct in percentages:
-        if not 0 < pct <= 100:
-            raise ValidationError(f"percentages must be in (0, 100], got {pct}")
+        if not (_finite(pct) and 0 < pct <= 100):
+            raise ValidationError(f"percentages must be in (0, 100], got {pct!r}")
+    check_seed(seed)
     rng = np.random.default_rng([seed, 3])
     cases = []
-    for team in teams:
-        if len(team) < 2:
-            continue
-        members = np.asarray(team.members)
+    for team, members in drawable_teams(teams):
         for pct in percentages:
             departing = draw_subset(members, pct / 100.0, rng)
             cases.append((len(cases), team, float(pct), departing))
@@ -272,13 +271,15 @@ def run_comparison(
     call, refused or not. Training time is amortized over the test teams and
     added to the trained method's total time. Means are over the cases all
     methods completed; refusals and no-candidate outcomes are counted per method.
-    ``genius`` without a ``model``, no ``teams``, and a network without features
-    (every kernel on it is 0) are refused before any case runs.
+    ``genius`` without a ``model``, a training time below 0 or not finite, no ``teams``
+    and a network without features (every kernel on it is 0) are refused before any case runs.
     """
     kernel_cfg = kernel_cfg or KernelConfig()
     method_names = normalize_methods(methods)
     if "genius" in method_names and model is None:
         raise ValidationError("the embedding method needs a trained model")
+    if not (_finite(training_time_ms) and training_time_ms >= 0):
+        raise ValidationError(f"training_time_ms must be finite and >= 0, got {training_time_ms!r}")
     if not teams:
         raise ValidationError("empty test split")
     if net.d == 0:

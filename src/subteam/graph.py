@@ -2,6 +2,8 @@
 
 A team's dense graph is a :class:`LabeledGraph`, the one type that
 :func:`induced_subgraph` returns and every kernel in :mod:`subteam.kernels` takes.
+The setting checks that every library entry point uses (no bool is a number)
+and the two-member team filter, :func:`drawable_teams`, live here too.
 
 The on-disk formats are plain UTF-8 text:
 
@@ -29,6 +31,7 @@ import math
 import numbers
 import operator
 import warnings
+from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -55,8 +58,7 @@ def _canonical_csr(m) -> sp.csr_array:
     """Copy to float64 CSR with summed duplicates, no explicit zeros, sorted indices."""
     out = sp.csr_array(m, dtype=np.float64, copy=True)
     out.sum_duplicates()
-    out.eliminate_zeros()
-    out.sort_indices()
+    out.eliminate_zeros()  # keeps the order that sum_duplicates sorted
     return out
 
 
@@ -259,9 +261,30 @@ def _plain_lines(path) -> list[str] | None:
     return data.decode("ascii").split("\n")
 
 
+def _finite(value) -> bool:
+    """Whether ``value`` is a real number, not a bool, that converts to a finite float."""
+    try:
+        return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
+    except OverflowError:  # an integer past float64's range
+        return False
+
+
+def _integer_at_least(value, low: int) -> bool:
+    """Whether ``value`` is an integer (a float or a bool is not) of at least ``low``."""
+    return isinstance(value, numbers.Integral) and type(value) is not bool and value >= low
+
+
+def _finite_floats(values, count: int) -> tuple[float, ...] | None:
+    """``values`` as floats when it holds ``count`` values that pass :func:`_finite`, else None."""
+    values = tuple(values) if isinstance(values, Iterable) else ()
+    if len(values) == count and all(_finite(v) for v in values):
+        return tuple(float(v) for v in values)
+    return None
+
+
 def check_seed(seed: int) -> None:
-    """Refuse a random seed that numpy's generators reject: one that is not an integer >= 0."""
-    if not (isinstance(seed, numbers.Integral) and seed >= 0):
+    """Refuse a random seed that is not an integer >= 0; numpy takes a bool, and it is refused."""
+    if not _integer_at_least(seed, 0):
         raise ValidationError(f"seed must be >= 0, got {seed!r}")
 
 
@@ -273,6 +296,11 @@ def draw_subset(members: np.ndarray, fraction: float, rng: np.random.Generator):
     m = len(members)
     k = min(max(int(round(fraction * m)), 1), m - 1)
     return tuple(np.sort(members[rng.choice(m, size=k, replace=False)]).tolist())
+
+
+def drawable_teams(teams) -> list[tuple[Team, np.ndarray]]:
+    """Each team of 2 or more with its members as an array; :func:`draw_subset` needs m >= 2."""
+    return [(team, np.asarray(team.members)) for team in teams if len(team) >= 2]
 
 
 def _read_triples(path, usage: str, ids, value_name: str, default: float | None = None):
@@ -498,16 +526,16 @@ def generate_synthetic(
     node pairs, or more than ``MAX_FEATURES`` features, are refused before
     anything is allocated.
     """
-    if not (0 <= p_out < p_in <= 1):
-        raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in}, p_out={p_out}")
-    if n <= 0 or k_planted <= 0 or n % k_planted != 0:
-        raise ValidationError(f"k_planted={k_planted} must divide n={n}")
-    if d < k_planted:
-        raise ValidationError(f"need at least one feature per block (d={d}, k={k_planted})")
+    if not (_finite(p_in) and _finite(p_out) and 0 <= p_out < p_in <= 1):
+        raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in!r}, p_out={p_out!r}")
+    if not (_integer_at_least(n, 1) and _integer_at_least(k_planted, 1) and n % k_planted == 0):
+        raise ValidationError(f"k_planted={k_planted!r} must divide n={n!r}")
+    if not _integer_at_least(d, k_planted):
+        raise ValidationError(f"need at least one feature per block (d={d!r}, k={k_planted})")
     if d > MAX_FEATURES:
         raise ValidationError(f"d={d} is over the feature cap of {MAX_FEATURES}")
-    if teams < 0:
-        raise ValidationError("team count must be non-negative")
+    if not _integer_at_least(teams, 0):
+        raise ValidationError(f"team count must be non-negative, got {teams!r}")
     check_seed(seed)
     pairs = n * (n - 1) // 2
     if pairs > MAX_SYNTH_PAIRS:

@@ -60,7 +60,7 @@ import numpy as np
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
 # baseline must call it through that name
-from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, induced_subgraph
+from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, _finite, induced_subgraph
 from .recommender import ReplacementResult, _check_replacement_inputs
 
 SHORTEST_PATH_MAX_NODES = 64
@@ -85,10 +85,10 @@ class KernelConfig:
     termination: float = 0.1
 
     def __post_init__(self):
-        if not (isfinite(self.decay) and self.decay > 0):
-            raise ValidationError(f"decay must be finite and positive, got {self.decay}")
-        if not (0 < self.termination < 1):
-            raise ValidationError(f"termination must be in (0,1), got {self.termination}")
+        if not (_finite(self.decay) and self.decay > 0):
+            raise ValidationError(f"decay must be finite and positive, got {self.decay!r}")
+        if not (_finite(self.termination) and 0 < self.termination < 1):
+            raise ValidationError(f"termination must be in (0,1), got {self.termination!r}")
 
 
 def _require_same_width(g1: LabeledGraph, g2: LabeledGraph) -> None:

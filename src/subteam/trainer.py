@@ -6,16 +6,15 @@ This module adds the chain rule through the cluster head and the layers; an
 oracle in the test suite checks it against central finite differences.
 :func:`subteam.graph.draw_subset` draws each epoch's subteams, and one
 :class:`EpochStats` records an epoch's four loss values and their total, the
-last three weighted by ``TrainConfig.weights``. The dense-size check is the
-encoder's, with the trainer's feature rows and Gram added. The whole loop is
-deterministic for a fixed seed: identical configuration and data reproduce
-bit-identical parameters.
+last three weighted by ``TrainConfig.weights``. The setting checks and the
+two-member filter are :mod:`subteam.graph`'s, the dense-size check the encoder's
+(with the trainer's feature rows and Gram added). The loop is deterministic for
+a fixed seed: identical configuration and data reproduce bit-identical parameters.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -31,7 +30,8 @@ from .encoder import (
     init_params,
 )
 from .errors import NonFiniteLossError, ValidationError
-from .graph import SocialNetwork, Team, _data_lines, check_seed, draw_subset, normalize_adjacency
+from .graph import SocialNetwork, Team, _data_lines, draw_subset, drawable_teams, normalize_adjacency
+from .graph import _finite, _finite_floats, _integer_at_least, check_seed  # the setting checks
 from .objectives import (
     clustering_loss,
     contrastive_loss,
@@ -39,27 +39,6 @@ from .objectives import (
     skill_loss,
     structural_loss,
 )
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a real number that converts to a finite float; NaN does not."""
-    try:
-        return isinstance(value, numbers.Real) and math.isfinite(value)
-    except OverflowError:  # an integer past float64's range
-        return False
-
-
-def _integer_at_least(value, low: int) -> bool:
-    """Whether ``value`` is an integer (a float is not) of at least ``low``."""
-    return isinstance(value, numbers.Integral) and value >= low
-
-
-def _finite_floats(values, count: int) -> tuple[float, ...] | None:
-    """``values`` as floats when it holds ``count`` values that pass :func:`_finite`, else None."""
-    values = tuple(values) if isinstance(values, Iterable) else ()
-    if len(values) == count and all(_finite(v) for v in values):
-        return tuple(float(v) for v in values)
-    return None
 
 
 def _split_fractions(fractions) -> tuple[float, ...]:
@@ -145,18 +124,11 @@ def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], li
     )
 
 
-def _member_arrays(teams) -> list[tuple[tuple[int, ...], np.ndarray]]:
-    """The members of each team of 2 or more as a tuple and as an array, built once per
-    run for the sampler; a smaller team has no subteam to draw and is left out."""
-    return [(team.members, np.asarray(team.members)) for team in teams if len(team) >= 2]
-
-
 def _sample_batch(teams, fraction_range, rng) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """(team members, subteam) for each :func:`_member_arrays` entry: each draws its
-    fraction uniformly from ``fraction_range``, then :func:`draw_subset` draws."""
+    """(members, subteam) per drawable team; each draws a uniform fraction in ``fraction_range``."""
     return [
-        (members, draw_subset(array, rng.uniform(*fraction_range), rng))
-        for members, array in teams
+        (team.members, draw_subset(array, rng.uniform(*fraction_range), rng))
+        for team, array in teams
     ]
 
 
@@ -241,7 +213,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     check_dense_size(net.n, net.d, cfg.hidden, clusters, extra=net.n * net.d + net.d**2)
     train_split, val_split, _ = split_teams(teams, cfg.split, cfg.seed)
-    train_teams, val_teams = _member_arrays(train_split), _member_arrays(val_split)
+    train_teams, val_teams = drawable_teams(train_split), drawable_teams(val_split)
     if not train_teams:
         raise ValidationError(
             f"training split {cfg.split} holds no team of 2 or more members "

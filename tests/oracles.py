@@ -33,7 +33,7 @@ import scipy.sparse as sp
 from subteam.encoder import EncoderParams, forward
 from subteam.errors import ConvergenceError, RefusalError
 from subteam.evaluate import METRICS, draw_cases, normalize_methods
-from subteam.graph import LabeledGraph, SocialNetwork, Team, induced_subgraph
+from subteam.graph import LabeledGraph, SocialNetwork, Team, drawable_teams, induced_subgraph
 from subteam.kernels import (
     graph_edit_distance,
     kernel_baseline_replace,
@@ -43,7 +43,7 @@ from subteam.kernels import (
 )
 from subteam.objectives import COSINE_NORM_FLOOR, cosine_rows, team_embedding
 from subteam.recommender import ReplacementResult, recommend
-from subteam.trainer import TrainConfig, _LossModel, _member_arrays, _sample_batch
+from subteam.trainer import TrainConfig, _LossModel, _sample_batch
 
 DEFAULT_ORACLE_BUDGET = 2_000_000
 
@@ -484,7 +484,7 @@ def gradient_check_report(
     The subteam batch is sampled once (deterministically from ``seed``) and
     held fixed across all evaluations. Returns the worst error per term.
     """
-    pairs = _sample_batch(_member_arrays(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
+    pairs = _sample_batch(drawable_teams(teams), (0.25, 0.75), np.random.default_rng([seed, 2]))
     model = _LossModel(net)
     wvecs = {
         "contra": (1.0, 0.0, 0.0, 0.0),

@@ -1,4 +1,6 @@
 import hashlib
+import json
+import math
 import os
 import tempfile
 import tracemalloc
@@ -14,12 +16,15 @@ from hypothesis import strategies as st
 from conftest import net_from_dense
 from oracles import normalize_adjacency_oracle
 from subteam import graph
+from subteam.encoder import init_params, load_checkpoint, save_checkpoint
 from subteam.errors import ParseError, ValidationError
+from subteam.evaluate import draw_cases, feature_subsample, run_comparison
 from subteam.graph import (
     MAX_SYNTH_PAIRS,
     LabeledGraph,
     SocialNetwork,
     Team,
+    check_seed,
     generate_synthetic,
     induced_subgraph,
     load_network,
@@ -29,6 +34,8 @@ from subteam.graph import (
     save_network,
     save_teams,
 )
+from subteam.kernels import KernelConfig
+from subteam.trainer import TrainConfig, split_teams
 
 
 def write(path, text):
@@ -729,3 +736,90 @@ class TestGenerateSynthetic:
         finally:
             tracemalloc.stop()
         assert peak < 2 * (n * (n - 1) // 2), f"traced peak {peak / 1e6:.1f} MB"
+
+
+# what each kind of setting must refuse; 10**400 is an integer, so only a count with a
+# cap (CAPPED_COUNT) refuses it
+COUNT = [None, "3", 2.5, True, math.nan, math.inf, -1]
+CAPPED_COUNT = [*COUNT, 10**400]
+REAL = [None, "0.1", True, math.nan, math.inf, 10**400, -1]
+SYNTH = dict(n=12, d=4, k_planted=2, p_in=0.8, p_out=0.1, teams=4, seed=0)
+
+
+def _small_instance(**changed):
+    return generate_synthetic(**{**SYNTH, **changed})
+
+
+def _load_checkpoint_of_version(version, tmp_path):
+    path = tmp_path / "checkpoint.json"
+    save_checkpoint(init_params(4, (3,), 2, np.random.default_rng(0)), path)
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    doc["format_version"] = version  # json writes NaN and inf as NaN and Infinity, and reads them
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return load_checkpoint(path)
+
+
+# (entry point and setting, the call given one value and a scratch directory, the values
+# it must refuse, a pattern that names the setting in the refusal)
+ENTRY_POINTS = [
+    ("check_seed", lambda v, _: check_seed(v), COUNT, "seed must"),
+    *(
+        (f"generate_synthetic-{name}", lambda v, _, name=name: _small_instance(**{name: v}),
+         values, pattern)
+        for name, values, pattern in [
+            ("n", CAPPED_COUNT, r"\bn="),
+            ("d", CAPPED_COUNT, r"\bd="),
+            ("k_planted", CAPPED_COUNT, "k_planted="),
+            ("p_in", REAL, "p_in="),
+            ("p_out", REAL, "p_out="),
+            ("teams", COUNT, "team count"),
+            ("seed", COUNT, "seed must"),
+        ]
+    ),
+    *(
+        (f"TrainConfig-{name}", lambda v, _, name=name, wrap=wrap: TrainConfig(**{name: wrap(v)}),
+         values, pattern)
+        for name, wrap, values, pattern in [
+            ("epochs", lambda v: v, COUNT, "epochs must"),
+            ("learning_rate", lambda v: v, REAL, "learning rate"),
+            ("weights", lambda v: (v, 1.0, 1.0), REAL, "loss weight skill"),
+            ("subteam_fraction_range", lambda v: (v, 0.5), REAL, "subteam fraction range"),
+            ("split", lambda v: (v, 0.0, 0.0), REAL, "split fractions"),
+            ("hidden", lambda v: (v,), COUNT, "hidden layer"),
+            ("seed", lambda v: v, COUNT, "seed must"),
+        ]
+    ),
+    ("split_teams-fractions", lambda v, _: split_teams(_small_instance()[1], (v, 0.0, 0.0), 0),
+     REAL, "split fractions"),
+    ("split_teams-seed", lambda v, _: split_teams(_small_instance()[1], (1.0, 0.0, 0.0), v),
+     COUNT, "seed must"),
+    ("KernelConfig-decay", lambda v, _: KernelConfig(decay=v), REAL, "decay must"),
+    ("KernelConfig-termination", lambda v, _: KernelConfig(termination=v), REAL, "termination"),
+    ("feature_subsample-d_sub", lambda v, _: feature_subsample(_small_instance()[0], v, 0),
+     CAPPED_COUNT, "d_sub="),
+    ("feature_subsample-seed", lambda v, _: feature_subsample(_small_instance()[0], 2, v),
+     COUNT, "seed must"),
+    ("draw_cases-percentages", lambda v, _: draw_cases(_small_instance()[1], [v], 0),
+     REAL, "percentages must"),
+    ("draw_cases-seed", lambda v, _: draw_cases(_small_instance()[1], [50], v), COUNT, "seed must"),
+    ("load_checkpoint-format_version", _load_checkpoint_of_version, CAPPED_COUNT, "format version"),
+    ("run_comparison-training_time_ms",
+     lambda v, _: run_comparison(*_small_instance(), ["kernel"], [50], 0, training_time_ms=v),
+     REAL, "training_time_ms"),
+]
+
+
+@pytest.mark.parametrize(
+    "call, value, pattern",
+    [
+        pytest.param(call, value, pattern, id=f"{name}-{'10**400' if value == 10**400 else value}")
+        for name, call, values, pattern in ENTRY_POINTS
+        for value in values
+    ],
+)
+def test_malformed_setting_refused_at_every_entry_point(call, value, pattern, tmp_path):
+    # a bool, a string, a float where a count belongs, NaN, inf, a number past float64 and
+    # a negative are each a ValidationError naming the setting, never a bare TypeError,
+    # ValueError or OverflowError, and never accepted
+    with pytest.raises(ValidationError, match=pattern):
+        call(value, tmp_path)

@@ -9,7 +9,7 @@ from oracles import gradient_check_report
 from subteam import trainer
 from subteam.encoder import init_params, save_checkpoint
 from subteam.errors import NonFiniteLossError, ParseError, ValidationError
-from subteam.graph import SocialNetwork, Team, generate_synthetic
+from subteam.graph import SocialNetwork, Team, drawable_teams, generate_synthetic
 from subteam.trainer import TrainConfig, split_teams, train
 
 
@@ -55,7 +55,7 @@ class TestSplitTeams:
 
 def sample_batch(teams, fraction_range, rng):
     """The trainer's (team members, subteam) draw over ``teams``."""
-    return trainer._sample_batch(trainer._member_arrays(teams), fraction_range, rng)
+    return trainer._sample_batch(drawable_teams(teams), fraction_range, rng)
 
 
 class TestSampleBatch:
@@ -85,7 +85,7 @@ class TestSampleBatch:
         # members, so subteams repeat
         teams = [Team(tuple(range(3 * i, 3 * i + size))) for i, size in enumerate(range(1, 40))]
         fast, slow = np.random.default_rng(seed), np.random.default_rng(seed)
-        members = trainer._member_arrays(teams)
+        members = drawable_teams(teams)
         for _ in range(3):
             got = trainer._sample_batch(members, (0.25, 0.75), fast)
             expected = []
