@@ -47,7 +47,7 @@ import numpy as np
 
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
-from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph
+from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph, remainder
 from .graph import _finite, _integer_at_least, check_seed  # the setting checks
 from .kernels import (
     KernelConfig,
@@ -290,29 +290,30 @@ def run_comparison(
     for team, team_cases in itertools.groupby(cases, key=lambda case: case[1]):
         completed: list[CaseOutcome] = []
         new_teams: list[Team] = []  # the rebuilt team of each completed outcome
-        for (case_id, _, pct, departing), method in itertools.product(team_cases, method_names):
+        for case_id, _, pct, departing in team_cases:
             lost = Team(departing)
-            start = time.perf_counter()
-            result = _value_or_refusal(
-                *(recommend, team, lost, model, net)
-                if method == "genius"
-                else (kernel_baseline_replace, team, lost, net, kernel_cfg)
-            )
-            outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
-            outcome.inference_ms = (time.perf_counter() - start) * 1e3
-            outcomes.append(outcome)
-            if isinstance(result, str):
-                outcome.reason = result
-                continue
-            if not result.found:
-                outcome.status = "no-candidate"
-                continue
-            outcome.status = "ok"
-            outcome.subteam = result.subteam
-            outcome.total_ms = outcome.inference_ms + (amortized_ms if method == "genius" else 0.0)
-            kept = tuple(set(team.members) - set(departing))
-            completed.append(outcome)
-            new_teams.append(Team(kept + result.subteam))
+            kept = remainder(team, lost)
+            for method in method_names:
+                start = time.perf_counter()
+                result = _value_or_refusal(
+                    *(recommend, team, lost, model, net)
+                    if method == "genius"
+                    else (kernel_baseline_replace, team, lost, net, kernel_cfg)
+                )
+                outcome = CaseOutcome(case_id, team.members, departing, pct, method, "refused")
+                outcome.inference_ms = (time.perf_counter() - start) * 1e3
+                outcomes.append(outcome)
+                if isinstance(result, str):
+                    outcome.reason = result
+                    continue
+                if not result.found:
+                    outcome.status = "no-candidate"
+                    continue
+                outcome.status = "ok"
+                outcome.subteam = result.subteam
+                outcome.total_ms = outcome.inference_ms + (amortized_ms if method == "genius" else 0.0)
+                completed.append(outcome)
+                new_teams.append(Team(kept + result.subteam))
         if completed:
             metrics = evaluate_case_metrics(net, team, new_teams, kernel_cfg)
             for outcome, case_metrics in zip(completed, metrics):

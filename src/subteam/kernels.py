@@ -60,8 +60,8 @@ import numpy as np
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
 # baseline must call it through that name
-from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, _finite, induced_subgraph
-from .recommender import ReplacementResult, _check_replacement_inputs
+from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, _finite, induced_subgraph, remainder
+from .recommender import ReplacementResult
 
 SHORTEST_PATH_MAX_NODES = 64
 GED_MAX_NODES = 12
@@ -464,7 +464,8 @@ def kernel_baseline_replace(
     wants one times the whole call.
     Raises :class:`RefusalError` before scoring past ``BASELINE_BUDGET`` combinations.
     """
-    remaining = _check_replacement_inputs(team, departing, net)
+    team.validate_for(net)
+    remaining = remainder(team, departing)
     in_team = np.zeros(net.n, dtype=bool)
     in_team[list(team.members)] = True
     outside = np.flatnonzero(~in_team)

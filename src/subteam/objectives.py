@@ -23,6 +23,7 @@ import numpy as np
 import scipy.sparse as sp
 
 from .errors import ValidationError
+from .graph import remainder
 
 COSINE_NORM_FLOOR = 1e-12
 # relative rounding floor of the structural identity ||A||^2 - 2<C, AC> + ||C^T C||^2
@@ -85,9 +86,10 @@ def contrastive_loss(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, n
 
     The loss is the negated mean cosine between each subteam and its remaining
     team, so minimizing it maximizes their agreement. ``batch`` is a sequence
-    of (team, subteam) pairs; the subteam must be a strict, non-empty subset of
-    its team so the remainder is non-empty.
-    A pair whose cosine is 0 by the norm-floor convention adds no gradient.
+    of (team, subteam) pairs, each split by :func:`subteam.graph.remainder`, which
+    refuses a subteam that is empty, holds an outsider or leaves no member; the
+    subteam keeps the order it was given. A pair whose cosine is 0 by the
+    norm-floor convention adds no gradient.
 
     The pairs share one CSR incidence, rows interleaved as subteam, remainder.
     A row adds its members one after another from 0, as ``mean(axis=0)`` does
@@ -98,22 +100,12 @@ def contrastive_loss(batch, z: np.ndarray, scale: float = 1.0) -> tuple[float, n
     """
     if not batch:
         raise ValidationError("contrastive loss needs at least one (team, subteam) pair")
-    ids: list[int] = []
-    counts: list[int] = []
+    parts: list[tuple[int, ...]] = []
     for team, subteam in batch:
-        team_ids = set(team)
         sub_ids = tuple(subteam)
-        if not sub_ids:
-            raise ValidationError("subteam must be non-empty")
-        if not team_ids.issuperset(sub_ids):
-            raise ValidationError(f"subteam {sub_ids} not contained in team")
-        remainder = sorted(team_ids.difference(sub_ids))
-        if not remainder:
-            raise ValidationError("subteam equals team; remainder is empty")
-        ids += sub_ids
-        ids += remainder
-        counts += (len(sub_ids), len(remainder))
-    ix = np.asarray(ids, dtype=np.intp)
+        parts += (sub_ids, remainder(team, sub_ids))
+    counts = [len(part) for part in parts]
+    ix = np.asarray([i for part in parts for i in part], dtype=np.intp)
     if ix.min() < 0 or ix.max() >= z.shape[0]:
         raise ValidationError(f"member ids must lie in 0..{z.shape[0] - 1}")
     sizes = np.asarray(counts, dtype=np.float64)[:, None]

@@ -34,7 +34,7 @@ import numpy as np
 
 from .encoder import ClusterModel
 from .errors import RefusalError, ValidationError
-from .graph import SocialNetwork, Team
+from .graph import SocialNetwork, Team, remainder
 from .objectives import cosine_rows, team_embedding
 
 # counts product tuples: with 215-node clusters and 32-wide embeddings on one
@@ -66,18 +66,6 @@ class ReplacementResult:
         return self.subteam is not None
 
 
-def _check_replacement_inputs(team: Team, departing: Team, net: SocialNetwork) -> tuple[int, ...]:
-    """The remaining members, once ``team`` fits ``net`` and ``departing`` is a strict subset."""
-    team.validate_for(net)
-    dep = set(departing.members)
-    if not dep <= set(team.members):
-        raise ValidationError(f"departing members {sorted(dep)} not all in team")
-    remaining = tuple(sorted(set(team.members) - dep))
-    if not remaining:
-        raise ValidationError("departing set equals the team; remaining team is empty")
-    return remaining
-
-
 def recommend(
     team: Team,
     departing: Team,
@@ -101,9 +89,11 @@ def recommend(
     tuple that keeps at least one member, duplicates included: the product's
     size minus the product of each pool's team-member count. Refuses with
     :class:`RefusalError`, before enumerating anything, when the product
-    holds more than ``DEFAULT_SEARCH_BUDGET`` tuples.
+    holds more than ``DEFAULT_SEARCH_BUDGET`` tuples; the inputs are checked by
+    :meth:`Team.validate_for` and :func:`subteam.graph.remainder`.
     """
-    remaining = _check_replacement_inputs(team, departing, net)
+    team.validate_for(net)
+    remaining = remainder(team, departing)
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
     clusters = model.hard.take(departing.members).tolist()
