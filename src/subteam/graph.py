@@ -51,6 +51,10 @@ MAX_FEATURES = 100_000
 # 1.8 GB; larger n is refused. Raising it needs a bound on the expected edge count.
 MAX_SYNTH_PAIRS = 8_000_000
 SYNTH_BLOCK_PAIRS = 1 << 16  # pairs per row block, or one whole row if longer
+# generate_synthetic draws its teams one at a time, about 30 us and 160 bytes
+# (tracemalloc peak) per team at n = 40 on 2 cores, so this cap holds the team
+# draw near 30 s and 160 MB; a larger count is refused before anything is drawn
+MAX_SYNTH_TEAMS = 1_000_000
 
 
 def _canonical_csr(m) -> sp.csr_array:
@@ -538,8 +542,8 @@ def generate_synthetic(
     from a home block: each seat is marked cross-block with probability 0.1,
     and up to ``size // 3`` of the marked seats are filled from other blocks.
     Output is a pure function of the arguments. More than ``MAX_SYNTH_PAIRS``
-    node pairs, or more than ``MAX_FEATURES`` features, are refused before
-    anything is allocated.
+    node pairs, more than ``MAX_FEATURES`` features, or more than
+    ``MAX_SYNTH_TEAMS`` teams, are refused before anything is allocated.
     """
     if not (_finite(p_in) and _finite(p_out) and 0 <= p_out < p_in <= 1):
         raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in!r}, p_out={p_out!r}")
@@ -551,6 +555,8 @@ def generate_synthetic(
         raise ValidationError(f"d={d} is over the feature cap of {MAX_FEATURES}")
     if not _integer_at_least(teams, 0):
         raise ValidationError(f"team count must be non-negative, got {teams!r}")
+    if teams > MAX_SYNTH_TEAMS:
+        raise ValidationError(f"team count must be at most {MAX_SYNTH_TEAMS}")
     check_seed(seed)
     pairs = n * (n - 1) // 2
     if pairs > MAX_SYNTH_PAIRS:

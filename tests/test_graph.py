@@ -13,7 +13,7 @@ import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import net_from_dense
+from conftest import net_from_dense, rig_model
 from oracles import normalize_adjacency_oracle
 from subteam import graph
 from subteam.encoder import init_params, load_checkpoint, save_checkpoint
@@ -31,10 +31,13 @@ from subteam.graph import (
     load_teams,
     normalize_adjacency,
     planted_blocks,
+    remainder,
     save_network,
     save_teams,
 )
-from subteam.kernels import KernelConfig
+from subteam.kernels import KernelConfig, kernel_baseline_replace
+from subteam.objectives import contrastive_loss
+from subteam.recommender import recommend
 from subteam.trainer import TrainConfig, split_teams
 
 
@@ -394,6 +397,13 @@ class TestLoadTeams:
         with pytest.raises(ValidationError, match="t.txt:2"):
             load_teams(path, net)
 
+    def test_negative_id_names_line(self, tmp_path):
+        net = net_from_dense(np.zeros((3, 3)), np.eye(3))
+        path = write(tmp_path / "t.txt", "0 1\n# two\n2 -1\n")
+        with pytest.raises(ValidationError) as err:
+            load_teams(path, net)
+        assert str(err.value) == f"{path}:3: negative node id in team: -1"
+
     @pytest.mark.parametrize("line", ["1_0 2", "1 \u0663", "\uff11 2"])
     def test_non_ascii_or_underscored_id_is_refused(self, tmp_path, line):
         net = net_from_dense(np.zeros((12, 12)), np.eye(12))
@@ -416,7 +426,9 @@ class TestTeam:
         with pytest.raises(ValidationError):
             Team(())
 
-    @pytest.mark.parametrize("ids", [(0.7, 2.9), (1, 2.0), (np.float64(3.0),), ("1",)])
+    @pytest.mark.parametrize(
+        "ids", [(0.7, 2.9), (1, 2.0), (np.float64(3.0),), ("1",), (True, 2), (np.True_,)]
+    )
     def test_non_integer_id_is_refused(self, ids):
         with pytest.raises(ValidationError, match="non-integer node id"):
             Team(ids)
@@ -436,6 +448,44 @@ class TestTeam:
         members = Team(tuple(ids)).members
         assert all(a < b for a, b in zip(members, members[1:]))
         assert set(members) == set(ids)
+
+
+def test_remainder_is_the_sorted_rest():
+    assert remainder(Team((4, 0, 2, 7)), (7, 0)) == (2, 4)
+    assert remainder((3, 1, 2), Team((2,))) == (1, 3)
+
+
+SPLIT_NET = net_from_dense(np.zeros((6, 6)), np.eye(6))
+# each function that splits a team, called with a team and a subset as tuples
+SPLITTERS = {
+    "remainder": remainder,
+    "contrastive_loss": lambda team, subset: contrastive_loss([(team, subset)], np.eye(6)),
+    "recommend": lambda team, subset: recommend(
+        Team(team), Team(subset), rig_model(np.eye(6), [1, 1, 1, 2, 2, 2], 2), SPLIT_NET
+    ),
+    "kernel_baseline_replace": lambda team, subset: kernel_baseline_replace(
+        Team(team), Team(subset), SPLIT_NET, KernelConfig()
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "splitter, subset, message",
+    [
+        pytest.param(name, subset, message, id=f"{name}-{case}")
+        for case, subset, message, takers in [
+            ("outsider", (2, 5), "subteam members [5] are not in the team", SPLITTERS),
+            ("whole-team", (0, 1, 2), "subteam equals the team; no member remains", SPLITTERS),
+            # a Team is never empty, so only the functions that take bare tuples see this
+            ("empty", (), "subteam must be non-empty", ["remainder", "contrastive_loss"]),
+        ]
+        for name in takers
+    ],
+)
+def test_malformed_split_refused_alike_everywhere(splitter, subset, message):
+    with pytest.raises(ValidationError) as err:
+        SPLITTERS[splitter]((0, 1, 2), subset)
+    assert str(err.value) == message
 
 
 class TestInducedSubgraph:
@@ -643,6 +693,12 @@ class TestGenerateSynthetic:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_team_cap_refuses_before_drawing(self, monkeypatch):
+        monkeypatch.setattr(graph, "MAX_SYNTH_TEAMS", 3)
+        assert len(generate_synthetic(**{**SYNTH, "teams": 3})[1]) == 3
+        with pytest.raises(ValidationError, match="team count must be at most 3"):
+            generate_synthetic(**{**SYNTH, "teams": 4})
+
     def test_block_count_must_divide_n(self):
         with pytest.raises(ValidationError):
             generate_synthetic(n=20, d=8, k_planted=3, p_in=0.5, p_out=0.1, teams=1, seed=0)
@@ -772,7 +828,7 @@ ENTRY_POINTS = [
             ("k_planted", CAPPED_COUNT, "k_planted="),
             ("p_in", REAL, "p_in="),
             ("p_out", REAL, "p_out="),
-            ("teams", COUNT, "team count"),
+            ("teams", CAPPED_COUNT, "team count"),
             ("seed", COUNT, "seed must"),
         ]
     ),
