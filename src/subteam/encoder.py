@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from .errors import ValidationError
-from .graph import SocialNetwork, _integer_at_least, normalize_adjacency
+from .graph import SocialNetwork, _shown, check_integer, normalize_adjacency
 
 CHECKPOINT_VERSION = 1
 # 2**27 float64 entries, 1,073,741,824 bytes: the node and feature caps bound
@@ -90,8 +90,9 @@ def check_dense_size(n: int, d: int, hidden, clusters: int, extra: int = 0) -> N
     dense = n * (sum(hidden) + clusters) + weights + extra
     if dense > MAX_DENSE_ENTRIES:
         raise ValidationError(
-            f"n={n} nodes and d={d} features with hidden widths {hidden} and "
-            f"{clusters} clusters need {dense} dense entries, over the cap of {MAX_DENSE_ENTRIES}"
+            f"n={_shown(n)} nodes and d={_shown(d)} features with hidden widths {_shown(hidden)} "
+            f"and {_shown(clusters)} clusters need {_shown(dense)} dense entries, "
+            f"over the cap of {MAX_DENSE_ENTRIES}"
         )
 
 
@@ -262,11 +263,7 @@ def load_checkpoint(path) -> EncoderParams:
         with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
         version = doc.get("format_version")
-        if not (_integer_at_least(version, 0) and version == CHECKPOINT_VERSION):
-            raise ValidationError(
-                f"unsupported checkpoint format version {version!r} "
-                f"(expected {CHECKPOINT_VERSION})"
-            )
+        check_integer("checkpoint format version", version, CHECKPOINT_VERSION, CHECKPOINT_VERSION)
         params = EncoderParams(
             layer_weights=tuple(np.asarray(w, dtype=np.float64) for w in doc["layer_weights"]),
             cluster_weight=np.asarray(doc["cluster_weight"], dtype=np.float64),

@@ -48,7 +48,7 @@ import numpy as np
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
 from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph, remainder
-from .graph import _finite, _integer_at_least, check_seed  # the setting checks
+from .graph import check_integer, check_real, check_seed  # the setting checks
 from .kernels import (
     KernelConfig,
     graph_edit_distance,
@@ -213,8 +213,7 @@ class EvalReport:
 
 def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwork:
     """Keep a uniform random subset of feature columns (in ascending order)."""
-    if not (_integer_at_least(d_sub, 0) and d_sub <= net.d):
-        raise ValidationError(f"d_sub={d_sub!r} outside [0, {net.d}]")
+    check_integer("d_sub", d_sub, 0, net.d)
     check_seed(seed)
     cols = np.sort(np.random.default_rng(seed).choice(net.d, size=d_sub, replace=False))
     return SocialNetwork(adjacency=net.adjacency, features=net.features[:, cols])
@@ -227,8 +226,7 @@ def draw_cases(teams, percentages, seed: int):
     rounds it to at least one member and at most all but one.
     """
     for pct in percentages:
-        if not (_finite(pct) and 0 < pct <= 100):
-            raise ValidationError(f"percentages must be in (0, 100], got {pct!r}")
+        check_real("percentages", pct, "reals in (0, 100]", lambda p: 0 < p <= 100)
     check_seed(seed)
     rng = np.random.default_rng([seed, 3])
     cases = []
@@ -278,8 +276,7 @@ def run_comparison(
     method_names = normalize_methods(methods)
     if "genius" in method_names and model is None:
         raise ValidationError("the embedding method needs a trained model")
-    if not (_finite(training_time_ms) and training_time_ms >= 0):
-        raise ValidationError(f"training_time_ms must be finite and >= 0, got {training_time_ms!r}")
+    check_real("training_time_ms", training_time_ms, "a finite real >= 0", lambda ms: ms >= 0)
     if not teams:
         raise ValidationError("empty test split")
     if net.d == 0:

@@ -2,8 +2,8 @@
 
 A team's dense graph is a :class:`LabeledGraph`, the one type that
 :func:`induced_subgraph` returns and every kernel in :mod:`subteam.kernels` takes.
-The setting checks that every entry point uses (no bool is a number) and the team
-rules (:class:`Team`'s ids and fit, :func:`remainder`, :func:`drawable_teams`) live here too.
+The setting checks that every entry point uses (no bool is a number; one refusal wording) and
+the team rules (:class:`Team`'s ids and fit, :func:`remainder`, :func:`drawable_teams`) live here.
 
 The on-disk formats are plain UTF-8 text:
 
@@ -146,12 +146,12 @@ class Team:
         ids = tuple(self.members) if isinstance(self.members, Iterable) else ()
         odd = [m for m in ids if not _integer_at_least(m, -math.inf)]
         if odd:
-            raise ValidationError(f"team holds a non-integer node id: {odd[0]!r}")
+            raise ValidationError(f"team holds a non-integer node id: {_shown(odd[0])}")
         members = tuple(sorted(set(map(int, ids))))
         if not members:
             raise ValidationError("team must be non-empty")
         if members[0] < 0:
-            raise ValidationError(f"negative node id in team: {members[0]}")
+            raise ValidationError(f"negative node id in team: {_shown(members[0])}")
         object.__setattr__(self, "members", members)
 
     def __len__(self) -> int:
@@ -163,7 +163,7 @@ class Team:
     def validate_for(self, net: SocialNetwork) -> None:
         if self.members[-1] >= net.n:
             raise ValidationError(
-                f"team references node {self.members[-1]} but network has n={net.n}"
+                f"team references node {_shown(self.members[-1])} but network has n={net.n}"
             )
 
 
@@ -265,12 +265,12 @@ def _plain_lines(path) -> list[str] | None:
     return data.decode("ascii").split("\n")
 
 
-def _finite(value) -> bool:
-    """Whether ``value`` is a real number, not a bool, that converts to a finite float."""
+def _shown(value) -> str:
+    """``repr(value)``, or its type's name if Python will not print it (an int past 4,300 digits)."""
     try:
-        return isinstance(value, numbers.Real) and type(value) is not bool and math.isfinite(value)
-    except OverflowError:  # an integer past float64's range
-        return False
+        return repr(value)
+    except Exception:
+        return f"<{type(value).__name__} too long to print>"
 
 
 def _integer_at_least(value, low: int) -> bool:
@@ -280,18 +280,32 @@ def _integer_at_least(value, low: int) -> bool:
     return integer and value >= low
 
 
-def _finite_floats(values, count: int) -> tuple[float, ...] | None:
-    """``values`` as floats when it holds ``count`` values that pass :func:`_finite`, else None."""
-    values = tuple(values) if isinstance(values, Iterable) else ()
-    if len(values) == count and all(_finite(v) for v in values):
-        return tuple(float(v) for v in values)
-    return None
+def check_integer(name: str, value, low: int, high: float = math.inf) -> None:
+    """Refuse ``value`` unless it is an integer (no bool) in [low, high], naming it ``name``."""
+    if not (_integer_at_least(value, low) and value <= high):
+        bounds = f">= {low}" if high == math.inf else f"in [{low}, {high}]"
+        raise ValidationError(f"{name} must be an integer {bounds}, got {_shown(value)}")
+
+
+def check_real(name: str, value, rule: str, holds, count: int = 0):
+    """``value`` as a float, or with ``count`` as a tuple of that many floats, if each is a finite
+    real (no bool) and ``holds(*floats)``; else refused as ``<name> must be <rule>, got <value>``."""
+    values = (value,) if not count else tuple(value) if isinstance(value, Iterable) else ()
+    try:
+        real = all(
+            isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v) for v in values
+        )
+    except OverflowError:  # an integer past float64's range
+        real = False
+    floats = tuple(map(float, values)) if real else ()
+    if len(floats) != max(count, 1) or not holds(*floats):
+        raise ValidationError(f"{name} must be {rule}, got {_shown(value)}")
+    return floats if count else floats[0]
 
 
 def check_seed(seed: int) -> None:
     """Refuse a random seed that is not an integer >= 0; numpy takes a bool, and it is refused."""
-    if not _integer_at_least(seed, 0):
-        raise ValidationError(f"seed must be >= 0, got {seed!r}")
+    check_integer("seed", seed, 0)
 
 
 def remainder(team, subset) -> tuple[int, ...]:
@@ -301,7 +315,7 @@ def remainder(team, subset) -> tuple[int, ...]:
     if not part:
         raise ValidationError("subteam must be non-empty")
     if not part <= members:
-        raise ValidationError(f"subteam members {sorted(part - members)} are not in the team")
+        raise ValidationError(f"subteam members {_shown(sorted(part - members))} are not in the team")
     if part == members:
         raise ValidationError("subteam equals the team; no member remains")
     return tuple(sorted(members - part))
@@ -545,23 +559,21 @@ def generate_synthetic(
     node pairs, more than ``MAX_FEATURES`` features, or more than
     ``MAX_SYNTH_TEAMS`` teams, are refused before anything is allocated.
     """
-    if not (_finite(p_in) and _finite(p_out) and 0 <= p_out < p_in <= 1):
-        raise ValidationError(f"need 0 <= p_out < p_in <= 1, got p_in={p_in!r}, p_out={p_out!r}")
-    if not (_integer_at_least(n, 1) and _integer_at_least(k_planted, 1) and n % k_planted == 0):
-        raise ValidationError(f"k_planted={k_planted!r} must divide n={n!r}")
-    if not _integer_at_least(d, k_planted):
-        raise ValidationError(f"need at least one feature per block (d={d!r}, k={k_planted})")
-    if d > MAX_FEATURES:
-        raise ValidationError(f"d={d} is over the feature cap of {MAX_FEATURES}")
-    if not _integer_at_least(teams, 0):
-        raise ValidationError(f"team count must be non-negative, got {teams!r}")
-    if teams > MAX_SYNTH_TEAMS:
-        raise ValidationError(f"team count must be at most {MAX_SYNTH_TEAMS}")
+    check_real(
+        "(p_in, p_out)", (p_in, p_out), "two reals with 0 <= p_out < p_in <= 1",
+        lambda p_in, p_out: 0 <= p_out < p_in <= 1, count=2,
+    )
+    check_integer("n", n, 1)
+    check_integer("k_planted", k_planted, 1)
+    if n % k_planted:
+        raise ValidationError(f"k_planted={_shown(k_planted)} must divide n={_shown(n)}")
+    check_integer("d", d, k_planted, MAX_FEATURES)  # at least one feature per block
+    check_integer("team count", teams, 0, MAX_SYNTH_TEAMS)
     check_seed(seed)
     pairs = n * (n - 1) // 2
     if pairs > MAX_SYNTH_PAIRS:
         raise ValidationError(
-            f"n={n} has {pairs} node pairs to draw, over the cap of {MAX_SYNTH_PAIRS}"
+            f"n={_shown(n)} has {_shown(pairs)} node pairs to draw, over the cap of {MAX_SYNTH_PAIRS}"
         )
     block_size = n // k_planted
     if block_size < 2:

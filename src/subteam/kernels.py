@@ -60,7 +60,7 @@ import numpy as np
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
 # baseline must call it through that name
-from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, _finite, induced_subgraph, remainder
+from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, check_real, induced_subgraph, remainder
 from .recommender import ReplacementResult
 
 SHORTEST_PATH_MAX_NODES = 64
@@ -85,10 +85,8 @@ class KernelConfig:
     termination: float = 0.1
 
     def __post_init__(self):
-        if not (_finite(self.decay) and self.decay > 0):
-            raise ValidationError(f"decay must be finite and positive, got {self.decay!r}")
-        if not (_finite(self.termination) and 0 < self.termination < 1):
-            raise ValidationError(f"termination must be in (0,1), got {self.termination!r}")
+        check_real("decay", self.decay, "a finite real > 0", lambda decay: decay > 0)
+        check_real("termination", self.termination, "a real in (0, 1)", lambda t: 0 < t < 1)
 
 
 def _require_same_width(g1: LabeledGraph, g2: LabeledGraph) -> None:

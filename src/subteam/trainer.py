@@ -31,7 +31,7 @@ from .encoder import (
 )
 from .errors import NonFiniteLossError, ValidationError
 from .graph import SocialNetwork, Team, _data_lines, draw_subset, drawable_teams, normalize_adjacency
-from .graph import _finite, _finite_floats, _integer_at_least, check_seed  # the setting checks
+from .graph import _shown, check_integer, check_real, check_seed  # the setting checks
 from .objectives import (
     clustering_loss,
     contrastive_loss,
@@ -43,12 +43,10 @@ from .objectives import (
 
 def _split_fractions(fractions) -> tuple[float, ...]:
     """The (train, val, test) fractions as floats: three, each finite and >= 0, summing to 1."""
-    floats = _finite_floats(fractions, 3)
-    if floats is None or not (all(f >= 0 for f in floats) and abs(sum(floats) - 1.0) <= 1e-9):
-        raise ValidationError(
-            f"split fractions must be >= 0 and sum to 1, got {floats or fractions!r}"
-        )
-    return floats
+    return check_real(
+        "split fractions", fractions, "three finite reals >= 0 that sum to 1",
+        lambda *f: min(f) >= 0 and abs(sum(f) - 1.0) <= 1e-9, count=3,
+    )
 
 
 @dataclass(frozen=True)
@@ -63,33 +61,28 @@ class TrainConfig:
     clusters: int | None = None
 
     def __post_init__(self):
-        # each test is written so that a NaN, and a value of another type, fails it
-        if not _integer_at_least(self.epochs, 1):
-            raise ValidationError(f"epochs must be >= 1, got {self.epochs!r}")
-        if not (_finite(self.learning_rate) and self.learning_rate > 0):
-            raise ValidationError(
-                f"learning rate must be finite and positive, got {self.learning_rate!r}"
-            )
-        fraction_range = _finite_floats(self.subteam_fraction_range, 2)
-        if not (fraction_range and 0 < fraction_range[0] <= fraction_range[1] < 1):
-            raise ValidationError(
-                f"subteam fraction range: need 0 < low <= high < 1, "
-                f"got {self.subteam_fraction_range!r}"
-            )
+        check_integer("epochs", self.epochs, 1)
+        check_real("learning rate", self.learning_rate, "a finite real > 0", lambda rate: rate > 0)
+        fraction_range = check_real(
+            "subteam fraction range", self.subteam_fraction_range,
+            "two reals (low, high) with 0 < low <= high < 1",
+            lambda low, high: 0 < low <= high < 1, count=2,
+        )
         hidden = tuple(self.hidden) if isinstance(self.hidden, Iterable) else ()
-        if not (hidden and all(_integer_at_least(h, 1) for h in hidden)):
-            raise ValidationError(f"need at least one hidden layer, each >= 1 wide, got {self.hidden!r}")
-        if not (self.clusters is None or _integer_at_least(self.clusters, 2)):
-            raise ValidationError(f"need at least 2 clusters, got {self.clusters!r}")
-        if not hasattr(self.weights, "__len__") or len(self.weights) != 3:
-            raise ValidationError(f"need 3 loss weights, got {self.weights!r}")
-        for name, value in zip(("skill", "structural", "clustering"), self.weights):
-            if not (_finite(value) and value >= 0):
-                raise ValidationError(f"loss weight {name} must be finite and >= 0, got {value}")
+        if not hidden:
+            raise ValidationError(f"hidden must be one or more layer widths, got {_shown(self.hidden)}")
+        for width in hidden:
+            check_integer("each hidden width", width, 1)
+        if self.clusters is not None:
+            check_integer("clusters", self.clusters, 2)
+        weights = check_real(
+            "loss weights", self.weights, "three finite reals >= 0 (skill, structural, clustering)",
+            lambda *w: min(w) >= 0, count=3,
+        )
         check_seed(self.seed)
         object.__setattr__(self, "hidden", tuple(int(h) for h in hidden))
         object.__setattr__(self, "split", _split_fractions(self.split))
-        object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
+        object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "subteam_fraction_range", fraction_range)
 
 
@@ -209,7 +202,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     # the head holds sum(hidden) x clusters weights and the skill term a
     # clusters x clusters Gram, so an explicit count is capped at n
     if cfg.clusters is not None and cfg.clusters > net.n:
-        raise ValidationError(f"cluster count {cfg.clusters} exceeds the node count {net.n}")
+        raise ValidationError(f"cluster count {_shown(cfg.clusters)} exceeds the node count {net.n}")
     clusters = cfg.clusters if cfg.clusters is not None else default_cluster_count(net.n)
     check_dense_size(net.n, net.d, cfg.hidden, clusters, extra=net.n * net.d + net.d**2)
     train_split, val_split, _ = split_teams(teams, cfg.split, cfg.seed)

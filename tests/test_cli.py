@@ -121,7 +121,7 @@ class TestSynth:
 
     @pytest.mark.parametrize(
         "n, d, clusters, message",
-        [(10_000_000, 1, 1, "node pairs"), (24, 200_000, 4, "feature cap")],
+        [(10_000_000, 1, 1, "node pairs"), (24, 200_000, 4, "d must be an integer in [4, 100000]")],
         ids=["node-pairs", "features"],
     )
     def test_size_over_a_cap_exits_2(self, tmp_path, capsys, n, d, clusters, message):

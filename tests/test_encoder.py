@@ -268,7 +268,7 @@ class TestCheckpoint:
         path = tmp_path / "ckpt.json"
         save_checkpoint(params, path)
         path.write_text(path.read_text().replace('"format_version": 1', '"format_version": true'))
-        with pytest.raises(ValidationError, match="version True"):
+        with pytest.raises(ValidationError, match=r"version must be an integer in \[1, 1\], got True"):
             load_checkpoint(path)
 
     def test_layer_weight_not_2d_reported_as_malformed(self, tmp_path):

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from conftest import net_from_dense, rig_model
 from oracles import normalize_adjacency_oracle
 from subteam import graph
-from subteam.encoder import init_params, load_checkpoint, save_checkpoint
+from subteam.encoder import check_dense_size, init_params, load_checkpoint, save_checkpoint
 from subteam.errors import ParseError, ValidationError
 from subteam.evaluate import draw_cases, feature_subsample, run_comparison
 from subteam.graph import (
@@ -38,7 +38,7 @@ from subteam.graph import (
 from subteam.kernels import KernelConfig, kernel_baseline_replace
 from subteam.objectives import contrastive_loss
 from subteam.recommender import recommend
-from subteam.trainer import TrainConfig, split_teams
+from subteam.trainer import TrainConfig, split_teams, train
 
 
 def write(path, text):
@@ -696,7 +696,7 @@ class TestGenerateSynthetic:
     def test_team_cap_refuses_before_drawing(self, monkeypatch):
         monkeypatch.setattr(graph, "MAX_SYNTH_TEAMS", 3)
         assert len(generate_synthetic(**{**SYNTH, "teams": 3})[1]) == 3
-        with pytest.raises(ValidationError, match="team count must be at most 3"):
+        with pytest.raises(ValidationError, match=r"team count must be an integer in \[0, 3\]"):
             generate_synthetic(**{**SYNTH, "teams": 4})
 
     def test_block_count_must_divide_n(self):
@@ -707,8 +707,8 @@ class TestGenerateSynthetic:
         "n, d, k, teams, message",
         [
             (8, 8, 8, 1, "blocks need at least 2 nodes to host teams"),
-            (20, 3, 4, 1, r"need at least one feature per block \(d=3, k=4\)"),
-            (20, 8, 4, -1, "team count must be non-negative"),
+            (20, 3, 4, 1, r"d must be an integer in \[4, 100000\], got 3"),
+            (20, 8, 4, -1, r"team count must be an integer in \[0, 1000000\], got -1"),
         ],
         ids=["one-node-blocks", "fewer-features-than-blocks", "negative-team-count"],
     )
@@ -795,10 +795,14 @@ class TestGenerateSynthetic:
 
 
 # what each kind of setting must refuse; 10**400 is an integer, so only a count with a
-# cap (CAPPED_COUNT) refuses it
-COUNT = [None, "3", 2.5, True, math.nan, math.inf, -1]
-CAPPED_COUNT = [*COUNT, 10**400]
-REAL = [None, "0.1", True, math.nan, math.inf, 10**400, -1]
+# cap (CAPPED_COUNT) refuses it. Python will not print an int past 4,300 digits, so
+# 10**5000 checks that no refusal raises while wording its value.
+COUNT = [None, "3", 2.5, True, math.nan, math.inf, -1, -(10**5000)]
+CAPPED_COUNT = [*COUNT, 10**400, 10**5000]
+REAL = [None, "0.1", True, math.nan, math.inf, 10**400, -1, 10**5000, -(10**5000)]
+# json.dumps cannot write those two, and json.load refuses them as a malformed checkpoint
+JSON_COUNT = [v for v in CAPPED_COUNT if v not in (10**5000, -(10**5000))]
+HUGE_IDS = {10**400: "10**400", 10**5000: "10**5000", -(10**5000): "-10**5000"}
 SYNTH = dict(n=12, d=4, k_planted=2, p_in=0.8, p_out=0.1, teams=4, seed=0)
 
 
@@ -823,11 +827,11 @@ ENTRY_POINTS = [
         (f"generate_synthetic-{name}", lambda v, _, name=name: _small_instance(**{name: v}),
          values, pattern)
         for name, values, pattern in [
-            ("n", CAPPED_COUNT, r"\bn="),
-            ("d", CAPPED_COUNT, r"\bd="),
-            ("k_planted", CAPPED_COUNT, "k_planted="),
-            ("p_in", REAL, "p_in="),
-            ("p_out", REAL, "p_out="),
+            ("n", CAPPED_COUNT, r"\bn( must|=)"),
+            ("d", CAPPED_COUNT, "d must"),
+            ("k_planted", CAPPED_COUNT, "k_planted( must|=)"),
+            ("p_in", REAL, r"\(p_in, p_out\) must"),
+            ("p_out", REAL, r"\(p_in, p_out\) must"),
             ("teams", CAPPED_COUNT, "team count"),
             ("seed", COUNT, "seed must"),
         ]
@@ -838,10 +842,11 @@ ENTRY_POINTS = [
         for name, wrap, values, pattern in [
             ("epochs", lambda v: v, COUNT, "epochs must"),
             ("learning_rate", lambda v: v, REAL, "learning rate"),
-            ("weights", lambda v: (v, 1.0, 1.0), REAL, "loss weight skill"),
+            ("weights", lambda v: (v, 1.0, 1.0), REAL, "loss weights must"),
             ("subteam_fraction_range", lambda v: (v, 0.5), REAL, "subteam fraction range"),
             ("split", lambda v: (v, 0.0, 0.0), REAL, "split fractions"),
-            ("hidden", lambda v: (v,), COUNT, "hidden layer"),
+            ("hidden", lambda v: (v,), COUNT, "hidden width must"),
+            ("clusters", lambda v: v, [v for v in COUNT if v is not None], "clusters must"),
             ("seed", lambda v: v, COUNT, "seed must"),
         ]
     ),
@@ -852,30 +857,63 @@ ENTRY_POINTS = [
     ("KernelConfig-decay", lambda v, _: KernelConfig(decay=v), REAL, "decay must"),
     ("KernelConfig-termination", lambda v, _: KernelConfig(termination=v), REAL, "termination"),
     ("feature_subsample-d_sub", lambda v, _: feature_subsample(_small_instance()[0], v, 0),
-     CAPPED_COUNT, "d_sub="),
+     CAPPED_COUNT, "d_sub must"),
     ("feature_subsample-seed", lambda v, _: feature_subsample(_small_instance()[0], 2, v),
      COUNT, "seed must"),
     ("draw_cases-percentages", lambda v, _: draw_cases(_small_instance()[1], [v], 0),
      REAL, "percentages must"),
     ("draw_cases-seed", lambda v, _: draw_cases(_small_instance()[1], [50], v), COUNT, "seed must"),
-    ("load_checkpoint-format_version", _load_checkpoint_of_version, CAPPED_COUNT, "format version"),
+    ("load_checkpoint-format_version", _load_checkpoint_of_version, JSON_COUNT, "format version"),
     ("run_comparison-training_time_ms",
      lambda v, _: run_comparison(*_small_instance(), ["kernel"], [50], 0, training_time_ms=v),
      REAL, "training_time_ms"),
+    # settings whose caps depend on other values: the network, the dense size, the team
+    ("train-hidden", lambda v, _: train(*_small_instance(), TrainConfig(epochs=1, hidden=(v,))),
+     [10**5000], "hidden widths"),
+    ("train-clusters", lambda v, _: train(*_small_instance(), TrainConfig(epochs=1, clusters=v)),
+     [10**5000], "cluster count"),
+    ("check_dense_size-n", lambda v, _: check_dense_size(v, 4, (3,), 2), [10**400, 10**5000],
+     r"\bn="),
+    ("Team-ids", lambda v, _: Team((v, 1)), COUNT, "node id"),
+    ("induced_subgraph-ids", lambda v, _: induced_subgraph(_small_instance()[0], Team((0, v))),
+     [12, 10**400, 10**5000], "references node"),
+    ("remainder-outsiders", lambda v, _: remainder(Team((0, 1, 2)), (0, v)), [3, 10**400, 10**5000],
+     "not in the team"),
 ]
 
 
 @pytest.mark.parametrize(
     "call, value, pattern",
     [
-        pytest.param(call, value, pattern, id=f"{name}-{'10**400' if value == 10**400 else value}")
+        pytest.param(call, value, pattern, id=f"{name}-{HUGE_IDS.get(value, value)}")
         for name, call, values, pattern in ENTRY_POINTS
         for value in values
     ],
 )
 def test_malformed_setting_refused_at_every_entry_point(call, value, pattern, tmp_path):
-    # a bool, a string, a float where a count belongs, NaN, inf, a number past float64 and
-    # a negative are each a ValidationError naming the setting, never a bare TypeError,
-    # ValueError or OverflowError, and never accepted
+    # a bool, a string, a float where a count belongs, NaN, inf, a number past float64 or
+    # past what Python prints, and a negative are each a ValidationError naming the setting,
+    # never a bare TypeError, ValueError or OverflowError, and never accepted
     with pytest.raises(ValidationError, match=pattern):
         call(value, tmp_path)
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (10**5000, "<int too long to print>"),
+        (-(10**5000), "<int too long to print>"),
+        ((0.5, 10**5000), "<tuple too long to print>"),
+    ],
+    ids=["int", "negative-int", "tuple"],
+)
+def test_a_refused_value_python_will_not_print_is_named_by_its_type(value, shown):
+    assert graph._shown(value) == shown
+
+
+@pytest.mark.parametrize(
+    "value", [None, "3", math.nan, math.inf, 10**400, (0.25, 0.75)],
+    ids=["None", "str", "nan", "inf", "10**400", "floats"],
+)
+def test_a_printable_refused_value_shows_as_its_repr(value):
+    assert graph._shown(value) == repr(value)

@@ -1,4 +1,5 @@
-"""Every name a program module imports is referenced in that module."""
+"""Every name a program module imports is referenced in that module, and only graph.py
+reads the setting predicates, so every numeric refusal takes graph's one wording."""
 
 import ast
 from pathlib import Path
@@ -39,3 +40,35 @@ def test_the_check_finds_what_it_should():
 @pytest.mark.parametrize("path", MODULES, ids=[path.name for path in MODULES])
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the setting predicates; graph.check_integer and graph.check_real hold them and word
+# every refusal, so no other module may name one
+PREDICATES = {"_finite", "_integer_at_least", "_finite_floats"}
+
+
+def predicates_named(source: str) -> list[str]:
+    """The setting predicates that ``source`` imports or reads, as a name or an attribute."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    return sorted(names & PREDICATES)
+
+
+def test_the_predicate_check_finds_what_it_should():
+    source = "from .graph import _finite as real\nfrom . import graph\ngraph._integer_at_least(1)\n"
+    assert predicates_named(source) == ["_finite", "_integer_at_least"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(path for path in PACKAGE.glob("*.py") if path.name != "graph.py"),
+    ids=lambda path: path.name,
+)
+def test_only_graph_reads_the_setting_predicates(path):
+    assert predicates_named(path.read_text(encoding="utf-8")) == []

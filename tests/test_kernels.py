@@ -675,8 +675,8 @@ EMPTY = LabeledGraph(adjacency=np.zeros((0, 0)), labels=np.zeros((0, 1)))
 @pytest.mark.parametrize(
     "call, match",
     [
-        (lambda: KernelConfig(termination=0.0), r"termination must be in \(0,1\)"),
-        (lambda: KernelConfig(termination=1.0), r"termination must be in \(0,1\)"),
+        (lambda: KernelConfig(termination=0.0), r"termination must be a real in \(0, 1\), got 0\.0"),
+        (lambda: KernelConfig(termination=1.0), r"termination must be a real in \(0, 1\), got 1\.0"),
         (lambda: shortest_path_kernel(EMPTY, single_node([1.0])), "undefined for empty graphs"),
         (lambda: shortest_path_kernel(single_node([1.0]), EMPTY), "undefined for empty graphs"),
         (lambda: marginalized_kernel(single_node([1.0]), [EMPTY], CFG), "empty graphs"),

@@ -403,18 +403,23 @@ def test_loss_inputs_that_do_not_fit_rejected(call, match):
         call()
 
 
+WEIGHTS_RULE = (
+    r"loss weights must be three finite reals >= 0 \(skill, structural, clustering\), got "
+)
+
+
 class TestLossWeights:
     @pytest.mark.parametrize(
         "weights, match",
         [
-            ((1, 2), r"need 3 loss weights, got \(1, 2\)"),
-            ((1, 2, 3, 4), "need 3 loss weights"),
-            (None, "need 3 loss weights, got None"),
-            (("a", 1, 1), "loss weight skill must be finite and >= 0, got a"),
-            ((1, math.nan, 1), "loss weight structural must be finite and >= 0, got nan"),
-            ((1, 1, math.inf), "loss weight clustering must be finite and >= 0, got inf"),
-            ((-1, 0, 0), "loss weight skill must be finite and >= 0, got -1"),
-            ((10**400, 1, 1), "loss weight skill must be finite and >= 0, got 1000"),
+            ((1, 2), WEIGHTS_RULE + r"\(1, 2\)"),
+            ((1, 2, 3, 4), WEIGHTS_RULE + r"\(1, 2, 3, 4\)"),
+            (None, WEIGHTS_RULE + "None"),
+            (("a", 1, 1), WEIGHTS_RULE + r"\('a', 1, 1\)"),
+            ((1, math.nan, 1), WEIGHTS_RULE + r"\(1, nan, 1\)"),
+            ((1, 1, math.inf), WEIGHTS_RULE + r"\(1, 1, inf\)"),
+            ((-1, 0, 0), WEIGHTS_RULE + r"\(-1, 0, 0\)"),
+            ((10**400, 1, 1), WEIGHTS_RULE + r"\(1000"),
         ],
         ids=["two", "four", "none", "string", "nan", "inf", "negative", "past-float64"],
     )

@@ -49,7 +49,8 @@ class TestSplitTeams:
 
     @pytest.mark.parametrize("fractions", [None, ("a", 1, 1)])
     def test_malformed_fractions_rejected(self, fractions):
-        with pytest.raises(ValidationError, match="split fractions must be >= 0 and sum to 1"):
+        rule = "split fractions must be three finite reals >= 0 that sum to 1"
+        with pytest.raises(ValidationError, match=rule):
             split_teams(make_teams(3), fractions, 0)
 
 
@@ -113,17 +114,17 @@ class TestTrainConfigValidation:
     @pytest.mark.parametrize(
         "setting, match",
         [
-            ({"epochs": 0}, "epochs must be >= 1, got 0"),
-            ({"epochs": "3"}, "epochs must be >= 1, got '3'"),
-            ({"epochs": 2.5}, r"epochs must be >= 1, got 2\.5"),
-            ({"seed": "1"}, "seed must be >= 0, got '1'"),
-            ({"clusters": "5"}, "need at least 2 clusters, got '5'"),
-            ({"hidden": None}, "hidden layer, each >= 1 wide, got None"),
-            ({"hidden": (2.9,)}, r"hidden layer, each >= 1 wide, got \(2\.9,\)"),
-            ({"split": None}, "split fractions must be >= 0 and sum to 1, got None"),
+            ({"epochs": 0}, "epochs must be an integer >= 1, got 0"),
+            ({"epochs": "3"}, "epochs must be an integer >= 1, got '3'"),
+            ({"epochs": 2.5}, r"epochs must be an integer >= 1, got 2\.5"),
+            ({"seed": "1"}, "seed must be an integer >= 0, got '1'"),
+            ({"clusters": "5"}, "clusters must be an integer >= 2, got '5'"),
+            ({"hidden": None}, "hidden must be one or more layer widths, got None"),
+            ({"hidden": (2.9,)}, r"each hidden width must be an integer >= 1, got 2\.9"),
+            ({"split": None}, "split fractions must be three finite reals >= 0 that sum to 1, got None"),
             ({"split": ("a", 1, 1)}, r"split fractions must be .* got \('a', 1, 1\)"),
-            ({"subteam_fraction_range": None}, "subteam fraction range: .* got None"),
-            ({"learning_rate": 10**400}, "learning rate must be finite and positive"),
+            ({"subteam_fraction_range": None}, "subteam fraction range must be .* got None"),
+            ({"learning_rate": 10**400}, "learning rate must be a finite real > 0, got 1000"),
         ],
         ids=["zero-epochs", "str-epochs", "float-epochs", "str-seed", "str-clusters",
              "no-hidden", "float-hidden", "no-split", "str-split", "no-range", "huge-rate"],
