@@ -40,6 +40,7 @@ import itertools
 import json
 import time
 from collections import Counter
+from collections.abc import Collection
 from dataclasses import dataclass
 from math import isfinite
 
@@ -48,7 +49,7 @@ import numpy as np
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
 from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph, remainder
-from .graph import check_integer, check_real, check_seed  # the setting checks
+from .graph import _shown, check_integer, check_real, check_seed  # the setting checks
 from .kernels import (
     KernelConfig,
     graph_edit_distance,
@@ -222,9 +223,14 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
 def draw_cases(teams, percentages, seed: int):
     """Shared (team, percent, departing) cases: one draw per team and percentage.
 
-    Each percentage must lie in (0, 100]; for each team of 2 or more, :func:`draw_subset`
+    ``percentages`` must be a collection, since it is read once per team, and each
+    percentage must lie in (0, 100]; for each team of 2 or more, :func:`draw_subset`
     rounds it to at least one member and at most all but one.
     """
+    if not isinstance(percentages, Collection):
+        raise ValidationError(
+            f"percentages must be a collection of reals in (0, 100], got {_shown(percentages)}"
+        )
     for pct in percentages:
         check_real("percentages", pct, "reals in (0, 100]", lambda p: 0 < p <= 100)
     check_seed(seed)
@@ -240,10 +246,10 @@ def draw_cases(teams, percentages, seed: int):
 def normalize_methods(methods) -> list[str]:
     out = []
     for raw in methods:
-        name = _METHOD_ALIASES.get(str(raw).strip().lower())
+        name = _METHOD_ALIASES.get(raw.strip().lower()) if isinstance(raw, str) else None
         if name is None:
             raise ValidationError(
-                f"unknown method {raw!r}; expected one of {sorted(set(_METHOD_ALIASES))}"
+                f"unknown method {_shown(raw)}; expected one of {sorted(set(_METHOD_ALIASES))}"
             )
         if name not in out:
             out.append(name)

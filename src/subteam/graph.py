@@ -44,13 +44,13 @@ from .errors import ParseError, ValidationError
 # these caps are refused instead.
 MAX_NODES = 1_000_000
 MAX_FEATURES = 100_000
-# generate_synthetic draws the node pairs a row block at a time, so its scratch
-# stays small (traced peak 8.2 MB, 1.0 byte per pair, at n = 4000, p_in = 0.05,
-# p_out = 0.0005) and its output sets the peak: 213 bytes per pair when every pair
-# becomes an edge (p_in = 1, one block). This cap (n <= 4000) holds that under
-# 1.8 GB; larger n is refused. Raising it needs a bound on the expected edge count.
+# generate_synthetic draws the node pairs one row at a time, so its scratch stays
+# small (traced peak 6.1 MB, 0.8 byte per pair, at n = 4000, d = 64, 16 blocks,
+# p_in = 0.05, p_out = 0.0005, 100 teams) and its output sets the peak: 146 bytes
+# per pair when every pair becomes an edge (p_in = 1, one block). This cap
+# (n <= 4000) holds that near 1.2 GB; larger n is refused. Raising it needs a
+# bound on the expected edge count.
 MAX_SYNTH_PAIRS = 8_000_000
-SYNTH_BLOCK_PAIRS = 1 << 16  # pairs per row block, or one whole row if longer
 # generate_synthetic draws its teams one at a time, about 30 us and 160 bytes
 # (tracemalloc peak) per team at n = 40 on 2 cores, so this cap holds the team
 # draw near 30 s and 160 MB; a larger count is refused before anything is drawn
@@ -548,16 +548,15 @@ def generate_synthetic(
     """Planted-partition network with block-banded features and block-local teams.
 
     Nodes are split into ``k_planted`` equal blocks; within-block pairs get an
-    edge with probability ``p_in``, cross-block pairs with ``p_out``. The pairs
-    are drawn in blocks of whole rows, each at most ``SYNTH_BLOCK_PAIRS`` pairs
-    or one row, and the block size does not change the output. Each block owns
-    a disjoint band of feature columns; every node activates a few in-band
-    features plus occasional low-value cross-band noise. Teams draw members
-    from a home block: each seat is marked cross-block with probability 0.1,
-    and up to ``size // 3`` of the marked seats are filled from other blocks.
-    Output is a pure function of the arguments. More than ``MAX_SYNTH_PAIRS``
-    node pairs, more than ``MAX_FEATURES`` features, or more than
-    ``MAX_SYNTH_TEAMS`` teams, are refused before anything is allocated.
+    edge with probability ``p_in``, cross-block pairs with ``p_out``, drawn one
+    row of pairs at a time. Each block owns a disjoint band of feature columns;
+    every node activates a few in-band features plus occasional low-value
+    cross-band noise. Teams draw members from a home block: each seat is marked
+    cross-block with probability 0.1, and up to ``size // 3`` of the marked
+    seats are filled from other blocks. Output is a pure function of the
+    arguments. More than ``MAX_SYNTH_PAIRS`` node pairs, more than
+    ``MAX_FEATURES`` features, or more than ``MAX_SYNTH_TEAMS`` teams, are
+    refused before anything is allocated.
     """
     check_real(
         "(p_in, p_out)", (p_in, p_out), "two reals with 0 <= p_out < p_in <= 1",
@@ -581,23 +580,15 @@ def generate_synthetic(
     block = planted_blocks(n, k_planted)
     rng = np.random.default_rng(seed)
 
-    # pairs (i, j > i) in row-major order, whole rows at a time: one row, or as many
-    # as fit SYNTH_BLOCK_PAIRS; rng.random gives the same doubles called in pieces
-    row_end = np.cumsum(np.arange(n - 1, 0, -1))  # pairs in rows 0..i
-    ei_parts, ej_parts = [], []
-    r0 = 0
-    while r0 < n - 1:
-        drawn = int(row_end[r0 - 1]) if r0 else 0
-        r1 = max(r0 + 1, int(np.searchsorted(row_end, drawn + SYNTH_BLOCK_PAIRS, side="right")))
-        lens = n - 1 - np.arange(r0, r1)
-        iu = np.repeat(np.arange(r0, r1), lens)
-        ju = iu + 1 + np.arange(iu.size) - np.repeat(np.cumsum(lens) - lens, lens)
-        keep = rng.random(iu.size) < np.where(block[iu] == block[ju], p_in, p_out)
-        ei_parts.append(iu[keep])
-        ej_parts.append(ju[keep])
-        r0 = r1
-    rows = np.concatenate(ei_parts + ej_parts)
-    cols = np.concatenate(ej_parts + ei_parts)
+    # pairs (i, j > i) in row-major order, one row at a time, so the scratch is one
+    # row; rng.random gives the same doubles called in pieces
+    ej_parts = []
+    for i in range(n - 1):
+        keep = rng.random(n - 1 - i) < np.where(block[i + 1:] == block[i], p_in, p_out)
+        ej_parts.append(i + 1 + np.flatnonzero(keep))
+    ei = np.repeat(np.arange(n - 1), [part.size for part in ej_parts])
+    rows = np.concatenate((ei, *ej_parts))
+    cols = np.concatenate((*ej_parts, ei))
     # .tocsr() kept: handing over the COO made perfbench's train ops 9% slower (allocator state)
     adjacency = sp.coo_array((np.ones(rows.size), (rows, cols)), shape=(n, n)).tocsr()
 
@@ -614,11 +605,9 @@ def generate_synthetic(
         lo, hi = band_lo[block[v]], band_hi[block[v]]
         width = hi - lo
         count = 1 + int(rng.binomial(min(width - 1, 4), 0.6)) if width > 1 else 1
-        own = lo + rng.choice(width, size=count, replace=False)
-        for f in own:
-            frows.append(v)
-            fcols.append(int(f))
-            fvals.append(float(rng.uniform(0.5, 1.5)))
+        frows.extend([v] * count)
+        fcols.extend((lo + rng.choice(width, size=count, replace=False)).tolist())
+        fvals.extend(rng.uniform(0.5, 1.5, count).tolist())
         if rng.random() < 0.3 and d > width:
             f = int(rng.choice(d - width))
             frows.append(v)

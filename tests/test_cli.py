@@ -101,6 +101,21 @@ class TestSynth:
             "teams.txt": "b2d38de32d6862ab98b5c167d83d1493f3661bebacae06d71cb00dcd33228762",
         }
 
+    def test_readme_n4000_files_are_pinned(self, tmp_path):
+        # README's load_network timing shape, the largest n under the pair cap
+        out = tmp_path / "data"
+        argv = "synth --n 4000 --d 64 --clusters 16 --p-in 0.05 --p-out 0.0005 --teams 1000"
+        assert main(argv.split() + ["--out", str(out)]) == 0
+        digests = {
+            name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+            for name in ("edges.tsv", "features.tsv", "teams.txt")
+        }
+        assert digests == {
+            "edges.tsv": "f158f7f3fabe2d2be0dc09b1ca01a22ad2a608d4092eb860fdbd1ad6b1e3f7a1",
+            "features.tsv": "3a8d2fcf11899bdb9625a7ce62305a55d9db353f2363074595d6493f677c598f",
+            "teams.txt": "e3d3e27a77bc3a9a93c85062e5160cdef3e4ea7ad7297ecc5057fbf2a52a44e2",
+        }
+
     def test_invalid_probability_exits_2(self, tmp_path, capsys):
         code = main(SYNTH + ["--p-out", "1.5", "--out", str(tmp_path / "x")])
         assert code == 2

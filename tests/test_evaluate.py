@@ -1,5 +1,6 @@
 from collections import Counter
 
+import re
 import sys
 
 import numpy as np
@@ -163,6 +164,14 @@ class TestNormalizeMethods:
     def test_unknown_rejected(self):
         with pytest.raises(ValidationError):
             normalize_methods(["genius", "mystery"])
+
+    @pytest.mark.parametrize(
+        "method, shown", [(10**5000, "<int too long to print>"), (None, "None"), (3, "3")],
+        ids=["10**5000", "None", "3"],
+    )
+    def test_method_that_is_not_a_string_rejected(self, method, shown):
+        with pytest.raises(ValidationError, match=f"unknown method {re.escape(shown)};"):
+            normalize_methods(["genius", method])
 
     def test_none_selected_rejected(self):
         with pytest.raises(ValidationError, match="no methods selected"):

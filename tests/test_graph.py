@@ -760,30 +760,46 @@ class TestGenerateSynthetic:
         members = repr([t.members for t in team_list]).encode()
         assert hashlib.sha256(members).hexdigest() == teams
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
+    # the pair draw's edge shapes: one pair, one short row, every pair an edge, and
+    # rows that cross five blocks; like PINNED, a change to these bytes must be deliberate
+    EDGE_SHAPES = [
+        (
             dict(n=2, d=1, k_planted=1, p_in=0.5, p_out=0.0, teams=2, seed=0),
+            "b6849cff34c126243583ef4b1c05548f0fc904b1b6ce43eeba405ad83a19767c",
+            "b799140cde9adb73dbb52e0e8dff1c91adb9f8f10678db3a4fc3458a8d47b757",
+            "a5a60072518d8503e40ef7ad6ec550b3856b3a05e87f80168848bb409d56105e",
+        ),
+        (
             dict(n=3, d=2, k_planted=1, p_in=0.5, p_out=0.0, teams=2, seed=1),
+            "4dd4ce230feb0de9ba445243b1c886d5d93b2462bb2261285cfeab4548460e6b",
+            "0d427bb98fcc59f08ac4cfce192c91001c4405fa1c24da24957df4e4558a0ed3",
+            "b61c1734e967f06f652bf6495b43e30ad3614b3d37c0a5eae97b1ad07d2864d9",
+        ),
+        (
             dict(n=24, d=4, k_planted=1, p_in=1.0, p_out=0.0, teams=5, seed=2),
+            "663c5709091e72875fb4dcb5446213e03a4412ee23c7d1cd4f75bae3bdf84a54",
+            "55e57b225c443a9bc80ac82c4d5f678eff7c6c052372d991066c2e4e792d3ea6",
+            "3531dfe2a705a0d9ce5de66d41886ed8d8afa6acb08956dea1afba661cae674d",
+        ),
+        (
             dict(n=60, d=12, k_planted=5, p_in=0.6, p_out=0.1, teams=40, seed=3),
-        ],
+            "1ccac02e0b728bc1636262a9305844a6cb235683edde4ea9c09636d1bc12e692",
+            "a809c5d73d6e2290a4478ee0402975d8c1dcef16d99124c31fd1612e01154efe",
+            "11f207650f2df49f5858abfead6367cbff1487f458867b58552170013de18f59",
+        ),
+    ]
+
+    @pytest.mark.parametrize(
+        "kwargs, adjacency, features, teams",
+        EDGE_SHAPES,
         ids=["n2", "n3", "one-full-block", "five-blocks"],
     )
-    @pytest.mark.parametrize("block_pairs", [1, 7, 10**9])
-    def test_output_does_not_depend_on_the_row_block_size(self, monkeypatch, kwargs, block_pairs):
-        default_net, default_teams = generate_synthetic(**kwargs)
-        monkeypatch.setattr(graph, "SYNTH_BLOCK_PAIRS", block_pairs)
-        net, teams = generate_synthetic(**kwargs)
-        for matrix in ("adjacency", "features"):
-            got, want = getattr(net, matrix), getattr(default_net, matrix)
-            for name in ("indptr", "indices", "data"):
-                assert np.array_equal(getattr(got, name), getattr(want, name))
-        assert teams == default_teams
+    def test_edge_shapes_are_pinned(self, kwargs, adjacency, features, teams):
+        self.test_perfbench_networks_are_pinned(kwargs, adjacency, features, teams)
 
     def test_traced_peak_does_not_grow_with_the_pair_count(self):
         # drawn all at once, the pairs held 33 bytes each at the traced peak: 95 MB
-        # here, 264 MB at n = 4000; in row blocks the peak is 3.6 MB here, 8.2 MB at 4000
+        # here, 264 MB at n = 4000; one row at a time the peak is 2.7 MB here, 6.1 MB at 4000
         n = 2400
         tracemalloc.start()
         try:
@@ -863,6 +879,12 @@ ENTRY_POINTS = [
     ("draw_cases-percentages", lambda v, _: draw_cases(_small_instance()[1], [v], 0),
      REAL, "percentages must"),
     ("draw_cases-seed", lambda v, _: draw_cases(_small_instance()[1], [50], v), COUNT, "seed must"),
+    # percentages are read once per team, so a number or a None in place of the collection
+    ("run_comparison-percentages",
+     lambda v, _: run_comparison(*_small_instance(), ["kernel"], v, 0),
+     [50, None, math.nan, 10**5000], "percentages must be a collection"),
+    ("draw_cases-percentages-collection", lambda v, _: draw_cases(_small_instance()[1], v, 0),
+     [50, None], "percentages must be a collection"),
     ("load_checkpoint-format_version", _load_checkpoint_of_version, JSON_COUNT, "format version"),
     ("run_comparison-training_time_ms",
      lambda v, _: run_comparison(*_small_instance(), ["kernel"], [50], 0, training_time_ms=v),
