@@ -40,7 +40,6 @@ import itertools
 import json
 import time
 from collections import Counter
-from collections.abc import Collection
 from dataclasses import dataclass
 from math import isfinite
 
@@ -49,7 +48,7 @@ import numpy as np
 from .encoder import ClusterModel
 from .errors import ConvergenceError, RefusalError, ValidationError
 from .graph import SocialNetwork, Team, draw_subset, drawable_teams, induced_subgraph, remainder
-from .graph import _shown, check_integer, check_real, check_seed  # the setting checks
+from .graph import _shown, check_collection, check_integer, check_real, check_seed, check_teams
 from .kernels import (
     KernelConfig,
     graph_edit_distance,
@@ -223,14 +222,11 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
 def draw_cases(teams, percentages, seed: int):
     """Shared (team, percent, departing) cases: one draw per team and percentage.
 
-    ``percentages`` must be a collection, since it is read once per team, and each
-    percentage must lie in (0, 100]; for each team of 2 or more, :func:`draw_subset`
-    rounds it to at least one member and at most all but one.
+    ``percentages`` is a collection (read once, so a generator is drawn for every team),
+    and each percentage must lie in (0, 100]; for each team of 2 or more,
+    :func:`draw_subset` rounds it to at least one member and at most all but one.
     """
-    if not isinstance(percentages, Collection):
-        raise ValidationError(
-            f"percentages must be a collection of reals in (0, 100], got {_shown(percentages)}"
-        )
+    percentages = check_collection("percentages", percentages, "a collection of reals in (0, 100]")
     for pct in percentages:
         check_real("percentages", pct, "reals in (0, 100]", lambda p: 0 < p <= 100)
     check_seed(seed)
@@ -245,7 +241,7 @@ def draw_cases(teams, percentages, seed: int):
 
 def normalize_methods(methods) -> list[str]:
     out = []
-    for raw in methods:
+    for raw in check_collection("methods", methods, "a collection of method names"):
         name = _METHOD_ALIASES.get(raw.strip().lower()) if isinstance(raw, str) else None
         if name is None:
             raise ValidationError(
@@ -275,14 +271,16 @@ def run_comparison(
     call, refused or not. Training time is amortized over the test teams and
     added to the trained method's total time. Means are over the cases all
     methods completed; refusals and no-candidate outcomes are counted per method.
-    ``genius`` without a ``model``, a training time below 0 or not finite, no ``teams``
-    and a network without features (every kernel on it is 0) are refused before any case runs.
+    ``genius`` without a ``model``, a training time below 0 or not finite, ``teams`` that is
+    empty or not a sequence of :class:`Team`, and a network without features (every kernel
+    on it is 0) are refused before any case runs.
     """
     kernel_cfg = kernel_cfg or KernelConfig()
     method_names = normalize_methods(methods)
     if "genius" in method_names and model is None:
         raise ValidationError("the embedding method needs a trained model")
     check_real("training_time_ms", training_time_ms, "a finite real >= 0", lambda ms: ms >= 0)
+    check_teams(teams)
     if not teams:
         raise ValidationError("empty test split")
     if net.d == 0:

@@ -2,8 +2,9 @@
 
 A team's dense graph is a :class:`LabeledGraph`, the one type that
 :func:`induced_subgraph` returns and every kernel in :mod:`subteam.kernels` takes.
-The setting checks that every entry point uses (no bool is a number; one refusal wording) and
-the team rules (:class:`Team`'s ids and fit, :func:`remainder`, :func:`drawable_teams`) live here.
+The setting checks that every entry point uses (no bool is a number, no single string is a
+collection; one refusal wording) and the team rules (:class:`Team`'s ids and fit,
+:func:`check_teams`, :func:`remainder`, :func:`drawable_teams`) live here.
 
 The on-disk formats are plain UTF-8 text:
 
@@ -30,7 +31,7 @@ from __future__ import annotations
 import math
 import numbers
 import warnings
-from collections.abc import Iterable
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -65,18 +66,17 @@ def _canonical_csr(m) -> sp.csr_array:
     return out
 
 
-def _csr_equal(a: sp.csr_array, b: sp.csr_array) -> bool:
-    return a.shape == b.shape and (a != b).nnz == 0
+def _same_csr(a: sp.csr_array, b: sp.csr_array) -> bool:
+    """Whether two canonical CSRs hold the same matrix: the same shape and the same arrays."""
+    arrays = (a.indptr, b.indptr), (a.indices, b.indices), (a.data, b.data)
+    return a.shape == b.shape and all(np.array_equal(x, y) for x, y in arrays)
 
 
 def _symmetric(csr: sp.csr_array) -> bool:
-    """Whether a canonical CSR equals its transpose, whose sorted CSR holds the same arrays."""
+    """Whether a canonical CSR equals its transpose, whose sorted CSR is canonical too."""
     t = csr.T.tocsr()
     t.sort_indices()
-    return all(
-        np.array_equal(a, b)
-        for a, b in ((csr.indptr, t.indptr), (csr.indices, t.indices), (csr.data, t.data))
-    )
+    return _same_csr(csr, t)
 
 
 def _finite_nonnegative(values: np.ndarray) -> bool:
@@ -127,8 +127,8 @@ class SocialNetwork:
         if not isinstance(other, SocialNetwork):
             return NotImplemented
         return (
-            _csr_equal(self.adjacency, other.adjacency)
-            and _csr_equal(self.features, other.features)
+            _same_csr(self.adjacency, other.adjacency)
+            and _same_csr(self.features, other.features)
         )
 
 
@@ -137,13 +137,14 @@ class Team:
     """A set of member node ids, stored as a strictly increasing tuple.
 
     The constructor deduplicates and sorts, so ``Team((3, 1, 2, 2))`` holds
-    ``(1, 2, 3)``. Ids must be integers (numpy's too, no bool); ``2.9`` is refused, not truncated.
+    ``(1, 2, 3)``. Ids must be integers (numpy's too, no bool); ``2.9`` is refused, not truncated,
+    and a ``str`` or ``bytes`` value is refused whole, not read as characters or bytes.
     """
 
     members: tuple[int, ...]
 
     def __post_init__(self):
-        ids = tuple(self.members) if isinstance(self.members, Iterable) else ()
+        ids = check_collection("team", self.members, "a collection of integer node ids")
         odd = [m for m in ids if not _integer_at_least(m, -math.inf)]
         if odd:
             raise ValidationError(f"team holds a non-integer node id: {_shown(odd[0])}")
@@ -287,10 +288,32 @@ def check_integer(name: str, value, low: int, high: float = math.inf) -> None:
         raise ValidationError(f"{name} must be an integer {bounds}, got {_shown(value)}")
 
 
+def check_collection(name: str, value, rule: str) -> tuple:
+    """The items of a setting that takes a collection, as a tuple. A value that is not iterable,
+    or is one ``str`` or ``bytes`` value, is refused whole as ``<name> must be <rule>, got
+    <value>``: iterating would read ``"88"`` as two 8s and ``b"50"`` as 53 and 48."""
+    if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
+        raise ValidationError(f"{name} must be {rule}, got {_shown(value)}")
+    return tuple(value)
+
+
+def check_teams(teams) -> None:
+    """Refuse ``teams`` unless it is a sequence of :class:`Team`; its users take its length,
+    index it and read each team's members, so a generator or a tuple of ids would fail bare."""
+    if not isinstance(teams, Sequence):
+        raise ValidationError(f"teams must be a sequence of Team, got {_shown(teams)}")
+    odd = [team for team in teams if not isinstance(team, Team)]
+    if odd:
+        raise ValidationError(
+            f"teams must be a sequence of Team, got one that holds {_shown(odd[0])}"
+        )
+
+
 def check_real(name: str, value, rule: str, holds, count: int = 0):
-    """``value`` as a float, or with ``count`` as a tuple of that many floats, if each is a finite
-    real (no bool) and ``holds(*floats)``; else refused as ``<name> must be <rule>, got <value>``."""
-    values = (value,) if not count else tuple(value) if isinstance(value, Iterable) else ()
+    """``value`` as a float, or with ``count`` as a tuple of that many floats (its items through
+    :func:`check_collection`), if each is a finite real (no bool) and ``holds(*floats)``; else
+    refused as ``<name> must be <rule>, got <value>``."""
+    values = check_collection(name, value, rule) if count else (value,)
     try:
         real = all(
             isinstance(v, numbers.Real) and type(v) is not bool and math.isfinite(v) for v in values

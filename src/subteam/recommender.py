@@ -193,16 +193,12 @@ def _canonical_pieces(pools: list[np.ndarray], clusters: list[int]):
                 continue
             ix = [i[keep] for i in ix]
         cols = [pool[i] for pool, i in zip(heads, ix)]
-        if before is None:  # every run is the whole last pool
-            rows = len(ix[0]) * width
-        else:  # kept prefix p's run starts at ix[before][p] and fills block rows up to ends[p]
-            ends = np.cumsum(width - ix[before])
-            rows = int(ends[-1])
+        # kept prefix p's run starts at its linked index (or 0) and fills block rows up to ends[p]
+        start = np.zeros_like(ix[0]) if before is None else ix[before]
+        ends = np.cumsum(width - start)
+        rows = int(ends[-1])
         for piece in range(0, rows, CHUNK):
             row = np.arange(piece, min(piece + CHUNK, rows))
-            if before is None:
-                p, i = np.divmod(row, width)
-            else:
-                p = np.searchsorted(ends, row, side="right")
-                i = row + (width - ends[p])
+            p = np.searchsorted(ends, row, side="right")
+            i = row + (width - ends[p])
             yield [col[p] for col in cols] + [last[i]]

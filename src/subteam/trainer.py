@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import time
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,7 +30,7 @@ from .encoder import (
 )
 from .errors import NonFiniteLossError, ValidationError
 from .graph import SocialNetwork, Team, _data_lines, draw_subset, drawable_teams, normalize_adjacency
-from .graph import _shown, check_integer, check_real, check_seed  # the setting checks
+from .graph import _shown, check_collection, check_integer, check_real, check_seed, check_teams
 from .objectives import (
     clustering_loss,
     contrastive_loss,
@@ -68,9 +67,10 @@ class TrainConfig:
             "two reals (low, high) with 0 < low <= high < 1",
             lambda low, high: 0 < low <= high < 1, count=2,
         )
-        hidden = tuple(self.hidden) if isinstance(self.hidden, Iterable) else ()
+        rule = "one or more layer widths"
+        hidden = check_collection("hidden", self.hidden, rule)
         if not hidden:
-            raise ValidationError(f"hidden must be one or more layer widths, got {_shown(self.hidden)}")
+            raise ValidationError(f"hidden must be {rule}, got {_shown(self.hidden)}")
         for width in hidden:
             check_integer("each hidden width", width, 1)
         if self.clusters is not None:
@@ -103,6 +103,7 @@ class EpochStats:
 
 def split_teams(teams, fractions, seed: int) -> tuple[list[Team], list[Team], list[Team]]:
     """Deterministic shuffled partition, empty for no teams; floor-sized val/test, rest to train."""
+    check_teams(teams)
     check_seed(seed)
     _, f_val, f_test = _split_fractions(fractions)
     order = np.random.default_rng(seed).permutation(len(teams))
@@ -193,6 +194,7 @@ def train(net: SocialNetwork, teams, cfg: TrainConfig):
     dense n x d feature rows and the skill term's d x d Gram, raises
     :class:`ValidationError` first.
     """
+    check_teams(teams)
     if not teams:
         raise ValidationError("cannot train without teams")
     for team in teams:

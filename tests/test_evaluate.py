@@ -120,6 +120,8 @@ class TestDrawCases:
         a = draw_cases(teams[:5], [25.0, 50.0], seed=3)
         b = draw_cases(teams[:5], [25.0, 50.0], seed=3)
         assert a == b
+        # the percentages are read once, so a generator gives every team the same ones
+        assert draw_cases(teams[:5], (pct for pct in [25.0, 50.0]), seed=3) == a
 
     def test_departing_is_strict_subset(self, eval_instance):
         _, teams, _ = eval_instance

@@ -18,7 +18,7 @@ from oracles import normalize_adjacency_oracle
 from subteam import graph
 from subteam.encoder import check_dense_size, init_params, load_checkpoint, save_checkpoint
 from subteam.errors import ParseError, ValidationError
-from subteam.evaluate import draw_cases, feature_subsample, run_comparison
+from subteam.evaluate import draw_cases, feature_subsample, normalize_methods, run_comparison
 from subteam.graph import (
     MAX_SYNTH_PAIRS,
     LabeledGraph,
@@ -826,6 +826,20 @@ def _small_instance(**changed):
     return generate_synthetic(**{**SYNTH, **changed})
 
 
+# team lists that are not a sequence of Team, made by _teams_as
+MALFORMED_TEAMS = ["generator", "tuples", "one-team"]
+
+
+def _teams_as(kind):
+    """The small instance's teams as a generator, a list of id tuples, or its first team alone."""
+    teams = _small_instance()[1]
+    return {
+        "generator": (team for team in teams),
+        "tuples": [team.members for team in teams],
+        "one-team": teams[0],
+    }[kind]
+
+
 def _load_checkpoint_of_version(version, tmp_path):
     path = tmp_path / "checkpoint.json"
     save_checkpoint(init_params(4, (3,), 2, np.random.default_rng(0)), path)
@@ -885,6 +899,27 @@ ENTRY_POINTS = [
      [50, None, math.nan, 10**5000], "percentages must be a collection"),
     ("draw_cases-percentages-collection", lambda v, _: draw_cases(_small_instance()[1], v, 0),
      [50, None], "percentages must be a collection"),
+    # a setting that takes a collection refuses a value that is not iterable, and one str
+    # or bytes value whole, which iterating would read as characters or small integers
+    ("normalize_methods-collection", lambda v, _: normalize_methods(v),
+     ["kernel", b"kernel", 5, None], "methods must be a collection"),
+    ("run_comparison-methods-text", lambda v, _: run_comparison(*_small_instance(), v, [50], 0),
+     ["kernel"], "methods must be a collection"),
+    ("draw_cases-percentages-text", lambda v, _: draw_cases(_small_instance()[1], v, 0),
+     ["50", b"50"], "percentages must be a collection"),
+    ("Team-text", lambda v, _: Team(v), ["12", b"\x01\x02"], "team must be a collection"),
+    ("TrainConfig-hidden-text", lambda v, _: TrainConfig(hidden=v), ["88", b"\x08\x08"],
+     "hidden must be one or more layer widths"),
+    ("TrainConfig-split-text", lambda v, _: TrainConfig(split=v), [b"\x01\x00\x00"],
+     "split fractions must"),
+    # the team list is read by length, by index and team by team
+    ("split_teams-teams", lambda v, _: split_teams(_teams_as(v), (1.0, 0.0, 0.0), 0),
+     MALFORMED_TEAMS, "teams must be a sequence of Team"),
+    ("train-teams", lambda v, _: train(_small_instance()[0], _teams_as(v), TrainConfig(epochs=1)),
+     MALFORMED_TEAMS, "teams must be a sequence of Team"),
+    ("run_comparison-teams",
+     lambda v, _: run_comparison(_small_instance()[0], _teams_as(v), ["kernel"], [50], 0),
+     MALFORMED_TEAMS, "teams must be a sequence of Team"),
     ("load_checkpoint-format_version", _load_checkpoint_of_version, JSON_COUNT, "format version"),
     ("run_comparison-training_time_ms",
      lambda v, _: run_comparison(*_small_instance(), ["kernel"], [50], 0, training_time_ms=v),

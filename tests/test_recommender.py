@@ -7,7 +7,7 @@ from unittest import mock
 import numpy as np
 import pytest
 import scipy.sparse as sp
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import net_from_dense, rig_model
@@ -254,6 +254,9 @@ class TestRecommend:
 
     @pytest.mark.parametrize("chunk", [recommender.CHUNK, 7])
     @given(st.integers(0, 2**32 - 1))
+    # departing members in clusters 1, 1, 2: the last is alone in its 3-node cluster, so
+    # its runs start at 0, and 15 kept prefixes lay out 45 rows across 7-row pieces
+    @example(159)
     @settings(max_examples=100, deadline=None)
     def test_chunked_search_equals_product_oracle(self, chunk, seed):
         team, departing, model, net = random_pool_instance(seed)
