@@ -219,6 +219,14 @@ def feature_subsample(net: SocialNetwork, d_sub: int, seed: int) -> SocialNetwor
     return SocialNetwork(adjacency=net.adjacency, features=net.features[:, cols])
 
 
+def _check_percentages(percentages) -> tuple:
+    """``percentages`` read once into a tuple, each a real in (0, 100]."""
+    percentages = check_collection("percentages", percentages, "a collection of reals in (0, 100]")
+    for pct in percentages:
+        check_real("percentages", pct, "reals in (0, 100]", lambda p: 0 < p <= 100)
+    return percentages
+
+
 def draw_cases(teams, percentages, seed: int):
     """Shared (team, percent, departing) cases: one draw per team and percentage.
 
@@ -226,9 +234,7 @@ def draw_cases(teams, percentages, seed: int):
     and each percentage must lie in (0, 100]; for each team of 2 or more,
     :func:`draw_subset` rounds it to at least one member and at most all but one.
     """
-    percentages = check_collection("percentages", percentages, "a collection of reals in (0, 100]")
-    for pct in percentages:
-        check_real("percentages", pct, "reals in (0, 100]", lambda p: 0 < p <= 100)
+    percentages = _check_percentages(percentages)
     check_seed(seed)
     rng = np.random.default_rng([seed, 3])
     cases = []
@@ -285,6 +291,7 @@ def run_comparison(
         raise ValidationError("empty test split")
     if net.d == 0:
         raise ValidationError("cannot evaluate on a network without features (d = 0)")
+    percentages = _check_percentages(percentages)  # the report names the ones drawn
     cases = draw_cases(teams, percentages, seed)
     amortized_ms = training_time_ms / len(teams)
     outcomes: list[CaseOutcome] = []

@@ -16,7 +16,7 @@ first graph against a stack of second graphs; a pair is a stack of one. Each
 slice of a stack stops on its own tolerance, so a slice's arithmetic is the
 same in any batch, and the solver iterates in buffers it allocates once per
 call. :func:`random_walk_kernel` takes its stack as arrays.
-:func:`marginalized_kernel` takes a list of graphs (in the evaluation, a
+:func:`marginalized_kernel` takes a collection of graphs (in the evaluation, a
 held-out team's original graph against itself and each of its rebuilt teams),
 solves once per graph size, and scores NaN for a pair that its spectral guard
 or the step cap refuses. The whole-network baseline refuses (``RefusalError``)
@@ -34,10 +34,15 @@ the exhaustive search's. At teams of 4 replacing 2 of 44 outside nodes, all
 but a few of the 946 candidates stop before the second step. A chunk holds as
 many candidates as keep each array it allocates within ``BASELINE_ENTRIES``
 entries, so at team sizes of a few members one query's candidates form a
-single stack at any feature width. A dense direct solve was measured and
-rejected: at team size 26 the product space has 676 unknowns, and one dense
-``np.linalg.solve`` costs over a hundred times what a candidate costs in a
-batched fixed-point solve.
+single stack at any feature width. The dense adjacency block of a chunk's
+nodes caps a chunk at (256 - (m - r)) // r candidates for a team of m
+replacing r once more than 256 - (m - r) nodes lie outside the team, that is
+on any network of more than 256 + r nodes. At r >= 2 that cap is at most
+127, below ``_PRUNE_MIN_DEPTH`` (128), so on such a network no solve is
+pruned: six r = 2 queries at n = 400 made 3,708 solves and pruned none. A
+dense direct solve was measured and rejected: at team size 26 the product
+space has 676 unknowns, and one dense ``np.linalg.solve`` costs over a
+hundred times what a candidate costs in a batched fixed-point solve.
 
 The exact edit distance assigns g1's nodes in order by depth-first branch and
 bound. One extra target stands for deleting a node: a zero row and column
@@ -60,7 +65,16 @@ import numpy as np
 from .errors import ConvergenceError, RefusalError, ValidationError
 # perfbench/tracing.py wraps induced_subgraph under this module's name, so the
 # baseline must call it through that name
-from .graph import LabeledGraph, SocialNetwork, Team, _dense_rows, check_real, induced_subgraph, remainder
+from .graph import (
+    LabeledGraph,
+    SocialNetwork,
+    Team,
+    _dense_rows,
+    check_collection,
+    check_real,
+    induced_subgraph,
+    remainder,
+)
 from .recommender import ReplacementResult
 
 SHORTEST_PATH_MAX_NODES = 64
@@ -325,8 +339,10 @@ def marginalized_kernel(g1: LabeledGraph, graphs, cfg: KernelConfig) -> np.ndarr
     Solved as a fixed point on the product space: the graphs of one size are
     stacked and solved in one call that shares g1's transition matrix. A pair
     whose spectral bound is not below 1 (NaN included) is left out of its
-    stack and scores NaN, as does one whose solve does not converge.
+    stack and scores NaN, as does one whose solve does not converge. ``graphs``
+    is read once, so a generator serves; one graph that is not in a collection is refused.
     """
+    graphs = check_collection("graphs", graphs, "a collection of LabeledGraph")
     for g2 in graphs:
         _require_compatible(g1, g2)
     damping = 1.0 - cfg.termination

@@ -1,28 +1,30 @@
 """Within-cluster replacement search.
 
-Candidate tuples are drawn from the clusters of the departing members, so a
-search touches at most (largest cluster)^(departing size) tuples instead of
-the whole network. A tuple's candidate is its set of members outside the
-original team, so the recommended set is never larger than the departing one.
-Departing members that share a cluster draw from one pool, and only the
-tuples whose pool indices do not decrease along each such group are scored:
-every member multiset is scored once. Those tuples are generated directly:
-the product of every position but the last is walked in numpy blocks of
-``CHUNK`` prefixes, each kept prefix expands to a run of last-position
-indices, and the runs are scored in pieces of ``CHUNK`` rows, so memory
-stays bounded whatever the tuple count. Tuples hold global node ids and are
-scored against the model's zero-padded embeddings (``ClusterModel.padded``),
-whose zero row at id n stands for team members and repeats, so a query builds
-no table of its own. Each pool is a hard cluster's read-only ascending id
-array in ``ClusterModel.containers``, built once with the model, and a query
-only blanks the team members in a copy. Every piece gathers its rows into two
-buffers the query allocates once, at ``min(CHUNK, product size)`` rows, and
-sums them in place; a piece of one-member tuples is scored on its rows as they
-are, since dividing a row by 1 is exact. The count of product tuples that keep
-a member is the product's size minus the tuples drawn only from team members,
-so it is known before the walk. A search over more than
-``DEFAULT_SEARCH_BUDGET`` product tuples refuses before it starts instead of
-running for hours.
+Candidate tuples are drawn from one pool per departing member, so a search
+touches at most (largest pool)^(departing size) tuples instead of the whole
+network. :func:`recommend` builds the pools, each departing member's hard
+cluster keyed by its cluster id, and :func:`_search` walks any pools: it
+reads their keys and ids alone, never the clusters. A tuple's candidate is
+its set of members outside the original team, so the recommended set is
+never larger than the departing one. Positions with equal keys draw from one
+pool, and only the tuples whose pool indices do not decrease along each such
+group are scored: every member multiset is scored once. Those tuples are
+generated directly: the product of every position but the last is walked in
+numpy blocks of ``CHUNK`` prefixes, each kept prefix expands to a run of
+last-position indices, and the runs are scored in pieces of ``CHUNK`` rows,
+so memory stays bounded whatever the tuple count. Tuples hold global node
+ids and are scored against the model's zero-padded embeddings
+(``ClusterModel.padded``), whose zero row at id n stands for team members and
+repeats, so a query builds no table of its own. A cluster pool is a
+read-only ascending id array in ``ClusterModel.containers``, built once with
+the model, and a query only blanks the team members in a copy, once per key.
+Every piece gathers its rows into two buffers the query allocates once, at
+``min(CHUNK, product size)`` rows, and sums them in place; a piece of
+one-member tuples is scored on its rows as they are, since dividing a row by
+1 is exact. The count of product tuples that keep a member is the product's
+size minus the tuples drawn only from team members, so it is known before
+the walk. A search over more than ``DEFAULT_SEARCH_BUDGET`` product tuples
+refuses before it starts instead of running for hours.
 """
 
 from __future__ import annotations
@@ -74,50 +76,58 @@ def recommend(
 ) -> ReplacementResult:
     """Best replacement set from the departing members' clusters.
 
-    Enumerates the Cartesian product of the clusters the departing members are
-    hard-assigned to (lexicographically over the pools in ascending id order), drops
-    original-team members from each tuple, and scores each tuple's remaining
-    member set by cosine against the remaining-team embedding. Ties keep the
-    first candidate in enumeration order. Within a cluster that several
-    departing members share, each member multiset is scored once, in product
-    order, at the tuple whose pool indices do not decrease within the
-    cluster. That tuple comes first among the multiset's orderings, which all
-    get the identical score, so skipping the others never changes the
-    answer. The scored tuples are generated in product order, as a run of
-    last-position indices behind each kept prefix, and scored in pieces of
-    at most ``CHUNK`` rows. ``candidates_examined`` counts every product
-    tuple that keeps at least one member, duplicates included: the product's
-    size minus the product of each pool's team-member count. Refuses with
-    :class:`RefusalError`, before enumerating anything, when the product
-    holds more than ``DEFAULT_SEARCH_BUDGET`` tuples; the inputs are checked by
+    Each departing member's pool is its hard cluster (``model.containers``),
+    keyed by cluster id, and :func:`_search` enumerates the pools' product
+    (lexicographically over each pool's ascending ids), drops original-team
+    members from each tuple, and scores each tuple's remaining member set by
+    cosine against the remaining-team embedding. Ties keep the first
+    candidate in enumeration order. Within a pool that several positions
+    share (equal keys: departing members of one cluster), each member
+    multiset is scored once, in product order, at the tuple whose pool
+    indices do not decrease along the shared positions. That tuple comes
+    first among the multiset's orderings, which all get the identical score,
+    so skipping the others never changes the answer. The scored tuples are
+    generated in product order, as a run of last-position indices behind
+    each kept prefix, and scored in pieces of at most ``CHUNK`` rows.
+    ``candidates_examined`` counts every product tuple that keeps at least
+    one member, duplicates included: the product's size minus the product of
+    each pool's team-member count. Refuses with :class:`RefusalError`, before
+    enumerating anything, when the product holds more than
+    ``DEFAULT_SEARCH_BUDGET`` tuples; the inputs are checked by
     :meth:`Team.validate_for` and :func:`subteam.graph.remainder`.
     """
     team.validate_for(net)
     remaining = remainder(team, departing)
     if model.n != net.n:
         raise ValidationError(f"model covers {model.n} nodes, network has {net.n}")
-    clusters = model.hard.take(departing.members).tolist()
-    total = prod(len(model.containers[c]) for c in clusters)
+    pools = [(c, model.containers[c]) for c in model.hard.take(departing.members).tolist()]
+    return _search(team, remaining, pools, model)
+
+
+def _search(team: Team, remaining: tuple, pools: list, model: ClusterModel) -> ReplacementResult:
+    """:func:`recommend`'s search over ``pools``: one ``(key, ascending array of ids below n)``
+    pair per position, unchecked; positions with equal keys hold one array and draw each
+    multiset once."""
+    total = prod(len(pool) for _, pool in pools)
     if total > DEFAULT_SEARCH_BUDGET:
         raise RefusalError(
             f"within-cluster search over {total} tuples exceeds budget {DEFAULT_SEARCH_BUDGET}"
         )
     reference = team_embedding(remaining, model.embeddings)
 
-    # Departing members that share a cluster draw from one pool. Pools hold
-    # global node ids into ``model.padded``, whose zero row ``blank = n``
-    # stands for team members and repeats.
+    # Pools hold global node ids into ``model.padded``, whose zero row
+    # ``blank = n`` stands for team members and repeats.
     z, blank = model.padded, model.n
     members = np.asarray(team.members, dtype=np.intp)
-    pools, in_team = {}, {}
-    for c in dict.fromkeys(clusters):
-        pool = model.containers[c]
+    blanked, in_team = {}, {}
+    for key, pool in dict(pools).items():
         # the sorted members hold a pool id exactly where it would be inserted
         hit = members.take(members.searchsorted(pool), mode="clip") == pool
-        pools[c] = np.where(hit, blank, pool)
-        in_team[c] = int(np.count_nonzero(hit))
+        blanked[key] = np.where(hit, blank, pool)
+        in_team[key] = int(np.count_nonzero(hit))
+    keys = [key for key, _ in pools]
     # a tuple keeps no member exactly when every position draws a team member
-    examined = total - prod(in_team[c] for c in clusters)
+    examined = total - prod(in_team[key] for key in keys)
 
     # every piece's sums and gathers go into these, so a query allocates its rows
     # once; takes use mode="clip" because the ids are checked when the model is
@@ -125,7 +135,7 @@ def recommend(
     sums, gathered = np.empty((2, min(CHUNK, total), z.shape[1]))
     best_row: list[int] | None = None
     best_score = -np.inf
-    for cols in _canonical_pieces([pools[c] for c in clusters], clusters):
+    for cols in _canonical_pieces([blanked[key] for key in keys], keys):
         # sort each tuple with a bubble-sort network over the columns, then blank repeats
         for end in range(len(cols) - 1, 0, -1):
             for j in range(end):
@@ -158,15 +168,15 @@ def recommend(
     return ReplacementResult(tuple(v for v in best_row if v < blank), float(best_score), examined)
 
 
-def _canonical_pieces(pools: list[np.ndarray], clusters: list[int]):
+def _canonical_pieces(pools: list[np.ndarray], keys: list):
     """The canonical tuples of the pools' product, in product order, as lists
     of columns of at most ``CHUNK`` rows.
 
     A tuple is canonical when its pool indices do not decrease along the
-    positions that share a cluster. The prefixes (every position but the
+    positions that share a key. The prefixes (every position but the
     last) are walked in blocks of ``CHUNK`` product indices, and each kept
     prefix expands to a run of last-position indices: from its index at the
-    previous position of the last one's cluster (or 0) to the end of the pool.
+    previous position of the last one's key (or 0) to the end of the pool.
     A block's runs, laid end to end, are cut into pieces of ``CHUNK`` rows.
     """
     *heads, last = pools
@@ -175,13 +185,13 @@ def _canonical_pieces(pools: list[np.ndarray], clusters: list[int]):
         for lo in range(0, width, CHUNK):
             yield [last[lo : lo + CHUNK]]
         return
-    # link each position to the previous one of its cluster; the last
+    # link each position to the previous one of its key; the last
     # position's link is where its runs start
     seen, previous = {}, {}
-    for j, c in enumerate(clusters):
-        if c in seen:
-            previous[j] = seen[c]
-        seen[c] = j
+    for j, key in enumerate(keys):
+        if key in seen:
+            previous[j] = seen[key]
+        seen[key] = j
     before = previous.pop(len(heads), None)
     shape = tuple(len(pool) for pool in heads)
     count = prod(shape)

@@ -246,6 +246,14 @@ class TestRunComparison:
             run_comparison(net, teams[:2], ["kernel", "genius"], [50.0], 0, model=None)
         assert not calls
 
+    def test_percentages_of_a_generator_are_reported(self):
+        # the report used to iterate the caller's generator a second time and read nothing
+        net, teams = generate_synthetic(48, 16, 4, 1.0, 0.05, 40, 0)
+        report = run_comparison(net, teams[:2], ["kernel"], (p for p in [25, 50]), 0, kernel_cfg=KCFG)
+        assert report.config["percentages"] == [25.0, 50.0]
+        assert report.config["cases"] == 4
+        assert sorted({case.percent for case in report.cases}) == [25.0, 50.0]
+
     def test_empty_split_rejected(self, eval_instance):
         net, _, model = eval_instance
         with pytest.raises(ValidationError):

@@ -72,3 +72,39 @@ def test_the_predicate_check_finds_what_it_should():
 )
 def test_only_graph_reads_the_setting_predicates(path):
     assert predicates_named(path.read_text(encoding="utf-8")) == []
+
+
+# the walk reads its pools alone; which nodes a position may draw (the model's
+# hard clusters today) is chosen by the pool rule in recommend
+WALK = {"_search", "_canonical_pieces"}
+CLUSTER_ATTRIBUTES = {"hard", "containers"}
+
+
+def cluster_reads_in_walk(source: str) -> list[str]:
+    """``function.attribute`` for each cluster attribute that a walk function reads, as an
+    attribute or a ``getattr`` name; a walk function missing from ``source`` is listed too."""
+    reads, defined = set(), set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.FunctionDef) and node.name in WALK:
+            defined.add(node.name)
+            inner = list(ast.walk(node))
+            names = {n.attr for n in inner if isinstance(n, ast.Attribute)}
+            names |= {n.value for n in inner if isinstance(n, ast.Constant)}
+            reads.update(f"{node.name}.{name}" for name in names & CLUSTER_ATTRIBUTES)
+    return sorted(reads | {f"{name} is missing" for name in WALK - defined})
+
+
+def test_the_walk_check_finds_what_it_should():
+    source = (
+        "def recommend(model):\n    return model.containers\n"
+        "def _search(team, remaining, pools, model):\n    return model.hard\n"
+        "def _canonical_pieces(pools, keys):\n    return getattr(pools, 'containers')\n"
+    )
+    assert cluster_reads_in_walk(source) == ["_canonical_pieces.containers", "_search.hard"]
+    assert cluster_reads_in_walk("def _search(pools):\n    return pools\n") == [
+        "_canonical_pieces is missing"
+    ]
+
+
+def test_the_walk_reads_no_cluster():
+    assert cluster_reads_in_walk((PACKAGE / "recommender.py").read_text(encoding="utf-8")) == []

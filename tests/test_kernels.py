@@ -241,6 +241,15 @@ class TestMarginalizedKernel:
         with pytest.raises(ValidationError):
             marginalized_kernel(single_node([1.0]), [single_node([1.0, 0.0])], CFG)
 
+    def test_graphs_are_read_once(self):
+        # a generator used to be used up by the compatibility check and then fail on len()
+        rng = np.random.default_rng(4)
+        g1 = random_labeled_graph(rng, 3, 2)
+        graphs = [g1, random_labeled_graph(rng, 2, 2), random_labeled_graph(rng, 3, 2)]
+        scores = marginalized_kernel(g1, graphs, CFG)
+        assert np.isfinite(scores).all()
+        assert marginalized_kernel(g1, (g for g in graphs), CFG).tolist() == scores.tolist()
+
 
 @st.composite
 def weighted_graphs(draw):
@@ -680,8 +689,20 @@ EMPTY = LabeledGraph(adjacency=np.zeros((0, 0)), labels=np.zeros((0, 1)))
         (lambda: shortest_path_kernel(EMPTY, single_node([1.0])), "undefined for empty graphs"),
         (lambda: shortest_path_kernel(single_node([1.0]), EMPTY), "undefined for empty graphs"),
         (lambda: marginalized_kernel(single_node([1.0]), [EMPTY], CFG), "empty graphs"),
+        # one graph where a collection belongs used to raise a bare TypeError
+        (
+            lambda: marginalized_kernel(single_node([1.0]), single_node([1.0]), CFG),
+            r"graphs must be a collection of LabeledGraph, got LabeledGraph\(",
+        ),
+        (
+            lambda: marginalized_kernel(single_node([1.0]), None, CFG),
+            "graphs must be a collection of LabeledGraph, got None",
+        ),
     ],
-    ids=["termination-0", "termination-1", "sp-empty-g1", "sp-empty-g2", "marginalized-empty"],
+    ids=[
+        "termination-0", "termination-1", "sp-empty-g1", "sp-empty-g2", "marginalized-empty",
+        "marginalized-one-graph", "marginalized-none",
+    ],
 )
 def test_kernel_inputs_outside_their_domain_rejected(call, match):
     with pytest.raises(ValidationError, match=match):

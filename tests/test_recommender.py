@@ -37,8 +37,9 @@ def count_scored_rows(monkeypatch) -> list[int]:
     return rows
 
 
-def product_search_oracle(team, departing, model):
-    """Independent re-enumeration of the per-member cluster product semantics.
+def product_search_oracle(team, departing, pools, model):
+    """Independent re-enumeration of the product semantics over ``pools``, one
+    ``(key, ids)`` pair per position; the keys play no part in the answer.
 
     Returns the best member set, its score, and the count of tuples that kept
     at least one member outside the team.
@@ -47,9 +48,8 @@ def product_search_oracle(team, departing, model):
     team_set = set(team.members)
     rem = sorted(team_set - set(departing.members))
     r = z[rem].mean(axis=0)
-    pools = [model.containers[int(model.hard[t])] for t in departing]
     best, best_score, examined = None, -math.inf, 0
-    for tup in itertools.product(*pools):
+    for tup in itertools.product(*(ids for _, ids in pools)):
         members = tuple(sorted(set(tup) - team_set))
         if not members:
             continue
@@ -58,6 +58,11 @@ def product_search_oracle(team, departing, model):
         if score > best_score:
             best, best_score = members, score
     return best, best_score, examined
+
+
+def hard_pools(model, departing):
+    """The pools ``recommend`` searches: each departing member's hard cluster, keyed by its id."""
+    return [(int(model.hard[t]), model.containers[int(model.hard[t])]) for t in departing]
 
 
 def random_pool_instance(seed: int):
@@ -79,6 +84,42 @@ def random_pool_instance(seed: int):
     hard[list(departing.members)] = rng.integers(1, int(rng.integers(1, r + 1)) + 1, size=r)
     clusters = used + int(rng.integers(0, 3))  # ids above the drawn ones hold no node
     return team, departing, rig_model(z, hard, clusters), blank_net(n)
+
+
+def random_search_instance(seed: int):
+    """Random pools for 1-4 positions, apart from any clustering: positions that
+    share a key (and so one array), pools of other keys that overlap, pools
+    that hold team members or are empty, and tied and zero embedding rows."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(6, 16))
+    z = rng.normal(size=(n, int(rng.integers(1, 5))))
+    if rng.random() < 0.3:
+        z = np.round(z, 1)  # exact ties between member sets
+    z[rng.random(n) < 0.1] = 0.0
+    team = Team(tuple(rng.choice(n, size=int(rng.integers(2, 7)), replace=False)))
+    size = int(rng.integers(1, len(team)))
+    departing = Team(tuple(rng.choice(team.members, size=size, replace=False)))
+    positions = int(rng.integers(1, 5))
+    keys = rng.integers(0, int(rng.integers(1, positions + 1)), size=positions)
+    span = int(rng.integers(1, n + 1))  # every pool is drawn from ids below span, so pools overlap
+    arrays = {}
+    for key in np.unique(keys).tolist():
+        ids = np.sort(rng.choice(span, size=int(rng.integers(0, min(span, 5) + 1)), replace=False))
+        ids.flags.writeable = False
+        arrays[key] = ids
+    pools = [("abcd"[key], arrays[key]) for key in keys.tolist()]
+    # the search reads the model's embeddings alone; one cluster holds every node
+    return team, departing, pools, rig_model(z, np.ones(n, dtype=int), 1)
+
+
+def canonical_count(pools) -> int:
+    """Tuples of the pools' product whose indices do not decrease along each key."""
+    keys = [key for key, _ in pools]
+    shared = [(i, j) for i, j in itertools.combinations(range(len(keys)), 2) if keys[i] == keys[j]]
+    return sum(
+        all(ix[i] <= ix[j] for i, j in shared)
+        for ix in itertools.product(*(range(len(ids)) for _, ids in pools))
+    )
 
 
 class TestRecommend:
@@ -237,7 +278,9 @@ class TestRecommend:
             team = Team(tuple(rng.choice(n, size=6, replace=False)))
             departing = Team(tuple(rng.choice(team.members, size=2, replace=False)))
             result = recommend(team, departing, model, net)
-            expected_members, expected_score, _ = product_search_oracle(team, departing, model)
+            expected_members, expected_score, _ = product_search_oracle(
+                team, departing, hard_pools(model, departing), model
+            )
             if expected_members is None:
                 assert not result.found
             else:
@@ -262,7 +305,9 @@ class TestRecommend:
         team, departing, model, net = random_pool_instance(seed)
         with mock.patch.object(recommender, "CHUNK", chunk):
             result = recommend(team, departing, model, net)
-        members, score, examined = product_search_oracle(team, departing, model)
+        members, score, examined = product_search_oracle(
+            team, departing, hard_pools(model, departing), model
+        )
         assert result.subteam == members
         assert result.candidates_examined == examined
         if members is None:
@@ -368,7 +413,9 @@ class TestRecommend:
         team = Team((*departing, 40))
         result = recommend(team, Team(departing), model, blank_net(41))
         assert sum(rows) == scored
-        assert result.candidates_examined == product_search_oracle(team, Team(departing), model)[2]
+        assert result.candidates_examined == product_search_oracle(
+            team, Team(departing), hard_pools(model, departing), model
+        )[2]
 
     @pytest.mark.parametrize("chunk", [recommender.CHUNK, 7])
     def test_tie_rule_with_interleaved_groups(self, monkeypatch, chunk):
@@ -385,7 +432,9 @@ class TestRecommend:
         model = rig_model(z, hard, 3)
         team, departing = Team((1, 3, 5, 13)), Team((1, 3, 5))
         result = recommend(team, departing, model, blank_net(14))
-        members, score, examined = product_search_oracle(team, departing, model)
+        members, score, examined = product_search_oracle(
+            team, departing, hard_pools(model, departing), model
+        )
         assert members == (8,)
         assert result.subteam == members
         assert result.similarity == score
@@ -413,7 +462,9 @@ class TestRecommend:
             soft = np.ones((model.n, len(containers)))  # read only for its width
             rebuilt = ClusterModel(model.embeddings, soft, model.hard, containers)
             result = recommend(team, departing, rebuilt, net)
-            members, score, examined = product_search_oracle(team, departing, rebuilt)
+            members, score, examined = product_search_oracle(
+                team, departing, hard_pools(rebuilt, departing), rebuilt
+            )
             assert result.subteam == members
             assert result.similarity == (None if members is None else score)
             assert result.candidates_examined == examined
@@ -429,11 +480,34 @@ class TestRecommend:
         team, departing, model, net = random_pool_instance(seed)
         with mock.patch.object(recommender, "CHUNK", chunk):
             result = recommend(team, departing, model, net)
-        members, score, examined = product_search_oracle(team, departing, model)
+        members, score, examined = product_search_oracle(
+            team, departing, hard_pools(model, departing), model
+        )
         assert result.subteam == members
         assert result.similarity == (None if members is None else score)
         assert result.candidates_examined == examined
 
+
+class TestSearch:
+    @pytest.mark.parametrize("chunk", [recommender.CHUNK, 7])
+    @given(st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_search_over_any_pools_equals_product_oracle(self, chunk, seed):
+        # the first best tuple in product order wins, bit for bit, and only the
+        # canonical tuples reach the scorer
+        team, departing, pools, model = random_search_instance(seed)
+        remaining = tuple(sorted(set(team.members) - set(departing.members)))
+        with pytest.MonkeyPatch.context() as patch:
+            rows = count_scored_rows(patch)
+            patch.setattr(recommender, "CHUNK", chunk)
+            result = recommender._search(team, remaining, pools, model)
+        members, score, examined = product_search_oracle(team, departing, pools, model)
+        assert result.subteam == members
+        assert result.candidates_examined == examined
+        bits = None if members is None else float(score).hex()
+        assert (None if result.similarity is None else result.similarity.hex()) == bits
+        assert sum(rows) == canonical_count(pools)
+        assert max(rows, default=0) <= chunk
 
 class TestExhaustiveOracle:
     def test_single_candidate(self):
